@@ -38,15 +38,6 @@ class BoundaryMatrix:
     def __len__(self) -> int:
         return len(self.columns)
 
-    def boundary_of_boundary_vanishes(self) -> bool:
-        for col in self.columns:
-            acc: set[int] = set()
-            for r in col:
-                acc ^= self.columns[r]
-            if acc:
-                return False
-        return True
-
 
 def build_boundary_matrix(fc: FilteredComplex) -> BoundaryMatrix:
     cols = []
@@ -68,40 +59,24 @@ class ReducedMatrix:
         return self.matrix.entries
 
 
-def _bit_indices(x: int) -> set[int]:
-    out = set()
-    while x:
-        low = x & -x
-        out.add(low.bit_length() - 1)
-        x ^= low
-    return out
-
-
 def reduce_matrix(bm: BoundaryMatrix) -> ReducedMatrix:
     """Standard left-to-right reduction, deterministic in the column order."""
-    n = len(bm.columns)
-    r = [sum(1 << row for row in col) for col in bm.columns]
-    v = [1 << j for j in range(n)]
-    owner_of_low: dict[int, int] = {}
-    pairs: dict[int, int] = {}
-    for j in range(n):
-        while r[j]:
-            low = r[j].bit_length() - 1
-            k = owner_of_low.get(low)
+    r = [set(col) for col in bm.columns]
+    v = [{j} for j in range(len(r))]
+    pairs: dict[int, int] = {}  # also the owner of each lowest row
+    for j, col in enumerate(r):
+        while col:
+            low = max(col)
+            k = pairs.get(low)
             if k is None:
-                owner_of_low[low] = j
                 pairs[low] = j
                 break
-            r[j] ^= r[k]
+            col ^= r[k]
             v[j] ^= v[k]
-    reduced = BoundaryMatrix(
-        columns=tuple(frozenset(_bit_indices(x)) for x in r),
-        entries=bm.entries,
-    )
     return ReducedMatrix(
-        matrix=reduced,
+        matrix=BoundaryMatrix(columns=tuple(map(frozenset, r)), entries=bm.entries),
         pairs=pairs,
-        chains=tuple(frozenset(_bit_indices(x)) for x in v),
+        chains=tuple(map(frozenset, v)),
     )
 
 
@@ -153,10 +128,6 @@ class Barcode:
         ]
         return max(ps, default=0.0)
 
-    @property
-    def max_persistence_per_dim(self) -> dict[int, float]:
-        return {d: self.max_persistence(d) for d in (0, 1, 2)}
-
     def bars_alive_at(self, t: float) -> tuple[int, int, int]:
         alive = [0, 0, 0]
         for p in self.pairs:
@@ -190,6 +161,12 @@ class Barcode:
         return json.dumps(self.to_records(), indent=2, sort_keys=True) + "\n"
 
 
+def _chain_simplices(reduced: ReducedMatrix, j: int) -> tuple[Simplex, ...]:
+    """The simplices of chain j, sorted: the generator of the class born at j."""
+    entries = reduced.entries
+    return tuple(sorted(entries[k][0] for k in reduced.chains[j]))
+
+
 def persistence_pairs(reduced: ReducedMatrix, fc: FilteredComplex) -> Barcode:
     """Read bars off a reduced matrix.
 
@@ -207,10 +184,7 @@ def persistence_pairs(reduced: ReducedMatrix, fc: FilteredComplex) -> Barcode:
         death_col = reduced.pairs.get(j)
         death = None if death_col is None else entries[death_col][1]
         d = len(s) - 1
-        if d == 0:
-            generator: tuple[Simplex, ...] = (s,)
-        else:
-            generator = tuple(sorted(entries[k][0] for k in reduced.chains[j]))
+        generator = (s,) if d == 0 else _chain_simplices(reduced, j)
         pairs.append(
             PersistencePair(
                 dimension=d,
@@ -233,10 +207,9 @@ def extract_generator_cycle(
     """
     if pair.dimension == 0:
         raise ValueError("dimension-0 classes have a vertex generator, not a cycle")
-    entries = reduced.entries
     if reduced.matrix.columns[pair.birth_position]:
         raise ValueError("pair does not point at a zeroed column")
-    return tuple(sorted(entries[k][0] for k in reduced.chains[pair.birth_position]))
+    return _chain_simplices(reduced, pair.birth_position)
 
 
 def barcode_of(fc: FilteredComplex) -> Barcode:
@@ -268,20 +241,18 @@ def classify_long_persistence(
     return Barcode(pairs=tuple(flagged), horizon=barcode.horizon)
 
 
-def _f2_rank(vectors: Iterable[int]) -> int:
-    """Rank of a set of F2 vectors given as int bitmasks (Gaussian elimination)."""
-    pivots: dict[int, int] = {}
-    rank = 0
+def _f2_rank(vectors: Iterable[set[int]]) -> int:
+    """Rank of F2 vectors given as sets of nonzero coordinates (Gaussian elimination)."""
+    pivots: dict[int, set[int]] = {}
     for v in vectors:
         while v:
-            lead = v.bit_length() - 1
+            lead = max(v)
             p = pivots.get(lead)
             if p is None:
                 pivots[lead] = v
-                rank += 1
                 break
             v ^= p
-    return rank
+    return len(pivots)
 
 
 def betti_oracle(simplices: Iterable[Simplex]) -> tuple[int, int, int]:
@@ -306,12 +277,8 @@ def betti_oracle(simplices: Iterable[Simplex]) -> tuple[int, int, int]:
                     raise ValueError(f"not a complex: {s} lacks face {f}")
     vertex_row = {s: i for i, s in enumerate(by_dim[0])}
     edge_row = {s: i for i, s in enumerate(by_dim[1])}
-    d1 = [
-        (1 << vertex_row[(a,)]) | (1 << vertex_row[(b,)]) for (a, b) in by_dim[1]
-    ]
-    d2 = [
-        sum(1 << edge_row[f] for f in faces(t)) for t in by_dim[2]
-    ]
+    d1 = [{vertex_row[(a,)], vertex_row[(b,)]} for (a, b) in by_dim[1]]
+    d2 = [{edge_row[f] for f in faces(t)} for t in by_dim[2]]
     rank1 = _f2_rank(d1)
     rank2 = _f2_rank(d2)
     n0, n1, n2 = len(by_dim[0]), len(by_dim[1]), len(by_dim[2])

@@ -210,9 +210,6 @@ class GridVertexSchedule:
     cols: tuple[int, ...]
     entry: tuple[int | None, ...]  # row-major over rows x cols
 
-    def vertex_id(self, row: int, col: int) -> int:
-        return self.rows.index(row) * len(self.cols) + self.cols.index(col)
-
     def items(self) -> list[tuple[int, int, int | None]]:
         out = []
         i = 0

@@ -5,10 +5,9 @@ persistence, and write artifacts.  Also the batch benchmark driver.
 from __future__ import annotations
 
 import json
-import os
+import math
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -57,6 +56,20 @@ class RunConfig:
         if self.method not in METHODS:
             raise InputError(f"method must be one of {METHODS}, got {self.method!r}")
         check_candidate(self.candidate)
+        if self.stride < 1:
+            raise InputError(f"stride must be at least 1, got {self.stride}")
+        for name in ("step", "velocity", "dt"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise InputError(f"{name} must be finite and positive, got {value}")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise InputError(f"tol must be finite and non-negative, got {self.tol}")
+        if self.eps_max is not None and not (
+            math.isfinite(self.eps_max) and self.eps_max > 0
+        ):
+            raise InputError(f"eps_max must be finite and positive, got {self.eps_max}")
+        if self.n_steps is not None and self.n_steps < 0:
+            raise InputError(f"n_steps must be non-negative, got {self.n_steps}")
 
 
 @dataclass
@@ -235,8 +248,7 @@ def _bench_one(path: Path, method: str, candidate: str) -> BenchmarkRow | None:
 def bench_directory(input_dir: str | Path, out_path: str | Path) -> list[BenchmarkRow]:
     """Run every method and candidate over every GeoJSON file in a directory.
 
-    GEOPH_THREADS caps the worker pool (default 1).  Failed combinations
-    are dropped and show up as missing table cells.
+    Failed combinations are dropped and show up as missing table cells.
     """
     input_dir = Path(input_dir)
     files = sorted(
@@ -250,12 +262,7 @@ def bench_directory(input_dir: str | Path, out_path: str | Path) -> list[Benchma
         for method in METHODS
         for cand in ("blue", "red")
     ]
-    threads = int(os.environ.get("GEOPH_THREADS", "1") or "1")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda t: _bench_one(*t), tasks))
-    else:
-        results = [_bench_one(*t) for t in tasks]
+    results = [_bench_one(*t) for t in tasks]
     rows = [r for r in results if r is not None]
     rows.sort(key=lambda r: (r.input_name, r.method, r.candidate))
     benchmark_report(rows, out_path)

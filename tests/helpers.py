@@ -155,3 +155,49 @@ def random_filtered_entries(rng, max_vertices=10):
         if rng.random() < 0.12:
             entries.append(((i, j, k), float(rng.randrange(0, 8))))
     return entries
+
+
+def dense_reduce_reference(columns):
+    """Left-to-right F2 column reduction with big-int bitmask columns.
+
+    ``columns`` is a sequence of row-index sets, one per column.  Returns
+    (pairs, reduced_columns, chains): pairs maps a lowest row to the column
+    that kept it, and chains[j] holds the columns added into column j (j
+    included).  The format is independent of the package's set columns.
+    """
+    n = len(columns)
+    r = [sum(1 << row for row in col) for col in columns]
+    v = [1 << j for j in range(n)]
+    owner_of_low = {}
+    pairs = {}
+    for j in range(n):
+        while r[j]:
+            low = r[j].bit_length() - 1
+            k = owner_of_low.get(low)
+            if k is None:
+                owner_of_low[low] = j
+                pairs[low] = j
+                break
+            r[j] ^= r[k]
+            v[j] ^= v[k]
+
+    def bit_indices(x):
+        out = set()
+        while x:
+            low = x & -x
+            out.add(low.bit_length() - 1)
+            x ^= low
+        return frozenset(out)
+
+    return pairs, tuple(map(bit_indices, r)), tuple(map(bit_indices, v))
+
+
+def boundary_of_boundary_vanishes(columns):
+    """True when every column's boundary columns sum to zero over F2."""
+    for col in columns:
+        acc = set()
+        for r in col:
+            acc ^= columns[r]
+        if acc:
+            return False
+    return True

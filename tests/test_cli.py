@@ -81,6 +81,34 @@ class TestBuild:
         assert code == 2
         assert "features" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "method, flag, value",
+        [
+            ("levelset", "--stride", "0"),
+            ("adjacency", "--step", "0"),
+            ("adjacency", "--step", "nan"),
+            ("vr", "--eps-max", "-1"),
+            ("vr", "--eps-max", "nan"),
+            ("levelset", "--velocity", "0"),
+            ("levelset", "--dt", "-1"),
+            ("levelset", "--steps", "-3"),
+            ("adjacency", "--tol", "nan"),
+        ],
+    )
+    def test_bad_parameter_exits_two(self, tmp_path, capsys, method, flag, value):
+        src = synth(tmp_path, "grid", "g.geojson", "--n", "3")
+        capsys.readouterr()
+        out = tmp_path / "o"
+        code = main(
+            ["build", "--method", method, "--candidate", "red",
+             "--input", str(src), "--out", str(out), flag, value]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error:" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_degenerate_alpha_exits_three(self, tmp_path, capsys):
         # a 1 x 3 strip of precincts has collinear centroids
         strip = {

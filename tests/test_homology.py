@@ -1,4 +1,5 @@
 import random
+import warnings
 from itertools import combinations
 
 import pytest
@@ -21,8 +22,15 @@ from geoph.homology import (
     persistence_pairs,
     reduce_matrix,
 )
+from geoph.pipeline import METHODS, RunConfig, run_pipeline
+from geoph.precincts import parse_feature_collection
+from geoph.synth import FIXTURES, make_fixture
 
-from helpers import random_filtered_entries
+from helpers import (
+    boundary_of_boundary_vanishes,
+    dense_reduce_reference,
+    random_filtered_entries,
+)
 
 
 def hollow_triangle():
@@ -43,10 +51,33 @@ class TestBoundaryMatrix:
 
     def test_boundary_of_boundary_vanishes(self):
         fc = close_under_faces([((0, 1, 2), 1.0), ((1, 2, 3), 2.0)])
-        assert build_boundary_matrix(fc).boundary_of_boundary_vanishes()
+        assert boundary_of_boundary_vanishes(build_boundary_matrix(fc).columns)
+
+
+def assert_matches_dense_reference(fc):
+    bm = build_boundary_matrix(fc)
+    red = reduce_matrix(bm)
+    pairs, columns, chains = dense_reduce_reference(bm.columns)
+    assert list(red.pairs.items()) == list(pairs.items())
+    assert red.matrix.columns == columns
+    assert red.chains == chains
 
 
 class TestReduction:
+    def test_matches_dense_reference_on_random_complexes(self):
+        rng = random.Random(31)
+        for _ in range(60):
+            assert_matches_dense_reference(close_under_faces(random_filtered_entries(rng)))
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_matches_dense_reference_on_fixtures(self, fixture, method):
+        m = parse_feature_collection(make_fixture(fixture))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = run_pipeline(RunConfig(method=method, candidate="red"), m)
+        assert_matches_dense_reference(res.complex)
+
     def test_pairing_is_partial_matching(self):
         rng = random.Random(11)
         for _ in range(40):

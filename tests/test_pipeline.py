@@ -172,16 +172,6 @@ class TestBench:
         keys = [(r.input_name, r.method, r.candidate) for r in rows]
         assert keys == sorted(keys)
 
-    def test_thread_pool_matches_serial(self, tmp_path, monkeypatch):
-        self.make_inputs(tmp_path)
-        serial = bench_directory(tmp_path, tmp_path / "s.csv")
-        monkeypatch.setenv("GEOPH_THREADS", "2")
-        threaded = bench_directory(tmp_path, tmp_path / "t.csv")
-        strip = lambda rows: [
-            (r.input_name, r.method, r.candidate, r.simplices) for r in rows
-        ]
-        assert strip(serial) == strip(threaded)
-
     def test_empty_directory_rejected(self, tmp_path):
         with pytest.raises(InputError, match="no .geojson"):
             bench_directory(tmp_path, tmp_path / "x.csv")
