@@ -1,7 +1,10 @@
 """Queen contiguity between precincts and the vote-margin filtration on it.
 
 Two precincts are queen-adjacent when their boundaries come within a
-tolerance of touching; a single shared corner point suffices.  The filtered
+tolerance of touching; a single shared corner point suffices.  Candidate
+pairs come from a sort-and-sweep over the precincts' bounding boxes, so only
+pairs whose boxes come within the tolerance reach the exact segment test and
+the cost is near-linear in map size for map-like inputs.  The filtered
 complex descends the margin scale: a winning precinct enters at the first
 threshold its margin clears, an edge when both endpoints are in, and every
 pairwise-adjacent triple spans a triangle.
@@ -9,6 +12,7 @@ pairwise-adjacent triple spans a triangle.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -26,18 +30,6 @@ class AdjacencyGraph:
 
     nodes: tuple[str, ...]
     edges: frozenset[tuple[str, str]]  # each pair stored sorted
-
-    def has_edge(self, a: str, b: str) -> bool:
-        return (min(a, b), max(a, b)) in self.edges
-
-    def neighbors(self, a: str) -> set[str]:
-        out = set()
-        for u, v in self.edges:
-            if u == a:
-                out.add(v)
-            elif v == a:
-                out.add(u)
-        return out
 
     def to_edge_list(self) -> str:
         lines = [f"{u}\t{v}" for u, v in sorted(self.edges)]
@@ -71,13 +63,28 @@ def precincts_touch(a: Precinct, b: Precinct, tol: float = DEFAULT_TOL) -> bool:
 
 
 def queen_adjacency(m: PrecinctMap, tol: float = DEFAULT_TOL) -> AdjacencyGraph:
-    """Adjacency graph over every precinct in the map (sides ignored)."""
+    """Adjacency graph over every precinct in the map (sides ignored).
+
+    Sweeps the precincts in order of bounding-box ``x0``: the scan from one
+    precinct stops at the first box that starts more than ``tol`` past its
+    ``x1``, and pairs whose boxes are more than ``tol`` apart in y are
+    skipped.  Those are exactly the pairs ``precincts_touch`` rejects on its
+    bounding boxes, so only the rest reach it.
+    """
     if tol < 0:
         raise ValueError("tolerance must be non-negative")
+    boxes = sorted((p.bbox(), i, p) for i, p in enumerate(m.precincts))
     edges = set()
-    for a, b in combinations(m.precincts, 2):
-        if precincts_touch(a, b, tol):
-            edges.add((min(a.id, b.id), max(a.id, b.id)))
+    for pos, ((_, ay0, ax1, ay1), i, a) in enumerate(boxes):
+        for later in range(pos + 1, len(boxes)):
+            (bx0, by0, _, by1), j, b = boxes[later]
+            if bx0 - ax1 > tol:
+                break
+            if by0 - ay1 > tol or ay0 - by1 > tol:
+                continue
+            first, second = (a, b) if i < j else (b, a)
+            if precincts_touch(first, second, tol):
+                edges.add((min(a.id, b.id), max(a.id, b.id)))
     return AdjacencyGraph(nodes=tuple(p.id for p in m), edges=frozenset(edges))
 
 
@@ -86,16 +93,29 @@ def margin_level(delta: float, step: float = DEFAULT_STEP) -> float:
 
     Returns the smallest k*step with delta >= 1 - k*step (>= comparison, so
     a margin exactly on a threshold enters there).  A unanimous precinct
-    enters at 0.
+    enters at 0.  ``delta < 1 - k*step - 1e-12`` only turns false as k
+    grows, so k is found by doubling and then bisection.
     """
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"margin {delta} outside [0, 1]")
     if step <= 0.0:
         raise ValueError("step must be positive")
-    k = 0
-    while delta < 1.0 - k * step - 1e-12:
-        k += 1
-    return round(k * step, 12)
+    if step < sys.float_info.min:  # k * step would overflow before reaching 1
+        raise ValueError(f"step {step} is below the smallest normal float")
+
+    def above(k: int) -> bool:
+        return delta < 1.0 - k * step - 1e-12
+
+    lo, hi = 0, 1  # above(k) holds for every k < lo
+    while above(hi):
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if above(mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    return round(hi * step, 12)
 
 
 def build_adjacency_complex(
@@ -111,19 +131,18 @@ def build_adjacency_complex(
     """
     check_candidate(candidate)
     winners = winning_precincts(m, candidate)
-    level = {p.id: margin_level(vote_margin(p), step) for p in winners}
+    level = [margin_level(vote_margin(p), step) for p in winners]
     index = {p.id: i for i, p in enumerate(winners)}
 
-    entries: list[Entry] = [((index[p.id],), level[p.id]) for p in winners]
-    adjacent: list[list[int]] = [[] for _ in winners]
-    for p, q in combinations(winners, 2):
-        if g.has_edge(p.id, q.id):
-            i, j = index[p.id], index[q.id]
-            entries.append(((i, j), max(level[p.id], level[q.id])))
-            adjacent[i].append(j)
-    for i, nbrs in enumerate(adjacent):
-        for j, k in combinations(nbrs, 2):
-            if k in adjacent[j]:
-                ids = (winners[i].id, winners[j].id, winners[k].id)
-                entries.append(((i, j, k), max(level[x] for x in ids)))
+    entries: list[Entry] = [((i,), value) for i, value in enumerate(level)]
+    later: list[set[int]] = [set() for _ in winners]  # neighbours with a larger index
+    for u, v in g.edges:
+        if u in index and v in index:
+            i, j = sorted((index[u], index[v]))
+            entries.append(((i, j), max(level[i], level[j])))
+            later[i].add(j)
+    for i, nbrs in enumerate(later):
+        for j, k in combinations(sorted(nbrs), 2):
+            if k in later[j]:
+                entries.append(((i, j, k), max(level[i], level[j], level[k])))
     return FilteredComplex(entries)

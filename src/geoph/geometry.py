@@ -176,8 +176,10 @@ def segment_segment_distance(a: Point, b: Point, c: Point, d: Point) -> float:
 
 
 def normalize_ring(ring: Sequence[Sequence[float]]) -> Ring:
-    """Coerce to float pairs and close the ring (first point == last)."""
+    """Coerce to finite float pairs and close the ring (first point == last)."""
     pts = [(float(p[0]), float(p[1])) for p in ring]
+    if not all(math.isfinite(x) and math.isfinite(y) for x, y in pts):
+        raise ValueError("ring has a non-finite coordinate")
     if len(pts) < 3:
         raise ValueError("ring needs at least 3 points")
     if pts[0] != pts[-1]:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 import warnings
 from dataclasses import dataclass, field, asdict
@@ -62,6 +63,8 @@ class RunConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise InputError(f"{name} must be finite and positive, got {value}")
+        if self.step < sys.float_info.min:
+            raise InputError(f"step must be at least {sys.float_info.min}, got {self.step}")
         if not (math.isfinite(self.tol) and self.tol >= 0):
             raise InputError(f"tol must be finite and non-negative, got {self.tol}")
         if self.eps_max is not None and not (

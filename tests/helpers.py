@@ -2,12 +2,15 @@
 
 Nothing here imports geoph's builders; these are deliberately naive
 re-derivations (brute force or textbook formulas) so that agreement with
-the package is evidence, not tautology.
+the package is evidence, not tautology.  The queen-adjacency references
+share only the exact contact predicate (``precincts_touch``) and the
+package's map and complex types, and enumerate every pair.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from itertools import combinations
 
 import numpy as np
@@ -201,3 +204,87 @@ def boundary_of_boundary_vanishes(columns):
         if acc:
             return False
     return True
+
+
+def margin_level_reference(delta, step=0.05):
+    """Linear scan for the first threshold a margin clears (k = 0, 1, ...)."""
+    if not 0.0 <= delta <= 1.0:
+        raise ValueError(f"margin {delta} outside [0, 1]")
+    if step <= 0.0:
+        raise ValueError("step must be positive")
+    k = 0
+    while delta < 1.0 - k * step - 1e-12:
+        k += 1
+    return round(k * step, 12)
+
+
+def queen_edges_reference(m, tol):
+    """Queen edges by testing every precinct pair, earlier one first."""
+    from geoph import adjacency
+
+    return {
+        (min(a.id, b.id), max(a.id, b.id))
+        for a, b in combinations(m.precincts, 2)
+        if adjacency.precincts_touch(a, b, tol)
+    }
+
+
+def adjacency_complex_reference(m, g, candidate, step=0.05):
+    """Margin-filtered clique complex by testing every pair and triple of
+    winners against the graph's edge set."""
+    from geoph.complexes import FilteredComplex
+    from geoph.precincts import vote_margin, winning_precincts
+
+    winners = winning_precincts(m, candidate)
+    level = [margin_level_reference(vote_margin(p), step) for p in winners]
+
+    def adjacent(i, j):
+        a, b = winners[i].id, winners[j].id
+        return (min(a, b), max(a, b)) in g.edges
+
+    entries = [((i,), value) for i, value in enumerate(level)]
+    for i, j in combinations(range(len(winners)), 2):
+        if adjacent(i, j):
+            entries.append(((i, j), max(level[i], level[j])))
+    for i, j, k in combinations(range(len(winners)), 3):
+        if adjacent(i, j) and adjacent(i, k) and adjacent(j, k):
+            entries.append(((i, j, k), max(level[i], level[j], level[k])))
+    return FilteredComplex(entries)
+
+
+def jittered_lattice_map(n, jitter, seed):
+    """GeoJSON of an n x n lattice of quadrilaterals over unit cells.
+
+    Interior corners move by a seeded offset in [-jitter, jitter] on each
+    axis (jitter below 0.5 keeps every quadrilateral simple); votes are
+    seeded with no ties, and the features come in a seeded order.
+    """
+    rng = random.Random(seed)
+    corners = [
+        [
+            (
+                c + (rng.uniform(-jitter, jitter) if 0 < r < n and 0 < c < n else 0.0),
+                r + (rng.uniform(-jitter, jitter) if 0 < r < n and 0 < c < n else 0.0),
+            )
+            for c in range(n + 1)
+        ]
+        for r in range(n + 1)
+    ]
+    features = []
+    for r in range(n):
+        for c in range(n):
+            ring = [corners[r][c], corners[r][c + 1], corners[r + 1][c + 1], corners[r + 1][c]]
+            blue = rng.randrange(0, 100)
+            red = 100 - blue if blue != 50 else 49
+            features.append(
+                {
+                    "type": "Feature",
+                    "properties": {"id": f"p{r * n + c:05d}", "votes_blue": blue, "votes_red": red},
+                    "geometry": {
+                        "type": "Polygon",
+                        "coordinates": [[list(pt) for pt in ring + ring[:1]]],
+                    },
+                }
+            )
+    rng.shuffle(features)
+    return {"type": "FeatureCollection", "features": features}

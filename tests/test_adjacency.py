@@ -1,8 +1,10 @@
 import math
 import random
+import time
 
 import pytest
 
+from geoph import adjacency
 from geoph.adjacency import (
     AdjacencyGraph,
     build_adjacency_complex,
@@ -14,7 +16,14 @@ from geoph.homology import barcode_of, betti_oracle
 from geoph.precincts import PrecinctMap, parse_feature_collection, winning_precincts
 from geoph.synth import dissent_fixture, grid_fixture
 
-from helpers import clique_triangles, grid_queen_edges
+from helpers import (
+    adjacency_complex_reference,
+    clique_triangles,
+    grid_queen_edges,
+    jittered_lattice_map,
+    margin_level_reference,
+    queen_edges_reference,
+)
 
 
 def square_precinct(pid, x, y, blue, red, side=1.0):
@@ -62,7 +71,7 @@ class TestTouching:
 
 class TestQueenGraph:
     def test_grid_matches_chebyshev_oracle(self):
-        for n in (2, 3, 4):
+        for n in (2, 3, 4, 40):
             g = queen_adjacency(parse_feature_collection(grid_fixture(n)))
             cells = {(r, c) for r in range(n) for c in range(n)}
             expected = {
@@ -71,10 +80,26 @@ class TestQueenGraph:
             }
             assert set(g.edges) == expected
 
+    def test_scaling_guard(self, monkeypatch):
+        # A map-like input reaches the exact predicate about 4 times per
+        # precinct, not once per pair.
+        calls = []
+        touch = adjacency.precincts_touch
+
+        def counted(a, b, tol=adjacency.DEFAULT_TOL):
+            calls.append(1)
+            return touch(a, b, tol)
+
+        monkeypatch.setattr(adjacency, "precincts_touch", counted)
+        m = parse_feature_collection(jittered_lattice_map(30, 0.3, 0))
+        g = queen_adjacency(m)
+        assert len(g.edges) > 3 * len(m)
+        assert len(calls) <= 4 * len(m)
+
     def test_interior_cell_has_eight_neighbors(self):
         g = queen_adjacency(parse_feature_collection(grid_fixture(3)))
-        assert len(g.neighbors("r1c1")) == 8
-        assert len(g.neighbors("r0c0")) == 3
+        assert sum("r1c1" in e for e in g.edges) == 8
+        assert sum("r0c0" in e for e in g.edges) == 3
 
     def test_edge_list_format(self):
         m = map_of(
@@ -89,6 +114,119 @@ class TestQueenGraph:
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             queen_adjacency(map_of(square_precinct("a", 0, 0, 1, 0)), tol=-1.0)
+
+
+def rect_ring(x0, y0, x1, y1):
+    return [[x0, y0], [x1, y0], [x1, y1], [x0, y1], [x0, y0]]
+
+
+def polygon_precinct(pid, polygons, blue=1, red=0):
+    """Precinct with one or more polygons, each a list of rings."""
+    geometry = (
+        {"type": "Polygon", "coordinates": polygons[0]}
+        if len(polygons) == 1
+        else {"type": "MultiPolygon", "coordinates": polygons}
+    )
+    return {
+        "type": "Feature",
+        "properties": {"id": pid, "votes_blue": blue, "votes_red": red},
+        "geometry": geometry,
+    }
+
+
+TOLERANCES = (0.0, 1e-9, 0.01, 10.0)
+
+
+def near_gap_maps(tol):
+    """For gaps one float below, at and one float above ``tol`` (index 0, 1,
+    2), maps of two unit squares that far apart across x ("x"), across y
+    ("y") and across a corner ("d"), plus two distant bystanders."""
+    bystanders = [
+        polygon_precinct("far1", [[rect_ring(-50, -50, -49, -49)]]),
+        polygon_precinct("far2", [[rect_ring(50, -50, 51, -49)]]),
+    ]
+    out = {}
+    for k, g in enumerate(
+        (math.nextafter(1.0 + tol, -math.inf), 1.0 + tol, math.nextafter(1.0 + tol, math.inf))
+    ):
+        for axis, (bx, by) in {"x": (g, 0.0), "y": (0.0, g), "d": (g, g)}.items():
+            a = polygon_precinct("a", [[rect_ring(0.0, 0.0, 1.0, 1.0)]])
+            b = polygon_precinct("b", [[rect_ring(bx, by, bx + 1.0, by + 1.0)]])
+            out[axis, k] = map_of(bystanders[0], b, bystanders[1], a)
+    return out
+
+
+def scattered_rectangles_map(rng, count):
+    """Rectangles on a quarter-unit grid, so sides and corners often touch
+    and many share x0."""
+    feats = []
+    for i in range(count):
+        x0, y0 = rng.randrange(0, 40) / 4, rng.randrange(0, 40) / 4
+        w, h = rng.randrange(1, 8) / 4, rng.randrange(1, 8) / 4
+        pid = f"s{rng.randrange(10**6):06d}_{i}"
+        feats.append(polygon_precinct(pid, [[rect_ring(x0, y0, x0 + w, y0 + h)]]))
+    return map_of(*feats)
+
+
+def holes_and_parts_map():
+    """A precinct with a hole holding two islands (one touching the hole's
+    edge), a MultiPolygon whose parts sit far apart with neighbours near
+    each part, and a column of squares sharing x0."""
+    feats = [
+        polygon_precinct("holed", [[rect_ring(0, 0, 10, 10), rect_ring(3, 3, 7, 7)[::-1]]]),
+        polygon_precinct("island_touch", [[rect_ring(3, 3, 4, 4)]]),
+        polygon_precinct("island_free", [[rect_ring(5, 5, 6, 6)]]),
+        polygon_precinct(
+            "multi", [[rect_ring(20, 0, 21, 1)], [rect_ring(40, 30, 41, 31)]], blue=0, red=3
+        ),
+        polygon_precinct("near_part1", [[rect_ring(21, 1, 22, 2)]]),
+        polygon_precinct("near_part2", [[rect_ring(39, 29.5, 40, 30.5)]]),
+        polygon_precinct("inside_bbox_only", [[rect_ring(30, 15, 31, 16)]]),
+    ]
+    feats += [polygon_precinct(f"col{i}", [[rect_ring(10, i, 11, i + 1)]]) for i in (3, 0, 2, 1)]
+    return map_of(*feats)
+
+
+class TestSweepMatchesAllPairs:
+    """The bbox sweep must give exactly the all-pairs edge set."""
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.3, 0.49])
+    @pytest.mark.parametrize("tol", TOLERANCES)
+    def test_jittered_lattices(self, jitter, tol):
+        for seed in range(3):
+            m = parse_feature_collection(jittered_lattice_map(7, jitter, seed))
+            assert queen_adjacency(m, tol).edges == queen_edges_reference(m, tol)
+
+    @pytest.mark.parametrize("tol", TOLERANCES)
+    def test_gaps_just_below_at_and_above_tol(self, tol):
+        for (axis, k), m in near_gap_maps(tol).items():
+            edges = queen_adjacency(m, tol).edges
+            assert edges == queen_edges_reference(m, tol), (axis, k)
+            # Across a side, one float below the threshold touches and one
+            # above does not; across a corner the distance is longer.
+            if axis != "d" and k != 1:
+                assert (edges == {("a", "b")}) == (k == 0), (axis, k)
+            if k == 2:
+                assert not edges
+
+    @pytest.mark.parametrize("tol", TOLERANCES)
+    def test_scattered_rectangles_with_tied_x0(self, tol):
+        rng = random.Random(77)
+        for _ in range(5):
+            m = scattered_rectangles_map(rng, 60)
+            assert len({p.bbox()[0] for p in m}) < len(m)
+            assert queen_adjacency(m, tol).edges == queen_edges_reference(m, tol)
+
+    @pytest.mark.parametrize("tol", TOLERANCES)
+    def test_holes_and_multipolygons(self, tol):
+        m = holes_and_parts_map()
+        edges = queen_adjacency(m, tol).edges
+        assert edges == queen_edges_reference(m, tol)
+        if tol < 0.5:
+            assert ("holed", "island_touch") in edges
+            assert ("holed", "island_free") not in edges
+            assert {("multi", "near_part1"), ("multi", "near_part2")} <= edges
+            assert ("inside_bbox_only", "multi") not in edges
 
 
 class TestMarginLevel:
@@ -112,6 +250,30 @@ class TestMarginLevel:
             margin_level(1.5)
         with pytest.raises(ValueError, match="positive"):
             margin_level(0.5, step=0.0)
+        with pytest.raises(ValueError, match="smallest normal"):
+            margin_level(0.5, step=5e-324)
+
+    @pytest.mark.parametrize(
+        "step", [1e-4, 3e-4, 1e-3, 0.01, 0.03, 0.05, 0.1, 1 / 3, 0.25, 0.3, 0.7, 1.0, 2.5]
+    )
+    def test_matches_linear_scan(self, step):
+        margins = {i / 1000 for i in range(1001)}
+        k = 0
+        while k * step <= 1.0 + step:  # every threshold, hit exactly
+            for d in (1.0 - k * step, 1.0 - k * step - 1e-12):
+                if 0.0 <= d <= 1.0:
+                    margins.update((d, math.nextafter(d, 0.0), min(math.nextafter(d, 2.0), 1.0)))
+            k += max(1, int(0.002 / step))
+        for d in sorted(margins):
+            assert margin_level(d, step) == margin_level_reference(d, step), (d, step)
+
+    def test_tiny_step_returns_at_once(self):
+        # The linear scan would take about 1e10 iterations here.
+        t0 = time.perf_counter()
+        assert margin_level(0.0, step=1e-10) == 1.0
+        assert margin_level(0.3, step=1e-10) == 0.7
+        assert margin_level(1.0, step=1e-10) == 0.0
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestComplex:
@@ -172,6 +334,17 @@ class TestComplex:
         m = parse_feature_collection(grid_fixture(3))
         fc = build_adjacency_complex(m, queen_adjacency(m), "red")
         assert betti_oracle(fc.complex_at(1.0)) == (1, 0, 4)
+
+    @pytest.mark.parametrize("step", [0.05, 0.1, 0.3])
+    def test_matches_all_pairs_construction(self, step):
+        fixtures = [jittered_lattice_map(8, j, seed) for seed, j in enumerate((0.0, 0.3, 0.49))]
+        fixtures += [grid_fixture(4), dissent_fixture()]
+        maps = [parse_feature_collection(f) for f in fixtures] + [holes_and_parts_map()]
+        for m in maps:
+            g = queen_adjacency(m)
+            for candidate in ("blue", "red"):
+                fc = build_adjacency_complex(m, g, candidate, step)
+                assert fc.to_text() == adjacency_complex_reference(m, g, candidate, step).to_text()
 
     def test_random_subgrids_match_clique_oracle(self):
         rng = random.Random(4242)

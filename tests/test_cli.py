@@ -52,6 +52,18 @@ class TestBuild:
         assert (out / "barcode.json").exists()
         assert (out / "adjacency.txt").exists()
 
+    def test_adjacency_build_with_tiny_step(self, tmp_path):
+        # About 1e10 thresholds: the margin levels must not be found by a scan.
+        src = synth(tmp_path, "dissent", "d.geojson")
+        out = tmp_path / "out"
+        code = main(
+            ["build", "--method", "adjacency", "--candidate", "red", "--step", "1e-10",
+             "--input", str(src), "--out", str(out)]
+        )
+        assert code == 0
+        levels = {bar["birth"] for bar in json.loads((out / "barcode.json").read_text())}
+        assert levels == {0.1, 0.5}
+
     def test_levelset_build_writes_rasters(self, tmp_path):
         src = synth(tmp_path, "blobs", "b.geojson", "--gap", "20")
         out = tmp_path / "out"
@@ -87,6 +99,7 @@ class TestBuild:
             ("levelset", "--stride", "0"),
             ("adjacency", "--step", "0"),
             ("adjacency", "--step", "nan"),
+            ("adjacency", "--step", "1e-320"),
             ("vr", "--eps-max", "-1"),
             ("vr", "--eps-max", "nan"),
             ("levelset", "--velocity", "0"),

@@ -86,6 +86,12 @@ class TestParsing:
         with pytest.raises(InputError, match="Polygon"):
             parse_feature_collection(collection(feat))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_coordinate_rejected(self, bad):
+        ring = [(0, 0), (1, 0), (1, bad), (0, 1), (0, 0)]
+        with pytest.raises(InputError, match=r"feature 0 \(a\).*non-finite"):
+            parse_feature_collection(collection(feature("a", [ring], 1, 0)))
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(InputError, match="duplicate"):
             parse_feature_collection(
