@@ -27,9 +27,9 @@ def simplex(vertices: Iterable[int]) -> Simplex:
         raise ValueError("empty simplex")
     if len(vs) > MAX_DIM + 1:
         raise ValueError(f"simplex {vs} exceeds dimension {MAX_DIM}")
-    if any(v < 0 for v in vs):
+    if vs[0] < 0:
         raise ValueError(f"negative vertex id in {vs}")
-    if any(a == b for a, b in zip(vs, vs[1:])):
+    if len(set(vs)) < len(vs):
         raise ValueError(f"repeated vertex in simplex {vs}")
     return vs
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -20,20 +20,17 @@ Ring = list[Point]
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Finite list of labelled 2D points.
+    """Finite list of 2D points.
 
     Duplicate coordinates are permitted but flagged with a warning, since
     downstream builders may treat them as degenerate.
     """
 
     points: tuple[Point, ...]
-    labels: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
         pts = tuple((float(x), float(y)) for x, y in self.points)
         object.__setattr__(self, "points", pts)
-        if self.labels and len(self.labels) != len(pts):
-            raise ValueError("labels must match points in length")
         if len(set(pts)) < len(pts):
             warnings.warn("point cloud contains duplicate coordinates", stacklevel=2)
 
@@ -42,13 +39,6 @@ class PointCloud:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.points, dtype=float)
-
-    def diameter(self) -> float:
-        if len(self.points) < 2:
-            return 0.0
-        a = self.as_array()
-        d2 = ((a[:, None, :] - a[None, :, :]) ** 2).sum(axis=2)
-        return float(np.sqrt(d2.max()))
 
 
 def distance_matrix(pc: PointCloud) -> np.ndarray:

@@ -1,14 +1,16 @@
 """Level-set front propagation over a rasterized vote mask.
 
 The winning precincts are rasterized to a bit mask (even-odd scanline fill),
-turned into a signed distance field (positive inside, negative outside,
-built by an exact two-pass Euclidean distance transform), and then advanced
-at constant speed: the front at step k is the superlevel set phi + v*k*dt
->= 0, which for a distance field is plain outward dilation.  The filtered
-complex lives on a strided subgrid: a vertex enters at the first step its
-cell joins the superlevel set, edges connect the four cardinal neighbours
-plus the NW and SE diagonals, and each lattice square contributes the two
-triangles cut by its NW-SE diagonal.
+turned into a signed distance field (positive inside, negative outside),
+and then advanced at constant speed: the front at step k is the superlevel
+set phi + v*k*dt >= 0, which for a distance field is plain outward
+dilation.  The squared Euclidean distance transform is exact and separable:
+one row minimum, out[r, q] = min_p (q - p)^2 + f[r, p], is applied down the
+columns of the 0/inf feature array and then along the rows of the result.
+The filtered complex lives on a strided subgrid: a vertex enters at the
+first step its cell joins the superlevel set, edges connect the four
+cardinal neighbours plus the NW and SE diagonals, and each lattice square
+contributes the two triangles cut by its NW-SE diagonal.
 """
 
 from __future__ import annotations
@@ -124,48 +126,23 @@ def rasterize_mask(m: PrecinctMap, candidate: str, max_side: int = MAX_SIDE) -> 
     return BitMask(cells=cells, transform=transform)
 
 
-def _envelope_sq(f: np.ndarray) -> np.ndarray:
-    """1D lower envelope: out[q] = min_p (q - p)^2 + f[p]^2, inf-aware."""
-    n = f.shape[0]
-    out = np.full(n, np.inf)
-    centers = [q for q in range(n) if f[q] != np.inf]
-    if not centers:
-        return out
-    fsq = f * f
-    v = [centers[0]]
-    z = [-np.inf, np.inf]
-    for q in centers[1:]:
-        while True:
-            p = v[-1]
-            s = (fsq[q] + q * q - fsq[p] - p * p) / (2.0 * (q - p))
-            if s <= z[-2]:
-                v.pop()
-                z.pop()
-            else:
-                z[-1] = s
-                z.append(np.inf)
-                v.append(q)
-                break
-    k = 0
-    for q in range(n):
-        while z[k + 1] < q:
-            k += 1
-        out[q] = (q - v[k]) ** 2 + fsq[v[k]]
-    return out
+def _row_min_plus_sq(f: np.ndarray) -> np.ndarray:
+    """out[r, q] = min_p (q - p)^2 + f[r, p] for every row of f.
+
+    Each row is broadcast against a w x w table of squared offsets, so
+    besides the output only two arrays of at most MAX_SIDE^2 floats
+    (0.5 MB each) are alive.  Every value is an exact integer or inf, so
+    the minimum is exact.
+    """
+    offsets = np.arange(f.shape[1], dtype=float)
+    sq = (offsets[:, None] - offsets) ** 2
+    return np.array([(sq + row).min(axis=1) for row in f])
 
 
 def _distance_sq_to(feature: np.ndarray) -> np.ndarray:
     """Exact squared Euclidean distance from every cell to the nearest True cell."""
-    h, w = feature.shape
-    g = np.where(feature, 0.0, np.inf)
-    for r in range(1, h):
-        g[r] = np.minimum(g[r], g[r - 1] + 1.0)
-    for r in range(h - 2, -1, -1):
-        g[r] = np.minimum(g[r], g[r + 1] + 1.0)
-    out = np.empty((h, w))
-    for r in range(h):
-        out[r] = _envelope_sq(g[r])
-    return out
+    vertical = _row_min_plus_sq(np.where(feature, 0.0, np.inf).T).T
+    return _row_min_plus_sq(vertical)
 
 
 def signed_distance_field(mask: BitMask) -> ScalarField:
@@ -241,17 +218,22 @@ def vertex_schedule(
     """
     if velocity <= 0 or dt <= 0:
         raise ValueError("velocity and dt must be positive")
+    if velocity * dt == 0 or not math.isfinite(MAX_SIDE / (velocity * dt)):
+        raise ValueError(
+            f"velocity * dt = {velocity * dt!r} is too small to count steps "
+            f"across {MAX_SIDE} cells"
+        )
     if stride < 1:
         raise ValueError("stride must be at least 1")
     h, w = field.shape
     rows = tuple(range(0, h, stride))
     cols = tuple(range(0, w, stride))
-    raw: list[int] = []
-    for r in rows:
-        for c in cols:
-            phi = float(field.values[r, c])
-            raw.append(0 if phi >= 0 else math.ceil(-phi / (velocity * dt) - 1e-9))
-    needed = max(raw, default=0)
+    phi = field.values[::stride, ::stride]
+    # Python ints, not int64: a tiny velocity * dt gives counts near 1e302.
+    raw = np.frompyfunc(int, 1, 1)(
+        np.ceil(np.maximum(-phi, 0.0) / (velocity * dt) - 1e-9)
+    ).ravel()
+    needed = raw.max(initial=0)
     if n_steps is None:
         n_steps = needed
     elif n_steps < needed:
@@ -259,7 +241,7 @@ def vertex_schedule(
             f"n_steps={n_steps} leaves the front short; {needed} steps reach every vertex",
             stacklevel=2,
         )
-    entry = tuple(k if k <= n_steps else None for k in raw)
+    entry = tuple(np.where(raw <= n_steps, raw, None).tolist())
     return GridVertexSchedule(
         stride=stride, n_steps=n_steps, rows=rows, cols=cols, entry=entry
     )
@@ -283,40 +265,29 @@ def build_levelset_complex(
 
 
 def complex_from_schedule(schedule: GridVertexSchedule) -> FilteredComplex:
-    rows, cols = schedule.rows, schedule.cols
-    ncols = len(cols)
-    step_of: dict[tuple[int, int], int] = {}
-    i = 0
-    for ri in range(len(rows)):
-        for ci in range(ncols):
-            k = schedule.entry[i]
-            if k is not None:
-                step_of[(ri, ci)] = k
-            i += 1
-
-    def vid(ri: int, ci: int) -> int:
-        return ri * ncols + ci
-
+    n_rows, n_cols = len(schedule.rows), len(schedule.cols)
+    steps = np.array(schedule.entry, dtype=float).reshape(n_rows, n_cols)
+    steps[np.isnan(steps)] = np.inf  # None: never enters
+    ids = np.arange(n_rows * n_cols).reshape(n_rows, n_cols)
     entries: list[Entry] = []
-    for (ri, ci), k in step_of.items():
-        entries.append(((vid(ri, ci),), float(k)))
-        for dr, dc in ((0, 1), (1, 0), (1, 1)):
-            other = (ri + dr, ci + dc)
-            if other in step_of:
-                pair = tuple(sorted((vid(ri, ci), vid(*other))))
-                entries.append((pair, float(max(k, step_of[other]))))
-    for ri in range(len(rows) - 1):
-        for ci in range(ncols - 1):
-            a, b = (ri, ci), (ri, ci + 1)
-            c, d = (ri + 1, ci), (ri + 1, ci + 1)
-            if a in step_of and d in step_of:
-                for third in (b, c):
-                    if third in step_of:
-                        tri = tuple(sorted((vid(*a), vid(*third), vid(*d))))
-                        value = float(
-                            max(step_of[a], step_of[third], step_of[d])
-                        )
-                        entries.append((tri, value))
+    # Corner offsets of each simplex from its top-left vertex, in ascending
+    # id order: the vertex, its E, S and SE edges, and the two triangles of
+    # the square split by its NW-SE diagonal.
+    for corners in (
+        ((0, 0),),
+        ((0, 0), (0, 1)),
+        ((0, 0), (1, 0)),
+        ((0, 0), (1, 1)),
+        ((0, 0), (0, 1), (1, 1)),
+        ((0, 0), (1, 0), (1, 1)),
+    ):
+        h = n_rows - max(dr for dr, _ in corners)
+        w = n_cols - max(dc for _, dc in corners)
+        windows = [(slice(dr, dr + h), slice(dc, dc + w)) for dr, dc in corners]
+        value = np.max([steps[win] for win in windows], axis=0)
+        entered = np.isfinite(value)
+        verts = np.stack([ids[win][entered] for win in windows], axis=1)
+        entries.extend(zip(map(tuple, verts.tolist()), value[entered].tolist()))
     return FilteredComplex(entries)
 
 

@@ -63,6 +63,13 @@ class RunConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise InputError(f"{name} must be finite and positive, got {value}")
+        if self.velocity * self.dt == 0 or not math.isfinite(
+            MAX_SIDE / (self.velocity * self.dt)
+        ):
+            raise InputError(
+                f"velocity * dt = {self.velocity * self.dt!r} is too small to count "
+                f"steps across {MAX_SIDE} cells"
+            )
         if self.step < sys.float_info.min:
             raise InputError(f"step must be at least {sys.float_info.min}, got {self.step}")
         if not (math.isfinite(self.tol) and self.tol >= 0):

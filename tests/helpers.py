@@ -147,6 +147,93 @@ def dilate_by_disk(cells, radius):
     return out
 
 
+def _envelope_sq_reference(f):
+    """1D lower envelope: out[q] = min_p (q - p)^2 + f[p]^2, inf-aware.
+
+    Felzenszwalb and Huttenlocher, *Distance transforms of sampled
+    functions* (2012).
+    """
+    n = f.shape[0]
+    out = np.full(n, np.inf)
+    centers = [q for q in range(n) if f[q] != np.inf]
+    if not centers:
+        return out
+    fsq = f * f
+    v = [centers[0]]
+    z = [-np.inf, np.inf]
+    for q in centers[1:]:
+        while True:
+            p = v[-1]
+            s = (fsq[q] + q * q - fsq[p] - p * p) / (2.0 * (q - p))
+            if s <= z[-2]:
+                v.pop()
+                z.pop()
+            else:
+                z[-1] = s
+                z.append(np.inf)
+                v.append(q)
+                break
+    k = 0
+    for q in range(n):
+        while z[k + 1] < q:
+            k += 1
+        out[q] = (q - v[k]) ** 2 + fsq[v[k]]
+    return out
+
+
+def distance_sq_reference(feature):
+    """Squared distance to the nearest True cell: column sweeps, then the
+    row lower envelope."""
+    h, w = feature.shape
+    g = np.where(feature, 0.0, np.inf)
+    for r in range(1, h):
+        g[r] = np.minimum(g[r], g[r - 1] + 1.0)
+    for r in range(h - 2, -1, -1):
+        g[r] = np.minimum(g[r], g[r + 1] + 1.0)
+    out = np.empty((h, w))
+    for r in range(h):
+        out[r] = _envelope_sq_reference(g[r])
+    return out
+
+
+def levelset_complex_reference(schedule):
+    """Level-set lattice complex from a dict keyed by (row, col) lattice index."""
+    from geoph.complexes import FilteredComplex
+
+    ncols = len(schedule.cols)
+    step_of = {}
+    i = 0
+    for ri in range(len(schedule.rows)):
+        for ci in range(ncols):
+            k = schedule.entry[i]
+            if k is not None:
+                step_of[(ri, ci)] = k
+            i += 1
+
+    def vid(ri, ci):
+        return ri * ncols + ci
+
+    entries = []
+    for (ri, ci), k in step_of.items():
+        entries.append(((vid(ri, ci),), float(k)))
+        for dr, dc in ((0, 1), (1, 0), (1, 1)):
+            other = (ri + dr, ci + dc)
+            if other in step_of:
+                pair = tuple(sorted((vid(ri, ci), vid(*other))))
+                entries.append((pair, float(max(k, step_of[other]))))
+    for ri in range(len(schedule.rows) - 1):
+        for ci in range(ncols - 1):
+            a, b = (ri, ci), (ri, ci + 1)
+            c, d = (ri + 1, ci), (ri + 1, ci + 1)
+            if a in step_of and d in step_of:
+                for third in (b, c):
+                    if third in step_of:
+                        tri = tuple(sorted((vid(*a), vid(*third), vid(*d))))
+                        value = float(max(step_of[a], step_of[third], step_of[d]))
+                        entries.append((tri, value))
+    return FilteredComplex(entries)
+
+
 def random_filtered_entries(rng, max_vertices=10):
     """Random raw simplex/value list; close_under_faces makes it a complex."""
     n = rng.randrange(1, max_vertices + 1)

@@ -105,6 +105,10 @@ class TestBuild:
             ("levelset", "--velocity", "0"),
             ("levelset", "--dt", "-1"),
             ("levelset", "--steps", "-3"),
+            # each factor is fine; their product underflows to 0, or the
+            # step count across the grid overflows
+            ("levelset", "--velocity=1e-200", "--dt=1e-200"),
+            ("levelset", "--velocity=1e-300", "--dt=1e-10"),
             ("adjacency", "--tol", "nan"),
         ],
     )
@@ -174,13 +178,17 @@ class TestBench:
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
+        # Run the imported package, not whatever the child's sys.path finds.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(geoph.__file__).resolve().parents[1])
         proc = subprocess.run(
             [sys.executable, "-m", "geoph.cli", "synth", "--fixture", "grid",
              "--out", str(tmp_path / "g.geojson"), "--n", "2"],
             capture_output=True,
             text=True,
+            env=env,
         )
-        assert proc.returncode == 0
+        assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "g.geojson").exists()
 
     def test_console_script(self, tmp_path):

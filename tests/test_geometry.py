@@ -20,12 +20,6 @@ def test_point_cloud_flags_duplicates():
         PointCloud(points=((0, 0), (0, 0), (1, 1)))
 
 
-def test_point_cloud_diameter():
-    pc = PointCloud(points=((0, 0), (3, 4), (1, 1)))
-    assert pc.diameter() == pytest.approx(5.0)
-    assert PointCloud(points=((2, 2),)).diameter() == 0.0
-
-
 def test_circumcircle_of_right_triangle_sits_on_hypotenuse():
     center, r = circumcircle((0, 0), (3, 0), (0, 4))
     assert center == pytest.approx((1.5, 2.0))

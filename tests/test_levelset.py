@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -7,9 +8,12 @@ import pytest
 from geoph.geometry import point_in_rings
 from geoph.homology import barcode_of, betti_oracle
 from geoph.levelset import (
+    MAX_SIDE,
     BitMask,
     GridTransform,
+    GridVertexSchedule,
     ScalarField,
+    _distance_sq_to,
     build_levelset_complex,
     complex_from_schedule,
     rasterize_mask,
@@ -22,7 +26,12 @@ from geoph.levelset import (
 from geoph.precincts import parse_feature_collection
 from geoph.synth import annulus_fixture, blobs_fixture, grid_fixture
 
-from helpers import dilate_by_disk, nearest_opposite_distance
+from helpers import (
+    dilate_by_disk,
+    distance_sq_reference,
+    levelset_complex_reference,
+    nearest_opposite_distance,
+)
 
 
 def field_from(rows, cell=1.0):
@@ -99,6 +108,23 @@ class TestSignedDistance:
             want = np.clip(np.where(cells, d - 0.5, 0.5 - d), -max(h, w), max(h, w))
             np.testing.assert_allclose(sf.values, want)
 
+    def test_distance_transform_equals_envelope_reference(self):
+        rng = np.random.default_rng(11)
+        masks = [rng.random((h, w)) < p for h, w, p in [
+            (1, 1, 0.5), (1, 17, 0.3), (23, 1, 0.3), (1, MAX_SIDE, 0.01),
+            (MAX_SIDE, 1, 0.01), (31, 47, 0.02), (40, 40, 0.5), (19, 64, 0.95),
+            (64, 19, 0.0), (12, 12, 1.0),
+        ]]
+        for h, w in [(1, 1), (1, 9), (9, 1), (17, 29), (33, 8)]:
+            r, c = rng.integers(h), rng.integers(w)
+            single = np.zeros((h, w), dtype=bool)
+            single[r, c] = True
+            masks += [single, ~single]
+        for cells in masks:
+            got = _distance_sq_to(cells)
+            assert got.shape == cells.shape
+            assert np.array_equal(got, distance_sq_reference(cells))
+
     def test_uniform_masks_warn_and_clip(self):
         with pytest.warns(UserWarning, match="entirely true"):
             sf = signed_distance_field(mask_from([[1, 1], [1, 1]]))
@@ -167,12 +193,48 @@ class TestSchedule:
             s = vertex_schedule(sf, n_steps=1, stride=1)
         assert s.to_text() == "0\t0\t0\n0\t1\tinf\n"
 
+    def test_matches_per_vertex_formula(self):
+        rng = random.Random(3)
+        for _ in range(30):
+            h, w = rng.randint(1, 12), rng.randint(1, 12)
+            values = [[rng.choice([0.0, -0.0, 0.5]) if rng.random() < 0.2
+                       else rng.uniform(-h, w) for _ in range(w)] for _ in range(h)]
+            velocity = rng.choice([1.0, 0.3, 2.5, 1e-300])
+            dt = rng.choice([1.0, 0.7])
+            stride = rng.randint(1, 5)
+            want = [
+                0 if phi >= 0 else math.ceil(-phi / (velocity * dt) - 1e-9)
+                for row in values[::stride]
+                for phi in row[::stride]
+            ]
+            n_steps = rng.choice([None, 0, 2, max(want)])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                s = vertex_schedule(field_from(values), velocity, dt, n_steps, stride)
+            budget = max(want) if n_steps is None else n_steps
+            assert s.n_steps == budget
+            assert s.entry == tuple(k if k <= budget else None for k in want)
+            assert all(type(k) is int for k in s.entry if k is not None)
+
+    def test_tiny_velocity_keeps_exact_step_counts(self):
+        s = vertex_schedule(field_from([[-1.5, 0.5]]), velocity=1e-300, stride=1)
+        assert s.entry == (math.ceil(1.5 / 1e-300 - 1e-9), 0)
+        assert s.entry[0] > 2**63  # past the int64 range
+        fc = complex_from_schedule(s)
+        assert fc.value_of((0, 1)) == float(s.entry[0])
+
     def test_validation(self):
         sf = field_from([[0.0]])
         with pytest.raises(ValueError, match="positive"):
             vertex_schedule(sf, velocity=0.0)
         with pytest.raises(ValueError, match="stride"):
             vertex_schedule(sf, stride=0)
+        # each factor is positive, but the product underflows or the step
+        # count across the grid overflows
+        with pytest.raises(ValueError, match="too small"):
+            vertex_schedule(sf, velocity=1e-200, dt=1e-200)
+        with pytest.raises(ValueError, match="too small"):
+            vertex_schedule(sf, velocity=1e-300, dt=1e-10)
 
 
 class TestComplex:
@@ -228,6 +290,31 @@ class TestComplex:
         assert len(fatal) == 1
         gap_cells = 60.0 / mask.transform.cell
         assert fatal[0].death == pytest.approx(gap_cells / 2.0, abs=2.0)
+
+    def test_equals_dict_reference(self):
+        rng = random.Random(5)
+        schedules = []
+        for n_rows, n_cols in [(1, 1), (1, 9), (9, 1), (2, 2), (6, 7), (13, 10)]:
+            for p_none in (0.0, 0.3, 1.0):
+                entry = tuple(
+                    None if rng.random() < p_none else rng.randrange(0, 6)
+                    for _ in range(n_rows * n_cols)
+                )
+                schedules.append(GridVertexSchedule(
+                    stride=1, n_steps=5, rows=tuple(range(n_rows)),
+                    cols=tuple(range(n_cols)), entry=entry,
+                ))
+        values = [[rng.uniform(-9.0, 3.0) for _ in range(11)] for _ in range(7)]
+        for stride in (1, 2, 3, 5, 12):
+            for n_steps in (None, 2):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    schedules.append(vertex_schedule(
+                        field_from(values), n_steps=n_steps, stride=stride
+                    ))
+        for s in schedules:
+            want = levelset_complex_reference(s).to_text()
+            assert complex_from_schedule(s).to_text() == want
 
     def test_vertex_coordinates_are_cell_centers(self):
         sf = field_from([[1.0] * 7 for _ in range(7)], cell=2.0)
