@@ -11,7 +11,6 @@ from .homology import (
     betti_oracle,
     build_boundary_matrix,
     classify_long_persistence,
-    extract_generator_cycle,
     persistence_pairs,
     reduce_matrix,
 )
@@ -21,7 +20,6 @@ from .levelset import (
     build_levelset_complex,
     rasterize_mask,
     signed_distance_field,
-    superlevel_mask_at,
 )
 from .pipeline import BenchmarkRow, RunConfig, RunResult, benchmark_report, run_pipeline
 from .precincts import Precinct, PrecinctMap, load_precincts, vote_margin, winning_precincts
@@ -57,7 +55,6 @@ __all__ = [
     "close_under_faces",
     "delaunay_triangulation",
     "euler_characteristic",
-    "extract_generator_cycle",
     "load_precincts",
     "persistence_pairs",
     "queen_adjacency",
@@ -67,7 +64,6 @@ __all__ = [
     "render_feature_map",
     "run_pipeline",
     "signed_distance_field",
-    "superlevel_mask_at",
     "vote_margin",
     "winning_precincts",
 ]

@@ -41,14 +41,6 @@ class Triangulation:
             out.update(((a, b), (a, c), (b, c)))
         return out
 
-    def boundary_edges(self) -> set[tuple[int, int]]:
-        """Edges incident to exactly one triangle (the hull for valid input)."""
-        count: dict[tuple[int, int], int] = {}
-        for a, b, c in self.triangles:
-            for e in ((a, b), (a, c), (b, c)):
-                count[e] = count.get(e, 0) + 1
-        return {e for e, k in count.items() if k == 1}
-
 
 def _in_circle(pa: Point, pb: Point, pc: Point, p: Point, tol: float) -> int:
     """+1 if p is strictly inside circle(pa, pb, pc), -1 outside, 0 on it."""

@@ -1,12 +1,12 @@
 """Persistent homology over F2 for filtered complexes of dimension <= 2.
 
 The boundary matrix is indexed by the canonical filtration order of the
-complex (rows and columns alike).  Columns reduce left to right: while a
-column shares its lowest row with an earlier reduced column, add that column
-into it (symmetric difference over F2).  Surviving lowest rows pair births
-with deaths; columns that reduce to zero create classes, and the chain of
-same-dimension simplices accumulated while zeroing a column is a
-representative cycle for the class it creates.
+complex (rows and columns alike).  Each dimension's columns reduce left to
+right: while a column shares its lowest row with an earlier reduced column,
+add that column into it (symmetric difference over F2).  Surviving lowest
+rows pair births with deaths; columns that reduce to zero create classes,
+and the chain of same-dimension simplices accumulated while zeroing a column
+is a representative cycle for the class it creates.
 
 ``betti_oracle`` is a deliberately separate brute-force computation
 (Gaussian elimination on the raw boundary maps) used to cross-check the
@@ -48,35 +48,52 @@ def build_boundary_matrix(fc: FilteredComplex) -> BoundaryMatrix:
 
 @dataclass(frozen=True)
 class ReducedMatrix:
-    """Result of column reduction: reduced matrix, pairing, chain history."""
+    """Result of column reduction: reduced matrix, pairing, chain history.
+
+    Columns the reduction skips (vertices, zero-length edge births) have an
+    empty reduced column and an empty chain.
+    """
 
     matrix: BoundaryMatrix
     pairs: Mapping[int, int]  # birth column -> death column
     chains: tuple[frozenset[int], ...]  # column j of the accumulated additions
 
-    @property
-    def entries(self) -> tuple[Entry, ...]:
-        return self.matrix.entries
-
 
 def reduce_matrix(bm: BoundaryMatrix) -> ReducedMatrix:
-    """Standard left-to-right reduction, deterministic in the column order."""
-    r = [set(col) for col in bm.columns]
-    v = [{j} for j in range(len(r))]
+    """Reduce the triangle columns, then the edge columns, each left to right.
+
+    A pivot is one dimension below its column, so a column only ever adds
+    columns of its own dimension, and every reduced column and chain is the
+    one the plain left-to-right order gives.  An edge whose row a triangle
+    owns at the edge's own value is a zero-length birth: its column reduces
+    to zero and no artifact shows its generator, so it is skipped (clearing).
+    """
+    entries = bm.entries
+    empty: frozenset[int] = frozenset()
+    r = [empty] * len(entries)
+    v = [empty] * len(entries)
     pairs: dict[int, int] = {}  # also the owner of each lowest row
-    for j, col in enumerate(r):
-        while col:
-            low = max(col)
-            k = pairs.get(low)
-            if k is None:
-                pairs[low] = j
-                break
-            col ^= r[k]
-            v[j] ^= v[k]
+    for size in (3, 2):
+        for j, (s, value) in enumerate(entries):
+            if len(s) != size:
+                continue
+            k = pairs.get(j)
+            if k is not None and entries[k][1] == value:
+                continue
+            col, chain = set(bm.columns[j]), {j}
+            while col:
+                low = max(col)
+                k = pairs.get(low)
+                if k is None:
+                    pairs[low] = j
+                    break
+                col ^= r[k]
+                chain ^= v[k]
+            r[j], v[j] = frozenset(col), frozenset(chain)
     return ReducedMatrix(
-        matrix=BoundaryMatrix(columns=tuple(map(frozenset, r)), entries=bm.entries),
+        matrix=BoundaryMatrix(columns=tuple(r), entries=entries),
         pairs=pairs,
-        chains=tuple(map(frozenset, v)),
+        chains=tuple(v),
     )
 
 
@@ -86,7 +103,8 @@ class PersistencePair:
 
     ``death`` is None for classes that survive the whole filtration.  The
     generator is a representative cycle at the birth value: the birth vertex
-    for dimension 0, a cycle of edges (or triangles) otherwise.
+    for dimension 0, a cycle of edges (or triangles) otherwise, and ``()``
+    for a zero-length dimension-1 bar, which no artifact shows.
     """
 
     dimension: int
@@ -161,19 +179,14 @@ class Barcode:
         return json.dumps(self.to_records(), indent=2, sort_keys=True) + "\n"
 
 
-def _chain_simplices(reduced: ReducedMatrix, j: int) -> tuple[Simplex, ...]:
-    """The simplices of chain j, sorted: the generator of the class born at j."""
-    entries = reduced.entries
-    return tuple(sorted(entries[k][0] for k in reduced.chains[j]))
-
-
 def persistence_pairs(reduced: ReducedMatrix, fc: FilteredComplex) -> Barcode:
     """Read bars off a reduced matrix.
 
     Zero-length pairs (birth == death) are kept and flagged; rendering and
-    export skip them, oracle checks want them present.
+    export skip them, oracle checks want them present.  A zero-length
+    dimension-1 bar has no generator: ``()``.
     """
-    entries = reduced.entries
+    entries = reduced.matrix.entries
     if entries != fc.entries:
         raise ValueError("reduced matrix does not belong to this complex")
     cols = reduced.matrix.columns
@@ -184,7 +197,7 @@ def persistence_pairs(reduced: ReducedMatrix, fc: FilteredComplex) -> Barcode:
         death_col = reduced.pairs.get(j)
         death = None if death_col is None else entries[death_col][1]
         d = len(s) - 1
-        generator = (s,) if d == 0 else _chain_simplices(reduced, j)
+        generator = (s,) if d == 0 else tuple(sorted(entries[k][0] for k in reduced.chains[j]))
         pairs.append(
             PersistencePair(
                 dimension=d,
@@ -195,21 +208,6 @@ def persistence_pairs(reduced: ReducedMatrix, fc: FilteredComplex) -> Barcode:
             )
         )
     return Barcode(pairs=tuple(pairs), horizon=fc.max_value())
-
-
-def extract_generator_cycle(
-    reduced: ReducedMatrix, pair: PersistencePair
-) -> tuple[Simplex, ...]:
-    """Representative cycle for a dimension >= 1 class.
-
-    For dimension 0 the generator is simply the birth vertex; asking for a
-    cycle there is a usage error.
-    """
-    if pair.dimension == 0:
-        raise ValueError("dimension-0 classes have a vertex generator, not a cycle")
-    if reduced.matrix.columns[pair.birth_position]:
-        raise ValueError("pair does not point at a zeroed column")
-    return _chain_simplices(reduced, pair.birth_position)
 
 
 def barcode_of(fc: FilteredComplex) -> Barcode:

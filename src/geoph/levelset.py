@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -102,6 +103,7 @@ def rasterize_mask(m: PrecinctMap, candidate: str, max_side: int = MAX_SIDE) -> 
     w, h, cell = _grid_shape(x1 - x0, y1 - y0, max_side)
     transform = GridTransform(x0=x0, y0=y0, cell=cell)
     cells = np.zeros((h, w), dtype=bool)
+    centers = [y0 + (row + 0.5) * cell for row in range(h)]  # ascending
 
     for p in winning_precincts(m, candidate):
         segments = [
@@ -110,8 +112,12 @@ def rasterize_mask(m: PrecinctMap, candidate: str, max_side: int = MAX_SIDE) -> 
             for seg in zip(ring[:-1], ring[1:])
             if seg[0][1] != seg[1][1]
         ]
-        for row in range(h):
-            y = y0 + (row + 0.5) * cell
+        # a segment crosses row y only when min(ay, by) <= y < max(ay, by)
+        ys = [y for seg in segments for _, y in seg]
+        first = bisect_left(centers, min(ys, default=0.0))
+        stop = bisect_left(centers, max(ys, default=0.0))
+        for row in range(first, stop):
+            y = centers[row]
             xs = []
             for (ax, ay), (bx, by) in segments:
                 if (ay <= y) != (by <= y):
@@ -168,13 +174,6 @@ def signed_distance_field(mask: BitMask) -> ScalarField:
         values = np.where(cells, d_out - 0.5, 0.5 - d_in)
         values = np.clip(values, -clip, clip)
     return ScalarField(values=values, transform=mask.transform)
-
-
-def superlevel_mask_at(field: ScalarField, velocity: float, t: float) -> BitMask:
-    """Front position after time t: cells with phi + velocity*t >= 0."""
-    if velocity < 0:
-        raise ValueError("velocity must be non-negative")
-    return BitMask(cells=field.values + velocity * t >= 0.0, transform=field.transform)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ Nothing here imports geoph's builders; these are deliberately naive
 re-derivations (brute force or textbook formulas) so that agreement with
 the package is evidence, not tautology.  The queen-adjacency references
 share only the exact contact predicate (``precincts_touch``) and the
-package's map and complex types, and enumerate every pair.
+package's map and complex types, and enumerate every pair; the raster
+reference shares only the grid shape and the winner selection, and scans
+every row.
 """
 
 from __future__ import annotations
@@ -232,6 +234,55 @@ def levelset_complex_reference(schedule):
                         value = float(max(step_of[a], step_of[third], step_of[d]))
                         entries.append((tri, value))
     return FilteredComplex(entries)
+
+
+def rasterize_mask_reference(m, candidate, max_side):
+    """Even-odd scanline fill that scans every grid row for every winning
+    precinct (``rasterize_mask`` scans only the rows in its y-range)."""
+    from geoph.levelset import BitMask, GridTransform, _grid_shape
+    from geoph.precincts import winning_precincts
+
+    x0, y0, x1, y1 = m.bbox()
+    w, h, cell = _grid_shape(x1 - x0, y1 - y0, max_side)
+    cells = np.zeros((h, w), dtype=bool)
+    for p in winning_precincts(m, candidate):
+        segments = [
+            seg
+            for ring in p.rings
+            for seg in zip(ring[:-1], ring[1:])
+            if seg[0][1] != seg[1][1]
+        ]
+        for row in range(h):
+            y = y0 + (row + 0.5) * cell
+            xs = []
+            for (ax, ay), (bx, by) in segments:
+                if (ay <= y) != (by <= y):
+                    xs.append(ax + (y - ay) * (bx - ax) / (by - ay))
+            xs.sort()
+            for lo, hi in zip(xs[::2], xs[1::2]):
+                c_lo = math.ceil((lo - x0) / cell - 0.5 - 1e-9)
+                c_hi = math.ceil((hi - x0) / cell - 0.5 - 1e-9)
+                if c_hi > c_lo:
+                    cells[row, max(0, c_lo) : min(w, c_hi)] = True
+    return BitMask(cells=cells, transform=GridTransform(x0=x0, y0=y0, cell=cell))
+
+
+def superlevel_mask_at(field, velocity, t):
+    """Front position after time t: cells with phi + velocity*t >= 0."""
+    from geoph.levelset import BitMask
+
+    if velocity < 0:
+        raise ValueError("velocity must be non-negative")
+    return BitMask(cells=field.values + velocity * t >= 0.0, transform=field.transform)
+
+
+def boundary_edges(tri):
+    """Edges incident to exactly one triangle (the hull for valid input)."""
+    count = {}
+    for a, b, c in tri.triangles:
+        for e in ((a, b), (a, c), (b, c)):
+            count[e] = count.get(e, 0) + 1
+    return {e for e, k in count.items() if k == 1}
 
 
 def random_filtered_entries(rng, max_vertices=10):

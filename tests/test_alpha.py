@@ -14,7 +14,12 @@ from geoph.geometry import PointCloud
 from geoph.homology import barcode_of, betti_oracle
 from geoph.rips import build_vr_complex
 
-from helpers import circumcircle_has_point_strictly, hull_point_count, naive_vr
+from helpers import (
+    boundary_edges,
+    circumcircle_has_point_strictly,
+    hull_point_count,
+    naive_vr,
+)
 
 
 def cloud(*pts):
@@ -29,7 +34,7 @@ class TestDelaunay:
     def test_three_points_one_triangle(self):
         tri = delaunay_triangulation(cloud((0, 0), (4, 0), (0, 3)))
         assert tri.triangles == ((0, 1, 2),)
-        assert tri.boundary_edges() == {(0, 1), (0, 2), (1, 2)}
+        assert boundary_edges(tri) == {(0, 1), (0, 2), (1, 2)}
 
     def test_two_points_edge_only(self):
         tri = delaunay_triangulation(cloud((0, 0), (2, 0)))

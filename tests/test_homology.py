@@ -1,5 +1,6 @@
 import random
 import warnings
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -18,7 +19,6 @@ from geoph.homology import (
     betti_oracle,
     build_boundary_matrix,
     classify_long_persistence,
-    extract_generator_cycle,
     persistence_pairs,
     reduce_matrix,
 )
@@ -58,9 +58,43 @@ def assert_matches_dense_reference(fc):
     bm = build_boundary_matrix(fc)
     red = reduce_matrix(bm)
     pairs, columns, chains = dense_reduce_reference(bm.columns)
-    assert list(red.pairs.items()) == list(pairs.items())
+    assert red.pairs == pairs
     assert red.matrix.columns == columns
-    assert red.chains == chains
+    reduced = set(range(len(bm))) - skipped_columns(fc, pairs)
+    for j in reduced:
+        assert red.chains[j] == chains[j]
+    for p in persistence_pairs(red, fc).pairs:
+        if p.dimension > 0 and not p.zero_length:
+            chain = chains[p.birth_position]
+            assert p.generator == tuple(sorted(fc.entries[k][0] for k in chain))
+
+
+def skipped_columns(fc, pairs):
+    """Columns no artifact needs reduced: vertices, and edges a triangle kills
+    at the edge's own value (zero-length births), read off reference pairs."""
+    entries = fc.entries
+    vertices = {j for j, (s, _) in enumerate(entries) if len(s) == 1}
+    return vertices | {
+        low
+        for low, k in pairs.items()
+        if len(entries[low][0]) == 2 and entries[k][1] == entries[low][1]
+    }
+
+
+@lru_cache(maxsize=None)
+def fixture_complex(fixture, method):
+    m = parse_feature_collection(make_fixture(fixture))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return run_pipeline(RunConfig(method=method, candidate="red"), m).complex
+
+
+def assert_chains_empty_exactly_where_skipped(fc):
+    bm = build_boundary_matrix(fc)
+    red = reduce_matrix(bm)
+    pairs, _, _ = dense_reduce_reference(bm.columns)
+    empty = {j for j, chain in enumerate(red.chains) if not chain}
+    assert empty == skipped_columns(fc, pairs)
 
 
 class TestReduction:
@@ -72,11 +106,18 @@ class TestReduction:
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("fixture", FIXTURES)
     def test_matches_dense_reference_on_fixtures(self, fixture, method):
-        m = parse_feature_collection(make_fixture(fixture))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            res = run_pipeline(RunConfig(method=method, candidate="red"), m)
-        assert_matches_dense_reference(res.complex)
+        assert_matches_dense_reference(fixture_complex(fixture, method))
+
+    def test_chains_empty_only_for_vertices_and_zero_length_births(self):
+        rng = random.Random(31)
+        for _ in range(60):
+            fc = close_under_faces(random_filtered_entries(rng))
+            assert_chains_empty_exactly_where_skipped(fc)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_chains_empty_only_where_skipped_on_fixtures(self, fixture, method):
+        assert_chains_empty_exactly_where_skipped(fixture_complex(fixture, method))
 
     def test_pairing_is_partial_matching(self):
         rng = random.Random(11)
@@ -129,14 +170,6 @@ class TestReduction:
 
 
 class TestGenerators:
-    def test_extract_refuses_dimension_zero(self):
-        fc = hollow_triangle()
-        red = reduce_matrix(build_boundary_matrix(fc))
-        bc = persistence_pairs(red, fc)
-        vertex_pair = next(p for p in bc.pairs if p.dimension == 0)
-        with pytest.raises(ValueError, match="vertex generator"):
-            extract_generator_cycle(red, vertex_pair)
-
     def test_generators_are_cycles_at_birth(self):
         rng = random.Random(23)
         checked = 0
@@ -147,8 +180,10 @@ class TestGenerators:
             for p in bc.pairs:
                 if p.dimension != 1:
                     continue
-                cycle = extract_generator_cycle(red, p)
-                assert cycle == p.generator
+                if p.zero_length:
+                    assert p.generator == ()
+                    continue
+                cycle = p.generator
                 assert cycle
                 present = fc.complex_at(p.birth)
                 assert all(e in present for e in cycle)

@@ -18,19 +18,21 @@ from geoph.levelset import (
     complex_from_schedule,
     rasterize_mask,
     signed_distance_field,
-    superlevel_mask_at,
     vertex_coordinates,
     vertex_schedule,
     write_pgm,
 )
 from geoph.precincts import parse_feature_collection
-from geoph.synth import annulus_fixture, blobs_fixture, grid_fixture
+from geoph.synth import FIXTURES, annulus_fixture, blobs_fixture, grid_fixture, make_fixture
 
 from helpers import (
     dilate_by_disk,
     distance_sq_reference,
+    jittered_lattice_map,
     levelset_complex_reference,
     nearest_opposite_distance,
+    rasterize_mask_reference,
+    superlevel_mask_at,
 )
 
 
@@ -69,6 +71,36 @@ class TestRasterize:
         t = mask.transform
         assert t.cell == pytest.approx(2.2)
         assert mask.height == math.ceil(80.0 / 2.2 - 1e-9)
+
+    @pytest.mark.parametrize("max_side", [1, 2, 4, 7, 40, 250])
+    def test_equals_all_rows_reference(self, max_side):
+        # with max_side 4 the row centres 0.25 and 0.75 lie on the second
+        # square's lower and upper edges
+        squares = [((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))]
+        squares += [((1.0, 0.25), (2.0, 0.25), (2.0, 0.75), (1.0, 0.75))]
+        tied = {
+            "type": "FeatureCollection",
+            "features": [
+                {
+                    "type": "Feature",
+                    "properties": {"id": f"s{i}", "votes_blue": 1, "votes_red": 2},
+                    "geometry": {"type": "Polygon", "coordinates": [list(ring)]},
+                }
+                for i, ring in enumerate(squares)
+            ],
+        }
+        maps = [make_fixture(name) for name in FIXTURES] + [tied]
+        maps += [
+            jittered_lattice_map(n, jitter, seed)
+            for n, jitter, seed in ((1, 0.0, 0), (6, 0.3, 1), (13, 0.49, 2), (30, 0.0, 3))
+        ]
+        for m in map(parse_feature_collection, maps):
+            for candidate in ("red", "blue"):
+                got = rasterize_mask(m, candidate, max_side=max_side)
+                want = rasterize_mask_reference(m, candidate, max_side)
+                assert got.transform == want.transform
+                assert got.cells.shape == want.cells.shape
+                assert (got.cells == want.cells).all()
 
     def test_max_side_validation(self):
         m = parse_feature_collection(grid_fixture(1))
