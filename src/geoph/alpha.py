@@ -1,26 +1,58 @@
 """Delaunay triangulation and the alpha filtration built on top of it.
 
 The triangulation is Bowyer-Watson incremental insertion inside a large
-enclosing triangle, with an exact-arithmetic fallback for near-degenerate
-in-circle tests.  Cocircular point groups admit several Delaunay
-triangulations; a post-pass flips interior edges between exactly cocircular
-quadrilaterals until every such diagonal is the lexicographically smallest
-available, which makes the output canonical.
+enclosing triangle, over a map from each edge to the triangles that own it.
+A point's cavity is found by walking that map from the last triangle created
+towards the point until a triangle's circumcircle strictly holds it, then
+growing through neighbours.  The in-circle test is exact (a float
+determinant with an exact integer fallback near zero), and under an exact
+test the cavity is edge-connected and holds the triangle containing the
+point, so the walk finds the same cavity as a scan of every triangle.
+
+Cocircular point groups admit several Delaunay triangulations; a post-pass
+flips interior edges between exactly cocircular quadrilaterals, always the
+one whose new diagonal is lexicographically smallest first, until every
+such diagonal is the smallest available, which makes the output canonical.
+A heap keyed by the candidate diagonal holds the pending flips.
 
 Alpha filtration values are radii: a triangle enters at its circumradius,
 an edge at half its length if its diametral disk contains no other point
 (Gabriel), otherwise at the smallest circumradius among its incident
 triangles.  Vertices enter at zero.
+
+The final check that no circumcircle strictly holds any point and the
+Gabriel test both cover every point.  They run over small numpy blocks as a
+conservative float prefilter; what it cannot decide goes to the exact
+in-circle test or to the scalar Gabriel expression, so every decision is the
+scalar one.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .complexes import Entry, FilteredComplex, close_under_faces
 from .errors import DegenerateTriangulationError, NumericalError
-from .geometry import Point, PointCloud, circumcircle, in_circumcircle, orient2d
+from .geometry import (
+    Point,
+    PointCloud,
+    circumcircle,
+    in_circle_determinant,
+    in_circumcircle,
+    orient2d,
+)
+
+Edge = tuple[int, int]
+Tri = tuple[int, int, int]
+
+# Rows per numpy block: triangles in the verification, edges in the Gabriel
+# scan.  Each block holds a few arrays of rows x points floats.
+_VERIFY_BLOCK = 16
+_GABRIEL_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -47,6 +79,94 @@ def _in_circle(pa: Point, pb: Point, pc: Point, p: Point, tol: float) -> int:
     if orient2d(pa, pb, pc) < 0:
         pb, pc = pc, pb
     return in_circumcircle(pa, pb, pc, p, tol=tol)
+
+
+def _sides(t: Tri) -> tuple[tuple[Edge, int], ...]:
+    """The edges of a sorted triangle, each with its opposite vertex."""
+    a, b, c = t
+    return (((a, b), c), ((a, c), b), ((b, c), a))
+
+
+def _link(owners: dict[Edge, list[Tri]], t: Tri) -> None:
+    for e, _ in _sides(t):
+        owners.setdefault(e, []).append(t)
+
+
+def _unlink(owners: dict[Edge, list[Tri]], t: Tri) -> None:
+    for e, _ in _sides(t):
+        ts = owners[e]
+        ts.remove(t)
+        if not ts:
+            del owners[e]
+
+
+def _triangles(owners: dict[Edge, list[Tri]]) -> set[Tri]:
+    return {t for ts in owners.values() for t in ts}
+
+
+def _across(owners: dict[Edge, list[Tri]], t: Tri, e: Edge) -> Tri | None:
+    """The triangle sharing edge ``e`` with ``t``, if any."""
+    for other in owners[e]:
+        if other != t:
+            return other
+    return None
+
+
+def _cavity(
+    verts: list[Point],
+    owners: dict[Edge, list[Tri]],
+    start: Tri,
+    p: Point,
+    tol: float,
+) -> list[Tri]:
+    """Every triangle whose circumcircle strictly holds ``p``.
+
+    A depth-first search from ``start`` that steps first across edges with
+    ``p`` on their far side (a visibility walk) stops at the first such
+    triangle; the search covers every triangle, so it finds one if any
+    exists.  The cavity then grows from it through neighbours, which under
+    an exact in-circle test reaches every such triangle.
+    """
+    sign: dict[Tri, int] = {}
+
+    def holds(t: Tri) -> bool:
+        if t not in sign:
+            sign[t] = _in_circle(verts[t[0]], verts[t[1]], verts[t[2]], p, tol)
+        return sign[t] > 0
+
+    seed = None
+    stack = [start]
+    seen = {start}
+    while stack:
+        t = stack.pop()
+        if holds(t):
+            seed = t
+            break
+        toward = []
+        for (u, v), w in _sides(t):
+            nb = _across(owners, t, (u, v))
+            if nb is None or nb in seen:
+                continue
+            seen.add(nb)
+            side_p = orient2d(verts[u], verts[v], p)
+            side_w = orient2d(verts[u], verts[v], verts[w])
+            if (side_p > 0 and side_w < 0) or (side_p < 0 and side_w > 0):
+                toward.append(nb)
+            else:
+                stack.append(nb)
+        stack.extend(toward)
+    if seed is None:
+        return []
+
+    bad = [seed]
+    inside = {seed}
+    for t in bad:  # grows while it is iterated
+        for e, _ in _sides(t):
+            nb = _across(owners, t, e)
+            if nb is not None and nb not in inside and holds(nb):
+                inside.add(nb)
+                bad.append(nb)
+    return bad
 
 
 def delaunay_triangulation(pc: PointCloud, tol: float = 1e-12) -> Triangulation:
@@ -77,119 +197,215 @@ def delaunay_triangulation(pc: PointCloud, tol: float = 1e-12) -> Triangulation:
         (cx + 2.0 * big, cy - big),
         (cx, cy + 2.0 * big),
     ]
-    triangles: set[tuple[int, int, int]] = {(n, n + 1, n + 2)}
+    last: Tri = (n, n + 1, n + 2)
+    owners: dict[Edge, list[Tri]] = {}
+    _link(owners, last)
 
     for p_idx in range(n):
         p = verts[p_idx]
-        bad = [
-            t
-            for t in triangles
-            if _in_circle(verts[t[0]], verts[t[1]], verts[t[2]], p, tol) > 0
+        bad = _cavity(verts, owners, last, p, tol)
+        inside = set(bad)
+        rim = [
+            e
+            for t in bad
+            for e, _ in _sides(t)
+            if _across(owners, t, e) not in inside
         ]
-        edge_count: dict[tuple[int, int], int] = {}
-        for a, b, c in bad:
-            for e in ((a, b), (a, c), (b, c)):
-                edge_count[e] = edge_count.get(e, 0) + 1
-        triangles.difference_update(bad)
-        for (a, b), k in edge_count.items():
-            if k != 1:
-                continue
+        for t in bad:
+            _unlink(owners, t)
+        for a, b in rim:
             if orient2d(verts[a], verts[b], p) == 0.0:
                 raise NumericalError(
                     f"degenerate cavity while inserting point {p_idx}"
                 )
-            triangles.add(tuple(sorted((a, b, p_idx))))  # type: ignore[arg-type]
+            last = tuple(sorted((a, b, p_idx)))  # type: ignore[assignment]
+            _link(owners, last)
 
-    real = tuple(
-        sorted(t for t in triangles if all(v < n for v in t))
-    )
+    real = tuple(sorted(t for t in _triangles(owners) if t[2] < n))
     if not real:
         raise DegenerateTriangulationError("all points are collinear")
     real = _canonical_cocircular_flips(points, real, tol)
-
-    for t in real:
-        pa, pb, pc_ = (points[v] for v in t)
-        for q in range(n):
-            if q in t:
-                continue
-            if _in_circle(pa, pb, pc_, points[q], tol) > 0:
-                raise NumericalError(
-                    f"triangulation failed verification at triangle {t}"
-                )
+    _verify_empty_circumcircles(points, real, tol)
     return Triangulation(points=points, triangles=real)
 
 
 def _canonical_cocircular_flips(
     points: tuple[Point, ...],
-    triangles: tuple[tuple[int, int, int], ...],
+    triangles: tuple[Tri, ...],
     tol: float,
-) -> tuple[tuple[int, int, int], ...]:
+) -> tuple[Tri, ...]:
     """Flip exactly-cocircular interior edges to the lex-smallest diagonal.
 
-    Each flip strictly lowers the sorted diagonal pair, so this terminates;
-    among cocircular configurations every flip preserves Delaunayness.
+    Each step flips the interior edge, among all whose quadrilateral is
+    exactly cocircular and whose other diagonal is lex-smaller, with the
+    smallest other diagonal.  A heap keyed ``(diagonal, edge)`` holds the
+    candidates; an entry is stale once its edge is gone or has other
+    apexes.  A flip changes the apexes of the quadrilateral's four outer
+    edges only, so those are the edges tested again.  Each flip strictly
+    lowers the sorted diagonal pair, so this terminates; among cocircular
+    configurations every flip preserves Delaunayness.
     """
-    tris = set(triangles)
-    while True:
-        by_edge: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-        for t in tris:
-            a, b, c = t
-            for e in ((a, b), (a, c), (b, c)):
-                by_edge.setdefault(e, []).append(t)
-        best: tuple[tuple[int, int], tuple[int, int]] | None = None
-        for (a, b), owners in by_edge.items():
-            if len(owners) != 2:
-                continue
-            c = next(v for v in owners[0] if v not in (a, b))
-            d = next(v for v in owners[1] if v not in (a, b))
-            alt = (min(c, d), max(c, d))
-            if alt >= (a, b):
-                continue
-            if _in_circle(points[a], points[b], points[c], points[d], tol) != 0:
-                continue
-            if best is None or alt < best[0]:
-                best = (alt, (a, b))
-        if best is None:
-            return tuple(sorted(tris))
-        (c, d), (a, b) = best
-        tris.discard(tuple(sorted((a, b, c))))  # type: ignore[arg-type]
-        tris.discard(tuple(sorted((a, b, d))))  # type: ignore[arg-type]
-        tris.add(tuple(sorted((a, c, d))))  # type: ignore[arg-type]
-        tris.add(tuple(sorted((b, c, d))))  # type: ignore[arg-type]
+    owners: dict[Edge, list[Tri]] = {}
+    for t in triangles:
+        _link(owners, t)
+
+    def apexes(e: Edge) -> Edge | None:
+        ts = owners.get(e)
+        if ts is None or len(ts) != 2:
+            return None
+        c = next(v for v in ts[0] if v not in e)
+        d = next(v for v in ts[1] if v not in e)
+        return (min(c, d), max(c, d))
+
+    def candidate(e: Edge) -> Edge | None:
+        alt = apexes(e)
+        if alt is None or alt >= e:
+            return None
+        a, b = e
+        c, d = alt
+        if _in_circle(points[a], points[b], points[c], points[d], tol) != 0:
+            return None
+        return alt
+
+    heap = [(alt, e) for e in owners if (alt := candidate(e)) is not None]
+    heapq.heapify(heap)
+    while heap:
+        alt, e = heapq.heappop(heap)
+        if apexes(e) != alt:
+            continue
+        (a, b), (c, d) = e, alt
+        for t in list(owners[e]):
+            _unlink(owners, t)
+        _link(owners, tuple(sorted((a, c, d))))  # type: ignore[arg-type]
+        _link(owners, tuple(sorted((b, c, d))))  # type: ignore[arg-type]
+        for u, v in ((a, c), (a, d), (b, c), (b, d)):
+            outer = (min(u, v), max(u, v))
+            nxt = candidate(outer)
+            if nxt is not None:
+                heapq.heappush(heap, (nxt, outer))
+    return tuple(sorted(_triangles(owners)))
+
+
+def _verify_empty_circumcircles(
+    points: tuple[Point, ...], triangles: tuple[Tri, ...], tol: float
+) -> None:
+    """Raise unless no triangle's circumcircle strictly holds another point.
+
+    Checks every triangle against every point, in blocks of triangles.  The
+    float determinant is the in-circle test's own, taken over arrays.  An
+    entry whose determinant is below minus twice the exact-fallback
+    threshold is outside; every other entry goes to the in-circle test
+    itself, in the order of a scan of triangles, then points.
+    """
+    xs = np.array([p[0] for p in points])
+    ys = np.array([p[1] for p in points])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(triangles), _VERIFY_BLOCK):
+            block = triangles[start : start + _VERIFY_BLOCK]
+            corners = []
+            for t in block:
+                pa, pb, pc_ = (points[v] for v in t)
+                if orient2d(pa, pb, pc_) < 0:
+                    pb, pc_ = pc_, pb
+                corners.append((*pa, *pb, *pc_))
+            ax, ay, bx, by, cx, cy = (np.array(col)[:, None] for col in zip(*corners))
+            det, (ad2, bd2, cd2) = in_circle_determinant((ax, ay), (bx, by), (cx, cy), (xs, ys))
+            scale = np.maximum(np.maximum(np.maximum(ad2, bd2), cd2), 1.0)
+            undecided = ~(det < -2.0 * (tol * scale * scale))
+            rows = np.arange(len(block))[:, None]
+            undecided[rows, np.array(block)] = False  # a triangle's own corners
+            for i, q in zip(*np.nonzero(undecided)):
+                t = block[i]
+                pa, pb, pc_ = (points[v] for v in t)
+                if _in_circle(pa, pb, pc_, points[q], tol) > 0:
+                    raise NumericalError(
+                        f"triangulation failed verification at triangle {t}"
+                    )
+
+
+def _gabriel(
+    points: tuple[Point, ...], edges: list[Edge], r2s: list[float]
+) -> list[bool]:
+    """Whether each edge's closed diametral disk (with a 1e-12 relative
+    slack) holds no other point, for edges with finite ``r2s``.
+
+    A numpy block computes the squared distance from each midpoint to every
+    point.  Points clearly inside or outside the slackened disk are decided
+    there; those within a relative 1e-9 of its boundary are re-tested with
+    the scalar expression.  The arrays differ from it by a few ulps (``x * x``
+    against ``x ** 2``) and the bound is at least 1e-12, so rounding never
+    changes a decision.
+    """
+    xs = np.array([p[0] for p in points])
+    ys = np.array([p[1] for p in points])
+    out: list[bool] = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(edges), _GABRIEL_BLOCK):
+            block = edges[start : start + _GABRIEL_BLOCK]
+            bounds = [r2 + 1e-12 * max(r2, 1.0) for r2 in r2s[start : start + len(block)]]
+            ends = np.array(block)
+            mx = ((xs[ends[:, 0]] + xs[ends[:, 1]]) / 2.0)[:, None]
+            my = ((ys[ends[:, 0]] + ys[ends[:, 1]]) / 2.0)[:, None]
+            d2 = (xs - mx) ** 2 + (ys - my) ** 2
+            bound = np.array(bounds)[:, None]
+            maybe = d2 <= bound * (1.0 + 1e-9)
+            surely = d2 < bound * (1.0 - 1e-9)
+            rows = np.arange(len(block))
+            for col in (ends[:, 0], ends[:, 1]):
+                maybe[rows, col] = False
+                surely[rows, col] = False
+            for i, (u, v) in enumerate(block):
+                if surely[i].any():
+                    out.append(False)
+                    continue
+                (ux, uy), (vx, vy) = points[u], points[v]
+                mxs, mys = (ux + vx) / 2.0, (uy + vy) / 2.0
+                out.append(
+                    not any(
+                        (points[w][0] - mxs) ** 2 + (points[w][1] - mys) ** 2
+                        <= bounds[i]
+                        for w in np.flatnonzero(maybe[i]).tolist()
+                    )
+                )
+    return out
+
+
+def _half_length_sq(a: Point, b: Point) -> float:
+    """Squared half-length of segment ab, or inf when it overflows."""
+    (ux, uy), (vx, vy) = a, b
+    try:
+        return ((ux - vx) ** 2 + (uy - vy) ** 2) / 4.0
+    except OverflowError:
+        return math.inf
 
 
 def alpha_filtration(tri: Triangulation, pc: PointCloud) -> FilteredComplex:
-    """Alpha complex of the cloud as a filtration of the triangulation."""
+    """Alpha complex of the cloud as a filtration of the triangulation.
+
+    Raises NumericalError when a radius is not finite (coordinates too
+    large for their squares to be floats).
+    """
     points = pc.points
     if tri.points != points:
         raise ValueError("triangulation does not belong to this point cloud")
     entries: list[Entry] = [((v,), 0.0) for v in range(len(points))]
 
-    radius: dict[tuple[int, int, int], float] = {}
+    radius: dict[Tri, float] = {}
     for t in tri.triangles:
         _, r = circumcircle(points[t[0]], points[t[1]], points[t[2]])
         radius[t] = r
         entries.append((t, r))
 
-    incident: dict[tuple[int, int], list[float]] = {}
+    incident: dict[Edge, list[float]] = {}
     for t in tri.triangles:
-        a, b, c = t
-        for e in ((a, b), (a, c), (b, c)):
+        for e, _ in _sides(t):
             incident.setdefault(e, []).append(radius[t])
 
-    for e in sorted(tri.edges()):
-        u, v = e
-        (ux, uy), (vx, vy) = points[u], points[v]
-        mx, my = (ux + vx) / 2.0, (uy + vy) / 2.0
-        r2 = ((ux - vx) ** 2 + (uy - vy) ** 2) / 4.0
-        gabriel = True
-        slack = 1e-12 * max(r2, 1.0)
-        for w, (wx, wy) in enumerate(points):
-            if w == u or w == v:
-                continue
-            if (wx - mx) ** 2 + (wy - my) ** 2 <= r2 + slack:
-                gabriel = False
-                break
+    edges = sorted(tri.edges())
+    r2s = [_half_length_sq(points[u], points[v]) for u, v in edges]
+    if not all(map(math.isfinite, [*radius.values(), *r2s])):
+        raise NumericalError("alpha radius is not finite; coordinates are too large")
+    for e, r2, gabriel in zip(edges, r2s, _gabriel(points, edges, r2s)):
         if gabriel:
             entries.append((e, math.sqrt(r2)))
         else:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -67,14 +66,13 @@ def circumcircle(a: Point, b: Point, c: Point) -> tuple[Point, float]:
     return (ux, uy), r
 
 
-def in_circumcircle(a: Point, b: Point, c: Point, p: Point, tol: float = 1e-12) -> int:
-    """Sign of the in-circle determinant for p against circle(a, b, c).
+def in_circle_determinant(a, b, c, p):
+    """The in-circle determinant of p against a, b, c, with the squared
+    distances ``(|a - p|^2, |b - p|^2, |c - p|^2)``.
 
-    Returns +1 if p lies strictly inside, -1 if strictly outside, 0 if
-    cocircular.  Triangle abc must be counterclockwise; for clockwise input
-    the sign flips.  When the floating determinant is within ``tol`` of zero
-    (scaled by entry magnitudes) the determinant is re-evaluated in exact
-    rational arithmetic.
+    Positive when p is inside the circle through a counterclockwise abc.
+    Plain arithmetic, so the coordinates may be floats, integers or numpy
+    arrays, with results of the same kind.
     """
     adx, ady = a[0] - p[0], a[1] - p[1]
     bdx, bdy = b[0] - p[0], b[1] - p[1]
@@ -87,26 +85,30 @@ def in_circumcircle(a: Point, b: Point, c: Point, p: Point, tol: float = 1e-12) 
         - ady * (bdx * cd2 - cdx * bd2)
         + ad2 * (bdx * cdy - cdx * bdy)
     )
-    scale = max(ad2, bd2, cd2, 1.0)
+    return det, (ad2, bd2, cd2)
+
+
+def in_circumcircle(a: Point, b: Point, c: Point, p: Point, tol: float = 1e-12) -> int:
+    """Sign of the in-circle determinant for p against circle(a, b, c).
+
+    Returns +1 if p lies strictly inside, -1 if strictly outside, 0 if
+    cocircular.  Triangle abc must be counterclockwise; for clockwise input
+    the sign flips.  When the floating determinant is within ``tol`` of zero
+    (scaled by entry magnitudes) the determinant is re-evaluated exactly in
+    integers: every coordinate is scaled by one common power of two, which
+    leaves the sign unchanged.
+    """
+    det, sq = in_circle_determinant(a, b, c, p)
+    scale = max(*sq, 1.0)
     if abs(det) > tol * scale * scale:
         return 1 if det > 0 else -1
-    # Too close to call in floats: redo with Fractions.
-    fadx, fady = Fraction(a[0]) - Fraction(p[0]), Fraction(a[1]) - Fraction(p[1])
-    fbdx, fbdy = Fraction(b[0]) - Fraction(p[0]), Fraction(b[1]) - Fraction(p[1])
-    fcdx, fcdy = Fraction(c[0]) - Fraction(p[0]), Fraction(c[1]) - Fraction(p[1])
-    fad2 = fadx * fadx + fady * fady
-    fbd2 = fbdx * fbdx + fbdy * fbdy
-    fcd2 = fcdx * fcdx + fcdy * fcdy
-    fdet = (
-        fadx * (fbdy * fcd2 - fcdy * fbd2)
-        - fady * (fbdx * fcd2 - fcdx * fbd2)
-        + fad2 * (fbdx * fcdy - fcdx * fbdy)
-    )
-    if fdet > 0:
-        return 1
-    if fdet < 0:
-        return -1
-    return 0
+    # Each coordinate is num / 2**k (as_integer_ratio); multiplying all of
+    # them by the largest 2**k makes them integers.
+    ratios = [x.as_integer_ratio() for x in (*a, *b, *c, *p)]
+    top = max(den.bit_length() for _, den in ratios)
+    ax, ay, bx, by, cx, cy, px, py = (num << (top - den.bit_length()) for num, den in ratios)
+    det, _ = in_circle_determinant((ax, ay), (bx, by), (cx, cy), (px, py))
+    return (det > 0) - (det < 0)
 
 
 def orient2d(a: Point, b: Point, c: Point) -> float:

@@ -12,6 +12,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -40,6 +41,11 @@ class Precinct:
         return None
 
     def bbox(self) -> tuple[float, float, float, float]:
+        return self._bbox
+
+    @cached_property
+    def _bbox(self) -> tuple[float, float, float, float]:
+        # Computed once: queen adjacency reads it for every candidate pair.
         return rings_bbox(self.rings)
 
 

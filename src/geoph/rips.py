@@ -11,7 +11,10 @@ from __future__ import annotations
 import warnings
 from itertools import combinations
 
+import numpy as np
+
 from .complexes import Entry, FilteredComplex
+from .errors import NumericalError
 from .geometry import PointCloud, distance_matrix
 
 
@@ -20,12 +23,17 @@ def build_vr_complex(pc: PointCloud, eps_max: float | None = None) -> FilteredCo
 
     With the default cutoff (the point-cloud diameter) the result is the
     full flag complex on the points.  Coincident points yield zero-length
-    edges, which are allowed but warned about.
+    edges, which are allowed but warned about.  Raises NumericalError when
+    a distance is not finite (coordinates too large for their squares to be
+    floats).
     """
     n = len(pc)
     if n == 0:
         raise ValueError("empty point cloud")
-    dist = distance_matrix(pc)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dist = distance_matrix(pc)
+    if not np.isfinite(dist).all():
+        raise NumericalError("pairwise distance is not finite; coordinates are too large")
     if eps_max is None:
         eps_max = float(dist.max())
         if eps_max == 0.0:

@@ -6,7 +6,8 @@ the package is evidence, not tautology.  The queen-adjacency references
 share only the exact contact predicate (``precincts_touch``) and the
 package's map and complex types, and enumerate every pair; the raster
 reference shares only the grid shape and the winner selection, and scans
-every row.
+every row.  The Delaunay reference scans every triangle for each cavity and
+every edge for each flip, with a ``Fraction`` in-circle test.
 """
 
 from __future__ import annotations
@@ -84,6 +85,181 @@ def circumcircle_has_point_strictly(points, tri, q, rel_tol=1e-9):
         1.0,
     )
     return det > rel_tol * scale * scale
+
+
+def in_circle_reference(a, b, c, p, tol=1e-12):
+    """In-circle sign with a ``Fraction`` fallback near zero: +1 inside,
+    -1 outside, 0 on circle(a, b, c) for counterclockwise abc."""
+    from fractions import Fraction
+
+    adx, ady = a[0] - p[0], a[1] - p[1]
+    bdx, bdy = b[0] - p[0], b[1] - p[1]
+    cdx, cdy = c[0] - p[0], c[1] - p[1]
+    ad2 = adx * adx + ady * ady
+    bd2 = bdx * bdx + bdy * bdy
+    cd2 = cdx * cdx + cdy * cdy
+    det = (
+        adx * (bdy * cd2 - cdy * bd2)
+        - ady * (bdx * cd2 - cdx * bd2)
+        + ad2 * (bdx * cdy - cdx * bdy)
+    )
+    scale = max(ad2, bd2, cd2, 1.0)
+    if abs(det) > tol * scale * scale:
+        return 1 if det > 0 else -1
+    fadx, fady = Fraction(a[0]) - Fraction(p[0]), Fraction(a[1]) - Fraction(p[1])
+    fbdx, fbdy = Fraction(b[0]) - Fraction(p[0]), Fraction(b[1]) - Fraction(p[1])
+    fcdx, fcdy = Fraction(c[0]) - Fraction(p[0]), Fraction(c[1]) - Fraction(p[1])
+    fad2 = fadx * fadx + fady * fady
+    fbd2 = fbdx * fbdx + fbdy * fbdy
+    fcd2 = fcdx * fcdx + fcdy * fcdy
+    fdet = (
+        fadx * (fbdy * fcd2 - fcdy * fbd2)
+        - fady * (fbdx * fcd2 - fcdx * fbd2)
+        + fad2 * (fbdx * fcdy - fcdx * fbdy)
+    )
+    if fdet > 0:
+        return 1
+    if fdet < 0:
+        return -1
+    return 0
+
+
+def _orient_reference(a, b, c):
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def _in_circle_any_orientation(pa, pb, pc, p, tol):
+    if _orient_reference(pa, pb, pc) < 0:
+        pb, pc = pc, pb
+    return in_circle_reference(pa, pb, pc, p, tol)
+
+
+def delaunay_reference(pc, tol=1e-12):
+    """Delaunay triangulation by Bowyer-Watson that scans every triangle
+    for each cavity, then flips cocircular edges by rescanning every edge
+    per flip, then checks every circumcircle against every point.
+
+    Same enclosing triangle, insertion order, canonical flip rule and
+    errors as ``geoph.alpha.delaunay_triangulation``.
+    """
+    from geoph.alpha import Triangulation
+    from geoph.errors import DegenerateTriangulationError, NumericalError
+
+    points = pc.points
+    n = len(points)
+    if len(set(points)) < n:
+        raise NumericalError("duplicate points cannot be triangulated")
+    if n < 3:
+        extra = ((0, 1),) if n == 2 else ()
+        return Triangulation(points=points, triangles=(), extra_edges=extra)
+
+    xs = [p[0] for p in points]
+    ys = [p[1] for p in points]
+    cx = (min(xs) + max(xs)) / 2.0
+    cy = (min(ys) + max(ys)) / 2.0
+    span = max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
+    big = 1e6 * span
+    verts = list(points) + [
+        (cx - 2.0 * big, cy - big),
+        (cx + 2.0 * big, cy - big),
+        (cx, cy + 2.0 * big),
+    ]
+    triangles = {(n, n + 1, n + 2)}
+
+    for p_idx in range(n):
+        p = verts[p_idx]
+        bad = [
+            t
+            for t in triangles
+            if _in_circle_any_orientation(verts[t[0]], verts[t[1]], verts[t[2]], p, tol) > 0
+        ]
+        edge_count = {}
+        for a, b, c in bad:
+            for e in ((a, b), (a, c), (b, c)):
+                edge_count[e] = edge_count.get(e, 0) + 1
+        triangles.difference_update(bad)
+        for (a, b), k in edge_count.items():
+            if k != 1:
+                continue
+            if _orient_reference(verts[a], verts[b], p) == 0.0:
+                raise NumericalError(f"degenerate cavity while inserting point {p_idx}")
+            triangles.add(tuple(sorted((a, b, p_idx))))
+
+    tris = {t for t in triangles if all(v < n for v in t)}
+    if not tris:
+        raise DegenerateTriangulationError("all points are collinear")
+
+    while True:
+        by_edge = {}
+        for t in tris:
+            a, b, c = t
+            for e in ((a, b), (a, c), (b, c)):
+                by_edge.setdefault(e, []).append(t)
+        best = None
+        for (a, b), owners in by_edge.items():
+            if len(owners) != 2:
+                continue
+            c = next(v for v in owners[0] if v not in (a, b))
+            d = next(v for v in owners[1] if v not in (a, b))
+            alt = (min(c, d), max(c, d))
+            if alt >= (a, b):
+                continue
+            if _in_circle_any_orientation(points[a], points[b], points[c], points[d], tol) != 0:
+                continue
+            if best is None or alt < best[0]:
+                best = (alt, (a, b))
+        if best is None:
+            break
+        (c, d), (a, b) = best
+        tris.discard(tuple(sorted((a, b, c))))
+        tris.discard(tuple(sorted((a, b, d))))
+        tris.add(tuple(sorted((a, c, d))))
+        tris.add(tuple(sorted((b, c, d))))
+
+    real = tuple(sorted(tris))
+    for t in real:
+        pa, pb, pc_ = (points[v] for v in t)
+        for q in range(n):
+            if q not in t and _in_circle_any_orientation(pa, pb, pc_, points[q], tol) > 0:
+                raise NumericalError(f"triangulation failed verification at triangle {t}")
+    return Triangulation(points=points, triangles=real)
+
+
+def alpha_values_reference(tri):
+    """Alpha value of every simplex of a triangulation: circumradii, and for
+    each edge a scan of every other point against its diametral disk."""
+    from geoph.geometry import circumcircle
+
+    points = tri.points
+    values = {(v,): 0.0 for v in range(len(points))}
+    incident = {}
+    for t in tri.triangles:
+        r = circumcircle(*(points[v] for v in t))[1]
+        values[t] = r
+        a, b, c = t
+        for e in ((a, b), (a, c), (b, c)):
+            incident.setdefault(e, []).append(r)
+    for u, v in sorted(tri.edges()):
+        if gabriel_reference(points, u, v):
+            (ux, uy), (vx, vy) = points[u], points[v]
+            values[(u, v)] = math.sqrt(((ux - vx) ** 2 + (uy - vy) ** 2) / 4.0)
+        else:
+            values[(u, v)] = min(incident[(u, v)])
+    return values
+
+
+def gabriel_reference(points, u, v):
+    """True when no other point lies in edge uv's closed diametral disk,
+    widened by a 1e-12 relative slack."""
+    (ux, uy), (vx, vy) = points[u], points[v]
+    mx, my = (ux + vx) / 2.0, (uy + vy) / 2.0
+    r2 = ((ux - vx) ** 2 + (uy - vy) ** 2) / 4.0
+    slack = 1e-12 * max(r2, 1.0)
+    return all(
+        (wx - mx) ** 2 + (wy - my) ** 2 > r2 + slack
+        for w, (wx, wy) in enumerate(points)
+        if w not in (u, v)
+    )
 
 
 def grid_queen_edges(cells):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from geoph import alpha
 from geoph.alpha import (
     alpha_filtration,
     build_alpha_complex,
@@ -12,12 +13,17 @@ from geoph.complexes import all_faces_closure
 from geoph.errors import DegenerateTriangulationError, NumericalError
 from geoph.geometry import PointCloud
 from geoph.homology import barcode_of, betti_oracle
+from geoph.precincts import centroids, parse_feature_collection
 from geoph.rips import build_vr_complex
 
 from helpers import (
+    alpha_values_reference,
     boundary_edges,
     circumcircle_has_point_strictly,
+    delaunay_reference,
+    gabriel_reference,
     hull_point_count,
+    jittered_lattice_map,
     naive_vr,
 )
 
@@ -95,6 +101,99 @@ class TestDelaunay:
             assert len(tri.edges()) == 3 * n - 3 - h
 
 
+def lattice_centroids(n, seed):
+    """Centroids of a jitter-0 lattice map, in its shuffled feature order."""
+    m = parse_feature_collection(jittered_lattice_map(n, 0.0, seed))
+    return cloud(*centroids(list(m)))
+
+
+def reference_clouds():
+    """Seeded clouds rich in cocircular and near-cocircular groups."""
+    rng = random.Random(47)
+    for _ in range(12):  # subsets of integer lattices
+        k = rng.randrange(2, 7)
+        cells = [(float(x), float(y)) for x in range(k) for y in range(k)]
+        yield cloud(*rng.sample(cells, rng.randrange(3, len(cells) + 1)))
+    for sx, sy in ((0.1, 0.1), (0.3, 0.3), (0.1, 0.3)):  # inexact spacings
+        for _ in range(4):
+            cells = [(x * sx, y * sy) for x in range(6) for y in range(6)]
+            yield cloud(*rng.sample(cells, rng.randrange(3, 25)))
+    ring = [
+        (math.cos(2 * math.pi * i / 12), math.sin(2 * math.pi * i / 12)) for i in range(12)
+    ]
+    for _ in range(4):  # a 12-gon plus its centre
+        pts = ring + [(0.0, 0.0)]
+        rng.shuffle(pts)
+        yield cloud(*pts)
+    for radius in (5, 25, 65):  # integer points exactly on one circle
+        on_circle = [
+            (float(x), float(y))
+            for x in range(-radius, radius + 1)
+            for y in range(-radius, radius + 1)
+            if x * x + y * y == radius * radius
+        ]
+        for _ in range(3):
+            rng.shuffle(on_circle)
+            yield cloud(*on_circle)
+    for _ in range(10):
+        yield random_cloud(rng, rng.randrange(3, 40))
+    for seed in range(3):
+        yield lattice_centroids(6, seed)
+    yield cloud(*[(float(i), 2.0 * i) for i in range(5)])  # collinear
+
+
+def triangles_or_error(fn, pc):
+    try:
+        return fn(pc).triangles
+    except NumericalError as exc:
+        return type(exc)
+
+
+class TestDelaunayAgainstReferences:
+    def test_matches_full_scan_reference(self):
+        for pc in reference_clouds():
+            assert triangles_or_error(delaunay_triangulation, pc) == triangles_or_error(
+                delaunay_reference, pc
+            ), pc.points
+
+    def test_matches_scipy_on_generic_clouds(self):
+        spatial = pytest.importorskip("scipy.spatial")
+        rng = random.Random(53)
+        for n in (3, 4, 5, 8, 13, 21, 34, 55, 89, 144, 200):
+            pc = random_cloud(rng, n)
+            expected = tuple(
+                sorted(tuple(sorted(s)) for s in spatial.Delaunay(pc.as_array()).simplices.tolist())
+            )
+            assert delaunay_triangulation(pc).triangles == expected
+
+    def test_verification_rejects_a_non_delaunay_diagonal(self, monkeypatch):
+        # The flip pass is made to return the other diagonal of a kite whose
+        # circumcircles are not empty; the global check must catch it.
+        pc = cloud((0.0, 0.0), (4.0, -1.0), (4.0, 1.0), (5.0, 0.0))
+        assert delaunay_triangulation(pc).triangles == ((0, 1, 2), (1, 2, 3))
+        monkeypatch.setattr(
+            alpha, "_canonical_cocircular_flips", lambda *_: ((0, 1, 3), (0, 2, 3))
+        )
+        with pytest.raises(NumericalError, match="verification"):
+            delaunay_triangulation(pc)
+
+    def test_scaling_guard(self, monkeypatch):
+        # Cavities come from walks over the edge map, not from testing every
+        # triangle, and each flip re-tests four edges, not all of them.
+        calls = []
+        predicate = alpha.in_circumcircle
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return predicate(*args, **kwargs)
+
+        monkeypatch.setattr(alpha, "in_circumcircle", counted)
+        pc = lattice_centroids(24, 0)
+        tri = delaunay_triangulation(pc)
+        assert len(tri.triangles) == 2 * 23 * 23
+        assert len(calls) <= 100 * len(pc)
+
+
 class TestAlphaFiltration:
     def test_equilateral_values(self):
         height = math.sqrt(3.0) / 2.0
@@ -156,6 +255,27 @@ class TestAlphaFiltration:
             bc = barcode_of(fc)
             for t in fc.distinct_values():
                 assert bc.bars_alive_at(t) == betti_oracle(fc.complex_at(t))
+
+    def test_values_match_scalar_reference(self):
+        # Lattices put many points exactly on diametral circles, where the
+        # array prefilter must hand the decision to the scalar expression.
+        for pc in reference_clouds():
+            try:
+                tri = delaunay_triangulation(pc)
+            except DegenerateTriangulationError:
+                continue
+            assert dict(alpha_filtration(tri, pc)) == alpha_values_reference(tri)
+
+    def test_gabriel_decisions_at_the_slack_boundary(self):
+        # Third points within about 1e-12 of the edge's slackened diametral
+        # circle fall in the array prefilter's undecided band; the values
+        # hardly move there, so compare the decisions themselves.
+        for k in (0.5, 0.9, 0.99, 1.0, 1.01, 1.1, 2.0, 3.0):
+            for y in (math.sqrt(1.0 + k * 1e-12), -math.sqrt(1.0 + k * 1e-12)):
+                points = ((0.0, 0.0), (2.0, 0.0), (1.0, y))
+                assert alpha._gabriel(points, [(0, 1)], [1.0]) == [
+                    gabriel_reference(points, 0, 1)
+                ]
 
     def test_mismatched_cloud_rejected(self):
         pc = cloud((0, 0), (1, 0), (0, 1))

@@ -141,6 +141,37 @@ class TestBuild:
         assert code == 3
         assert "numerical error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "method, side, red_cells",
+        [
+            # two winners: the lone edge's squared length overflows
+            ("alpha", 1e300, (0, 8)),
+            ("vr", 1e300, range(9)),
+            # the circumradii overflow
+            ("alpha", 1e150, range(9)),
+        ],
+        ids=["alpha-1e300-two-winners", "vr-1e300", "alpha-1e150"],
+    )
+    def test_huge_coordinates_exit_three(self, tmp_path, capsys, method, side, red_cells):
+        obj = grid_fixture(3)
+        for i, feature in enumerate(obj["features"]):
+            feature["geometry"]["coordinates"] = [
+                [[x * side, y * side] for x, y in ring]
+                for ring in feature["geometry"]["coordinates"]
+            ]
+            props = feature["properties"]
+            props["votes_blue"], props["votes_red"] = (10, 90) if i in red_cells else (90, 10)
+        src = tmp_path / "huge.geojson"
+        write_fixture(obj, src)
+        code = main(
+            ["build", "--method", method, "--candidate", "red",
+             "--input", str(src), "--out", str(tmp_path / "o")]
+        )
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "numerical error:" in err
+        assert "Traceback" not in err
+
     def test_deterministic_across_invocations(self, tmp_path):
         src = synth(tmp_path, "dissent", "d.geojson")
         for d in ("x", "y"):
