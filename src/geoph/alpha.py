@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,13 +170,20 @@ def _cavity(
     return bad
 
 
+def _finite_normal(x: float) -> bool:
+    return math.isfinite(x) and abs(x) >= sys.float_info.min
+
+
 def delaunay_triangulation(pc: PointCloud, tol: float = 1e-12) -> Triangulation:
     """Delaunay triangulation of the cloud, canonical under cocircularity.
 
     Fewer than three points give a triangle-free result (a single edge for
     two points).  Exactly duplicated points and fully collinear input are
-    rejected.  The output is verified: every triangle's circumcircle must
-    be empty of all other points.
+    rejected, and so are coordinates whose float orientation tests would
+    overflow (the enclosing triangle's doubled area is not a finite normal
+    float) or underflow (nor is the squared span of the points).  The output
+    is verified: every triangle's circumcircle must be empty of all other
+    points.
     """
     points = pc.points
     n = len(points)
@@ -189,14 +197,21 @@ def delaunay_triangulation(pc: PointCloud, tol: float = 1e-12) -> Triangulation:
     ys = [p[1] for p in points]
     cx = (min(xs) + max(xs)) / 2.0
     cy = (min(ys) + max(ys)) / 2.0
-    span = max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
-    big = 1e6 * span
+    span = max(max(xs) - min(xs), max(ys) - min(ys))
+    big = 1e6 * max(span, 1.0)
     # Enclosing triangle; its vertices use indices n, n+1, n+2.
-    verts = list(points) + [
+    enclosing = [
         (cx - 2.0 * big, cy - big),
         (cx + 2.0 * big, cy - big),
         (cx, cy + 2.0 * big),
     ]
+    if not (_finite_normal(orient2d(*enclosing)) and _finite_normal(span * span)):
+        lo, hi = min(min(xs), min(ys)), max(max(xs), max(ys))
+        raise NumericalError(
+            f"coordinates in [{lo:.3g}, {hi:.3g}] (span {span:.3g}) are out of "
+            "range for floating-point orientation tests"
+        )
+    verts = list(points) + enclosing
     last: Tri = (n, n + 1, n + 2)
     owners: dict[Edge, list[Tri]] = {}
     _link(owners, last)
@@ -383,7 +398,7 @@ def alpha_filtration(tri: Triangulation, pc: PointCloud) -> FilteredComplex:
     """Alpha complex of the cloud as a filtration of the triangulation.
 
     Raises NumericalError when a radius is not finite (coordinates too
-    large for their squares to be floats).
+    large for their squares to be floats) or cannot be computed at all.
     """
     points = pc.points
     if tri.points != points:
@@ -392,7 +407,10 @@ def alpha_filtration(tri: Triangulation, pc: PointCloud) -> FilteredComplex:
 
     radius: dict[Tri, float] = {}
     for t in tri.triangles:
-        _, r = circumcircle(points[t[0]], points[t[1]], points[t[2]])
+        try:
+            _, r = circumcircle(points[t[0]], points[t[1]], points[t[2]])
+        except ValueError:  # a sliver whose float circumcircle formula gives 0
+            raise NumericalError(f"no float circumradius for thin triangle {t}") from None
         radius[t] = r
         entries.append((t, r))
 

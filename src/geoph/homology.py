@@ -15,7 +15,6 @@ reduction; it shares no code with it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
@@ -161,22 +160,54 @@ class Barcode:
             if not p.zero_length and (dimension is None or p.dimension == dimension)
         ]
 
-    def to_records(self) -> list[dict]:
-        records = []
-        for p in self.rendered():
-            records.append(
-                {
-                    "dimension": p.dimension,
-                    "birth": p.birth,
-                    "death": p.death,
-                    "long_persistence": p.long_persistence,
-                    "generator": [list(s) for s in p.generator],
-                }
-            )
-        return records
-
     def to_json(self) -> str:
-        return json.dumps(self.to_records(), indent=2, sort_keys=True) + "\n"
+        """The rendered bars as ``barcode.json`` text.
+
+        The bytes are those of ``json.dumps(records, indent=2,
+        sort_keys=True)`` plus a newline, over one record per rendered bar,
+        written directly: CPython's json runs a pure-Python encoder whenever
+        ``indent`` is set, which is slow and holds much memory on large
+        generators.  Each distinct generator simplex is formatted once.
+        """
+        simplex_text = _SimplexText()
+        records = [
+            "  {\n"
+            f'    "birth": {_json_number(p.birth)},\n'
+            f'    "death": {_json_number(p.death)},\n'
+            f'    "dimension": {int.__repr__(p.dimension)},\n'
+            f'    "generator": {_json_generator(p.generator, simplex_text)},\n'
+            f'    "long_persistence": {"true" if p.long_persistence else "false"}\n'
+            "  }"
+            for p in self.rendered()
+        ]
+        if not records:
+            return "[]\n"
+        return "[\n" + ",\n".join(records) + "\n]\n"
+
+
+class _SimplexText(dict):
+    """Simplex -> its text as a generator element, built on first lookup."""
+
+    def __missing__(self, s: Simplex) -> str:
+        text = self[s] = (
+            "      [\n        " + ",\n        ".join(map(int.__repr__, s)) + "\n      ]"
+        )
+        return text
+
+
+def _json_generator(generator: tuple[Simplex, ...], simplex_text: _SimplexText) -> str:
+    if not generator:
+        return "[]"
+    return "[\n" + ",\n".join(map(simplex_text.__getitem__, generator)) + "\n    ]"
+
+
+def _json_number(x: float | None) -> str:
+    """A birth or death as json writes it (values are finite, see FilteredComplex)."""
+    if x is None:
+        return "null"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    return float.__repr__(x)
 
 
 def persistence_pairs(reduced: ReducedMatrix, fc: FilteredComplex) -> Barcode:

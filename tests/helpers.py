@@ -7,11 +7,13 @@ share only the exact contact predicate (``precincts_touch``) and the
 package's map and complex types, and enumerate every pair; the raster
 reference shares only the grid shape and the winner selection, and scans
 every row.  The Delaunay reference scans every triangle for each cavity and
-every edge for each flip, with a ``Fraction`` in-circle test.
+every edge for each flip, with a ``Fraction`` in-circle test.  The
+``barcode.json`` reference is the standard library's JSON encoder.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from itertools import combinations
@@ -602,3 +604,18 @@ def jittered_lattice_map(n, jitter, seed):
             )
     rng.shuffle(features)
     return {"type": "FeatureCollection", "features": features}
+
+
+def barcode_json_reference(barcode):
+    """``barcode.json`` text through the standard library's JSON encoder."""
+    records = [
+        {
+            "dimension": p.dimension,
+            "birth": p.birth,
+            "death": p.death,
+            "long_persistence": p.long_persistence,
+            "generator": [list(s) for s in p.generator],
+        }
+        for p in barcode.rendered()
+    ]
+    return json.dumps(records, indent=2, sort_keys=True) + "\n"

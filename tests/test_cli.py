@@ -147,7 +147,7 @@ class TestBuild:
             # two winners: the lone edge's squared length overflows
             ("alpha", 1e300, (0, 8)),
             ("vr", 1e300, range(9)),
-            # the circumradii overflow
+            # the triangulation's float orientation tests would overflow
             ("alpha", 1e150, range(9)),
         ],
         ids=["alpha-1e300-two-winners", "vr-1e300", "alpha-1e150"],
@@ -171,6 +171,28 @@ class TestBuild:
         assert code == 3
         assert "numerical error:" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("scale", [1e300, 1e200, 1e-70, 1e-200, 1e-320])
+    def test_alpha_on_extreme_coordinates_names_the_cause(self, tmp_path, capsys, scale):
+        # At 1e-70 the centroids are inexact and the hull holds a sliver.
+        obj = grid_fixture(3)
+        for feature in obj["features"]:
+            feature["geometry"]["coordinates"] = [
+                [[x * scale, y * scale] for x, y in ring]
+                for ring in feature["geometry"]["coordinates"]
+            ]
+        src = tmp_path / "scaled.geojson"
+        write_fixture(obj, src)
+        code = main(
+            ["build", "--method", "alpha", "--candidate", "red",
+             "--input", str(src), "--out", str(tmp_path / "o")]
+        )
+        err = capsys.readouterr().err
+        assert code in (0, 3)
+        assert "Traceback" not in err
+        if code == 3:
+            for wrong in ("collinear", "degenerate cavity", "failed verification"):
+                assert wrong not in err
 
     def test_deterministic_across_invocations(self, tmp_path):
         src = synth(tmp_path, "dissent", "d.geojson")

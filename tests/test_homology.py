@@ -1,8 +1,10 @@
+import json
 import random
 import warnings
 from functools import lru_cache
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from geoph.complexes import (
@@ -27,6 +29,7 @@ from geoph.precincts import parse_feature_collection
 from geoph.synth import FIXTURES, make_fixture
 
 from helpers import (
+    barcode_json_reference,
     boundary_of_boundary_vanishes,
     dense_reduce_reference,
     random_filtered_entries,
@@ -273,7 +276,7 @@ class TestLongPersistence:
 class TestExport:
     def test_records_shape_and_zero_length_exclusion(self):
         bc = barcode_of(hollow_triangle())
-        records = bc.to_records()
+        records = json.loads(bc.to_json())
         assert all(
             set(r) == {"dimension", "birth", "death", "long_persistence", "generator"}
             for r in records
@@ -288,3 +291,68 @@ class TestExport:
         a = barcode_of(close_under_faces(entries))
         b = barcode_of(close_under_faces(list(reversed(entries))))
         assert a.to_json() == b.to_json()
+
+
+@lru_cache(maxsize=None)
+def fixture_barcode(fixture, method, candidate):
+    m = parse_feature_collection(make_fixture(fixture))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return run_pipeline(RunConfig(method=method, candidate=candidate), m).barcode
+
+
+def bar(birth, death, generator=((0, 1), (0, 2), (1, 2)), dimension=1, long=False):
+    return PersistencePair(dimension, birth, death, generator, 0, long_persistence=long)
+
+
+class TestJsonWriter:
+    """``Barcode.to_json`` against the standard library's encoder, byte for byte."""
+
+    @pytest.mark.parametrize("candidate", ["blue", "red"])
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_matches_reference_on_fixtures(self, fixture, method, candidate):
+        bc = fixture_barcode(fixture, method, candidate)
+        assert bc.to_json() == barcode_json_reference(bc)
+
+    def test_empty_barcode(self):
+        bc = Barcode(pairs=(), horizon=0.0)
+        assert bc.to_json() == barcode_json_reference(bc) == "[]\n"
+
+    def test_matches_reference_on_random_complexes(self):
+        rng = random.Random(47)
+        for _ in range(60):
+            bc = classify_long_persistence(
+                barcode_of(close_under_faces(random_filtered_entries(rng)))
+            )
+            assert bc.to_json() == barcode_json_reference(bc)
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            (bar(0.5, None),),
+            (bar(0.5, 2.0, long=True), bar(0.0, None, long=True)),
+            (bar(0.5, 2.0, generator=()),),
+            (bar(1, 3), bar(0, None, generator=((4,),), dimension=0)),
+            (bar(np.float64(0.1), np.float64(0.7)), bar(np.float64(2.5), None)),
+            (bar(5e-324, 1e-300), bar(0.1 + 0.2, 1e16), bar(-0.0, 1e300)),
+            (bar(0.0, 1.0, generator=((0, 1, 2), (0, 1, 3), (123456, 7, 89))),),
+            (bar(1.0, 1.0, generator=()),),
+        ],
+        ids=["immortal", "long", "empty-generator", "ints", "float64", "extreme-floats",
+             "triangles", "zero-length-only"],
+    )
+    def test_matches_reference_on_hand_made_bars(self, pairs):
+        bc = Barcode(pairs=pairs, horizon=10.0)
+        assert bc.to_json() == barcode_json_reference(bc)
+
+    def test_does_not_use_the_json_encoder(self, monkeypatch):
+        bc = fixture_barcode("dissent", "vr", "red")
+        expected = barcode_json_reference(bc)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("barcode.json went through the json module")
+
+        monkeypatch.setattr(json, "dumps", refuse)
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        assert bc.to_json() == expected
