@@ -16,7 +16,9 @@ import sys
 from dataclasses import dataclass
 from itertools import combinations
 
-from .complexes import Entry, FilteredComplex
+import numpy as np
+
+from .complexes import FilteredComplex
 from .geometry import segment_segment_distance
 from .precincts import Precinct, PrecinctMap, check_candidate, vote_margin, winning_precincts
 
@@ -134,15 +136,22 @@ def build_adjacency_complex(
     level = [margin_level(vote_margin(p), step) for p in winners]
     index = {p.id: i for i, p in enumerate(winners)}
 
-    entries: list[Entry] = [((i,), value) for i, value in enumerate(level)]
+    edges: list[tuple[int, int]] = []
+    triangles: list[tuple[int, int, int]] = []
     later: list[set[int]] = [set() for _ in winners]  # neighbours with a larger index
     for u, v in g.edges:
         if u in index and v in index:
             i, j = sorted((index[u], index[v]))
-            entries.append(((i, j), max(level[i], level[j])))
+            edges.append((i, j))
             later[i].add(j)
     for i, nbrs in enumerate(later):
         for j, k in combinations(sorted(nbrs), 2):
             if k in later[j]:
-                entries.append(((i, j, k), max(level[i], level[j], level[k])))
-    return FilteredComplex(entries)
+                triangles.append((i, j, k))
+    levels = np.array(level, dtype=np.float64)
+    edge_rows = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    triangle_rows = np.array(triangles, dtype=np.int64).reshape(-1, 3)
+    return FilteredComplex._from_arrays(
+        [np.arange(len(winners)), edge_rows, triangle_rows],
+        [levels, levels[edge_rows].max(axis=1), levels[triangle_rows].max(axis=1)],
+    )

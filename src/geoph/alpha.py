@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complexes import Entry, FilteredComplex, close_under_faces
+from .complexes import FilteredComplex
 from .errors import DegenerateTriangulationError, NumericalError
 from .geometry import (
     Point,
@@ -403,32 +403,33 @@ def alpha_filtration(tri: Triangulation, pc: PointCloud) -> FilteredComplex:
     points = pc.points
     if tri.points != points:
         raise ValueError("triangulation does not belong to this point cloud")
-    entries: list[Entry] = [((v,), 0.0) for v in range(len(points))]
 
-    radius: dict[Tri, float] = {}
+    radii: list[float] = []
+    incident: dict[Edge, list[float]] = {}
     for t in tri.triangles:
         try:
             _, r = circumcircle(points[t[0]], points[t[1]], points[t[2]])
         except ValueError:  # a sliver whose float circumcircle formula gives 0
             raise NumericalError(f"no float circumradius for thin triangle {t}") from None
-        radius[t] = r
-        entries.append((t, r))
-
-    incident: dict[Edge, list[float]] = {}
-    for t in tri.triangles:
+        radii.append(r)
         for e, _ in _sides(t):
-            incident.setdefault(e, []).append(radius[t])
+            incident.setdefault(e, []).append(r)
 
     edges = sorted(tri.edges())
     r2s = [_half_length_sq(points[u], points[v]) for u, v in edges]
-    if not all(map(math.isfinite, [*radius.values(), *r2s])):
+    if not all(map(math.isfinite, [*radii, *r2s])):
         raise NumericalError("alpha radius is not finite; coordinates are too large")
-    for e, r2, gabriel in zip(edges, r2s, _gabriel(points, edges, r2s)):
-        if gabriel:
-            entries.append((e, math.sqrt(r2)))
-        else:
-            entries.append((e, min(incident[e])))
-    return close_under_faces(entries)
+    # A Gabriel edge enters at its half length, which can exceed the
+    # circumradius of a near-right triangle on it by an ulp; the edge then
+    # enters with that triangle, so that no face enters after a coface.
+    edge_values = [
+        min((math.sqrt(r2) if gabriel else math.inf, *incident.get(e, ())))
+        for e, r2, gabriel in zip(edges, r2s, _gabriel(points, edges, r2s))
+    ]
+    return FilteredComplex._from_arrays(
+        [np.arange(len(points)), edges, tri.triangles],
+        [np.zeros(len(points)), edge_values, radii],
+    )
 
 
 def build_alpha_complex(pc: PointCloud, tol: float = 1e-12) -> FilteredComplex:

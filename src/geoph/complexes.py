@@ -6,13 +6,21 @@ A filtered complex assigns each simplex a finite real value, is closed under
 faces, and is monotone (no face appears later than a coface).  Simplices are
 totally ordered by ``(value, dimension, lexicographic)``; every consumer in
 the package relies on that order.
+
+A complex is stored as arrays: for each dimension, its simplices as rows of
+vertex ids in lexicographic order with the filtration position of each row,
+and the values in filtration order.  Faces are found by binary search over
+packed vertex ranks.  The constructor validates its entries; the builders
+in this package emit valid complexes by construction and hand their arrays
+to ``FilteredComplex._from_arrays``, which does not.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 Simplex = tuple[int, ...]
 Entry = tuple[Simplex, float]
@@ -50,6 +58,15 @@ def order_key(entry: Entry) -> tuple[float, int, Simplex]:
     return (value, len(s), s)
 
 
+def _lookup(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of each key in ``sorted_keys``, and whether it is there."""
+    at = np.searchsorted(sorted_keys, keys)
+    found = np.zeros(keys.shape, dtype=bool)
+    inside = at < len(sorted_keys)
+    found[inside] = sorted_keys[at[inside]] == keys[inside]
+    return at, found
+
+
 class FilteredComplex:
     """Immutable filtered complex with a canonical simplex order.
 
@@ -57,36 +74,104 @@ class FilteredComplex:
     build from a partial simplex list.
     """
 
-    __slots__ = ("_entries", "_index")
+    __slots__ = ("_rows", "_positions", "_values", "_entries")
 
     def __init__(self, entries: Iterable[Entry]):
-        ordered = sorted(((simplex(s), float(v)) for s, v in entries), key=order_key)
-        index: dict[Simplex, int] = {}
-        for pos, (s, value) in enumerate(ordered):
-            if not math.isfinite(value):
+        rows: list[list[Simplex]] = [[] for _ in range(MAX_DIM + 1)]
+        values: list[list[float]] = [[] for _ in range(MAX_DIM + 1)]
+        for s, v in entries:
+            s, v = simplex(s), float(v)
+            if not math.isfinite(v):
                 raise ValueError(f"non-finite filtration value for {s}")
-            if s in index:
-                raise ValueError(f"duplicate simplex {s}")
-            index[s] = pos
-        for s, value in ordered:
-            for f in faces(s):
-                if f not in index:
-                    raise ValueError(f"complex not closed: {s} lacks face {f}")
-                if ordered[index[f]][1] > value:
-                    raise ValueError(
-                        f"filtration not monotone: face {f} enters after {s}"
-                    )
-        self._entries: tuple[Entry, ...] = tuple(ordered)
-        self._index = index
+            rows[len(s) - 1].append(s)
+            values[len(s) - 1].append(v)
+        self._set(rows, values)
+        for d, r in enumerate(self._rows):
+            repeated = np.flatnonzero((r[1:] == r[:-1]).all(axis=1))
+            if len(repeated):
+                raise ValueError(f"duplicate simplex {self._simplex(d, repeated[0])}")
+        for d in range(1, MAX_DIM + 1):
+            at, found = self._face_rows(d)
+            if not found.all():
+                k, i = np.argwhere(~found)[0]
+                s = self._simplex(d, k)
+                raise ValueError(f"complex not closed: {s} lacks face {faces(s)[i]}")
+            value = self._values[self._positions[d]]
+            later = self._values[self._positions[d - 1][at]] > value[:, None]
+            if later.any():
+                k, i = np.argwhere(later)[0]
+                s = self._simplex(d, k)
+                raise ValueError(f"filtration not monotone: face {faces(s)[i]} enters after {s}")
+
+    @classmethod
+    def _from_arrays(
+        cls, rows: Sequence[np.ndarray], values: Sequence[np.ndarray]
+    ) -> FilteredComplex:
+        """A complex from valid arrays, unchecked: for builders only.
+
+        ``rows[d]`` holds the d-simplices, one strictly increasing row of
+        vertex ids each, in any order and without repeats; ``values[d]``
+        their finite values.  The simplices must be closed under faces and
+        monotone.
+        """
+        fc = cls.__new__(cls)
+        fc._set(rows, values)
+        return fc
+
+    def _set(self, rows: Sequence, values: Sequence) -> None:
+        by_dim, value_by_dim = [], []
+        for d, (r, v) in enumerate(zip(rows, values)):
+            r = np.asarray(r, dtype=np.int64).reshape(-1, d + 1)
+            lex = np.lexsort(r.T[::-1])
+            by_dim.append(r[lex])
+            value_by_dim.append(np.asarray(v, dtype=np.float64)[lex])
+        value = np.concatenate(value_by_dim)
+        # The rows run by dimension, then lexicographically, so a stable sort
+        # by value gives the (value, dimension, lex) order.
+        order = np.argsort(value, kind="stable")
+        position = np.empty_like(order)
+        position[order] = np.arange(len(order))
+        self._rows = tuple(by_dim)
+        self._positions = tuple(np.split(position, np.cumsum([len(r) for r in by_dim[:-1]])))
+        self._values = value[order]
+        listed = [s for r in by_dim for s in zip(*r.T.tolist())]
+        self._entries: tuple[Entry, ...] = tuple(
+            zip(map(listed.__getitem__, order.tolist()), self._values.tolist())
+        )
+
+    def _simplex(self, d: int, k: int) -> Simplex:
+        return tuple(self._rows[d][k].tolist())
+
+    def _face_rows(self, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """Row of each face of each d-simplex among the (d-1)-simplices, in
+        ``faces`` order, and whether that face is there."""
+        vertex_ids = self._rows[0][:, 0]
+        weights = len(vertex_ids) ** np.arange(d - 1, -1, -1)  # packs ranks into one key
+        rank, known = _lookup(vertex_ids, self._rows[d])
+        keep = [[j for j in range(d + 1) if j != i] for i in range(d + 1)]
+        below = np.searchsorted(vertex_ids, self._rows[d - 1]) @ weights
+        at, found = _lookup(below, rank[:, keep] @ weights)
+        return at, found & known[:, keep].all(axis=2)
+
+    def _position(self, s: Iterable[int]) -> int | None:
+        s = tuple(s)
+        if not 1 <= len(s) <= MAX_DIM + 1:
+            return None
+        rows = self._rows[len(s) - 1]
+        lo, hi = 0, len(rows)
+        for c, v in enumerate(s):  # rows agreeing with s so far sort by column c
+            column = rows[lo:hi, c]
+            lo, hi = lo + int(np.searchsorted(column, v)), lo + int(np.searchsorted(column, v, "right"))
+        return int(self._positions[len(s) - 1][lo]) if lo < hi else None
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._values)
 
     def __iter__(self) -> Iterator[Entry]:
-        return iter(self._entries)
+        return iter(self.entries)
 
     def __contains__(self, s: Simplex) -> bool:
-        return tuple(s) in self._index
+        return self._position(s) is not None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FilteredComplex):
@@ -94,40 +179,47 @@ class FilteredComplex:
         return self._entries == other._entries
 
     def __repr__(self) -> str:
-        return f"FilteredComplex({len(self._entries)} simplices)"
+        return f"FilteredComplex({len(self)} simplices)"
 
     @property
     def entries(self) -> tuple[Entry, ...]:
         """Simplices with values, in canonical (value, dim, lex) order."""
         return self._entries
 
+    def face_positions(self, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """Filtration positions of the d-simplices (d = 1 or 2), and row by
+        row the positions of each one's faces, in ``faces`` order."""
+        at, _ = self._face_rows(d)
+        return self._positions[d], self._positions[d - 1][at]
+
     def simplices(self) -> list[Simplex]:
-        return [s for s, _ in self._entries]
+        return [s for s, _ in self.entries]
 
     def value_of(self, s: Simplex) -> float:
-        return self._entries[self._index[tuple(s)]][1]
+        return float(self._values[self.position_of(s)])
 
     def position_of(self, s: Simplex) -> int:
-        return self._index[tuple(s)]
+        pos = self._position(s)
+        if pos is None:
+            raise KeyError(tuple(s))
+        return pos
 
     def max_value(self) -> float:
-        return self._entries[-1][1] if self._entries else 0.0
+        return float(self._values[-1]) if len(self) else 0.0
 
     def distinct_values(self) -> list[float]:
-        return sorted({v for _, v in self._entries})
+        return sorted(set(self._values.tolist()))
 
     def complex_at(self, t: float) -> set[Simplex]:
         """Sublevel complex: all simplices with value <= t."""
-        return {s for s, v in self._entries if v <= t}
+        return {s for s, v in self.entries if v <= t}
 
     def counts(self) -> tuple[int, int, int]:
-        c = [0, 0, 0]
-        for s, _ in self._entries:
-            c[len(s) - 1] += 1
-        return c[0], c[1], c[2]
+        c0, c1, c2 = map(len, self._rows)
+        return c0, c1, c2
 
     def to_text(self) -> str:
-        lines = [f"{','.join(map(str, s))}\t{value!r}" for s, value in self._entries]
+        lines = [f"{','.join(map(str, s))}\t{value!r}" for s, value in self.entries]
         return "\n".join(lines) + ("\n" if lines else "")
 
     @classmethod
@@ -174,13 +266,3 @@ def euler_characteristic(simplices: Iterable[Simplex]) -> int:
     for s in simplices:
         chi += (-1) ** (len(s) - 1)
     return chi
-
-
-def all_faces_closure(simplices: Iterable[Simplex]) -> set[Simplex]:
-    """All faces of all dimensions of the given simplices (including them)."""
-    out: set[Simplex] = set()
-    for s in simplices:
-        s = simplex(s)
-        for k in range(1, len(s) + 1):
-            out.update(combinations(s, k))
-    return out

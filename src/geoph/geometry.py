@@ -194,12 +194,20 @@ def polygon_centroid(rings: Iterable[Ring]) -> tuple[Point, float]:
 
     Rings combine through their signed areas, so conventionally oriented
     holes (clockwise inside a counterclockwise exterior) subtract correctly.
-    When the total area vanishes the caller is expected to fall back to a
-    vertex average.
+    The sums run on coordinates scaled by a power of two that brings the
+    largest into [0.5, 1), so their third-order terms neither underflow nor
+    overflow; the scaling is exact, and the result is the unscaled formula's
+    wherever that one neither underflows nor overflows.  An area beyond the
+    float range comes back as 0.0 or inf.  When the total area vanishes the
+    centroid is nan and the caller is expected to fall back to a vertex
+    average.
     """
+    rings = list(rings)
+    _, e = math.frexp(max((abs(c) for ring in rings for p in ring for c in p), default=0.0))
     ax = ay = area = 0.0
     for ring in rings:
-        for (x0, y0), (x1, y1) in zip(ring[:-1], ring[1:]):
+        scaled = [(math.ldexp(x, -e), math.ldexp(y, -e)) for x, y in ring]
+        for (x0, y0), (x1, y1) in zip(scaled[:-1], scaled[1:]):
             cross = x0 * y1 - x1 * y0
             area += cross
             ax += (x0 + x1) * cross
@@ -207,7 +215,18 @@ def polygon_centroid(rings: Iterable[Ring]) -> tuple[Point, float]:
     area *= 0.5
     if area == 0.0:
         return (math.nan, math.nan), 0.0
-    return (ax / (6.0 * area), ay / (6.0 * area)), area
+    return (
+        (_ldexp(ax / (6.0 * area), e), _ldexp(ay / (6.0 * area), e)),
+        _ldexp(area, 2 * e),
+    )
+
+
+def _ldexp(x: float, e: int) -> float:
+    """``x * 2**e``, with an overflow as a signed inf."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def point_in_rings(x: float, y: float, rings: Iterable[Ring]) -> bool:

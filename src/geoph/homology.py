@@ -39,9 +39,11 @@ class BoundaryMatrix:
 
 
 def build_boundary_matrix(fc: FilteredComplex) -> BoundaryMatrix:
-    cols = []
-    for s, _ in fc.entries:
-        cols.append(frozenset(fc.position_of(f) for f in faces(s)))
+    cols: list[frozenset[int]] = [frozenset()] * len(fc)
+    for d in (1, 2):
+        at, face_at = fc.face_positions(d)
+        for j, col in zip(at.tolist(), face_at.tolist()):
+            cols[j] = frozenset(col)
     return BoundaryMatrix(columns=tuple(cols), entries=fc.entries)
 
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .complexes import Entry, FilteredComplex
+from .complexes import FilteredComplex
 from .errors import InputError
 from .geometry import Point
 from .precincts import PrecinctMap, winning_precincts
@@ -268,7 +268,8 @@ def complex_from_schedule(schedule: GridVertexSchedule) -> FilteredComplex:
     steps = np.array(schedule.entry, dtype=float).reshape(n_rows, n_cols)
     steps[np.isnan(steps)] = np.inf  # None: never enters
     ids = np.arange(n_rows * n_cols).reshape(n_rows, n_cols)
-    entries: list[Entry] = []
+    rows: list[list[np.ndarray]] = [[], [], []]
+    values: list[list[np.ndarray]] = [[], [], []]
     # Corner offsets of each simplex from its top-left vertex, in ascending
     # id order: the vertex, its E, S and SE edges, and the two triangles of
     # the square split by its NW-SE diagonal.
@@ -285,9 +286,11 @@ def complex_from_schedule(schedule: GridVertexSchedule) -> FilteredComplex:
         windows = [(slice(dr, dr + h), slice(dc, dc + w)) for dr, dc in corners]
         value = np.max([steps[win] for win in windows], axis=0)
         entered = np.isfinite(value)
-        verts = np.stack([ids[win][entered] for win in windows], axis=1)
-        entries.extend(zip(map(tuple, verts.tolist()), value[entered].tolist()))
-    return FilteredComplex(entries)
+        rows[len(corners) - 1].append(np.stack([ids[win][entered] for win in windows], axis=1))
+        values[len(corners) - 1].append(value[entered])
+    return FilteredComplex._from_arrays(
+        [np.concatenate(r) for r in rows], [np.concatenate(v) for v in values]
+    )
 
 
 def vertex_coordinates(

@@ -117,8 +117,8 @@ def winning_precincts(m: PrecinctMap, candidate: str) -> list[Precinct]:
 
 def centroid_of(p: Precinct) -> Point:
     """Area-weighted centroid; zero-area polygons fall back to a vertex mean."""
-    (cx, cy), area = polygon_centroid(p.rings)
-    if area == 0.0 or not (math.isfinite(cx) and math.isfinite(cy)):
+    (cx, cy), _ = polygon_centroid(p.rings)
+    if not (math.isfinite(cx) and math.isfinite(cy)):
         warnings.warn(
             f"precinct {p.id!r} has zero area; using vertex average", stacklevel=2
         )

@@ -9,11 +9,10 @@ neighbors, so nothing beyond the distance cutoff is ever touched.
 from __future__ import annotations
 
 import warnings
-from itertools import combinations
 
 import numpy as np
 
-from .complexes import Entry, FilteredComplex
+from .complexes import FilteredComplex
 from .errors import NumericalError
 from .geometry import PointCloud, distance_matrix
 
@@ -42,21 +41,19 @@ def build_vr_complex(pc: PointCloud, eps_max: float | None = None) -> FilteredCo
     if eps_max <= 0.0:
         raise ValueError("eps_max must be positive")
 
-    rows = dist.tolist()
-    entries: list[Entry] = [((v,), 0.0) for v in range(n)]
-    saw_zero_edge = False
-    for v in range(n):
-        row_v = rows[v]
-        lower = [u for u in range(v) if row_v[u] <= eps_max]
-        for u in lower:
-            d = row_v[u]
-            if d == 0.0:
-                saw_zero_edge = True
-            entries.append(((u, v), d))
-        for u, w in combinations(lower, 2):
-            duw = rows[u][w]
-            if duw <= eps_max:
-                entries.append(((u, w, v), max(duw, row_v[u], row_v[w])))
-    if saw_zero_edge:
+    near = dist <= eps_max
+    v, u = np.nonzero(np.tril(near, -1))  # edges (u, v) with u < v
+    edge_values = dist[v, u]
+    triangles, triangle_values = [], []
+    for w in range(n):
+        lower = np.flatnonzero(near[w, :w])
+        a, b = np.nonzero(np.triu(near[np.ix_(lower, lower)], 1))
+        a, b = lower[a], lower[b]
+        triangles.append(np.stack([a, b, np.full_like(a, w)], axis=1))
+        triangle_values.append(np.maximum(np.maximum(dist[a, b], dist[w, a]), dist[w, b]))
+    if (edge_values == 0.0).any():
         warnings.warn("coincident points produce zero-length edges", stacklevel=2)
-    return FilteredComplex(entries)
+    return FilteredComplex._from_arrays(
+        [np.arange(n), np.stack([u, v], axis=1), np.concatenate(triangles)],
+        [np.zeros(n), edge_values, np.concatenate(triangle_values)],
+    )

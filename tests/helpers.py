@@ -8,7 +8,8 @@ package's map and complex types, and enumerate every pair; the raster
 reference shares only the grid shape and the winner selection, and scans
 every row.  The Delaunay reference scans every triangle for each cavity and
 every edge for each flip, with a ``Fraction`` in-circle test.  The
-``barcode.json`` reference is the standard library's JSON encoder.
+``barcode.json`` reference is the standard library's JSON encoder.  The
+boundary-matrix reference looks every face up in a dict of simplices.
 """
 
 from __future__ import annotations
@@ -463,6 +464,18 @@ def boundary_edges(tri):
     return {e for e, k in count.items() if k == 1}
 
 
+def all_faces_closure(simplices):
+    """All faces of all dimensions of the given simplices (including them)."""
+    from geoph.complexes import simplex
+
+    out = set()
+    for s in simplices:
+        s = simplex(s)
+        for k in range(1, len(s) + 1):
+            out.update(combinations(s, k))
+    return out
+
+
 def random_filtered_entries(rng, max_vertices=10):
     """Random raw simplex/value list; close_under_faces makes it a complex."""
     n = rng.randrange(1, max_vertices + 1)
@@ -474,6 +487,15 @@ def random_filtered_entries(rng, max_vertices=10):
         if rng.random() < 0.12:
             entries.append(((i, j, k), float(rng.randrange(0, 8))))
     return entries
+
+
+def boundary_matrix_reference(fc):
+    """Boundary columns of a filtered complex by looking each face up in a
+    dict from simplex to filtration position."""
+    from geoph.complexes import faces
+
+    position = {s: j for j, (s, _) in enumerate(fc.entries)}
+    return tuple(frozenset(position[f] for f in faces(s)) for s, _ in fc.entries)
 
 
 def dense_reduce_reference(columns):

@@ -14,7 +14,6 @@ from geoph.alpha import build_alpha_complex, delaunay_triangulation
 from geoph.cli import main
 from geoph.complexes import (
     FilteredComplex,
-    all_faces_closure,
     close_under_faces,
     euler_characteristic,
 )
@@ -33,6 +32,7 @@ from geoph.rips import build_vr_complex
 from geoph.synth import annulus_fixture, blobs_fixture, dissent_fixture, grid_fixture
 
 from helpers import (
+    all_faces_closure,
     circumcircle_has_point_strictly,
     clique_triangles,
     grid_queen_edges,

@@ -9,7 +9,7 @@ from geoph.alpha import (
     build_alpha_complex,
     delaunay_triangulation,
 )
-from geoph.complexes import all_faces_closure
+from geoph.complexes import FilteredComplex, close_under_faces
 from geoph.errors import DegenerateTriangulationError, NumericalError
 from geoph.geometry import PointCloud
 from geoph.homology import barcode_of, betti_oracle
@@ -17,6 +17,7 @@ from geoph.precincts import centroids, parse_feature_collection
 from geoph.rips import build_vr_complex
 
 from helpers import (
+    all_faces_closure,
     alpha_values_reference,
     boundary_edges,
     circumcircle_has_point_strictly,
@@ -265,6 +266,35 @@ class TestAlphaFiltration:
             except DegenerateTriangulationError:
                 continue
             assert dict(alpha_filtration(tri, pc)) == alpha_values_reference(tri)
+
+    def test_matches_closure_of_raw_values(self):
+        # Each near-right triangle's longest side is Gabriel, and its half
+        # length exceeds the float circumradius, so the edge must be lowered
+        # to the triangle's value; the reference clouds lower nothing.
+        near_right = [
+            cloud(
+                (1.7783047725059227, -2.952204854662072),
+                (3.853537177487138, -3.759161876865014),
+                (3.6843087024480883, -2.659016266346149),
+            ),
+            cloud(
+                (-0.19254813369961, -1.8420689415355596),
+                (-2.438491238727809, -1.5757916741117666),
+                (-2.084975408198422, -2.5376213829567096),
+            ),
+        ]
+        lowered = 0
+        for pc in [*near_right, *reference_clouds()]:
+            try:
+                tri = delaunay_triangulation(pc)
+            except DegenerateTriangulationError:
+                continue
+            raw = alpha_values_reference(tri)
+            fc = alpha_filtration(tri, pc)
+            assert fc == close_under_faces(raw.items())
+            assert fc.entries == FilteredComplex(fc.entries).entries
+            lowered += sum(fc.value_of(s) < value for s, value in raw.items())
+        assert lowered == len(near_right)
 
     def test_gabriel_decisions_at_the_slack_boundary(self):
         # Third points within about 1e-12 of the edge's slackened diametral

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import geoph
 from geoph.cli import main
+from geoph.precincts import centroids, parse_feature_collection
 from geoph.synth import grid_fixture, write_fixture
 
 
@@ -193,6 +195,37 @@ class TestBuild:
         if code == 3:
             for wrong in ("collinear", "degenerate cavity", "failed verification"):
                 assert wrong not in err
+
+    @pytest.mark.parametrize(
+        "scale, vr_code, alpha_code",
+        # At 1e-200 and 1e200 alpha's enclosing triangle, and at 1e200 the
+        # VR distances, leave the float range: those builds exit 3 for that
+        # reason, whatever the centroids.
+        [(1e-130, 0, 0), (1e-200, 0, 3), (1e200, 3, 3)],
+    )
+    def test_centroids_keep_their_scale(self, tmp_path, capsys, scale, vr_code, alpha_code):
+        obj = grid_fixture(3)
+        for feature in obj["features"]:
+            feature["geometry"]["coordinates"] = [
+                [[x * scale, y * scale] for x, y in ring]
+                for ring in feature["geometry"]["coordinates"]
+            ]
+        unit = centroids(parse_feature_collection(grid_fixture(3)).precincts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no zero-area fallback
+            got = centroids(parse_feature_collection(obj).precincts)
+        assert got == [pytest.approx((x * scale, y * scale), rel=1e-12) for x, y in unit]
+        src = tmp_path / "scaled.geojson"
+        write_fixture(obj, src)
+        for method, expected in (("vr", vr_code), ("alpha", alpha_code)):
+            code = main(
+                ["build", "--method", method, "--candidate", "red",
+                 "--input", str(src), "--out", str(tmp_path / method)]
+            )
+            err = capsys.readouterr().err
+            assert code == expected, err
+            assert "Traceback" not in err
+            assert "duplicate points" not in err
 
     def test_deterministic_across_invocations(self, tmp_path):
         src = synth(tmp_path, "dissent", "d.geojson")

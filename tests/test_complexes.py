@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from geoph.complexes import (
     FilteredComplex,
-    all_faces_closure,
     close_under_faces,
     euler_characteristic,
     faces,
@@ -15,7 +14,7 @@ from geoph.complexes import (
     simplex,
 )
 
-from helpers import random_filtered_entries
+from helpers import all_faces_closure, random_filtered_entries
 
 
 class TestSimplex:
@@ -79,9 +78,32 @@ class TestFilteredComplex:
         with pytest.raises(ValueError, match="not closed"):
             FilteredComplex([((0, 1), 1.0), ((0,), 0.0)])
 
+    def test_strict_constructor_names_the_missing_face(self):
+        with pytest.raises(ValueError, match=r"\(0, 1\) lacks face \(1,\)"):
+            FilteredComplex([((0, 1), 1.0), ((0,), 0.0)])
+        # Vertex 1 is missing, and its neighbour 2 has the rank 1 would
+        # have, so (0, 1) and (1, 3) must not be taken for (0, 2) and (2, 3).
+        vertices = [((v,), 0.0) for v in (0, 2, 3)]
+        edges = [((0, 2), 0.0), ((0, 3), 0.0), ((2, 3), 0.0)]
+        with pytest.raises(ValueError, match=r"\(0, 1, 3\) lacks face \(1, 3\)"):
+            FilteredComplex(vertices + edges + [((0, 1, 3), 1.0)])
+
     def test_strict_constructor_rejects_non_monotone(self):
         with pytest.raises(ValueError, match="monotone"):
             FilteredComplex([((0,), 2.0), ((1,), 0.0), ((0, 1), 1.0)])
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_strict_constructor_rejects_non_finite(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            FilteredComplex([((0,), 0.0), ((1,), value)])
+        with pytest.raises(ValueError, match="non-finite"):
+            FilteredComplex.from_text(f"0\t0.0\n1\t{value!r}\n")
+
+    def test_strict_constructor_rejects_repeated_vertex(self):
+        with pytest.raises(ValueError, match="repeated vertex"):
+            FilteredComplex([((0,), 0.0), ((0, 0), 1.0)])
+        with pytest.raises(ValueError, match="repeated vertex"):
+            FilteredComplex.from_text("0\t0.0\n0,0\t1.0\n")
 
     def test_strict_constructor_rejects_duplicates(self):
         with pytest.raises(ValueError, match="duplicate"):

@@ -9,7 +9,6 @@ import pytest
 
 from geoph.complexes import (
     FilteredComplex,
-    all_faces_closure,
     close_under_faces,
     euler_characteristic,
     faces,
@@ -29,7 +28,9 @@ from geoph.precincts import parse_feature_collection
 from geoph.synth import FIXTURES, make_fixture
 
 from helpers import (
+    all_faces_closure,
     barcode_json_reference,
+    boundary_matrix_reference,
     boundary_of_boundary_vanishes,
     dense_reduce_reference,
     random_filtered_entries,
@@ -55,6 +56,28 @@ class TestBoundaryMatrix:
     def test_boundary_of_boundary_vanishes(self):
         fc = close_under_faces([((0, 1, 2), 1.0), ((1, 2, 3), 2.0)])
         assert boundary_of_boundary_vanishes(build_boundary_matrix(fc).columns)
+
+    def test_matches_reference_on_random_complexes(self):
+        rng = random.Random(31)
+        for _ in range(60):
+            fc = close_under_faces(random_filtered_entries(rng))
+            assert build_boundary_matrix(fc).columns == boundary_matrix_reference(fc)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_matches_reference_on_fixtures(self, fixture, method):
+        fc = fixture_complex(fixture, method)
+        assert build_boundary_matrix(fc).columns == boundary_matrix_reference(fc)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_builders_emit_what_the_validating_constructor_accepts(self, fixture, method):
+        # The builders skip validation; the constructor re-derives the
+        # order and checks closure and monotonicity.
+        fc = fixture_complex(fixture, method)
+        validated = FilteredComplex(fc.entries)
+        assert fc == validated
+        assert fc.entries == validated.entries
 
 
 def assert_matches_dense_reference(fc):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from geoph.complexes import close_under_faces
+from geoph.complexes import FilteredComplex, close_under_faces
 from geoph.geometry import PointCloud
 from geoph.homology import barcode_of, betti_oracle
 from geoph.rips import build_vr_complex
@@ -72,6 +72,7 @@ class TestAgainstNaiveConstruction:
             fc = build_vr_complex(cloud(*pts), eps_max=eps)
             ref = naive_vr(pts, eps)
             assert dict(fc.entries) == pytest.approx(ref)
+            assert fc == FilteredComplex(fc.entries)
 
 
 class TestUnitSquare:
