@@ -18,13 +18,17 @@ A heap keyed by the candidate diagonal holds the pending flips.
 Alpha filtration values are radii: a triangle enters at its circumradius,
 an edge at half its length if its diametral disk contains no other point
 (Gabriel), otherwise at the smallest circumradius among its incident
-triangles.  Vertices enter at zero.
+triangles.  Vertices enter at zero.  Whether an edge is Gabriel is decided
+from the apexes of its one or two incident triangles alone (the "attached"
+test of Edelsbrunner & Muecke): in a Delaunay triangulation a point in the
+edge's closed diametral disk on one side lies strictly inside the
+circumcircle of that side's triangle unless that triangle's apex is itself
+in the disk.
 
-The final check that no circumcircle strictly holds any point and the
-Gabriel test both cover every point.  They run over small numpy blocks as a
-conservative float prefilter; what it cannot decide goes to the exact
-in-circle test or to the scalar Gabriel expression, so every decision is the
-scalar one.
+The final check that no circumcircle strictly holds any point covers every
+point.  It runs over small numpy blocks as a conservative float prefilter;
+what that cannot decide goes to the exact in-circle test, so every decision
+is the scalar one.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ import numpy as np
 from .complexes import FilteredComplex
 from .errors import DegenerateTriangulationError, NumericalError
 from .geometry import (
+    IN_CIRCLE_TOL,
     Point,
     PointCloud,
     circumcircle,
@@ -50,10 +55,9 @@ from .geometry import (
 Edge = tuple[int, int]
 Tri = tuple[int, int, int]
 
-# Rows per numpy block: triangles in the verification, edges in the Gabriel
-# scan.  Each block holds a few arrays of rows x points floats.
+# Triangles per numpy block in the verification.  Each block holds a few
+# arrays of triangles x points floats.
 _VERIFY_BLOCK = 16
-_GABRIEL_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -75,11 +79,11 @@ class Triangulation:
         return out
 
 
-def _in_circle(pa: Point, pb: Point, pc: Point, p: Point, tol: float) -> int:
+def _in_circle(pa: Point, pb: Point, pc: Point, p: Point) -> int:
     """+1 if p is strictly inside circle(pa, pb, pc), -1 outside, 0 on it."""
     if orient2d(pa, pb, pc) < 0:
         pb, pc = pc, pb
-    return in_circumcircle(pa, pb, pc, p, tol=tol)
+    return in_circumcircle(pa, pb, pc, p)
 
 
 def _sides(t: Tri) -> tuple[tuple[Edge, int], ...]:
@@ -118,7 +122,6 @@ def _cavity(
     owners: dict[Edge, list[Tri]],
     start: Tri,
     p: Point,
-    tol: float,
 ) -> list[Tri]:
     """Every triangle whose circumcircle strictly holds ``p``.
 
@@ -132,7 +135,7 @@ def _cavity(
 
     def holds(t: Tri) -> bool:
         if t not in sign:
-            sign[t] = _in_circle(verts[t[0]], verts[t[1]], verts[t[2]], p, tol)
+            sign[t] = _in_circle(verts[t[0]], verts[t[1]], verts[t[2]], p)
         return sign[t] > 0
 
     seed = None
@@ -174,7 +177,7 @@ def _finite_normal(x: float) -> bool:
     return math.isfinite(x) and abs(x) >= sys.float_info.min
 
 
-def delaunay_triangulation(pc: PointCloud, tol: float = 1e-12) -> Triangulation:
+def delaunay_triangulation(pc: PointCloud) -> Triangulation:
     """Delaunay triangulation of the cloud, canonical under cocircularity.
 
     Fewer than three points give a triangle-free result (a single edge for
@@ -218,7 +221,7 @@ def delaunay_triangulation(pc: PointCloud, tol: float = 1e-12) -> Triangulation:
 
     for p_idx in range(n):
         p = verts[p_idx]
-        bad = _cavity(verts, owners, last, p, tol)
+        bad = _cavity(verts, owners, last, p)
         inside = set(bad)
         rim = [
             e
@@ -239,15 +242,13 @@ def delaunay_triangulation(pc: PointCloud, tol: float = 1e-12) -> Triangulation:
     real = tuple(sorted(t for t in _triangles(owners) if t[2] < n))
     if not real:
         raise DegenerateTriangulationError("all points are collinear")
-    real = _canonical_cocircular_flips(points, real, tol)
-    _verify_empty_circumcircles(points, real, tol)
+    real = _canonical_cocircular_flips(points, real)
+    _verify_empty_circumcircles(points, real)
     return Triangulation(points=points, triangles=real)
 
 
 def _canonical_cocircular_flips(
-    points: tuple[Point, ...],
-    triangles: tuple[Tri, ...],
-    tol: float,
+    points: tuple[Point, ...], triangles: tuple[Tri, ...]
 ) -> tuple[Tri, ...]:
     """Flip exactly-cocircular interior edges to the lex-smallest diagonal.
 
@@ -278,7 +279,7 @@ def _canonical_cocircular_flips(
             return None
         a, b = e
         c, d = alt
-        if _in_circle(points[a], points[b], points[c], points[d], tol) != 0:
+        if _in_circle(points[a], points[b], points[c], points[d]) != 0:
             return None
         return alt
 
@@ -302,7 +303,7 @@ def _canonical_cocircular_flips(
 
 
 def _verify_empty_circumcircles(
-    points: tuple[Point, ...], triangles: tuple[Tri, ...], tol: float
+    points: tuple[Point, ...], triangles: tuple[Tri, ...]
 ) -> None:
     """Raise unless no triangle's circumcircle strictly holds another point.
 
@@ -326,70 +327,23 @@ def _verify_empty_circumcircles(
             ax, ay, bx, by, cx, cy = (np.array(col)[:, None] for col in zip(*corners))
             det, (ad2, bd2, cd2) = in_circle_determinant((ax, ay), (bx, by), (cx, cy), (xs, ys))
             scale = np.maximum(np.maximum(np.maximum(ad2, bd2), cd2), 1.0)
-            undecided = ~(det < -2.0 * (tol * scale * scale))
+            undecided = ~(det < -2.0 * (IN_CIRCLE_TOL * scale * scale))
             rows = np.arange(len(block))[:, None]
             undecided[rows, np.array(block)] = False  # a triangle's own corners
             for i, q in zip(*np.nonzero(undecided)):
                 t = block[i]
                 pa, pb, pc_ = (points[v] for v in t)
-                if _in_circle(pa, pb, pc_, points[q], tol) > 0:
+                if _in_circle(pa, pb, pc_, points[q]) > 0:
                     raise NumericalError(
                         f"triangulation failed verification at triangle {t}"
                     )
 
 
-def _gabriel(
-    points: tuple[Point, ...], edges: list[Edge], r2s: list[float]
-) -> list[bool]:
-    """Whether each edge's closed diametral disk (with a 1e-12 relative
-    slack) holds no other point, for edges with finite ``r2s``.
-
-    A numpy block computes the squared distance from each midpoint to every
-    point.  Points clearly inside or outside the slackened disk are decided
-    there; those within a relative 1e-9 of its boundary are re-tested with
-    the scalar expression.  The arrays differ from it by a few ulps (``x * x``
-    against ``x ** 2``) and the bound is at least 1e-12, so rounding never
-    changes a decision.
-    """
-    xs = np.array([p[0] for p in points])
-    ys = np.array([p[1] for p in points])
-    out: list[bool] = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(edges), _GABRIEL_BLOCK):
-            block = edges[start : start + _GABRIEL_BLOCK]
-            bounds = [r2 + 1e-12 * max(r2, 1.0) for r2 in r2s[start : start + len(block)]]
-            ends = np.array(block)
-            mx = ((xs[ends[:, 0]] + xs[ends[:, 1]]) / 2.0)[:, None]
-            my = ((ys[ends[:, 0]] + ys[ends[:, 1]]) / 2.0)[:, None]
-            d2 = (xs - mx) ** 2 + (ys - my) ** 2
-            bound = np.array(bounds)[:, None]
-            maybe = d2 <= bound * (1.0 + 1e-9)
-            surely = d2 < bound * (1.0 - 1e-9)
-            rows = np.arange(len(block))
-            for col in (ends[:, 0], ends[:, 1]):
-                maybe[rows, col] = False
-                surely[rows, col] = False
-            for i, (u, v) in enumerate(block):
-                if surely[i].any():
-                    out.append(False)
-                    continue
-                (ux, uy), (vx, vy) = points[u], points[v]
-                mxs, mys = (ux + vx) / 2.0, (uy + vy) / 2.0
-                out.append(
-                    not any(
-                        (points[w][0] - mxs) ** 2 + (points[w][1] - mys) ** 2
-                        <= bounds[i]
-                        for w in np.flatnonzero(maybe[i]).tolist()
-                    )
-                )
-    return out
-
-
-def _half_length_sq(a: Point, b: Point) -> float:
-    """Squared half-length of segment ab, or inf when it overflows."""
+def _dist_sq(a: Point, b: Point) -> float:
+    """Squared distance from a to b, or inf when it overflows."""
     (ux, uy), (vx, vy) = a, b
     try:
-        return ((ux - vx) ** 2 + (uy - vy) ** 2) / 4.0
+        return (ux - vx) ** 2 + (uy - vy) ** 2
     except OverflowError:
         return math.inf
 
@@ -405,38 +359,45 @@ def alpha_filtration(tri: Triangulation, pc: PointCloud) -> FilteredComplex:
         raise ValueError("triangulation does not belong to this point cloud")
 
     radii: list[float] = []
-    incident: dict[Edge, list[float]] = {}
+    incident: dict[Edge, list[tuple[float, int]]] = {}  # (radius, apex) per side
     for t in tri.triangles:
         try:
             _, r = circumcircle(points[t[0]], points[t[1]], points[t[2]])
         except ValueError:  # a sliver whose float circumcircle formula gives 0
             raise NumericalError(f"no float circumradius for thin triangle {t}") from None
         radii.append(r)
-        for e, _ in _sides(t):
-            incident.setdefault(e, []).append(r)
+        for e, apex in _sides(t):
+            incident.setdefault(e, []).append((r, apex))
 
     edges = sorted(tri.edges())
-    r2s = [_half_length_sq(points[u], points[v]) for u, v in edges]
+    r2s = [_dist_sq(points[u], points[v]) / 4.0 for u, v in edges]
     if not all(map(math.isfinite, [*radii, *r2s])):
         raise NumericalError("alpha radius is not finite; coordinates are too large")
-    # A Gabriel edge enters at its half length, which can exceed the
-    # circumradius of a near-right triangle on it by an ulp; the edge then
-    # enters with that triangle, so that no face enters after a coface.
-    edge_values = [
-        min((math.sqrt(r2) if gabriel else math.inf, *incident.get(e, ())))
-        for e, r2, gabriel in zip(edges, r2s, _gabriel(points, edges, r2s))
-    ]
+    edge_values = []
+    for (u, v), r2 in zip(edges, r2s):
+        sides = incident.get((u, v), ())
+        (ux, uy), (vx, vy) = points[u], points[v]
+        mid = ((ux + vx) / 2.0, (uy + vy) / 2.0)
+        bound = r2 + 1e-12 * max(r2, 1.0)  # closed disk, 1e-12 relative slack
+        gabriel = all(_dist_sq(points[w], mid) > bound for _, w in sides)
+        # A Gabriel edge enters at its half length, which can exceed the
+        # circumradius of a near-right triangle on it by an ulp; the edge
+        # then enters with that triangle, so that no face enters after a
+        # coface.
+        edge_values.append(
+            min((math.sqrt(r2) if gabriel else math.inf, *(r for r, _ in sides)))
+        )
     return FilteredComplex._from_arrays(
         [np.arange(len(points)), edges, tri.triangles],
         [np.zeros(len(points)), edge_values, radii],
     )
 
 
-def build_alpha_complex(pc: PointCloud, tol: float = 1e-12) -> FilteredComplex:
+def build_alpha_complex(pc: PointCloud) -> FilteredComplex:
     """Triangulate and filter in one step, handling tiny inputs."""
     n = len(pc)
     if n == 0:
         raise ValueError("empty point cloud")
     if n == 1:
         return FilteredComplex([((0,), 0.0)])
-    return alpha_filtration(delaunay_triangulation(pc, tol=tol), pc)
+    return alpha_filtration(delaunay_triangulation(pc), pc)

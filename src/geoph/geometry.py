@@ -16,6 +16,10 @@ import numpy as np
 Point = tuple[float, float]
 Ring = list[Point]
 
+# Relative bound on the float in-circle determinant below which the sign is
+# recomputed exactly.
+IN_CIRCLE_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class PointCloud:
@@ -41,9 +45,20 @@ class PointCloud:
 
 
 def distance_matrix(pc: PointCloud) -> np.ndarray:
+    """Pairwise Euclidean distances.
+
+    Coordinates whose largest magnitude is below 0.5 are first scaled up by
+    a power of two that brings it into [0.5, 1), so the squares do not
+    underflow; the scaling is exact, so the result is the unscaled
+    formula's wherever that one does not underflow.  Larger coordinates
+    are never scaled down.
+    """
     a = pc.as_array()
+    _, e = math.frexp(float(np.abs(a).max(initial=0.0)))
+    e = min(e, 0)
+    a = np.ldexp(a, -e)
     d2 = ((a[:, None, :] - a[None, :, :]) ** 2).sum(axis=2)
-    return np.sqrt(d2)
+    return np.ldexp(np.sqrt(d2), e)
 
 
 def circumcircle(a: Point, b: Point, c: Point) -> tuple[Point, float]:
@@ -88,7 +103,9 @@ def in_circle_determinant(a, b, c, p):
     return det, (ad2, bd2, cd2)
 
 
-def in_circumcircle(a: Point, b: Point, c: Point, p: Point, tol: float = 1e-12) -> int:
+def in_circumcircle(
+    a: Point, b: Point, c: Point, p: Point, tol: float = IN_CIRCLE_TOL
+) -> int:
     """Sign of the in-circle determinant for p against circle(a, b, c).
 
     Returns +1 if p lies strictly inside, -1 if strictly outside, 0 if

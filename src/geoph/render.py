@@ -13,7 +13,6 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .complexes import FilteredComplex
 from .errors import InputError
 from .homology import Barcode, PersistencePair
 from .precincts import Precinct, PrecinctMap, check_candidate, vote_margin
@@ -175,7 +174,6 @@ def _cycle_polyline(
 def render_feature_map(
     m: PrecinctMap,
     barcode: Barcode,
-    fc: FilteredComplex,
     candidate: str,
     vertex_coords: Mapping[int, tuple[float, float]],
     path: str | Path | None = None,

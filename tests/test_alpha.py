@@ -22,7 +22,6 @@ from helpers import (
     boundary_edges,
     circumcircle_has_point_strictly,
     delaunay_reference,
-    gabriel_reference,
     hull_point_count,
     jittered_lattice_map,
     naive_vr,
@@ -259,7 +258,7 @@ class TestAlphaFiltration:
 
     def test_values_match_scalar_reference(self):
         # Lattices put many points exactly on diametral circles, where the
-        # array prefilter must hand the decision to the scalar expression.
+        # scalar expression and its slack decide the edge.
         for pc in reference_clouds():
             try:
                 tri = delaunay_triangulation(pc)
@@ -298,14 +297,26 @@ class TestAlphaFiltration:
 
     def test_gabriel_decisions_at_the_slack_boundary(self):
         # Third points within about 1e-12 of the edge's slackened diametral
-        # circle fall in the array prefilter's undecided band; the values
-        # hardly move there, so compare the decisions themselves.
-        for k in (0.5, 0.9, 0.99, 1.0, 1.01, 1.1, 2.0, 3.0):
-            for y in (math.sqrt(1.0 + k * 1e-12), -math.sqrt(1.0 + k * 1e-12)):
-                points = ((0.0, 0.0), (2.0, 0.0), (1.0, y))
-                assert alpha._gabriel(points, [(0, 1)], [1.0]) == [
-                    gabriel_reference(points, 0, 1)
-                ]
+        # circle, on either side of it; the apex is the only point that can
+        # decide the edge.  At half length 1 the triangle's circumradius
+        # rounds to the half length, so the decision hardly shows in the
+        # values; at 1e-4 the slack floor (1e-12 absolute) is relatively
+        # wide and the circumradius moves by about 1e-9.
+        for s in (1.0, 1e-4):
+            for k in (0.5, 0.9, 0.99, 1.0, 1.01, 1.1, 2.0, 3.0):
+                y = math.sqrt(s * s + k * 1e-12)
+                for apex in ((s, y), (s, -y)):
+                    pc = cloud((0.0, 0.0), (2.0 * s, 0.0), apex)
+                    tri = delaunay_triangulation(pc)
+                    assert dict(alpha_filtration(tri, pc)) == alpha_values_reference(tri)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_lattice_centroids_match_scalar_reference(self, seed):
+        # Every interior edge of a jitter-0 lattice has both apexes on its
+        # diametral circle or near it.
+        pc = lattice_centroids(24, seed)
+        tri = delaunay_triangulation(pc)
+        assert dict(alpha_filtration(tri, pc)) == alpha_values_reference(tri)
 
     def test_mismatched_cloud_rejected(self):
         pc = cloud((0, 0), (1, 0), (0, 1))

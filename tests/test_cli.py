@@ -214,7 +214,7 @@ class TestBuild:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no zero-area fallback
             got = centroids(parse_feature_collection(obj).precincts)
-        assert got == [pytest.approx((x * scale, y * scale), rel=1e-12) for x, y in unit]
+        assert got == [pytest.approx((x * scale, y * scale), rel=1e-12, abs=0.0) for x, y in unit]
         src = tmp_path / "scaled.geojson"
         write_fixture(obj, src)
         for method, expected in (("vr", vr_code), ("alpha", alpha_code)):
@@ -226,6 +226,23 @@ class TestBuild:
             assert code == expected, err
             assert "Traceback" not in err
             assert "duplicate points" not in err
+
+    @pytest.mark.parametrize("method", ["vr", "alpha", "adjacency", "levelset"])
+    def test_zero_vote_precinct_warns_once(self, tmp_path, method):
+        obj = grid_fixture(4)
+        props = obj["features"][5]["properties"]
+        props["votes_blue"] = props["votes_red"] = 0
+        src = tmp_path / "zero.geojson"
+        write_fixture(obj, src)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(
+                ["build", "--method", method, "--candidate", "red",
+                 "--input", str(src), "--out", str(tmp_path / "o")]
+            )
+        assert code == 0
+        zero_vote = [w for w in caught if "'r1c1' has no votes" in str(w.message)]
+        assert len(zero_vote) == 1
 
     def test_deterministic_across_invocations(self, tmp_path):
         src = synth(tmp_path, "dissent", "d.geojson")

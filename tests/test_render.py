@@ -2,7 +2,6 @@ import re
 
 import pytest
 
-from geoph.complexes import FilteredComplex
 from geoph.errors import InputError
 from geoph.homology import Barcode, PersistencePair, barcode_of, classify_long_persistence
 from geoph.precincts import parse_feature_collection
@@ -111,18 +110,18 @@ def dissent_run():
     fc = build_adjacency_complex(m, queen_adjacency(m), "red")
     bc = classify_long_persistence(barcode_of(fc))
     coords = dict(enumerate(centroids(winning_precincts(m, "red"))))
-    return m, bc, fc, coords
+    return m, bc, coords
 
 
 class TestFeatureMap:
     def test_one_path_per_precinct(self):
-        m, bc, fc, coords = dissent_run()
-        svg = render_feature_map(m, bc, fc, "red", coords)
+        m, bc, coords = dissent_run()
+        svg = render_feature_map(m, bc, "red", coords)
         assert svg.count("<path ") == 9
 
     def test_loop_drawn_as_closed_polyline(self):
-        m, bc, fc, coords = dissent_run()
-        svg = render_feature_map(m, bc, fc, "red", coords)
+        m, bc, coords = dissent_run()
+        svg = render_feature_map(m, bc, "red", coords)
         polylines = re.findall(r'<polyline points="([^"]*)"', svg)
         assert len(polylines) == 1
         pts = polylines[0].split()
@@ -132,8 +131,8 @@ class TestFeatureMap:
         assert len(set(pts)) == len(pts) - 1
 
     def test_immortal_loop_is_dark_and_thick(self):
-        m, bc, fc, coords = dissent_run()
-        svg = render_feature_map(m, bc, fc, "red", coords)
+        m, bc, coords = dissent_run()
+        svg = render_feature_map(m, bc, "red", coords)
         line = re.search(r"<polyline[^>]*>", svg).group(0)
         assert attr(line, "stroke") == "#67000d"
         assert attr(line, "stroke-width") == "3.00"
@@ -144,28 +143,27 @@ class TestFeatureMap:
         fixture["features"][0]["properties"]["votes_red"] = 50
         m = parse_feature_collection(fixture)
         bc = Barcode(pairs=(), horizon=1.0)
-        fc = FilteredComplex([])
-        svg = render_feature_map(m, bc, fc, "red", {})
+        svg = render_feature_map(m, bc, "red", {})
         assert 'fill="#ffffff"' in svg
 
     def test_missing_coordinate_is_an_error(self):
-        m, bc, fc, _ = dissent_run()
+        m, bc, _ = dissent_run()
         with pytest.raises(InputError, match="no coordinate"):
-            render_feature_map(m, bc, fc, "red", {})
+            render_feature_map(m, bc, "red", {})
 
     def test_non_edge_generator_rejected(self):
         m = parse_feature_collection(dissent_fixture())
         bad = Barcode(pairs=(bar(1, 0.0, None, gen=((0, 1, 2),)),), horizon=1.0)
         with pytest.raises(InputError, match="edge cycle"):
-            render_feature_map(m, bad, FilteredComplex([]), "red", {0: (0, 0)})
+            render_feature_map(m, bad, "red", {0: (0, 0)})
 
     def test_unknown_candidate_rejected(self):
-        m, bc, fc, coords = dissent_run()
+        m, bc, coords = dissent_run()
         with pytest.raises(InputError, match="candidate"):
-            render_feature_map(m, bc, fc, "green", coords)
+            render_feature_map(m, bc, "green", coords)
 
     def test_writes_file(self, tmp_path):
-        m, bc, fc, coords = dissent_run()
+        m, bc, coords = dissent_run()
         path = tmp_path / "map.svg"
-        svg = render_feature_map(m, bc, fc, "red", coords, path)
+        svg = render_feature_map(m, bc, "red", coords, path)
         assert path.read_text() == svg

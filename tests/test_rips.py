@@ -1,12 +1,15 @@
 import math
 import random
+import warnings
 
 import pytest
 
 from geoph.complexes import FilteredComplex, close_under_faces
 from geoph.geometry import PointCloud
 from geoph.homology import barcode_of, betti_oracle
+from geoph.precincts import centroids, parse_feature_collection
 from geoph.rips import build_vr_complex
+from geoph.synth import grid_fixture
 
 from helpers import naive_vr
 
@@ -60,6 +63,29 @@ class TestConstruction:
         for s, v in small:
             assert s in large
             assert large.value_of(s) == v
+
+
+def grid_centroids(scale):
+    """Centroids of the 3 x 3 grid fixture with every coordinate scaled."""
+    obj = grid_fixture(3)
+    for feature in obj["features"]:
+        feature["geometry"]["coordinates"] = [
+            [[x * scale, y * scale] for x, y in ring]
+            for ring in feature["geometry"]["coordinates"]
+        ]
+    return PointCloud(points=tuple(centroids(parse_feature_collection(obj).precincts)))
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-200])
+def test_tiny_coordinates_keep_their_distances(scale):
+    # Squared differences of these coordinates underflow to subnormals or
+    # to zero; the distances must not.
+    unit = build_vr_complex(grid_centroids(1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no coincident-points warning
+        tiny = build_vr_complex(grid_centroids(scale))
+    expected = {s: value * scale for s, value in unit}
+    assert dict(tiny) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 class TestAgainstNaiveConstruction:
