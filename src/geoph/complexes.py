@@ -10,7 +10,9 @@ the package relies on that order.
 A complex is stored as arrays: for each dimension, its simplices as rows of
 vertex ids in lexicographic order with the filtration position of each row,
 and the values in filtration order.  Faces are found by binary search over
-packed vertex ranks.  The constructor validates its entries; the builders
+packed vertex ranks.  The ``(simplex, value)`` tuples of ``entries`` are
+built only when read; ``to_text`` formats straight from the arrays.  The
+constructor validates its entries; the builders
 in this package emit valid complexes by construction and hand their arrays
 to ``FilteredComplex._from_arrays``, which does not.
 """
@@ -53,11 +55,6 @@ def faces(s: Simplex) -> list[Simplex]:
     return [s[:i] + s[i + 1 :] for i in range(len(s))]
 
 
-def order_key(entry: Entry) -> tuple[float, int, Simplex]:
-    s, value = entry
-    return (value, len(s), s)
-
-
 def _lookup(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index of each key in ``sorted_keys``, and whether it is there."""
     at = np.searchsorted(sorted_keys, keys)
@@ -74,7 +71,7 @@ class FilteredComplex:
     build from a partial simplex list.
     """
 
-    __slots__ = ("_rows", "_positions", "_values", "_entries")
+    __slots__ = ("_rows", "_positions", "_values", "_order", "_entries")
 
     def __init__(self, entries: Iterable[Entry]):
         rows: list[list[Simplex]] = [[] for _ in range(MAX_DIM + 1)]
@@ -134,10 +131,9 @@ class FilteredComplex:
         self._rows = tuple(by_dim)
         self._positions = tuple(np.split(position, np.cumsum([len(r) for r in by_dim[:-1]])))
         self._values = value[order]
-        listed = [s for r in by_dim for s in zip(*r.T.tolist())]
-        self._entries: tuple[Entry, ...] = tuple(
-            zip(map(listed.__getitem__, order.tolist()), self._values.tolist())
-        )
+        self._values.flags.writeable = False
+        self._order = order  # row (all dimensions, in turn) at each position
+        self._entries: tuple[Entry, ...] | None = None
 
     def _simplex(self, d: int, k: int) -> Simplex:
         return tuple(self._rows[d][k].tolist())
@@ -153,38 +149,47 @@ class FilteredComplex:
         at, found = _lookup(below, rank[:, keep] @ weights)
         return at, found & known[:, keep].all(axis=2)
 
-    def _position(self, s: Iterable[int]) -> int | None:
-        s = tuple(s)
-        if not 1 <= len(s) <= MAX_DIM + 1:
-            return None
-        rows = self._rows[len(s) - 1]
-        lo, hi = 0, len(rows)
-        for c, v in enumerate(s):  # rows agreeing with s so far sort by column c
-            column = rows[lo:hi, c]
-            lo, hi = lo + int(np.searchsorted(column, v)), lo + int(np.searchsorted(column, v, "right"))
-        return int(self._positions[len(s) - 1][lo]) if lo < hi else None
-
     def __len__(self) -> int:
         return len(self._values)
 
     def __iter__(self) -> Iterator[Entry]:
         return iter(self.entries)
 
-    def __contains__(self, s: Simplex) -> bool:
-        return self._position(s) is not None
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FilteredComplex):
             return NotImplemented
-        return self._entries == other._entries
+        # The arrays are a function of the (simplex, value) pairs.
+        return all(
+            np.array_equal(a, b)
+            for a, b in zip(
+                (*self._rows, *self._positions, self._values),
+                (*other._rows, *other._positions, other._values),
+            )
+        )
 
     def __repr__(self) -> str:
         return f"FilteredComplex({len(self)} simplices)"
 
     @property
     def entries(self) -> tuple[Entry, ...]:
-        """Simplices with values, in canonical (value, dim, lex) order."""
+        """Simplices with values, in canonical (value, dim, lex) order;
+        built on first read."""
+        if self._entries is None:
+            listed = [s for r in self._rows for s in zip(*r.T.tolist())]
+            self._entries = tuple(
+                zip(map(listed.__getitem__, self._order.tolist()), self._values.tolist())
+            )
         return self._entries
+
+    @property
+    def values(self) -> np.ndarray:
+        """Filtration values in canonical order (read only)."""
+        return self._values
+
+    def rows(self, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """The d-simplices as rows of vertex ids in lexicographic order, and
+        the filtration position of each row."""
+        return self._rows[d], self._positions[d]
 
     def face_positions(self, d: int) -> tuple[np.ndarray, np.ndarray]:
         """Filtration positions of the d-simplices (d = 1 or 2), and row by
@@ -195,31 +200,20 @@ class FilteredComplex:
     def simplices(self) -> list[Simplex]:
         return [s for s, _ in self.entries]
 
-    def value_of(self, s: Simplex) -> float:
-        return float(self._values[self.position_of(s)])
-
-    def position_of(self, s: Simplex) -> int:
-        pos = self._position(s)
-        if pos is None:
-            raise KeyError(tuple(s))
-        return pos
-
     def max_value(self) -> float:
         return float(self._values[-1]) if len(self) else 0.0
-
-    def distinct_values(self) -> list[float]:
-        return sorted(set(self._values.tolist()))
-
-    def complex_at(self, t: float) -> set[Simplex]:
-        """Sublevel complex: all simplices with value <= t."""
-        return {s for s, v in self.entries if v <= t}
 
     def counts(self) -> tuple[int, int, int]:
         c0, c1, c2 = map(len, self._rows)
         return c0, c1, c2
 
     def to_text(self) -> str:
-        lines = [f"{','.join(map(str, s))}\t{value!r}" for s, value in self.entries]
+        """One ``v0,v1,...<TAB>repr(value)`` line per simplex, in canonical order."""
+        listed: list[str] = []
+        for r in self._rows:
+            listed += map(",".join, zip(*[map(str, column) for column in r.T.tolist()]))
+        in_order = map(listed.__getitem__, self._order.tolist())
+        lines = [f"{text}\t{value!r}" for text, value in zip(in_order, self._values.tolist())]
         return "\n".join(lines) + ("\n" if lines else "")
 
     @classmethod

@@ -1,12 +1,23 @@
 """Persistent homology over F2 for filtered complexes of dimension <= 2.
 
 The boundary matrix is indexed by the canonical filtration order of the
-complex (rows and columns alike).  Each dimension's columns reduce left to
+complex (rows and columns alike) and holds, per dimension, one array with a
+row of face positions per simplex.  Each dimension's columns reduce left to
 right: while a column shares its lowest row with an earlier reduced column,
 add that column into it (symmetric difference over F2).  Surviving lowest
 rows pair births with deaths; columns that reduce to zero create classes,
 and the chain of same-dimension simplices accumulated while zeroing a column
 is a representative cycle for the class it creates.
+
+Apparent pairs come first (Bauer 2021, *Ripser*): a column whose lowest
+face has it as its oldest coface keeps its boundary and pairs at once,
+since no earlier column can hold that face.  They are found with numpy, as
+are the edges a triangle kills at their own value (zero-length births,
+never reduced); the Python loop runs over the other columns only.  Bars
+are read off arrays too: a ``PersistencePair`` and its generator are built
+only for the nonzero-length bars the artifacts show.  The full per-column
+and per-bar views (``BoundaryMatrix.columns``, ``ReducedMatrix.matrix``,
+``.chains`` and ``.pairs``, ``Barcode.pairs``) are built on first read.
 
 ``betti_oracle`` is a deliberately separate brute-force computation
 (Gaussian elimination on the raw boundary maps) used to cross-check the
@@ -16,48 +27,94 @@ reduction; it shares no code with it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from functools import cached_property
+from itertools import chain
+from operator import attrgetter
+from typing import Callable, Iterable, Sequence
 
-from .complexes import Entry, FilteredComplex, Simplex, faces
+import numpy as np
+
+from .complexes import FilteredComplex, Simplex, faces
 
 LONG_PERSISTENCE_THRESHOLD = 0.75
 
+_EMPTY: frozenset[int] = frozenset()
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class BoundaryMatrix:
-    """Full boundary matrix of a filtered complex, one column per simplex.
+    """Boundary matrix of a filtered complex, one column per simplex.
 
-    ``columns[j]`` holds the row indices (filtration positions) of the
-    codimension-1 faces of simplex j; vertex columns are empty.
+    ``face_positions[d - 1]``, for d = 1 and 2, holds the filtration
+    positions of the d-simplices and row by row the positions of each one's
+    faces (:meth:`FilteredComplex.face_positions`).  ``columns[j]`` is the
+    set of rows of column j; vertex columns are empty.
     """
 
-    columns: tuple[frozenset[int], ...]
-    entries: tuple[Entry, ...]
+    complex: FilteredComplex
+    face_positions: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     def __len__(self) -> int:
-        return len(self.columns)
+        return len(self.complex)
+
+    @cached_property
+    def columns(self) -> tuple[frozenset[int], ...]:
+        cols = [_EMPTY] * len(self)
+        for at, face_at in self.face_positions:
+            for j, col in zip(at.tolist(), face_at.tolist()):
+                cols[j] = frozenset(col)
+        return tuple(cols)
 
 
 def build_boundary_matrix(fc: FilteredComplex) -> BoundaryMatrix:
-    cols: list[frozenset[int]] = [frozenset()] * len(fc)
-    for d in (1, 2):
-        at, face_at = fc.face_positions(d)
-        for j, col in zip(at.tolist(), face_at.tolist()):
-            cols[j] = frozenset(col)
-    return BoundaryMatrix(columns=tuple(cols), entries=fc.entries)
+    return BoundaryMatrix(fc, (fc.face_positions(1), fc.face_positions(2)))
 
 
 @dataclass(frozen=True)
-class ReducedMatrix:
-    """Result of column reduction: reduced matrix, pairing, chain history.
+class ReducedColumns:
+    """Reduced columns of a boundary matrix, one row set per column."""
 
-    Columns the reduction skips (vertices, zero-length edge births) have an
-    empty reduced column and an empty chain.
+    columns: tuple[frozenset[int], ...]
+
+
+@dataclass(frozen=True, eq=False)
+class ReducedMatrix:
+    """Result of column reduction: pairing, reduced columns, chain history.
+
+    ``owner[i]`` is the column whose reduced lowest row is i, or -1.  An
+    ``apparent`` column keeps its boundary as its reduced column, and its
+    chain is itself.  ``r[j]`` and ``v[j]`` hold the reduced column and the
+    chain of each column the reduction loop reduced or added, None
+    elsewhere.  The other columns (vertices and zero-length edge births)
+    have an empty reduced column and chain.
     """
 
-    matrix: BoundaryMatrix
-    pairs: Mapping[int, int]  # birth column -> death column
-    chains: tuple[frozenset[int], ...]  # column j of the accumulated additions
+    boundary: BoundaryMatrix
+    owner: np.ndarray
+    apparent: np.ndarray
+    r: list[frozenset[int] | None]
+    v: list[frozenset[int] | None]
+
+    @cached_property
+    def pairs(self) -> dict[int, int]:
+        """Birth column -> death column."""
+        low = np.flatnonzero(self.owner >= 0)
+        return dict(zip(low.tolist(), self.owner[low].tolist()))
+
+    @cached_property
+    def matrix(self) -> ReducedColumns:
+        cols = list(self.boundary.columns)
+        for j in np.flatnonzero(~self.apparent).tolist():
+            cols[j] = self.r[j] or _EMPTY
+        return ReducedColumns(tuple(cols))
+
+    @cached_property
+    def chains(self) -> tuple[frozenset[int], ...]:
+        """Column j of the accumulated additions."""
+        chains = [_EMPTY if v is None else v for v in self.v]
+        for j in np.flatnonzero(self.apparent).tolist():
+            chains[j] = frozenset((j,))
+        return tuple(chains)
 
 
 def reduce_matrix(bm: BoundaryMatrix) -> ReducedMatrix:
@@ -65,37 +122,55 @@ def reduce_matrix(bm: BoundaryMatrix) -> ReducedMatrix:
 
     A pivot is one dimension below its column, so a column only ever adds
     columns of its own dimension, and every reduced column and chain is the
-    one the plain left-to-right order gives.  An edge whose row a triangle
-    owns at the edge's own value is a zero-length birth: its column reduces
-    to zero and no artifact shows its generator, so it is skipped (clearing).
+    one the plain left-to-right order gives.  Apparent columns are paired
+    before the loop; one's reduced column and chain are built the first
+    time a later column adds it.  An edge whose row a triangle owns at the
+    edge's own value is a zero-length birth: its column reduces to zero and
+    no artifact shows its generator, so it is skipped (clearing).
     """
-    entries = bm.entries
-    empty: frozenset[int] = frozenset()
-    r = [empty] * len(entries)
-    v = [empty] * len(entries)
-    pairs: dict[int, int] = {}  # also the owner of each lowest row
-    for size in (3, 2):
-        for j, (s, value) in enumerate(entries):
-            if len(s) != size:
-                continue
-            k = pairs.get(j)
-            if k is not None and entries[k][1] == value:
-                continue
-            col, chain = set(bm.columns[j]), {j}
+    n = len(bm)
+    values = bm.complex.values
+    owner = np.full(n, -1, dtype=np.int64)
+    apparent = np.zeros(n, dtype=bool)
+    for at, face_at in bm.face_positions:
+        low = face_at.max(axis=1)
+        oldest = np.full(n, n, dtype=np.int64)
+        np.minimum.at(oldest, face_at, at[:, None])
+        hit = oldest[low] == at
+        owner[low[hit]] = at[hit]
+        apparent[at[hit]] = True
+    owner_of = owner.tolist()  # the loop's pairs go here, then back to owner
+    r: list[frozenset[int] | None] = [None] * n
+    v: list[frozenset[int] | None] = [None] * n
+    for at, face_at in reversed(bm.face_positions):
+        todo = ~apparent[at]
+        if face_at.shape[1] == 2:  # edges: clear zero-length births
+            killer = owner[at]
+            todo &= (killer < 0) | (values[np.maximum(killer, 0)] != values[at])
+        rows = np.flatnonzero(todo)
+        rows = rows[np.argsort(at[rows])]
+        faces_t = face_at.T.tolist()
+        row_of = np.empty(n, dtype=np.int64)
+        row_of[at] = np.arange(len(at))
+        row_of = row_of.tolist()
+        paired = []
+        for j, faces_j in zip(at[rows].tolist(), zip(*face_at[rows].T.tolist())):
+            col, chain_j = set(faces_j), {j}
             while col:
                 low = max(col)
-                k = pairs.get(low)
-                if k is None:
-                    pairs[low] = j
+                k = owner_of[low]
+                if k < 0:
+                    owner_of[low] = j
+                    paired.append(low)
                     break
+                if r[k] is None:  # an apparent column, added for the first time
+                    r[k], v[k] = frozenset([f[row_of[k]] for f in faces_t]), frozenset((k,))
                 col ^= r[k]
-                chain ^= v[k]
-            r[j], v[j] = frozenset(col), frozenset(chain)
-    return ReducedMatrix(
-        matrix=BoundaryMatrix(columns=tuple(r), entries=entries),
-        pairs=pairs,
-        chains=tuple(v),
-    )
+                chain_j ^= v[k]
+            # Frozen copies are sized to their contents; the grown sets are not.
+            r[j], v[j] = frozenset(col), frozenset(chain_j)
+        owner[paired] = [owner_of[i] for i in paired]
+    return ReducedMatrix(boundary=bm, owner=owner, apparent=apparent, r=r, v=v)
 
 
 @dataclass(frozen=True)
@@ -128,39 +203,62 @@ class PersistencePair:
         return death - self.birth
 
 
-@dataclass(frozen=True)
 class Barcode:
     """All persistence pairs of one filtration, in column order.
 
     ``horizon`` is the maximum filtration value present; it stands in for
-    infinite deaths when persistence ratios are needed.
+    infinite deaths when persistence ratios are needed.  Only the
+    nonzero-length bars reach an artifact.  A barcode read off a reduction
+    holds just those; ``pairs`` adds the zero-length bars on first read.
     """
 
-    pairs: tuple[PersistencePair, ...]
-    horizon: float
+    __slots__ = ("horizon", "_shown", "_pairs", "_zero_length")
+
+    def __init__(self, pairs: Iterable[PersistencePair], horizon: float):
+        self.horizon = horizon
+        self._pairs: tuple[PersistencePair, ...] | None = tuple(pairs)
+        self._shown = tuple(p for p in self._pairs if not p.zero_length)
+        self._zero_length: Callable[[], list[PersistencePair]] | None = None
+
+    @classmethod
+    def _of_shown(
+        cls,
+        shown: Sequence[PersistencePair],
+        horizon: float,
+        zero_length: Callable[[], list[PersistencePair]],
+    ) -> Barcode:
+        """A barcode of the nonzero-length bars, in column order, and a
+        function that builds the zero-length ones."""
+        bc = cls.__new__(cls)
+        bc.horizon = horizon
+        bc._pairs = None
+        bc._shown = tuple(shown)
+        bc._zero_length = zero_length
+        return bc
+
+    @property
+    def pairs(self) -> tuple[PersistencePair, ...]:
+        if self._pairs is None:
+            merged = self._shown + tuple(self._zero_length())
+            self._pairs = tuple(sorted(merged, key=attrgetter("birth_position")))
+        return self._pairs
+
+    def _with_shown(self, shown: Sequence[PersistencePair]) -> Barcode:
+        """This barcode with its nonzero-length bars replaced, one for one."""
+        if self._zero_length is not None:
+            return Barcode._of_shown(shown, self.horizon, self._zero_length)
+        new = iter(shown)
+        return Barcode((p if p.zero_length else next(new) for p in self.pairs), self.horizon)
 
     def max_persistence(self, dimension: int) -> float:
-        ps = [
-            p.persistence(self.horizon)
-            for p in self.pairs
-            if p.dimension == dimension and not p.zero_length
-        ]
+        ps = [p.persistence(self.horizon) for p in self._shown if p.dimension == dimension]
         return max(ps, default=0.0)
-
-    def bars_alive_at(self, t: float) -> tuple[int, int, int]:
-        alive = [0, 0, 0]
-        for p in self.pairs:
-            if p.birth <= t and (p.death is None or p.death > t):
-                alive[p.dimension] += 1
-        return alive[0], alive[1], alive[2]
 
     def rendered(self, dimension: int | None = None) -> list[PersistencePair]:
         """Pairs that appear in output artifacts: zero-length bars drop out."""
-        return [
-            p
-            for p in self.pairs
-            if not p.zero_length and (dimension is None or p.dimension == dimension)
-        ]
+        if dimension is None:
+            return list(self._shown)
+        return [p for p in self._shown if p.dimension == dimension]
 
     def to_json(self) -> str:
         """The rendered bars as ``barcode.json`` text.
@@ -215,32 +313,87 @@ def _json_number(x: float | None) -> str:
 def persistence_pairs(reduced: ReducedMatrix, fc: FilteredComplex) -> Barcode:
     """Read bars off a reduced matrix.
 
-    Zero-length pairs (birth == death) are kept and flagged; rendering and
-    export skip them, oracle checks want them present.  A zero-length
-    dimension-1 bar has no generator: ``()``.
+    Births, deaths and zero lengths (birth == death) are found on arrays,
+    and only the nonzero-length bars are built; ``Barcode.pairs`` adds the
+    zero-length ones, flagged, when first read: rendering and export skip
+    them, oracle checks want them present.  A zero-length dimension-1 bar
+    has no generator: ``()``.  Generators list their simplices in
+    lexicographic order.
     """
-    entries = reduced.matrix.entries
-    if entries != fc.entries:
+    if reduced.boundary.complex is not fc and reduced.boundary.complex != fc:
         raise ValueError("reduced matrix does not belong to this complex")
-    cols = reduced.matrix.columns
-    pairs: list[PersistencePair] = []
-    for j, (s, birth) in enumerate(entries):
-        if cols[j]:
-            continue  # j kills an earlier class; handled at its birth column
-        death_col = reduced.pairs.get(j)
-        death = None if death_col is None else entries[death_col][1]
-        d = len(s) - 1
-        generator = (s,) if d == 0 else tuple(sorted(entries[k][0] for k in reduced.chains[j]))
-        pairs.append(
-            PersistencePair(
-                dimension=d,
-                birth=birth,
-                death=death,
-                generator=generator,
-                birth_position=j,
+    n = len(fc)
+    values = fc.values
+    rank = np.empty(n, dtype=np.int64)  # row of each position among its dimension's rows
+    dimension = np.empty(n, dtype=np.int64)
+    for d in range(3):
+        _, at = fc.rows(d)
+        rank[at] = np.arange(len(at))
+        dimension[at] = d
+    owner = reduced.owner
+    dies = np.zeros(n, dtype=bool)
+    dies[owner[owner >= 0]] = True
+    born = np.flatnonzero(~dies)
+    killer = owner[born]
+    zero = (killer >= 0) & (values[np.maximum(killer, 0)] == values[born])
+
+    def bars(
+        at: np.ndarray, chains: Sequence[frozenset[int] | None] | None
+    ) -> list[PersistencePair]:
+        """The bars born at positions ``at``, in that order.  A vertex is its
+        own generator; an edge or triangle's is its chain, or () if
+        ``chains`` is None."""
+        generators: list[tuple[Simplex, ...]] = [()] * len(at)
+        for d in range(3):
+            (of_d,) = np.nonzero(dimension[at] == d)
+            if d == 0:
+                cycles = [[j] for j in at[of_d].tolist()]
+            elif chains is None:
+                continue
+            else:
+                cycles = list(map(chains.__getitem__, at[of_d].tolist()))
+            for slot, generator in zip(of_d.tolist(), _simplices(fc, d, cycles, rank)):
+                generators[slot] = generator
+        k = owner[at]
+        return [
+            PersistencePair(d, birth, None if i < 0 else death, generator, j)
+            for d, birth, death, i, generator, j in zip(
+                dimension[at].tolist(),
+                values[at].tolist(),
+                values[np.maximum(k, 0)].tolist(),
+                k.tolist(),
+                generators,
+                at.tolist(),
             )
-        )
-    return Barcode(pairs=tuple(pairs), horizon=fc.max_value())
+        ]
+
+    # Zero-length dimension-1 bars are skipped columns: they have no chain.
+    zero_length = born[zero]
+    return Barcode._of_shown(
+        bars(born[~zero], reduced.v), fc.max_value(), lambda: bars(zero_length, None)
+    )
+
+
+def _simplices(
+    fc: FilteredComplex, d: int, cycles: list, rank: np.ndarray
+) -> list[tuple[Simplex, ...]]:
+    """Each cycle (a collection of positions of d-simplices) as a tuple of
+    simplices in lexicographic order, which is the order of their ``rank``
+    among the d-simplices.  Each simplex is built once."""
+    if not cycles:
+        return []
+    rows, _ = fc.rows(d)
+    sizes = [len(c) for c in cycles]
+    at = np.fromiter(chain.from_iterable(cycles), dtype=np.int64, count=sum(sizes))
+    key = np.repeat(np.arange(len(cycles)) * len(rows), sizes) + rank[at]
+    key.sort()
+    row = key % len(rows)
+    used = np.zeros(len(rows), dtype=bool)
+    used[row] = True
+    simplices = list(zip(*rows[used].T.tolist()))
+    listed = list(map(simplices.__getitem__, (np.cumsum(used) - 1)[row].tolist()))
+    ends = np.cumsum(sizes).tolist()
+    return [tuple(listed[a:b]) for a, b in zip([0] + ends[:-1], ends)]
 
 
 def barcode_of(fc: FilteredComplex) -> Barcode:
@@ -256,12 +409,12 @@ def classify_long_persistence(
     The ratio divides each bar's persistence by the largest dimension-1
     persistence, with infinite deaths standing at the horizon; bars that
     never die are always flagged.  Comparison is >=, so a ratio exactly at
-    the threshold counts as long.
+    the threshold counts as long.  Zero-length bars are never flagged.
     """
     pmax = barcode.max_persistence(1)
     flagged = []
-    for p in barcode.pairs:
-        if p.dimension != 1 or p.zero_length:
+    for p in barcode.rendered():
+        if p.dimension != 1:
             flagged.append(p)
             continue
         if p.infinite:
@@ -269,7 +422,7 @@ def classify_long_persistence(
             continue
         ratio = p.persistence(barcode.horizon) / pmax if pmax > 0 else 0.0
         flagged.append(replace(p, long_persistence=ratio >= threshold))
-    return Barcode(pairs=tuple(flagged), horizon=barcode.horizon)
+    return barcode._with_shown(flagged)
 
 
 def _f2_rank(vectors: Iterable[set[int]]) -> int:

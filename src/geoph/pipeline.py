@@ -9,7 +9,6 @@ import math
 import sys
 import time
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -109,15 +108,6 @@ class RunResult:
     field_: ScalarField | None = field(default=None)
 
 
-@contextmanager
-def _zero_vote_warnings_given():
-    """Ignore the zero-vote warnings of a builder that recomputes the
-    winners; ``run_pipeline`` has already given them once."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message=r"precinct .* has no votes; excluded")
-        yield
-
-
 def run_pipeline(cfg: RunConfig, m: PrecinctMap, input_name: str = "map") -> RunResult:
     """Build the configured complex for one map and compute its barcode."""
     winners = winning_precincts(m, cfg.candidate)
@@ -155,12 +145,10 @@ def run_pipeline(cfg: RunConfig, m: PrecinctMap, input_name: str = "map") -> Run
             fc = build_alpha_complex(cloud)
     elif method == "adjacency":
         graph = queen_adjacency(m, tol=cfg.tol)
-        with _zero_vote_warnings_given():
-            fc = build_adjacency_complex(m, graph, cfg.candidate, step=cfg.step)
+        fc = build_adjacency_complex(m, graph, cfg.candidate, step=cfg.step)
         coords = dict(enumerate(centroids(winners)))
     else:  # levelset
-        with _zero_vote_warnings_given():
-            mask = rasterize_mask(m, cfg.candidate, max_side=cfg.max_side)
+        mask = rasterize_mask(m, cfg.candidate, max_side=cfg.max_side)
         field_v = signed_distance_field(mask)
         schedule = vertex_schedule(
             field_v, cfg.velocity, cfg.dt, cfg.n_steps, cfg.stride

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -52,6 +52,10 @@ class Precinct:
 @dataclass(frozen=True)
 class PrecinctMap:
     precincts: tuple[Precinct, ...]
+    # candidate -> its winners sorted by id, filled by winning_precincts
+    _winners: dict[str, tuple[Precinct, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         seen: set[str] = set()
@@ -102,17 +106,23 @@ def winning_precincts(m: PrecinctMap, candidate: str) -> list[Precinct]:
     """Strict-majority precincts for the candidate, sorted by id.
 
     Zero-vote precincts are skipped with a warning; tied precincts belong
-    to neither side and drop out silently.
+    to neither side and drop out silently.  The first call on a map selects
+    the winners of both candidates and the map keeps them, so each
+    zero-vote precinct warns once per map.
     """
     check_candidate(candidate)
-    out = []
-    for p in m:
-        if p.total_votes() == 0:
-            warnings.warn(f"precinct {p.id!r} has no votes; excluded", stacklevel=2)
-            continue
-        if p.winner() == candidate:
-            out.append(p)
-    return sorted(out, key=lambda p: p.id)
+    if not m._winners:
+        sides: dict[str, list[Precinct]] = {c: [] for c in CANDIDATES}
+        for p in m:
+            if p.total_votes() == 0:
+                warnings.warn(f"precinct {p.id!r} has no votes; excluded", stacklevel=2)
+                continue
+            side = p.winner()
+            if side is not None:
+                sides[side].append(p)
+        for c in CANDIDATES:
+            m._winners[c] = tuple(sorted(sides[c], key=lambda p: p.id))
+    return list(m._winners[candidate])
 
 
 def centroid_of(p: Precinct) -> Point:

@@ -489,6 +489,42 @@ def random_filtered_entries(rng, max_vertices=10):
     return entries
 
 
+def order_key(entry):
+    """Canonical sort key of a ``(simplex, value)`` entry: (value, dim, lex)."""
+    s, value = entry
+    return (value, len(s), s)
+
+
+def position_of(fc, s):
+    """Filtration position of simplex ``s`` in ``fc``; KeyError when absent."""
+    position = {t: j for j, (t, _) in enumerate(fc.entries)}
+    return position[tuple(s)]
+
+
+def value_of(fc, s):
+    """Filtration value of simplex ``s`` in ``fc``; KeyError when absent."""
+    return fc.entries[position_of(fc, s)][1]
+
+
+def distinct_values(fc):
+    """The distinct filtration values of ``fc``, ascending."""
+    return sorted({v for _, v in fc.entries})
+
+
+def complex_at(fc, t):
+    """Sublevel complex: all simplices of ``fc`` with value <= t."""
+    return {s for s, v in fc.entries if v <= t}
+
+
+def bars_alive_at(barcode, t):
+    """(b0, b1, b2) counted from the bars alive at t: born <= t < death."""
+    alive = [0, 0, 0]
+    for p in barcode.pairs:
+        if p.birth <= t and (p.death is None or p.death > t):
+            alive[p.dimension] += 1
+    return alive[0], alive[1], alive[2]
+
+
 def boundary_matrix_reference(fc):
     """Boundary columns of a filtered complex by looking each face up in a
     dict from simplex to filtration position."""
@@ -531,6 +567,65 @@ def dense_reduce_reference(columns):
         return frozenset(out)
 
     return pairs, tuple(map(bit_indices, r)), tuple(map(bit_indices, v))
+
+
+def skipped_columns(fc, pairs):
+    """Columns no artifact needs reduced: vertices, and edges a triangle kills
+    at the edge's own value (zero-length births), read off reference pairs."""
+    entries = fc.entries
+    vertices = {j for j, (s, _) in enumerate(entries) if len(s) == 1}
+    return vertices | {
+        low
+        for low, k in pairs.items()
+        if len(entries[low][0]) == 2 and entries[k][1] == entries[low][1]
+    }
+
+
+def persistence_pairs_reference(reduced, fc):
+    """Every bar read off a reduced matrix column by column, as a barcode of
+    eagerly built pairs: a zero column is a birth, and the column that owns
+    its row is its death.
+
+    Reads only ``reduced.matrix.columns``, ``.pairs`` and ``.chains``; a
+    zero-length dimension-1 bar has the empty chain the reduction leaves a
+    skipped column, so its generator is ``()``.
+    """
+    from geoph.homology import Barcode, PersistencePair
+
+    entries = fc.entries
+    cols = reduced.matrix.columns
+    pairs = []
+    for j, (s, birth) in enumerate(entries):
+        if cols[j]:
+            continue  # j kills an earlier class; handled at its birth column
+        death_col = reduced.pairs.get(j)
+        death = None if death_col is None else entries[death_col][1]
+        d = len(s) - 1
+        generator = (s,) if d == 0 else tuple(sorted(entries[k][0] for k in reduced.chains[j]))
+        pairs.append(
+            PersistencePair(
+                dimension=d, birth=birth, death=death, generator=generator, birth_position=j
+            )
+        )
+    return Barcode(pairs=tuple(pairs), horizon=fc.max_value())
+
+
+def long_persistence_reference(pairs, horizon, threshold=0.75):
+    """Every pair with dimension-1 bars flagged long when their persistence is
+    at least ``threshold`` of the largest nonzero-length one, or infinite."""
+    from dataclasses import replace
+
+    pmax = max(
+        (p.persistence(horizon) for p in pairs if p.dimension == 1 and not p.zero_length),
+        default=0.0,
+    )
+    flagged = []
+    for p in pairs:
+        if p.dimension == 1 and not p.zero_length:
+            ratio = p.persistence(horizon) / pmax if pmax > 0 else 0.0
+            p = replace(p, long_persistence=p.infinite or ratio >= threshold)
+        flagged.append(p)
+    return tuple(flagged)
 
 
 def boundary_of_boundary_vanishes(columns):

@@ -33,8 +33,11 @@ from geoph.synth import annulus_fixture, blobs_fixture, dissent_fixture, grid_fi
 
 from helpers import (
     all_faces_closure,
+    bars_alive_at,
     circumcircle_has_point_strictly,
     clique_triangles,
+    complex_at,
+    distinct_values,
     grid_queen_edges,
     random_filtered_entries,
 )
@@ -47,8 +50,8 @@ TOL = 1e-9
 def bars_match_oracle(fc):
     """Bars alive at every distinct value agree with direct Betti ranks."""
     bc = barcode_of(fc)
-    for t in fc.distinct_values():
-        assert bc.bars_alive_at(t) == betti_oracle(fc.complex_at(t)), f"t={t}"
+    for t in distinct_values(fc):
+        assert bars_alive_at(bc, t) == betti_oracle(complex_at(fc, t)), f"t={t}"
 
 
 def test_c1_reduction_agrees_with_rank_oracle_on_random_complexes():
@@ -168,8 +171,8 @@ def test_c4_adjacency_ground_truth():
         brute = FilteredComplex(entries)
         assert set(fc.entries) == set(brute.entries)
         bc = barcode_of(fc)
-        for t in brute.distinct_values():
-            assert bc.bars_alive_at(t) == betti_oracle(brute.complex_at(t))
+        for t in distinct_values(brute):
+            assert bars_alive_at(bc, t) == betti_oracle(complex_at(brute, t))
 
 
 def test_c5_levelset_annulus_ground_truth():
@@ -270,6 +273,6 @@ def test_c9_euler_characteristic_matches_betti_alternation():
         lo, hi = fc.entries[0][1], fc.max_value()
         for i in range(10):
             t = lo + (hi - lo) * i / 9.0
-            sub = fc.complex_at(t)
+            sub = complex_at(fc, t)
             b0, b1, b2 = betti_oracle(sub)
             assert euler_characteristic(sub) == b0 - b1 + b2

@@ -19,10 +19,12 @@ from geoph.synth import dissent_fixture, grid_fixture
 from helpers import (
     adjacency_complex_reference,
     clique_triangles,
+    complex_at,
     grid_queen_edges,
     jittered_lattice_map,
     margin_level_reference,
     queen_edges_reference,
+    value_of,
 )
 
 
@@ -286,13 +288,13 @@ class TestComplex:
             square_precinct("c", 0, 1, 94, 6),
         )
         fc = build_adjacency_complex(m, queen_adjacency(m), "blue")
-        assert fc.value_of((0,)) == 0.05
-        assert fc.value_of((1,)) == 0.10
-        assert fc.value_of((2,)) == 0.15
-        assert fc.value_of((0, 1)) == 0.10
-        assert fc.value_of((0, 2)) == 0.15
-        assert fc.value_of((1, 2)) == 0.15
-        assert fc.value_of((0, 1, 2)) == 0.15
+        assert value_of(fc, (0,)) == 0.05
+        assert value_of(fc, (1,)) == 0.10
+        assert value_of(fc, (2,)) == 0.15
+        assert value_of(fc, (0, 1)) == 0.10
+        assert value_of(fc, (0, 2)) == 0.15
+        assert value_of(fc, (1, 2)) == 0.15
+        assert value_of(fc, (0, 1, 2)) == 0.15
 
     def test_vertex_order_is_id_order(self):
         m = map_of(
@@ -304,8 +306,8 @@ class TestComplex:
         assert [p.id for p in winners] == ["a", "z"]
         fc = build_adjacency_complex(m, queen_adjacency(m), "blue")
         # vertex 0 is "a" (margin 0.6 -> 0.4), vertex 1 is "z" (0.8 -> 0.2)
-        assert fc.value_of((0,)) == 0.40
-        assert fc.value_of((1,)) == 0.20
+        assert value_of(fc, (0,)) == 0.40
+        assert value_of(fc, (1,)) == 0.20
 
     def test_losing_precincts_excluded(self):
         m = map_of(
@@ -333,7 +335,7 @@ class TestComplex:
         # dimension 2, so each block leaves a hollow shell (hence b2 = 4).
         m = parse_feature_collection(grid_fixture(3))
         fc = build_adjacency_complex(m, queen_adjacency(m), "red")
-        assert betti_oracle(fc.complex_at(1.0)) == (1, 0, 4)
+        assert betti_oracle(complex_at(fc, 1.0)) == (1, 0, 4)
 
     @pytest.mark.parametrize("step", [0.05, 0.1, 0.3])
     def test_matches_all_pairs_construction(self, step):

@@ -19,12 +19,16 @@ from geoph.rips import build_vr_complex
 from helpers import (
     all_faces_closure,
     alpha_values_reference,
+    bars_alive_at,
     boundary_edges,
     circumcircle_has_point_strictly,
+    complex_at,
     delaunay_reference,
+    distinct_values,
     hull_point_count,
     jittered_lattice_map,
     naive_vr,
+    value_of,
 )
 
 
@@ -198,8 +202,8 @@ class TestAlphaFiltration:
     def test_equilateral_values(self):
         height = math.sqrt(3.0) / 2.0
         fc = build_alpha_complex(cloud((0, 0), (1, 0), (0.5, height)))
-        assert fc.value_of((0, 1)) == pytest.approx(0.5, abs=1e-9)
-        assert fc.value_of((0, 1, 2)) == pytest.approx(1 / math.sqrt(3.0), abs=1e-9)
+        assert value_of(fc, (0, 1)) == pytest.approx(0.5, abs=1e-9)
+        assert value_of(fc, (0, 1, 2)) == pytest.approx(1 / math.sqrt(3.0), abs=1e-9)
         loops = barcode_of(fc).rendered(1)
         assert len(loops) == 1
         assert loops[0].birth == pytest.approx(0.5, abs=1e-9)
@@ -207,15 +211,15 @@ class TestAlphaFiltration:
 
     def test_right_triangle_hypotenuse_is_not_gabriel(self):
         fc = build_alpha_complex(cloud((0, 0), (3, 0), (0, 4)))
-        assert fc.value_of((0, 1)) == pytest.approx(1.5)  # leg, Gabriel
-        assert fc.value_of((0, 2)) == pytest.approx(2.0)  # leg, Gabriel
+        assert value_of(fc, (0, 1)) == pytest.approx(1.5)  # leg, Gabriel
+        assert value_of(fc, (0, 2)) == pytest.approx(2.0)  # leg, Gabriel
         # diametral circle of the hypotenuse passes through the right angle
-        assert fc.value_of((1, 2)) == pytest.approx(2.5)
-        assert fc.value_of((0, 1, 2)) == pytest.approx(2.5)
+        assert value_of(fc, (1, 2)) == pytest.approx(2.5)
+        assert value_of(fc, (0, 1, 2)) == pytest.approx(2.5)
 
     def test_two_points_edge_at_half_distance(self):
         fc = build_alpha_complex(cloud((0, 0), (2, 0)))
-        assert fc.value_of((0, 1)) == pytest.approx(1.0)
+        assert value_of(fc, (0, 1)) == pytest.approx(1.0)
 
     def test_single_point(self):
         assert list(build_alpha_complex(cloud((7, 7)))) == [((0,), 0.0)]
@@ -224,7 +228,7 @@ class TestAlphaFiltration:
         rng = random.Random(31)
         fc = build_alpha_complex(random_cloud(rng, 12))
         for v in range(12):
-            assert fc.value_of((v,)) == 0.0
+            assert value_of(fc, (v,)) == 0.0
 
     def test_complex_is_closure_of_triangulation(self):
         rng = random.Random(37)
@@ -253,8 +257,8 @@ class TestAlphaFiltration:
         for _ in range(10):
             fc = build_alpha_complex(random_cloud(rng, 15))
             bc = barcode_of(fc)
-            for t in fc.distinct_values():
-                assert bc.bars_alive_at(t) == betti_oracle(fc.complex_at(t))
+            for t in distinct_values(fc):
+                assert bars_alive_at(bc, t) == betti_oracle(complex_at(fc, t))
 
     def test_values_match_scalar_reference(self):
         # Lattices put many points exactly on diametral circles, where the
@@ -292,7 +296,7 @@ class TestAlphaFiltration:
             fc = alpha_filtration(tri, pc)
             assert fc == close_under_faces(raw.items())
             assert fc.entries == FilteredComplex(fc.entries).entries
-            lowered += sum(fc.value_of(s) < value for s, value in raw.items())
+            lowered += sum(value_of(fc, s) < value for s, value in raw.items())
         assert lowered == len(near_right)
 
     def test_gabriel_decisions_at_the_slack_boundary(self):

@@ -244,6 +244,24 @@ class TestBuild:
         zero_vote = [w for w in caught if "'r1c1' has no votes" in str(w.message)]
         assert len(zero_vote) == 1
 
+    @pytest.mark.parametrize("builder", ["adjacency", "levelset"])
+    def test_builder_on_a_fresh_map_warns(self, builder):
+        from geoph.adjacency import build_adjacency_complex, queen_adjacency
+        from geoph.levelset import rasterize_mask
+
+        obj = grid_fixture(4)
+        props = obj["features"][5]["properties"]
+        props["votes_blue"] = props["votes_red"] = 0
+        m = parse_feature_collection(obj)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if builder == "adjacency":
+                build_adjacency_complex(m, queen_adjacency(m), "red")
+            else:
+                rasterize_mask(m, "red")
+        zero_vote = [w for w in caught if "'r1c1' has no votes" in str(w.message)]
+        assert len(zero_vote) == 1
+
     def test_deterministic_across_invocations(self, tmp_path):
         src = synth(tmp_path, "dissent", "d.geojson")
         for d in ("x", "y"):

@@ -10,11 +10,17 @@ from geoph.complexes import (
     close_under_faces,
     euler_characteristic,
     faces,
-    order_key,
     simplex,
 )
 
-from helpers import all_faces_closure, random_filtered_entries
+from helpers import (
+    all_faces_closure,
+    complex_at,
+    distinct_values,
+    order_key,
+    random_filtered_entries,
+    value_of,
+)
 
 
 class TestSimplex:
@@ -46,16 +52,16 @@ class TestCloseUnderFaces:
 
     def test_missing_vertex_inherits_min_coface_value(self):
         fc = close_under_faces([((0, 1), 2.0), ((1,), 1.0)])
-        assert fc.value_of((0,)) == 2.0
-        assert fc.value_of((1,)) == 1.0  # smaller own value survives
+        assert value_of(fc, (0,)) == 2.0
+        assert value_of(fc, (1,)) == 1.0  # smaller own value survives
 
     def test_face_lowered_to_keep_monotonicity(self):
         fc = close_under_faces([((0,), 5.0), ((0, 1), 2.0)])
-        assert fc.value_of((0,)) == 2.0
+        assert value_of(fc, (0,)) == 2.0
 
     def test_duplicates_keep_smallest_value(self):
         fc = close_under_faces([((0,), 3.0), ((0,), 1.0)])
-        assert fc.value_of((0,)) == 1.0
+        assert value_of(fc, (0,)) == 1.0
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -121,14 +127,14 @@ class TestFilteredComplex:
     def test_complex_at_is_nested(self):
         rng = random.Random(7)
         fc = close_under_faces(random_filtered_entries(rng))
-        values = fc.distinct_values()
+        values = distinct_values(fc)
         prev: set = set()
         for t in values:
-            cur = fc.complex_at(t)
+            cur = complex_at(fc, t)
             assert prev <= cur
             prev = cur
         assert prev == set(fc.simplices())
-        assert fc.complex_at(values[0] - 1.0) == set()
+        assert complex_at(fc, values[0] - 1.0) == set()
 
     def test_counts_and_euler(self):
         fc = close_under_faces([((0, 1, 2), 1.0), ((3,), 0.0)])

@@ -30,10 +30,17 @@ from geoph.synth import FIXTURES, make_fixture
 from helpers import (
     all_faces_closure,
     barcode_json_reference,
+    bars_alive_at,
     boundary_matrix_reference,
     boundary_of_boundary_vanishes,
+    complex_at,
     dense_reduce_reference,
+    distinct_values,
+    long_persistence_reference,
+    persistence_pairs_reference,
+    position_of,
     random_filtered_entries,
+    skipped_columns,
 )
 
 
@@ -50,8 +57,8 @@ class TestBoundaryMatrix:
         assert len(bm) == 6
         assert bm.columns[:3] == (frozenset(), frozenset(), frozenset())
         for j in range(3, 6):
-            s, _ = bm.entries[j]
-            assert bm.columns[j] == frozenset(fc.position_of(f) for f in faces(s))
+            s, _ = fc.entries[j]
+            assert bm.columns[j] == frozenset(position_of(fc, f) for f in faces(s))
 
     def test_boundary_of_boundary_vanishes(self):
         fc = close_under_faces([((0, 1, 2), 1.0), ((1, 2, 3), 2.0)])
@@ -95,18 +102,6 @@ def assert_matches_dense_reference(fc):
             assert p.generator == tuple(sorted(fc.entries[k][0] for k in chain))
 
 
-def skipped_columns(fc, pairs):
-    """Columns no artifact needs reduced: vertices, and edges a triangle kills
-    at the edge's own value (zero-length births), read off reference pairs."""
-    entries = fc.entries
-    vertices = {j for j, (s, _) in enumerate(entries) if len(s) == 1}
-    return vertices | {
-        low
-        for low, k in pairs.items()
-        if len(entries[low][0]) == 2 and entries[k][1] == entries[low][1]
-    }
-
-
 @lru_cache(maxsize=None)
 def fixture_complex(fixture, method):
     m = parse_feature_collection(make_fixture(fixture))
@@ -121,6 +116,24 @@ def assert_chains_empty_exactly_where_skipped(fc):
     pairs, _, _ = dense_reduce_reference(bm.columns)
     empty = {j for j, chain in enumerate(red.chains) if not chain}
     assert empty == skipped_columns(fc, pairs)
+
+
+def assert_pairs_match_reference(fc):
+    """The lazily completed ``Barcode.pairs`` equals every bar read off the
+    reduction column by column, before and after the long-persistence flags;
+    the classified barcode's pairs are read first, so each builds its own."""
+    red = reduce_matrix(build_boundary_matrix(fc))
+    bc = persistence_pairs(red, fc)
+    expected = persistence_pairs_reference(red, fc)
+    flagged = classify_long_persistence(bc)
+    assert flagged.pairs == long_persistence_reference(expected.pairs, expected.horizon)
+    assert bc.pairs == expected.pairs
+    assert flagged.rendered() == [p for p in flagged.pairs if not p.zero_length]
+    assert bc.rendered() == expected.rendered()
+    assert bc.horizon == flagged.horizon == expected.horizon
+    for dimension in (0, 1, 2):
+        assert bc.max_persistence(dimension) == expected.max_persistence(dimension)
+    assert classify_long_persistence(expected).pairs == flagged.pairs
 
 
 class TestReduction:
@@ -144,6 +157,49 @@ class TestReduction:
     @pytest.mark.parametrize("fixture", FIXTURES)
     def test_chains_empty_only_where_skipped_on_fixtures(self, fixture, method):
         assert_chains_empty_exactly_where_skipped(fixture_complex(fixture, method))
+
+    def test_apparent_pair_that_is_a_zero_length_edge_birth(self):
+        # The triangle is the only coface of its youngest edge (1, 2), and
+        # both enter at 1: the pair is apparent and the edge is cleared.
+        fc = close_under_faces(
+            [((i,), 0.0) for i in range(3)]
+            + [((0, 1), 0.0), ((0, 2), 0.0), ((1, 2), 1.0), ((0, 1, 2), 1.0)]
+        )
+        edge, triangle = position_of(fc, (1, 2)), position_of(fc, (0, 1, 2))
+        red = reduce_matrix(build_boundary_matrix(fc))
+        assert red.apparent[triangle]
+        assert red.pairs[edge] == triangle
+        assert red.chains[edge] == frozenset() and red.chains[triangle] == {triangle}
+        assert red.matrix.columns[triangle] == build_boundary_matrix(fc).columns[triangle]
+        bc = barcode_of(fc)
+        loops = [(p.birth, p.death, p.generator) for p in bc.pairs if p.dimension == 1]
+        assert loops == [(1.0, 1.0, ())]
+        assert [p.dimension for p in bc.rendered()] == [0]
+        assert_matches_dense_reference(fc)
+        assert_pairs_match_reference(fc)
+
+    def test_apparent_column_added_by_two_later_columns(self):
+        # (0, 1), (1, 2) and (0, 3) are apparent; (0, 2) adds (1, 2) then
+        # (0, 1), and (1, 3) adds (0, 3) then (0, 1) again.
+        fc = close_under_faces(
+            [((i,), 0.0) for i in range(4)]
+            + [((0, 1), 1.0), ((1, 2), 2.0), ((0, 2), 3.0), ((0, 3), 4.0), ((1, 3), 5.0)]
+            + [((0, 1, 2), 6.0), ((0, 1, 3), 7.0)]
+        )
+        red = reduce_matrix(build_boundary_matrix(fc))
+        shared = position_of(fc, (0, 1))
+        assert red.apparent[shared]
+        adders = [j for j, chain in enumerate(red.chains) if shared in chain and j != shared]
+        assert adders == [position_of(fc, (0, 2)), position_of(fc, (1, 3))]
+        assert red.chains[shared] == {shared}
+        assert red.matrix.columns[shared] == {position_of(fc, (0,)), position_of(fc, (1,))}
+        loops = [(p.birth, p.death, p.generator) for p in barcode_of(fc).rendered(1)]
+        assert loops == [
+            (3.0, 6.0, ((0, 1), (0, 2), (1, 2))),
+            (5.0, 7.0, ((0, 1), (0, 3), (1, 3))),
+        ]
+        assert_matches_dense_reference(fc)
+        assert_pairs_match_reference(fc)
 
     def test_pairing_is_partial_matching(self):
         rng = random.Random(11)
@@ -195,6 +251,30 @@ class TestReduction:
         assert sum(1 for p in bc.pairs if p.dimension == 2 and p.infinite) == 1
 
 
+class TestPairs:
+    def test_matches_reference_on_random_complexes(self):
+        rng = random.Random(31)
+        for _ in range(60):
+            assert_pairs_match_reference(close_under_faces(random_filtered_entries(rng)))
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_matches_reference_on_fixtures(self, fixture, method):
+        assert_pairs_match_reference(fixture_complex(fixture, method))
+
+    def test_rejects_a_reduction_of_another_complex(self):
+        red = reduce_matrix(build_boundary_matrix(hollow_triangle()))
+        with pytest.raises(ValueError, match="does not belong"):
+            persistence_pairs(red, close_under_faces([((0, 1), 1.0)]))
+
+    def test_hand_made_barcode_keeps_its_order_through_classification(self):
+        zero = PersistencePair(1, 2.0, 2.0, (), 0)
+        pairs = (bar(0.0, 4.0), zero, bar(1.0, 2.0), PersistencePair(0, 0.0, None, ((0,),), 0))
+        bc = classify_long_persistence(Barcode(pairs=pairs, horizon=4.0))
+        assert bc.pairs == long_persistence_reference(pairs, 4.0)
+        assert bc.rendered() == [bc.pairs[0], bc.pairs[2], bc.pairs[3]]
+
+
 class TestGenerators:
     def test_generators_are_cycles_at_birth(self):
         rng = random.Random(23)
@@ -211,7 +291,7 @@ class TestGenerators:
                     continue
                 cycle = p.generator
                 assert cycle
-                present = fc.complex_at(p.birth)
+                present = complex_at(fc, p.birth)
                 assert all(e in present for e in cycle)
                 # boundary sums to zero over F2: every vertex has even degree
                 degree: dict = {}
@@ -239,15 +319,15 @@ class TestOracle:
         for _ in range(80):
             fc = close_under_faces(random_filtered_entries(rng))
             bc = barcode_of(fc)
-            for t in fc.distinct_values():
-                assert bc.bars_alive_at(t) == betti_oracle(fc.complex_at(t))
+            for t in distinct_values(fc):
+                assert bars_alive_at(bc, t) == betti_oracle(complex_at(fc, t))
 
     def test_euler_equals_alternating_betti_sum(self):
         rng = random.Random(6)
         for _ in range(40):
             fc = close_under_faces(random_filtered_entries(rng))
-            for t in fc.distinct_values():
-                cx = fc.complex_at(t)
+            for t in distinct_values(fc):
+                cx = complex_at(fc, t)
                 b0, b1, b2 = betti_oracle(cx)
                 assert euler_characteristic(cx) == b0 - b1 + b2
 

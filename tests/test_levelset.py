@@ -33,6 +33,7 @@ from helpers import (
     nearest_opposite_distance,
     rasterize_mask_reference,
     superlevel_mask_at,
+    value_of,
 )
 
 
@@ -253,7 +254,7 @@ class TestSchedule:
         assert s.entry == (math.ceil(1.5 / 1e-300 - 1e-9), 0)
         assert s.entry[0] > 2**63  # past the int64 range
         fc = complex_from_schedule(s)
-        assert fc.value_of((0, 1)) == float(s.entry[0])
+        assert value_of(fc, (0, 1)) == float(s.entry[0])
 
     def test_validation(self):
         sf = field_from([[0.0]])
@@ -275,11 +276,11 @@ class TestComplex:
         fc = build_levelset_complex(sf, stride=1)
         # 4 vertices, 5 edges (4 sides + NW-SE diagonal), 2 triangles
         assert fc.counts() == (4, 5, 2)
-        assert fc.value_of((0,)) == 0.0
-        assert fc.value_of((1,)) == 1.0
-        assert fc.value_of((0, 3)) == 2.0
-        assert fc.value_of((0, 1, 3)) == 2.0
-        assert fc.value_of((0, 2, 3)) == 2.0
+        assert value_of(fc, (0,)) == 0.0
+        assert value_of(fc, (1,)) == 1.0
+        assert value_of(fc, (0, 3)) == 2.0
+        assert value_of(fc, (0, 1, 3)) == 2.0
+        assert value_of(fc, (0, 2, 3)) == 2.0
 
     def test_never_entering_vertex_absent(self):
         sf = field_from([[0.0, -9.0]])

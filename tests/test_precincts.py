@@ -1,5 +1,6 @@
 import json
 import random
+import warnings
 
 import pytest
 
@@ -147,6 +148,19 @@ class TestVotes:
         with pytest.warns(UserWarning, match="'z' has no votes"):
             winners = winning_precincts(m, "blue")
         assert [p.id for p in winners] == ["a"]
+
+    def test_zero_vote_precinct_warns_once_per_map(self):
+        m = PrecinctMap(precincts=(precinct("a", 1, 0), precinct("b", 0, 2), precinct("z", 0, 0)))
+        with pytest.warns(UserWarning, match="'z' has no votes"):
+            assert [p.id for p in winning_precincts(m, "blue")] == ["a"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert [p.id for p in winning_precincts(m, "red")] == ["b"]
+            winning_precincts(m, "blue").clear()  # callers get their own list
+            assert [p.id for p in winning_precincts(m, "blue")] == ["a"]
+        assert m == PrecinctMap(precincts=m.precincts)
+        with pytest.warns(UserWarning, match="'z' has no votes"):
+            winning_precincts(PrecinctMap(precincts=m.precincts), "red")
 
     def test_bad_candidate_rejected(self):
         m = PrecinctMap(precincts=(precinct("a", 1, 0),))

@@ -11,7 +11,7 @@ from geoph.precincts import centroids, parse_feature_collection
 from geoph.rips import build_vr_complex
 from geoph.synth import grid_fixture
 
-from helpers import naive_vr
+from helpers import bars_alive_at, complex_at, distinct_values, naive_vr, value_of
 
 SQRT2 = math.sqrt(2.0)
 
@@ -27,7 +27,7 @@ class TestConstruction:
 
     def test_two_points(self):
         fc = build_vr_complex(cloud((0, 0), (3, 4)))
-        assert fc.value_of((0, 1)) == pytest.approx(5.0)
+        assert value_of(fc, (0, 1)) == pytest.approx(5.0)
 
     def test_empty_cloud_rejected(self):
         with pytest.raises(ValueError):
@@ -40,7 +40,7 @@ class TestConstruction:
     def test_coincident_points_warn_but_build(self):
         with pytest.warns(UserWarning):
             fc = build_vr_complex(cloud((1, 1), (1, 1)))
-        assert fc.value_of((0, 1)) == 0.0
+        assert value_of(fc, (0, 1)) == 0.0
 
     def test_default_cutoff_gives_full_flag_complex(self):
         rng = random.Random(3)
@@ -51,9 +51,9 @@ class TestConstruction:
 
     def test_cutoff_excludes_far_simplices(self):
         fc = build_vr_complex(cloud((0, 0), (1, 0), (10, 0)), eps_max=2.0)
-        assert (0, 1) in fc
-        assert (0, 2) not in fc
-        assert (1, 2) not in fc
+        assert (0, 1) in fc.simplices()
+        assert (0, 2) not in fc.simplices()
+        assert (1, 2) not in fc.simplices()
 
     def test_nested_in_cutoff(self):
         rng = random.Random(4)
@@ -61,8 +61,8 @@ class TestConstruction:
         small = build_vr_complex(cloud(*pts), eps_max=1.0)
         large = build_vr_complex(cloud(*pts), eps_max=2.5)
         for s, v in small:
-            assert s in large
-            assert large.value_of(s) == v
+            assert s in large.simplices()
+            assert value_of(large, s) == v
 
 
 def grid_centroids(scale):
@@ -107,9 +107,9 @@ class TestUnitSquare:
 
     def test_simplex_values(self):
         assert self.fc.counts() == (4, 6, 4)
-        assert self.fc.value_of((0, 1)) == pytest.approx(1.0)
-        assert self.fc.value_of((0, 2)) == pytest.approx(SQRT2)  # diagonal
-        assert self.fc.value_of((0, 1, 2)) == pytest.approx(SQRT2)
+        assert value_of(self.fc, (0, 1)) == pytest.approx(1.0)
+        assert value_of(self.fc, (0, 2)) == pytest.approx(SQRT2)  # diagonal
+        assert value_of(self.fc, (0, 1, 2)) == pytest.approx(SQRT2)
 
     def test_loop_lives_from_one_to_sqrt_two(self):
         bc = barcode_of(self.fc)
@@ -142,5 +142,5 @@ def test_betti_profile_matches_oracle():
         pts = [(rng.uniform(0, 4), rng.uniform(0, 4)) for _ in range(9)]
         fc = build_vr_complex(cloud(*pts), eps_max=2.0)
         bc = barcode_of(fc)
-        for t in fc.distinct_values():
-            assert bc.bars_alive_at(t) == betti_oracle(fc.complex_at(t))
+        for t in distinct_values(fc):
+            assert bars_alive_at(bc, t) == betti_oracle(complex_at(fc, t))

@@ -2,8 +2,10 @@
 
 ``perfbench/tracing.py`` wraps geoph's layer functions by name and reads
 counts off their return values (for example ``ReducedMatrix.matrix``,
-``.chains`` and ``.pairs``).  A rename or a change of result shape would
-otherwise show up only in ``perfbench/run.py --trace 1`` runs.
+``.chains`` and ``.pairs``, which are built on first read).  A rename or a
+change of result shape would otherwise show up only in
+``perfbench/run.py --trace 1`` runs, and the counts are checked against the
+reference boundary matrix and dense reduction.
 """
 
 import contextlib
@@ -16,6 +18,8 @@ import pytest
 
 from geoph import cli
 from geoph.pipeline import METHODS
+
+from helpers import boundary_matrix_reference, dense_reduce_reference, skipped_columns
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -51,3 +55,16 @@ def test_traced_build_reads_every_homology_count(tracing, method, tmp_path):
     for name in counts:
         assert isinstance(tr.counts.get(name), (int, float)), name
     assert tr.counts["homology.finite_pairs"] > 0
+
+    fc = tr.results["pipeline.run_s"].complex
+    columns = boundary_matrix_reference(fc)
+    pairs, reduced, chains = dense_reduce_reference(columns)
+    values = [value for _, value in fc.entries]
+    bars = len(fc) - len(pairs)
+    zero_length = sum(values[b] == values[d] for b, d in pairs.items())
+    kept = set(range(len(fc))) - skipped_columns(fc, pairs)
+    assert tr.counts["homology.boundary_nnz"] == sum(map(len, columns))
+    assert tr.counts["homology.reduced_nnz"] == sum(map(len, reduced))
+    assert tr.counts["homology.chain_nnz"] == sum(len(chains[j]) for j in kept)
+    assert tr.counts["homology.finite_pairs"] == len(pairs)
+    assert tr.counts["homology.rendered_ratio"] == (bars - zero_length) / bars
