@@ -3,8 +3,11 @@
 Two precincts are queen-adjacent when their boundaries come within a
 tolerance of touching; a single shared corner point suffices.  Candidate
 pairs come from a sort-and-sweep over the precincts' bounding boxes, so only
-pairs whose boxes come within the tolerance reach the exact segment test and
-the cost is near-linear in map size for map-like inputs.  The filtered
+pairs whose boxes come within the tolerance are looked at and the cost is
+near-linear in map size for map-like inputs.  A candidate pair that shares a
+ring vertex is adjacent at once (its boundary distance is 0); only the pairs
+with no shared vertex (T-junctions, gaps within the tolerance, islands in
+holes) reach the exact segment test.  The filtered
 complex descends the margin scale: a winning precinct enters at the first
 threshold its margin clears, an edge when both endpoints are in, and every
 pairwise-adjacent triple spans a triangle.
@@ -71,11 +74,14 @@ def queen_adjacency(m: PrecinctMap, tol: float = DEFAULT_TOL) -> AdjacencyGraph:
     precinct stops at the first box that starts more than ``tol`` past its
     ``x1``, and pairs whose boxes are more than ``tol`` apart in y are
     skipped.  Those are exactly the pairs ``precincts_touch`` rejects on its
-    bounding boxes, so only the rest reach it.
+    bounding boxes.  Of the rest, a pair that shares a ring vertex is an
+    edge with no further test, since its boundary distance is 0 <= ``tol``;
+    only pairs with disjoint vertex sets reach ``precincts_touch``.
     """
     if tol < 0:
         raise ValueError("tolerance must be non-negative")
     boxes = sorted((p.bbox(), i, p) for i, p in enumerate(m.precincts))
+    vertices = [{v for ring in p.rings for v in ring} for p in m.precincts]
     edges = set()
     for pos, ((_, ay0, ax1, ay1), i, a) in enumerate(boxes):
         for later in range(pos + 1, len(boxes)):
@@ -84,9 +90,11 @@ def queen_adjacency(m: PrecinctMap, tol: float = DEFAULT_TOL) -> AdjacencyGraph:
                 break
             if by0 - ay1 > tol or ay0 - by1 > tol:
                 continue
-            first, second = (a, b) if i < j else (b, a)
-            if precincts_touch(first, second, tol):
-                edges.add((min(a.id, b.id), max(a.id, b.id)))
+            if vertices[i].isdisjoint(vertices[j]):
+                first, second = (a, b) if i < j else (b, a)
+                if not precincts_touch(first, second, tol):
+                    continue
+            edges.add((min(a.id, b.id), max(a.id, b.id)))
     return AdjacencyGraph(nodes=tuple(p.id for p in m), edges=frozenset(edges))
 
 

@@ -5,8 +5,10 @@ turned into a signed distance field (positive inside, negative outside),
 and then advanced at constant speed: the front at step k is the superlevel
 set phi + v*k*dt >= 0, which for a distance field is plain outward
 dilation.  The squared Euclidean distance transform is exact and separable:
-one row minimum, out[r, q] = min_p (q - p)^2 + f[r, p], is applied down the
-columns of the 0/inf feature array and then along the rows of the result.
+a column pass finds each cell's nearest feature row with running max/min
+index scans and squares the gap; a row pass then takes
+out[r, q] = min_p (q - p)^2 + g[r, p] over growing offsets |q - p|, and
+stops once the next offset's square reaches the largest value so far.
 The filtered complex lives on a strided subgrid: a vertex enters at the
 first step its cell joins the superlevel set, edges connect the four
 cardinal neighbours plus the NW and SE diagonals, and each lattice square
@@ -132,23 +134,25 @@ def rasterize_mask(m: PrecinctMap, candidate: str, max_side: int = MAX_SIDE) -> 
     return BitMask(cells=cells, transform=transform)
 
 
-def _row_min_plus_sq(f: np.ndarray) -> np.ndarray:
-    """out[r, q] = min_p (q - p)^2 + f[r, p] for every row of f.
-
-    Each row is broadcast against a w x w table of squared offsets, so
-    besides the output only two arrays of at most MAX_SIDE^2 floats
-    (0.5 MB each) are alive.  Every value is an exact integer or inf, so
-    the minimum is exact.
-    """
-    offsets = np.arange(f.shape[1], dtype=float)
-    sq = (offsets[:, None] - offsets) ** 2
-    return np.array([(sq + row).min(axis=1) for row in f])
-
-
 def _distance_sq_to(feature: np.ndarray) -> np.ndarray:
-    """Exact squared Euclidean distance from every cell to the nearest True cell."""
-    vertical = _row_min_plus_sq(np.where(feature, 0.0, np.inf).T).T
-    return _row_min_plus_sq(vertical)
+    """Exact squared Euclidean distance from every cell to the nearest True cell.
+
+    Every value is an integer below 2 * MAX_SIDE^2, or inf where there is
+    no True cell at all, so every sum and minimum is exact.
+    """
+    h, w = feature.shape
+    rows = np.arange(h, dtype=float)[:, None]
+    above = np.maximum.accumulate(np.where(feature, rows, -np.inf), axis=0)
+    below = np.minimum.accumulate(np.where(feature, rows, np.inf)[::-1], axis=0)[::-1]
+    g = np.minimum(rows - above, below - rows) ** 2
+    out = g.copy()
+    dp = 1
+    while dp < w and dp * dp < out.max():
+        # no offset from dp on can lower a value at or below dp^2
+        np.minimum(out[:, dp:], g[:, :-dp] + dp * dp, out=out[:, dp:])
+        np.minimum(out[:, :-dp], g[:, dp:] + dp * dp, out=out[:, :-dp])
+        dp += 1
+    return out
 
 
 def signed_distance_field(mask: BitMask) -> ScalarField:

@@ -250,8 +250,12 @@ def _bench_one(path: Path, method: str, candidate: str) -> BenchmarkRow | None:
             warnings.simplefilter("ignore")
             return run_pipeline(cfg, m, input_name=path.stem).row
     except GeophError as exc:
-        warnings.warn(f"{path.name} {method}/{candidate}: {exc}", stacklevel=2)
-        return None
+        reason = str(exc)
+    except MemoryError:
+        # e.g. VR on a map too large for this machine: drop the cell, not the table
+        reason = "out of memory"
+    warnings.warn(f"{path.name} {method}/{candidate}: {reason}", stacklevel=2)
+    return None
 
 
 def bench_directory(input_dir: str | Path, out_path: str | Path) -> list[BenchmarkRow]:

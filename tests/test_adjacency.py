@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 import time
@@ -39,6 +40,19 @@ def square_precinct(pid, x, y, blue, red, side=1.0):
 
 def map_of(*features):
     return parse_feature_collection({"type": "FeatureCollection", "features": list(features)})
+
+
+def count_exact_tests(monkeypatch):
+    """Route ``precincts_touch`` through a counter; returns the call list."""
+    calls = []
+    touch = adjacency.precincts_touch
+
+    def counted(a, b, tol=adjacency.DEFAULT_TOL):
+        calls.append((a.id, b.id))
+        return touch(a, b, tol)
+
+    monkeypatch.setattr(adjacency, "precincts_touch", counted)
+    return calls
 
 
 class TestTouching:
@@ -83,20 +97,19 @@ class TestQueenGraph:
             assert set(g.edges) == expected
 
     def test_scaling_guard(self, monkeypatch):
-        # A map-like input reaches the exact predicate about 4 times per
-        # precinct, not once per pair.
-        calls = []
-        touch = adjacency.precincts_touch
-
-        def counted(a, b, tol=adjacency.DEFAULT_TOL):
-            calls.append(1)
-            return touch(a, b, tol)
-
-        monkeypatch.setattr(adjacency, "precincts_touch", counted)
+        # On a lattice every adjacent pair shares a corner, so no pair
+        # reaches the exact predicate; a T-junction still does.
+        calls = count_exact_tests(monkeypatch)
         m = parse_feature_collection(jittered_lattice_map(30, 0.3, 0))
         g = queen_adjacency(m)
         assert len(g.edges) > 3 * len(m)
-        assert len(calls) <= 4 * len(m)
+        assert len(calls) == 0
+        assert queen_adjacency(t_junction_map()).edges == {
+            ("left", "right"),
+            ("base", "left"),
+            ("base", "right"),
+        }
+        assert len(calls) > 0
 
     def test_interior_cell_has_eight_neighbors(self):
         g = queen_adjacency(parse_feature_collection(grid_fixture(3)))
@@ -189,6 +202,28 @@ def holes_and_parts_map():
     return map_of(*feats)
 
 
+def t_junction_map():
+    """A 2-wide rectangle under two unit squares set half a unit along, so
+    each square has a corner on the rectangle's top side (and the
+    rectangle a corner on the right square's bottom side) with no vertex
+    shared between the rectangle and either square."""
+    return map_of(
+        polygon_precinct("base", [[rect_ring(0, 0, 2, 1)]]),
+        polygon_precinct("left", [[rect_ring(0.5, 1, 1.5, 2)]]),
+        polygon_precinct("right", [[rect_ring(1.5, 1, 2.5, 2)]]),
+    )
+
+
+def scaled_map(fc, factor):
+    """Parse a Polygon FeatureCollection with every coordinate multiplied by
+    ``factor``."""
+    fc = copy.deepcopy(fc)
+    for feat in fc["features"]:
+        for ring in feat["geometry"]["coordinates"]:
+            ring[:] = [[x * factor, y * factor] for x, y in ring]
+    return parse_feature_collection(fc)
+
+
 class TestSweepMatchesAllPairs:
     """The bbox sweep must give exactly the all-pairs edge set."""
 
@@ -229,6 +264,44 @@ class TestSweepMatchesAllPairs:
             assert ("holed", "island_free") not in edges
             assert {("multi", "near_part1"), ("multi", "near_part2")} <= edges
             assert ("inside_bbox_only", "multi") not in edges
+
+    @pytest.mark.parametrize("tol", TOLERANCES)
+    def test_t_junctions(self, tol):
+        m = t_junction_map()
+        edges = queen_adjacency(m, tol).edges
+        assert edges == queen_edges_reference(m, tol)
+        assert {("base", "left"), ("base", "right")} <= edges
+
+    @pytest.mark.parametrize("tol", TOLERANCES)
+    def test_no_shared_vertex_gap_within_and_beyond_tol(self, tol):
+        # b is offset half a unit in y, so the pair never shares a vertex.
+        for gap, touching in ((tol / 2, True), (max(2 * tol, 1e-6), False)):
+            m = map_of(
+                polygon_precinct("a", [[rect_ring(0.0, 0.0, 1.0, 1.0)]]),
+                polygon_precinct("b", [[rect_ring(1.0 + gap, 0.5, 2.0 + gap, 1.5)]]),
+            )
+            edges = queen_adjacency(m, tol).edges
+            assert edges == queen_edges_reference(m, tol), gap
+            assert (edges == {("a", "b")}) == touching, gap
+
+    @pytest.mark.parametrize("tol", TOLERANCES)
+    def test_signed_zero_vertex_is_shared(self, tol, monkeypatch):
+        # The two squares meet only at the origin, written -0.0 on one side.
+        m = map_of(
+            polygon_precinct("a", [[rect_ring(-1.0, -1.0, -0.0, -0.0)]]),
+            polygon_precinct("b", [[rect_ring(0.0, 0.0, 1.0, 1.0)]]),
+        )
+        assert queen_adjacency(m, tol).edges == queen_edges_reference(m, tol) == {("a", "b")}
+        calls = count_exact_tests(monkeypatch)
+        queen_adjacency(m, tol)
+        assert calls == []
+
+    @pytest.mark.parametrize("factor", [1e-300, 1e300])
+    @pytest.mark.parametrize("tol", TOLERANCES)
+    def test_extreme_scales(self, factor, tol):
+        for seed in range(2):
+            m = scaled_map(jittered_lattice_map(6, 0.3, seed), factor)
+            assert queen_adjacency(m, tol).edges == queen_edges_reference(m, tol)
 
 
 class TestMarginLevel:

@@ -153,6 +153,16 @@ class TestSignedDistance:
             single = np.zeros((h, w), dtype=bool)
             single[r, c] = True
             masks += [single, ~single]
+        # Full-size masks where the row pass runs to its longest offsets:
+        # one True cell at a corner or at the centre, every cell but one,
+        # and True cells in a single column only.
+        corner = np.zeros((MAX_SIDE, MAX_SIDE), dtype=bool)
+        corner[0, 0] = True
+        centre = np.zeros((MAX_SIDE, MAX_SIDE), dtype=bool)
+        centre[MAX_SIDE // 2, MAX_SIDE // 2] = True
+        column = np.zeros((MAX_SIDE, MAX_SIDE), dtype=bool)
+        column[rng.random(MAX_SIDE) < 0.3, 7] = True
+        masks += [corner, centre, ~centre, column]
         for cells in masks:
             got = _distance_sq_to(cells)
             assert got.shape == cells.shape

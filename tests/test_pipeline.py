@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from geoph import pipeline
 from geoph.errors import InputError
 from geoph.pipeline import (
     BenchmarkRow,
@@ -171,6 +172,23 @@ class TestBench:
         rows = bench_directory(tmp_path, tmp_path / "b.csv")
         keys = [(r.input_name, r.method, r.candidate) for r in rows]
         assert keys == sorted(keys)
+
+    def test_memory_error_drops_only_its_cells(self, tmp_path, monkeypatch):
+        self.make_inputs(tmp_path)
+        real = pipeline.run_pipeline
+
+        def run_or_exhaust(cfg, m, input_name="map"):
+            if input_name == "grid2":
+                raise MemoryError
+            return real(cfg, m, input_name)
+
+        monkeypatch.setattr(pipeline, "run_pipeline", run_or_exhaust)
+        out = tmp_path / "bench.csv"
+        with pytest.warns(UserWarning, match="grid2.geojson .*: out of memory"):
+            rows = bench_directory(tmp_path, out)
+        assert {r.input_name for r in rows} == {"blobs"}
+        assert len(rows) == 8
+        assert out.read_text().count("\nblobs,") == 8
 
     def test_empty_directory_rejected(self, tmp_path):
         with pytest.raises(InputError, match="no .geojson"):
