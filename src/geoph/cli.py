@@ -60,6 +60,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
+    out = Path(args.out)
+    if out.exists() and not out.is_dir():
+        raise InputError(f"--out {out} exists and is not a directory")
     cfg = RunConfig(
         method=args.method,
         candidate=args.candidate,
@@ -126,6 +129,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # a path given on the command line cannot be read or written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

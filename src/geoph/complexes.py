@@ -28,6 +28,7 @@ Simplex = tuple[int, ...]
 Entry = tuple[Simplex, float]
 
 MAX_DIM = 2
+_TEXT_BLOCK = 4096  # simplices per block of `to_text` lines
 
 
 def simplex(vertices: Iterable[int]) -> Simplex:
@@ -212,9 +213,12 @@ class FilteredComplex:
         listed: list[str] = []
         for r in self._rows:
             listed += map(",".join, zip(*[map(str, column) for column in r.T.tolist()]))
-        in_order = map(listed.__getitem__, self._order.tolist())
-        lines = [f"{text}\t{value!r}" for text, value in zip(in_order, self._values.tolist())]
-        return "\n".join(lines) + ("\n" if lines else "")
+        parts = []  # joined a block at a time, so the lines of a whole complex never coexist
+        for i in range(0, len(self), _TEXT_BLOCK):
+            in_order = map(listed.__getitem__, self._order[i : i + _TEXT_BLOCK].tolist())
+            values = self._values[i : i + _TEXT_BLOCK].tolist()
+            parts.append("".join([f"{text}\t{value!r}\n" for text, value in zip(in_order, values)]))
+        return "".join(parts)
 
     @classmethod
     def from_text(cls, text: str) -> "FilteredComplex":

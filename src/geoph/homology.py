@@ -13,11 +13,15 @@ Apparent pairs come first (Bauer 2021, *Ripser*): a column whose lowest
 face has it as its oldest coface keeps its boundary and pairs at once,
 since no earlier column can hold that face.  They are found with numpy, as
 are the edges a triangle kills at their own value (zero-length births,
-never reduced); the Python loop runs over the other columns only.  Bars
-are read off arrays too: a ``PersistencePair`` and its generator are built
-only for the nonzero-length bars the artifacts show.  The full per-column
-and per-bar views (``BoundaryMatrix.columns``, ``ReducedMatrix.matrix``,
-``.chains`` and ``.pairs``, ``Barcode.pairs``) are built on first read.
+never reduced); the Python loop runs over the other columns only.  In the
+loop a column is one Python int whose bit b is the face b ranks below its
+lowest row, so an addition is an xor and a shift.  The loop only logs which
+columns each column adds; numpy then sums the chains from that log into one
+CSR array (``ReducedMatrix.chain_ptr``, ``.chain_at``).  Bars are read off
+arrays too: a ``PersistencePair`` and its generator are built only for the
+nonzero-length bars the artifacts show.  The full per-column and per-bar
+views (``BoundaryMatrix.columns``, ``ReducedMatrix.matrix``, ``.chains``,
+``.pairs``, ``.r`` and ``.v``, ``Barcode.pairs``) are built on first read.
 
 ``betti_oracle`` is a deliberately separate brute-force computation
 (Gaussian elimination on the raw boundary maps) used to cross-check the
@@ -28,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain
 from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
@@ -83,23 +86,57 @@ class ReducedMatrix:
 
     ``owner[i]`` is the column whose reduced lowest row is i, or -1.  An
     ``apparent`` column keeps its boundary as its reduced column, and its
-    chain is itself.  ``r[j]`` and ``v[j]`` hold the reduced column and the
-    chain of each column the reduction loop reduced or added, None
-    elsewhere.  The other columns (vertices and zero-length edge births)
-    have an empty reduced column and chain.
+    chain is itself.  ``aligned[d - 1][c]`` is the reduced column of the
+    d-simplex of filtration rank c (its rank among the d-simplices) as a
+    low-aligned int: bit b is the face b ranks below the column's lowest
+    row, 0 is a zero column.  It is set for each column the reduction loop
+    reduced or added and None elsewhere.  The chain of each column the loop
+    reduced is ``chain_at[chain_ptr[j]:chain_ptr[j + 1]]``, positions in
+    ascending order.  The other columns (vertices and zero-length edge
+    births) have an empty reduced column and chain.  ``r`` and ``v`` (row
+    and chain sets of the columns the loop reduced or added, None
+    elsewhere), ``matrix``, ``chains`` and ``pairs`` are built on first
+    read.
     """
 
     boundary: BoundaryMatrix
     owner: np.ndarray
     apparent: np.ndarray
-    r: list[frozenset[int] | None]
-    v: list[frozenset[int] | None]
+    aligned: tuple[list[int | None], ...]
+    chain_ptr: np.ndarray
+    chain_at: np.ndarray
 
     @cached_property
     def pairs(self) -> dict[int, int]:
         """Birth column -> death column."""
         low = np.flatnonzero(self.owner >= 0)
         return dict(zip(low.tolist(), self.owner[low].tolist()))
+
+    @cached_property
+    def r(self) -> list[frozenset[int] | None]:
+        rank, by_rank = _filtration_ranks(self.boundary.complex)
+        low_of = np.full(len(rank), -1, dtype=np.int64)
+        low_of[self.owner[self.owner >= 0]] = np.flatnonzero(self.owner >= 0)
+        r: list[frozenset[int] | None] = [None] * len(rank)
+        for d, aligned in enumerate(self.aligned, start=1):
+            for j, col in zip(by_rank[d].tolist(), aligned):
+                if col == 0:
+                    r[j] = _EMPTY
+                elif col is not None:
+                    rows = by_rank[d - 1][rank[low_of[j]] - _bits(col)]
+                    r[j] = frozenset(rows.tolist())
+        return r
+
+    @cached_property
+    def v(self) -> list[frozenset[int] | None]:
+        _, by_rank = _filtration_ranks(self.boundary.complex)
+        ptr = self.chain_ptr.tolist()
+        v: list[frozenset[int] | None] = [None] * (len(ptr) - 1)
+        for d, aligned in enumerate(self.aligned, start=1):
+            for j, col in zip(by_rank[d].tolist(), aligned):
+                if col is not None:  # an added apparent column has no chain row: it is its chain
+                    v[j] = frozenset(self.chain_at[ptr[j] : ptr[j + 1]].tolist() or (j,))
+        return v
 
     @cached_property
     def matrix(self) -> ReducedColumns:
@@ -117,19 +154,62 @@ class ReducedMatrix:
         return tuple(chains)
 
 
+def _bits(col: int) -> np.ndarray:
+    """The set bits of a nonnegative int, ascending."""
+    raw = col.to_bytes((col.bit_length() + 7) // 8, "little")
+    return np.flatnonzero(np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little"))
+
+
+def _filtration_ranks(fc: FilteredComplex) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``rank[p]``, the rank of position p among the simplices of its
+    dimension in filtration order, and per dimension the position of each
+    rank."""
+    rank = np.empty(len(fc), dtype=np.int64)
+    by_rank = []
+    for d in range(3):
+        at = np.sort(fc.rows(d)[1])
+        rank[at] = np.arange(len(at))
+        by_rank.append(at)
+    return rank, by_rank
+
+
+def _gather(ptr: np.ndarray, flat: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``rows`` of the CSR array (``ptr``, ``flat``), concatenated, and
+    their sizes."""
+    starts = ptr[rows]
+    sizes = ptr[rows + 1] - starts
+    ends = np.cumsum(sizes)
+    total = int(ends[-1]) if len(ends) else 0
+    return flat[np.arange(total) + np.repeat(starts - ends + sizes, sizes)], sizes
+
+
+def _odd(keys: np.ndarray) -> np.ndarray:
+    """The values that occur an odd number of times in ``keys``, ascending."""
+    keys = np.sort(keys)
+    first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    return keys[first[np.diff(np.r_[first, len(keys)]) % 2 == 1]]
+
+
 def reduce_matrix(bm: BoundaryMatrix) -> ReducedMatrix:
     """Reduce the triangle columns, then the edge columns, each left to right.
 
     A pivot is one dimension below its column, so a column only ever adds
     columns of its own dimension, and every reduced column and chain is the
     one the plain left-to-right order gives.  Apparent columns are paired
-    before the loop; one's reduced column and chain are built the first
-    time a later column adds it.  An edge whose row a triangle owns at the
-    edge's own value is a zero-length birth: its column reduces to zero and
-    no artifact shows its generator, so it is skipped (clearing).
+    before the loop; one's aligned column is built the first time a later
+    column adds it.  An edge whose row a triangle owns at the edge's own
+    value is a zero-length birth: its column reduces to zero and no artifact
+    shows its generator, so it is skipped (clearing).
+
+    The loop works in filtration ranks.  A working column is one int aligned
+    at its lowest row, and so is each pivot's stored column, so an addition
+    is one xor that clears bit 0, and a shift past the trailing zeros moves
+    the low down.  The loop only logs which columns each column adds; the
+    chains are summed from that log afterwards (:func:`_chain_keys`).
     """
+    fc = bm.complex
     n = len(bm)
-    values = bm.complex.values
+    values = fc.values
     owner = np.full(n, -1, dtype=np.int64)
     apparent = np.zeros(n, dtype=bool)
     for at, face_at in bm.face_positions:
@@ -139,38 +219,101 @@ def reduce_matrix(bm: BoundaryMatrix) -> ReducedMatrix:
         hit = oldest[low] == at
         owner[low[hit]] = at[hit]
         apparent[at[hit]] = True
-    owner_of = owner.tolist()  # the loop's pairs go here, then back to owner
-    r: list[frozenset[int] | None] = [None] * n
-    v: list[frozenset[int] | None] = [None] * n
-    for at, face_at in reversed(bm.face_positions):
-        todo = ~apparent[at]
-        if face_at.shape[1] == 2:  # edges: clear zero-length births
-            killer = owner[at]
-            todo &= (killer < 0) | (values[np.maximum(killer, 0)] != values[at])
-        rows = np.flatnonzero(todo)
-        rows = rows[np.argsort(at[rows])]
-        faces_t = face_at.T.tolist()
-        row_of = np.empty(n, dtype=np.int64)
-        row_of[at] = np.arange(len(at))
-        row_of = row_of.tolist()
-        paired = []
-        for j, faces_j in zip(at[rows].tolist(), zip(*face_at[rows].T.tolist())):
-            col, chain_j = set(faces_j), {j}
-            while col:
-                low = max(col)
-                k = owner_of[low]
+    rank, by_rank = _filtration_ranks(fc)
+    aligned: list[list[int | None]] = [[], []]
+    keys = []
+    for d in (2, 1):
+        at, face_at = bm.face_positions[d - 1]
+        column_at, face_by = by_rank[d], by_rank[d - 1]
+        face_rank = np.empty_like(face_at)
+        face_rank[rank[at]] = np.sort(rank[face_at], axis=1)
+        offsets = face_rank[:, -1:] - face_rank[:, :-1]
+        todo = ~apparent[column_at]
+        if d == 1:  # clear zero-length births
+            killer = owner[column_at]
+            todo &= (killer < 0) | (values[np.maximum(killer, 0)] != values[column_at])
+        todo = np.flatnonzero(todo)
+        cols = [1] * len(todo)
+        for off in offsets[todo].T.tolist():
+            cols = [col | 1 << b for col, b in zip(cols, off)]
+        offsets = offsets.T.tolist()
+        own = owner[face_by]  # the column owning each face rank, as a column rank
+        own[own >= 0] = rank[own[own >= 0]]
+        own = own.tolist()
+        r: list[int | None] = [None] * len(column_at)
+        log: list[int] = []
+        added = []
+        for j, low, col in zip(todo.tolist(), face_rank[todo, -1].tolist(), cols):
+            before = len(log)
+            while True:
+                k = own[low]
                 if k < 0:
-                    owner_of[low] = j
-                    paired.append(low)
+                    own[low] = j
                     break
-                if r[k] is None:  # an apparent column, added for the first time
-                    r[k], v[k] = frozenset([f[row_of[k]] for f in faces_t]), frozenset((k,))
-                col ^= r[k]
-                chain_j ^= v[k]
-            # Frozen copies are sized to their contents; the grown sets are not.
-            r[j], v[j] = frozenset(col), frozenset(chain_j)
-        owner[paired] = [owner_of[i] for i in paired]
-    return ReducedMatrix(boundary=bm, owner=owner, apparent=apparent, r=r, v=v)
+                rk = r[k]
+                if rk is None:  # an apparent column, added for the first time
+                    rk = 1
+                    for off in offsets:
+                        rk |= 1 << off[k]
+                    r[k] = rk
+                log.append(k)
+                col ^= rk
+                if not col:
+                    break
+                shift = (col & -col).bit_length() - 1
+                col >>= shift
+                low -= shift
+            r[j] = col
+            added.append(len(log) - before)
+        own = np.array(own, dtype=np.int64)
+        owner[face_by[own >= 0]] = column_at[own[own >= 0]]
+        aligned[d - 1] = r
+        keys.append(
+            _chain_keys(
+                n, column_at, apparent[column_at], todo,
+                np.array(added, dtype=np.int64), np.array(log, dtype=np.int64),
+            )
+        )
+    keys = _odd(np.concatenate(keys))
+    chain_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=chain_ptr[1:])
+    return ReducedMatrix(bm, owner, apparent, tuple(aligned), chain_ptr, keys % n)
+
+
+def _chain_keys(
+    n: int,
+    at: np.ndarray,
+    apparent: np.ndarray,
+    done: np.ndarray,
+    added: np.ndarray,
+    log: np.ndarray,
+) -> np.ndarray:
+    """The chains of one dimension's reduced columns as keys ``j * n + k``
+    (positions j and k, for k in the chain of j), each key present an odd
+    number of times.
+
+    Columns are indexed by filtration rank: ``at`` holds their positions
+    and ``apparent`` their flags; the loop reduced the columns ``done``,
+    ascending, and column ``done[s]`` added the ``added[s]`` columns that
+    follow in ``log``.  A chain is the column itself plus the chain of each
+    column it added: an apparent column's chain is itself, and a pivot the
+    loop reduced is expanded into its own log, one round per level of
+    nesting, with pending pivots that meet twice in one chain cancelled
+    before they are expanded.
+    """
+    ptr = np.zeros(len(done) + 1, dtype=np.int64)
+    np.cumsum(added, out=ptr[1:])
+    m = len(at)
+    j, k = np.repeat(done, added), log
+    keys = [at[done] * (n + 1)]
+    while len(k):
+        kept = apparent[k]
+        keys.append(at[j[kept]] * n + at[k[kept]])
+        j, k = np.divmod(_odd(j[~kept] * m + k[~kept]), m)
+        keys.append(at[j] * n + at[k])
+        k, sizes = _gather(ptr, log, np.searchsorted(done, k))
+        j = np.repeat(j, sizes)
+    return np.concatenate(keys)
 
 
 @dataclass(frozen=True)
@@ -338,21 +481,21 @@ def persistence_pairs(reduced: ReducedMatrix, fc: FilteredComplex) -> Barcode:
     zero = (killer >= 0) & (values[np.maximum(killer, 0)] == values[born])
 
     def bars(
-        at: np.ndarray, chains: Sequence[frozenset[int] | None] | None
+        at: np.ndarray, chains: tuple[np.ndarray, np.ndarray] | None
     ) -> list[PersistencePair]:
         """The bars born at positions ``at``, in that order.  A vertex is its
-        own generator; an edge or triangle's is its chain, or () if
-        ``chains`` is None."""
+        own generator; an edge or triangle's is its chain, read off the CSR
+        array ``chains``, or () if ``chains`` is None."""
         generators: list[tuple[Simplex, ...]] = [()] * len(at)
         for d in range(3):
             (of_d,) = np.nonzero(dimension[at] == d)
             if d == 0:
-                cycles = [[j] for j in at[of_d].tolist()]
+                cycles = at[of_d], np.ones(len(of_d), dtype=np.int64)
             elif chains is None:
                 continue
             else:
-                cycles = list(map(chains.__getitem__, at[of_d].tolist()))
-            for slot, generator in zip(of_d.tolist(), _simplices(fc, d, cycles, rank)):
+                cycles = _gather(*chains, at[of_d])
+            for slot, generator in zip(of_d.tolist(), _simplices(fc, d, *cycles, rank)):
                 generators[slot] = generator
         k = owner[at]
         return [
@@ -368,24 +511,26 @@ def persistence_pairs(reduced: ReducedMatrix, fc: FilteredComplex) -> Barcode:
         ]
 
     # Zero-length dimension-1 bars are skipped columns: they have no chain.
+    # The barcode keeps the closure, so it must not hold the reduction.
     zero_length = born[zero]
     return Barcode._of_shown(
-        bars(born[~zero], reduced.v), fc.max_value(), lambda: bars(zero_length, None)
+        bars(born[~zero], (reduced.chain_ptr, reduced.chain_at)),
+        fc.max_value(),
+        lambda: bars(zero_length, None),
     )
 
 
 def _simplices(
-    fc: FilteredComplex, d: int, cycles: list, rank: np.ndarray
+    fc: FilteredComplex, d: int, at: np.ndarray, sizes: np.ndarray, rank: np.ndarray
 ) -> list[tuple[Simplex, ...]]:
-    """Each cycle (a collection of positions of d-simplices) as a tuple of
-    simplices in lexicographic order, which is the order of their ``rank``
-    among the d-simplices.  Each simplex is built once."""
-    if not cycles:
+    """Cycles of d-simplices, given as their positions ``at``, cycle after
+    cycle, and the cycles' ``sizes``, as tuples of simplices in
+    lexicographic order, which is the order of their ``rank`` among the
+    d-simplices.  Each simplex is built once."""
+    if not len(sizes):
         return []
     rows, _ = fc.rows(d)
-    sizes = [len(c) for c in cycles]
-    at = np.fromiter(chain.from_iterable(cycles), dtype=np.int64, count=sum(sizes))
-    key = np.repeat(np.arange(len(cycles)) * len(rows), sizes) + rank[at]
+    key = np.repeat(np.arange(len(sizes)) * len(rows), sizes) + rank[at]
     key.sort()
     row = key % len(rows)
     used = np.zeros(len(rows), dtype=bool)

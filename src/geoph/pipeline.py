@@ -264,6 +264,10 @@ def bench_directory(input_dir: str | Path, out_path: str | Path) -> list[Benchma
     Failed combinations are dropped and show up as missing table cells.
     """
     input_dir = Path(input_dir)
+    if not input_dir.is_dir():
+        raise InputError(f"input directory {input_dir} not found")
+    if not Path(out_path).parent.is_dir():  # checked before the first build, not after the last
+        raise InputError(f"output directory {Path(out_path).parent} not found")
     files = sorted(
         p for p in input_dir.iterdir() if p.suffix.lower() in (".geojson", ".json")
     )

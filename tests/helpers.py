@@ -534,13 +534,15 @@ def boundary_matrix_reference(fc):
     return tuple(frozenset(position[f] for f in faces(s)) for s, _ in fc.entries)
 
 
-def dense_reduce_reference(columns):
+def dense_reduce_reference(columns, additions=None):
     """Left-to-right F2 column reduction with big-int bitmask columns.
 
     ``columns`` is a sequence of row-index sets, one per column.  Returns
     (pairs, reduced_columns, chains): pairs maps a lowest row to the column
     that kept it, and chains[j] holds the columns added into column j (j
     included).  The format is independent of the package's set columns.
+    When ``additions`` is a list, each addition of column k into column j
+    is appended to it as ``(j, k)``.
     """
     n = len(columns)
     r = [sum(1 << row for row in col) for col in columns]
@@ -557,6 +559,8 @@ def dense_reduce_reference(columns):
                 break
             r[j] ^= r[k]
             v[j] ^= v[k]
+            if additions is not None:
+                additions.append((j, k))
 
     def bit_indices(x):
         out = set()

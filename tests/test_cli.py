@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import geoph
+from geoph import pipeline
 from geoph.cli import main
 from geoph.precincts import centroids, parse_feature_collection
 from geoph.synth import grid_fixture, write_fixture
@@ -36,6 +37,11 @@ class TestSynth:
             ["synth", "--fixture", "annulus", "--out", str(tmp_path / "a.geojson"),
              "--hole-radius", "-5"]
         )
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_missing_output_directory_exits_two(self, tmp_path, capsys):
+        code = main(["synth", "--fixture", "grid", "--out", str(tmp_path / "nodir" / "g.geojson")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
@@ -277,6 +283,16 @@ class TestBuild:
                 tmp_path / "y" / name
             ).read_bytes()
 
+    def test_out_is_a_file_exits_two(self, tmp_path, capsys):
+        src = synth(tmp_path, "dissent", "d.geojson")
+        capsys.readouterr()
+        code = main(
+            ["build", "--method", "adjacency", "--candidate", "red",
+             "--input", str(src), "--out", str(src)]
+        )
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestBench:
     def test_bench_directory(self, tmp_path, capsys):
@@ -293,6 +309,28 @@ class TestBench:
         code = main(
             ["bench", "--input-dir", str(tmp_path / "empty"), "--out", str(tmp_path / "b.csv")]
         )
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_missing_input_directory_exits_two(self, tmp_path, capsys):
+        code = main(
+            ["bench", "--input-dir", str(tmp_path / "nodir"), "--out", str(tmp_path / "b.csv")]
+        )
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_missing_output_directory_exits_two_before_any_build(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        (tmp_path / "maps").mkdir()
+        synth(tmp_path / "maps", "grid", "g.geojson", "--n", "2")
+
+        def refuse(*args):
+            raise AssertionError("built a map before checking --out")
+
+        monkeypatch.setattr(pipeline, "_bench_one", refuse)
+        out = tmp_path / "nodir" / "b.csv"
+        code = main(["bench", "--input-dir", str(tmp_path / "maps"), "--out", str(out)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
 

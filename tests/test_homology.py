@@ -13,6 +13,7 @@ from geoph.complexes import (
     euler_characteristic,
     faces,
 )
+from geoph.geometry import PointCloud
 from geoph.homology import (
     Barcode,
     PersistencePair,
@@ -25,6 +26,7 @@ from geoph.homology import (
 )
 from geoph.pipeline import METHODS, RunConfig, run_pipeline
 from geoph.precincts import parse_feature_collection
+from geoph.rips import build_vr_complex
 from geoph.synth import FIXTURES, make_fixture
 
 from helpers import (
@@ -200,6 +202,37 @@ class TestReduction:
         ]
         assert_matches_dense_reference(fc)
         assert_pairs_match_reference(fc)
+
+    def test_matches_dense_reference_on_dense_flag_complexes(self):
+        # Vietoris-Rips on 12-30 distinct points of a 7 x 7 lattice: many
+        # tied distances, long columns, and pivots that are not apparent.
+        wide = nonapparent_added = nested = 0
+        for seed in range(8):
+            rng = random.Random(seed)
+            lattice = [(float(x), float(y)) for x in range(7) for y in range(7)]
+            pts = rng.sample(lattice, rng.randrange(12, 31))
+            fc = build_vr_complex(PointCloud(points=tuple(pts)))
+            assert_matches_dense_reference(fc)
+            bm = build_boundary_matrix(fc)
+            red = reduce_matrix(bm)
+            additions = []
+            pairs, _, _ = dense_reduce_reference(bm.columns, additions)
+            skipped = skipped_columns(fc, pairs)
+            added = {(j, k) for j, k in additions if j not in skipped and not red.apparent[k]}
+            adders = {j for j, _ in added}
+            wide += any(col.bit_length() > 64 for cols in red.aligned for col in cols if col)
+            nonapparent_added += bool(added)
+            nested += any(k in adders for _, k in added)
+        assert wide and nonapparent_added and nested
+
+    def test_matches_dense_reference_on_wide_level_set_columns(self):
+        m = parse_feature_collection(make_fixture("blobs"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fc = run_pipeline(RunConfig(method="levelset", candidate="red"), m).complex
+        red = reduce_matrix(build_boundary_matrix(fc))
+        assert max(col.bit_length() for cols in red.aligned for col in cols if col) > 64
+        assert_matches_dense_reference(fc)
 
     def test_pairing_is_partial_matching(self):
         rng = random.Random(11)
