@@ -2,15 +2,13 @@
 
 from .adjacency import AdjacencyGraph, build_adjacency_complex, queen_adjacency
 from .alpha import Triangulation, alpha_filtration, build_alpha_complex, delaunay_triangulation
+from .barcode import Barcode, PersistencePair, classify_long_persistence
 from .complexes import FilteredComplex, close_under_faces, euler_characteristic
 from .geometry import PointCloud
 from .homology import (
-    Barcode,
-    PersistencePair,
     barcode_of,
     betti_oracle,
     build_boundary_matrix,
-    classify_long_persistence,
     persistence_pairs,
     reduce_matrix,
 )

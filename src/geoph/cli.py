@@ -83,9 +83,10 @@ def _cmd_build(args: argparse.Namespace) -> int:
         f"{result.row.input_name}: {result.method_used} complex for "
         f"{args.candidate} has {v} vertices, {e} edges, {t} triangles"
     )
+    shown = result.barcode.shown()
     print(
-        f"bars: {len(result.barcode.rendered())} rendered, "
-        f"{sum(1 for p in result.barcode.rendered() if p.long_persistence)} long-persistence"
+        f"bars: {len(shown)} rendered, "
+        f"{int(result.barcode.long_persistence[shown].sum())} long-persistence"
     )
     for p in written:
         print(f"wrote {p}")

@@ -17,11 +17,12 @@ never reduced); the Python loop runs over the other columns only.  In the
 loop a column is one Python int whose bit b is the face b ranks below its
 lowest row, so an addition is an xor and a shift.  The loop only logs which
 columns each column adds; numpy then sums the chains from that log into one
-CSR array (``ReducedMatrix.chain_ptr``, ``.chain_at``).  Bars are read off
-arrays too: a ``PersistencePair`` and its generator are built only for the
-nonzero-length bars the artifacts show.  The full per-column and per-bar
-views (``BoundaryMatrix.columns``, ``ReducedMatrix.matrix``, ``.chains``,
-``.pairs``, ``.r`` and ``.v``, ``Barcode.pairs``) are built on first read.
+CSR array (``ReducedMatrix.chain_ptr``, ``.chain_at``).
+``persistence_pairs`` reads every bar's dimension, birth, death and
+generator off those arrays into a columnar ``Barcode`` (module
+``barcode``), with no per-bar object.  The full per-column views
+(``BoundaryMatrix.columns``, ``ReducedMatrix.matrix``, ``.chains``,
+``.pairs``, ``.r`` and ``.v``) are built on first read.
 
 ``betti_oracle`` is a deliberately separate brute-force computation
 (Gaussian elimination on the raw boundary maps) used to cross-check the
@@ -30,16 +31,20 @@ reduction; it shares no code with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
+from .barcode import (  # noqa: F401 -- the barcode's names stay importable from here
+    LONG_PERSISTENCE_THRESHOLD,
+    Barcode,
+    PersistencePair,
+    _gather,
+    classify_long_persistence,
+)
 from .complexes import FilteredComplex, Simplex, faces
-
-LONG_PERSISTENCE_THRESHOLD = 0.75
 
 _EMPTY: frozenset[int] = frozenset()
 
@@ -171,16 +176,6 @@ def _filtration_ranks(fc: FilteredComplex) -> tuple[np.ndarray, list[np.ndarray]
         rank[at] = np.arange(len(at))
         by_rank.append(at)
     return rank, by_rank
-
-
-def _gather(ptr: np.ndarray, flat: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows ``rows`` of the CSR array (``ptr``, ``flat``), concatenated, and
-    their sizes."""
-    starts = ptr[rows]
-    sizes = ptr[rows + 1] - starts
-    ends = np.cumsum(sizes)
-    total = int(ends[-1]) if len(ends) else 0
-    return flat[np.arange(total) + np.repeat(starts - ends + sizes, sizes)], sizes
 
 
 def _odd(keys: np.ndarray) -> np.ndarray:
@@ -316,258 +311,57 @@ def _chain_keys(
     return np.concatenate(keys)
 
 
-@dataclass(frozen=True)
-class PersistencePair:
-    """One bar: a homology class born at ``birth``, dead at ``death``.
-
-    ``death`` is None for classes that survive the whole filtration.  The
-    generator is a representative cycle at the birth value: the birth vertex
-    for dimension 0, a cycle of edges (or triangles) otherwise, and ``()``
-    for a zero-length dimension-1 bar, which no artifact shows.
-    """
-
-    dimension: int
-    birth: float
-    death: float | None
-    generator: tuple[Simplex, ...]
-    birth_position: int
-    long_persistence: bool = False
-
-    @property
-    def zero_length(self) -> bool:
-        return self.death is not None and self.death == self.birth
-
-    @property
-    def infinite(self) -> bool:
-        return self.death is None
-
-    def persistence(self, horizon: float) -> float:
-        death = horizon if self.death is None else self.death
-        return death - self.birth
-
-
-class Barcode:
-    """All persistence pairs of one filtration, in column order.
-
-    ``horizon`` is the maximum filtration value present; it stands in for
-    infinite deaths when persistence ratios are needed.  Only the
-    nonzero-length bars reach an artifact.  A barcode read off a reduction
-    holds just those; ``pairs`` adds the zero-length bars on first read.
-    """
-
-    __slots__ = ("horizon", "_shown", "_pairs", "_zero_length")
-
-    def __init__(self, pairs: Iterable[PersistencePair], horizon: float):
-        self.horizon = horizon
-        self._pairs: tuple[PersistencePair, ...] | None = tuple(pairs)
-        self._shown = tuple(p for p in self._pairs if not p.zero_length)
-        self._zero_length: Callable[[], list[PersistencePair]] | None = None
-
-    @classmethod
-    def _of_shown(
-        cls,
-        shown: Sequence[PersistencePair],
-        horizon: float,
-        zero_length: Callable[[], list[PersistencePair]],
-    ) -> Barcode:
-        """A barcode of the nonzero-length bars, in column order, and a
-        function that builds the zero-length ones."""
-        bc = cls.__new__(cls)
-        bc.horizon = horizon
-        bc._pairs = None
-        bc._shown = tuple(shown)
-        bc._zero_length = zero_length
-        return bc
-
-    @property
-    def pairs(self) -> tuple[PersistencePair, ...]:
-        if self._pairs is None:
-            merged = self._shown + tuple(self._zero_length())
-            self._pairs = tuple(sorted(merged, key=attrgetter("birth_position")))
-        return self._pairs
-
-    def _with_shown(self, shown: Sequence[PersistencePair]) -> Barcode:
-        """This barcode with its nonzero-length bars replaced, one for one."""
-        if self._zero_length is not None:
-            return Barcode._of_shown(shown, self.horizon, self._zero_length)
-        new = iter(shown)
-        return Barcode((p if p.zero_length else next(new) for p in self.pairs), self.horizon)
-
-    def max_persistence(self, dimension: int) -> float:
-        ps = [p.persistence(self.horizon) for p in self._shown if p.dimension == dimension]
-        return max(ps, default=0.0)
-
-    def rendered(self, dimension: int | None = None) -> list[PersistencePair]:
-        """Pairs that appear in output artifacts: zero-length bars drop out."""
-        if dimension is None:
-            return list(self._shown)
-        return [p for p in self._shown if p.dimension == dimension]
-
-    def to_json(self) -> str:
-        """The rendered bars as ``barcode.json`` text.
-
-        The bytes are those of ``json.dumps(records, indent=2,
-        sort_keys=True)`` plus a newline, over one record per rendered bar,
-        written directly: CPython's json runs a pure-Python encoder whenever
-        ``indent`` is set, which is slow and holds much memory on large
-        generators.  Each distinct generator simplex is formatted once.
-        """
-        simplex_text = _SimplexText()
-        records = [
-            "  {\n"
-            f'    "birth": {_json_number(p.birth)},\n'
-            f'    "death": {_json_number(p.death)},\n'
-            f'    "dimension": {int.__repr__(p.dimension)},\n'
-            f'    "generator": {_json_generator(p.generator, simplex_text)},\n'
-            f'    "long_persistence": {"true" if p.long_persistence else "false"}\n'
-            "  }"
-            for p in self.rendered()
-        ]
-        if not records:
-            return "[]\n"
-        return "[\n" + ",\n".join(records) + "\n]\n"
-
-
-class _SimplexText(dict):
-    """Simplex -> its text as a generator element, built on first lookup."""
-
-    def __missing__(self, s: Simplex) -> str:
-        text = self[s] = (
-            "      [\n        " + ",\n        ".join(map(int.__repr__, s)) + "\n      ]"
-        )
-        return text
-
-
-def _json_generator(generator: tuple[Simplex, ...], simplex_text: _SimplexText) -> str:
-    if not generator:
-        return "[]"
-    return "[\n" + ",\n".join(map(simplex_text.__getitem__, generator)) + "\n    ]"
-
-
-def _json_number(x: float | None) -> str:
-    """A birth or death as json writes it (values are finite, see FilteredComplex)."""
-    if x is None:
-        return "null"
-    if isinstance(x, int):
-        return int.__repr__(x)
-    return float.__repr__(x)
-
-
 def persistence_pairs(reduced: ReducedMatrix, fc: FilteredComplex) -> Barcode:
-    """Read bars off a reduced matrix.
+    """Read every bar off a reduced matrix, as arrays.
 
-    Births, deaths and zero lengths (birth == death) are found on arrays,
-    and only the nonzero-length bars are built; ``Barcode.pairs`` adds the
-    zero-length ones, flagged, when first read: rendering and export skip
-    them, oracle checks want them present.  A zero-length dimension-1 bar
-    has no generator: ``()``.  Generators list their simplices in
-    lexicographic order.
+    A column that ends zero is a birth, and the column that owns its row,
+    if any, is its death.  A vertex is its own generator; an edge or
+    triangle's is its chain, with its simplices in lexicographic order.  A
+    zero-length dimension-1 bar was never reduced, so its generator is
+    empty: ``()``.  No ``PersistencePair`` is built here.
     """
     if reduced.boundary.complex is not fc and reduced.boundary.complex != fc:
         raise ValueError("reduced matrix does not belong to this complex")
     n = len(fc)
     values = fc.values
-    rank = np.empty(n, dtype=np.int64)  # row of each position among its dimension's rows
+    simplices = tuple(fc.rows(d)[0] for d in range(3))
+    row = np.empty(n, dtype=np.int64)  # row of each position, numbered on across dimensions
     dimension = np.empty(n, dtype=np.int64)
+    start = 0
     for d in range(3):
         _, at = fc.rows(d)
-        rank[at] = np.arange(len(at))
+        row[at] = start + np.arange(len(at))
         dimension[at] = d
+        start += len(at)
     owner = reduced.owner
     dies = np.zeros(n, dtype=bool)
     dies[owner[owner >= 0]] = True
     born = np.flatnonzero(~dies)
     killer = owner[born]
-    zero = (killer >= 0) & (values[np.maximum(killer, 0)] == values[born])
-
-    def bars(
-        at: np.ndarray, chains: tuple[np.ndarray, np.ndarray] | None
-    ) -> list[PersistencePair]:
-        """The bars born at positions ``at``, in that order.  A vertex is its
-        own generator; an edge or triangle's is its chain, read off the CSR
-        array ``chains``, or () if ``chains`` is None."""
-        generators: list[tuple[Simplex, ...]] = [()] * len(at)
-        for d in range(3):
-            (of_d,) = np.nonzero(dimension[at] == d)
-            if d == 0:
-                cycles = at[of_d], np.ones(len(of_d), dtype=np.int64)
-            elif chains is None:
-                continue
-            else:
-                cycles = _gather(*chains, at[of_d])
-            for slot, generator in zip(of_d.tolist(), _simplices(fc, d, *cycles, rank)):
-                generators[slot] = generator
-        k = owner[at]
-        return [
-            PersistencePair(d, birth, None if i < 0 else death, generator, j)
-            for d, birth, death, i, generator, j in zip(
-                dimension[at].tolist(),
-                values[at].tolist(),
-                values[np.maximum(k, 0)].tolist(),
-                k.tolist(),
-                generators,
-                at.tolist(),
-            )
-        ]
-
-    # Zero-length dimension-1 bars are skipped columns: they have no chain.
-    # The barcode keeps the closure, so it must not hold the reduction.
-    zero_length = born[zero]
-    return Barcode._of_shown(
-        bars(born[~zero], (reduced.chain_ptr, reduced.chain_at)),
-        fc.max_value(),
-        lambda: bars(zero_length, None),
+    # Vertex columns have empty chains; a vertex bar's generator is itself.
+    chain, sizes = _gather(reduced.chain_ptr, reduced.chain_at, born)
+    (vertex,) = np.nonzero(dimension[born] == 0)
+    key = np.concatenate(
+        [np.repeat(np.arange(len(born)), sizes) * n + row[chain], vertex * n + row[born[vertex]]]
     )
-
-
-def _simplices(
-    fc: FilteredComplex, d: int, at: np.ndarray, sizes: np.ndarray, rank: np.ndarray
-) -> list[tuple[Simplex, ...]]:
-    """Cycles of d-simplices, given as their positions ``at``, cycle after
-    cycle, and the cycles' ``sizes``, as tuples of simplices in
-    lexicographic order, which is the order of their ``rank`` among the
-    d-simplices.  Each simplex is built once."""
-    if not len(sizes):
-        return []
-    rows, _ = fc.rows(d)
-    key = np.repeat(np.arange(len(sizes)) * len(rows), sizes) + rank[at]
-    key.sort()
-    row = key % len(rows)
-    used = np.zeros(len(rows), dtype=bool)
-    used[row] = True
-    simplices = list(zip(*rows[used].T.tolist()))
-    listed = list(map(simplices.__getitem__, (np.cumsum(used) - 1)[row].tolist()))
-    ends = np.cumsum(sizes).tolist()
-    return [tuple(listed[a:b]) for a, b in zip([0] + ends[:-1], ends)]
+    key.sort()  # bar by bar, each generator's rows ascending: lexicographic order
+    return Barcode._of_columns(
+        fc.max_value(),
+        dimension[born],
+        values[born],
+        values[np.maximum(killer, 0)],
+        killer < 0,
+        np.zeros(len(born), dtype=bool),
+        born,
+        np.concatenate([[0], np.cumsum(np.bincount(key // n, minlength=len(born)))]),
+        key % n,
+        simplices,
+    )
 
 
 def barcode_of(fc: FilteredComplex) -> Barcode:
     """Convenience: boundary matrix, reduction, and pairing in one call."""
     return persistence_pairs(reduce_matrix(build_boundary_matrix(fc)), fc)
-
-
-def classify_long_persistence(
-    barcode: Barcode, threshold: float = LONG_PERSISTENCE_THRESHOLD
-) -> Barcode:
-    """Flag dimension-1 bars whose persistence ratio reaches ``threshold``.
-
-    The ratio divides each bar's persistence by the largest dimension-1
-    persistence, with infinite deaths standing at the horizon; bars that
-    never die are always flagged.  Comparison is >=, so a ratio exactly at
-    the threshold counts as long.  Zero-length bars are never flagged.
-    """
-    pmax = barcode.max_persistence(1)
-    flagged = []
-    for p in barcode.rendered():
-        if p.dimension != 1:
-            flagged.append(p)
-            continue
-        if p.infinite:
-            flagged.append(replace(p, long_persistence=True))
-            continue
-        ratio = p.persistence(barcode.horizon) / pmax if pmax > 0 else 0.0
-        flagged.append(replace(p, long_persistence=ratio >= threshold))
-    return barcode._with_shown(flagged)
 
 
 def _f2_rank(vectors: Iterable[set[int]]) -> int:

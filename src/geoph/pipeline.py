@@ -14,10 +14,11 @@ from pathlib import Path
 
 from .adjacency import AdjacencyGraph, build_adjacency_complex, queen_adjacency
 from .alpha import build_alpha_complex
+from .barcode import Barcode, classify_long_persistence
 from .complexes import FilteredComplex
 from .errors import GeophError, InputError
 from .geometry import Point, PointCloud
-from .homology import Barcode, barcode_of, classify_long_persistence
+from .homology import barcode_of
 from .levelset import (
     MAX_SIDE,
     BitMask,
@@ -231,7 +232,7 @@ def write_outputs(result: RunResult, m: PrecinctMap, out_dir: str | Path) -> lis
         "vertices": v,
         "edges": e,
         "triangles": t,
-        "bars": len(result.barcode.rendered()),
+        "bars": len(result.barcode.shown()),
         "build_seconds": result.row.build_seconds,
         "ph_seconds": result.row.ph_seconds,
         "config": {

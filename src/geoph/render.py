@@ -13,18 +13,16 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import InputError
-from .homology import Barcode, PersistencePair
+from .barcode import Barcode, PersistencePair
 from .precincts import Precinct, PrecinctMap, check_candidate, vote_margin
 
 SHORT_BAR_FILL = {0: "#9ecae1", 1: "#fc9272", 2: "#a1d99b"}
 LONG_BAR_FILL = {0: "#08519c", 1: "#99000d", 2: "#006d2c"}
 FULL_SHADE = {"blue": (8, 48, 107), "red": (103, 0, 13)}
 CYCLE_STROKE = {"blue": ("#4292c6", "#08306b"), "red": ("#fb6a4a", "#67000d")}
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.2f}"
 
 
 def _write(svg: str, path: str | Path | None) -> str:
@@ -38,9 +36,11 @@ def render_barcode_svg(barcode: Barcode, path: str | Path | None = None) -> str:
 
     Zero-length bars are omitted.  Bars that never die run to the plot
     horizon and get an arrowhead.  Long-persistence bars use a darker fill.
+    Positions are computed on the barcode's columns, and each bar is one
+    ``%`` template.
     """
-    bars = barcode.rendered()
-    lo = min([0.0] + [p.birth for p in bars])
+    shown = barcode.shown()
+    lo = min([0.0] + barcode.birth[shown].tolist())
     hi = barcode.horizon
     if hi <= lo:
         hi = lo + 1.0
@@ -49,51 +49,64 @@ def render_barcode_svg(barcode: Barcode, path: str | Path | None = None) -> str:
     bar_h, bar_gap, group_gap = 7.0, 3.0, 16.0
     plot_w = 560.0
 
-    def x(t: float) -> float:
+    def x(t):
         return left + (t - lo) / (hi - lo) * plot_w
 
-    dims = sorted({p.dimension for p in bars})
+    dimension = barcode.dimension[shown]
+    dims = sorted(set(dimension.tolist()))
+    groups = [shown[dimension == d] for d in dims]
+    at = np.concatenate([shown[:0], *groups])
+    sizes = [len(g) for g in groups]
+    group = np.repeat(np.arange(len(dims)), sizes)
+    y = top + (bar_h + bar_gap) * np.arange(len(at)) + group_gap * group
+    x0 = x(barcode.birth[at])
+    width = x(np.where(barcode.immortal[at], hi, barcode.death[at])) - x0
+    fills = [
+        (LONG_BAR_FILL if long else SHORT_BAR_FILL)[d]
+        for long, d in zip(barcode.long_persistence[at].tolist(), barcode.dimension[at].tolist())
+    ]
+    rect = f'<rect x="%.2f" y="%.2f" width="%.2f" height="{bar_h:.2f}" fill="%s"/>'
+    xe = x(hi)
+    arrow = (
+        f'{rect}\n<polygon points="{xe:.2f},%.2f {xe + 9:.2f},%.2f {xe:.2f},%.2f" fill="%s"/>'
+    )
+    bars = [
+        arrow % (xb, yb, w, fill, ym - 5, ym, ym + 5, fill)
+        if immortal
+        else rect % (xb, yb, w, fill)
+        for xb, yb, w, fill, immortal, ym in zip(
+            x0.tolist(),
+            y.tolist(),
+            width.tolist(),
+            fills,
+            barcode.immortal[at].tolist(),
+            (y + bar_h / 2.0).tolist(),
+        )
+    ]
     body: list[str] = []
-    y = top
-    for d in dims:
-        group = [p for p in bars if p.dimension == d]
+    ends = np.cumsum(sizes, dtype=np.int64).tolist()
+    for d, a, b in zip(dims, [0] + ends[:-1], ends):
         body.append(
-            f'<text x="{_fmt(left - 12)}" y="{_fmt(y + 10)}" text-anchor="end" '
+            f'<text x="{left - 12:.2f}" y="{y[a] + 10:.2f}" text-anchor="end" '
             f'font-size="12" font-family="sans-serif">H{d}</text>'
         )
-        for p in group:
-            end = hi if p.death is None else p.death
-            fill = (LONG_BAR_FILL if p.long_persistence else SHORT_BAR_FILL)[p.dimension]
-            body.append(
-                f'<rect x="{_fmt(x(p.birth))}" y="{_fmt(y)}" '
-                f'width="{_fmt(x(end) - x(p.birth))}" height="{_fmt(bar_h)}" '
-                f'fill="{fill}"/>'
-            )
-            if p.death is None:
-                xe, ym = x(hi), y + bar_h / 2.0
-                body.append(
-                    f'<polygon points="{_fmt(xe)},{_fmt(ym - 5)} '
-                    f'{_fmt(xe + 9)},{_fmt(ym)} {_fmt(xe)},{_fmt(ym + 5)}" '
-                    f'fill="{fill}"/>'
-                )
-            y += bar_h + bar_gap
-        y += group_gap
-    height = max(y - group_gap, top) + bottom
+        body += bars[a:b]
+    height = max(top + (bar_h + bar_gap) * len(at) + group_gap * (len(dims) - 1), top) + bottom
     axis_y = height - bottom + 8.0
     axis = [
-        f'<line x1="{_fmt(left)}" y1="{_fmt(axis_y)}" x2="{_fmt(left + plot_w)}" '
-        f'y2="{_fmt(axis_y)}" stroke="#333" stroke-width="1"/>',
-        f'<line x1="{_fmt(left)}" y1="{_fmt(top - 4)}" x2="{_fmt(left)}" '
-        f'y2="{_fmt(axis_y)}" stroke="#333" stroke-width="1"/>',
-        f'<text x="{_fmt(left)}" y="{_fmt(axis_y + 14)}" text-anchor="middle" '
+        f'<line x1="{left:.2f}" y1="{axis_y:.2f}" x2="{left + plot_w:.2f}" '
+        f'y2="{axis_y:.2f}" stroke="#333" stroke-width="1"/>',
+        f'<line x1="{left:.2f}" y1="{top - 4:.2f}" x2="{left:.2f}" '
+        f'y2="{axis_y:.2f}" stroke="#333" stroke-width="1"/>',
+        f'<text x="{left:.2f}" y="{axis_y + 14:.2f}" text-anchor="middle" '
         f'font-size="11" font-family="sans-serif">{lo:g}</text>',
-        f'<text x="{_fmt(left + plot_w)}" y="{_fmt(axis_y + 14)}" '
+        f'<text x="{left + plot_w:.2f}" y="{axis_y + 14:.2f}" '
         f'text-anchor="middle" font-size="11" font-family="sans-serif">{hi:g}</text>',
     ]
     svg = "\n".join(
         [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="660" '
-            f'height="{_fmt(height)}" viewBox="0 0 660 {_fmt(height)}">',
+            f'height="{height:.2f}" viewBox="0 0 660 {height:.2f}">',
             *axis,
             *body,
             "</svg>",
@@ -163,10 +176,10 @@ def _cycle_polyline(
             if v not in coords:
                 raise InputError(f"generator vertex {v} has no coordinate")
             pts.append(to_svg(*coords[v]))
-        points = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in pts)
+        points = " ".join(f"{px:.2f},{py:.2f}" for px, py in pts)
         out.append(
             f'<polyline points="{points}" fill="none" stroke="{stroke}" '
-            f'stroke-width="{_fmt(width)}" stroke-linejoin="round"/>'
+            f'stroke-width="{width:.2f}" stroke-linejoin="round"/>'
         )
     return out
 
@@ -205,8 +218,8 @@ def render_feature_map(
         body.extend(_cycle_polyline(pair, vertex_coords, to_svg, stroke, w))
     svg = "\n".join(
         [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
-            f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.2f}" '
+            f'height="{height:.2f}" viewBox="0 0 {width:.2f} {height:.2f}">',
             *body,
             "</svg>",
         ]
@@ -216,6 +229,6 @@ def render_feature_map(
 
 def _ring_path(p: Precinct, ring, to_svg) -> str:
     pts = [to_svg(x, y) for x, y in ring[:-1]]
-    head = f"M {_fmt(pts[0][0])},{_fmt(pts[0][1])}"
-    rest = " ".join(f"L {_fmt(x)},{_fmt(y)}" for x, y in pts[1:])
+    head = f"M {pts[0][0]:.2f},{pts[0][1]:.2f}"
+    rest = " ".join(f"L {x:.2f},{y:.2f}" for x, y in pts[1:])
     return f"{head} {rest} Z"

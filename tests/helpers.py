@@ -8,7 +8,9 @@ package's map and complex types, and enumerate every pair; the raster
 reference shares only the grid shape and the winner selection, and scans
 every row.  The Delaunay reference scans every triangle for each cavity and
 every edge for each flip, with a ``Fraction`` in-circle test.  The
-``barcode.json`` reference is the standard library's JSON encoder.  The
+``barcode.json`` reference is the standard library's JSON encoder, and the
+``barcode.svg`` reference draws one ``PersistencePair`` at a time.  Both
+read ``Barcode.rendered()``, never the barcode's columns.  The
 boundary-matrix reference looks every face up in a dict of simplices.
 """
 
@@ -740,3 +742,74 @@ def barcode_json_reference(barcode):
         for p in barcode.rendered()
     ]
     return json.dumps(records, indent=2, sort_keys=True) + "\n"
+
+
+def barcode_svg_reference(barcode):
+    """``barcode.svg`` text drawn bar by bar off ``barcode.rendered()``: the
+    writer as it was before it read the barcode's columns."""
+    from geoph.render import LONG_BAR_FILL, SHORT_BAR_FILL
+
+    def _fmt(x):
+        return f"{x:.2f}"
+
+    bars = barcode.rendered()
+    lo = min([0.0] + [p.birth for p in bars])
+    hi = barcode.horizon
+    if hi <= lo:
+        hi = lo + 1.0
+
+    left, right, top, bottom = 56.0, 36.0, 16.0, 30.0
+    bar_h, bar_gap, group_gap = 7.0, 3.0, 16.0
+    plot_w = 560.0
+
+    def x(t: float) -> float:
+        return left + (t - lo) / (hi - lo) * plot_w
+
+    dims = sorted({p.dimension for p in bars})
+    body: list[str] = []
+    y = top
+    for d in dims:
+        group = [p for p in bars if p.dimension == d]
+        body.append(
+            f'<text x="{_fmt(left - 12)}" y="{_fmt(y + 10)}" text-anchor="end" '
+            f'font-size="12" font-family="sans-serif">H{d}</text>'
+        )
+        for p in group:
+            end = hi if p.death is None else p.death
+            fill = (LONG_BAR_FILL if p.long_persistence else SHORT_BAR_FILL)[p.dimension]
+            body.append(
+                f'<rect x="{_fmt(x(p.birth))}" y="{_fmt(y)}" '
+                f'width="{_fmt(x(end) - x(p.birth))}" height="{_fmt(bar_h)}" '
+                f'fill="{fill}"/>'
+            )
+            if p.death is None:
+                xe, ym = x(hi), y + bar_h / 2.0
+                body.append(
+                    f'<polygon points="{_fmt(xe)},{_fmt(ym - 5)} '
+                    f'{_fmt(xe + 9)},{_fmt(ym)} {_fmt(xe)},{_fmt(ym + 5)}" '
+                    f'fill="{fill}"/>'
+                )
+            y += bar_h + bar_gap
+        y += group_gap
+    height = max(y - group_gap, top) + bottom
+    axis_y = height - bottom + 8.0
+    axis = [
+        f'<line x1="{_fmt(left)}" y1="{_fmt(axis_y)}" x2="{_fmt(left + plot_w)}" '
+        f'y2="{_fmt(axis_y)}" stroke="#333" stroke-width="1"/>',
+        f'<line x1="{_fmt(left)}" y1="{_fmt(top - 4)}" x2="{_fmt(left)}" '
+        f'y2="{_fmt(axis_y)}" stroke="#333" stroke-width="1"/>',
+        f'<text x="{_fmt(left)}" y="{_fmt(axis_y + 14)}" text-anchor="middle" '
+        f'font-size="11" font-family="sans-serif">{lo:g}</text>',
+        f'<text x="{_fmt(left + plot_w)}" y="{_fmt(axis_y + 14)}" '
+        f'text-anchor="middle" font-size="11" font-family="sans-serif">{hi:g}</text>',
+    ]
+    svg = "\n".join(
+        [
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="660" '
+            f'height="{_fmt(height)}" viewBox="0 0 660 {_fmt(height)}">',
+            *axis,
+            *body,
+            "</svg>",
+        ]
+    )
+    return svg + "\n"

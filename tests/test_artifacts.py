@@ -2,7 +2,9 @@
 
 Every synthetic fixture is built with every method for both candidates, plus
 one dense Vietoris-Rips build on a 6 x 6 grid (36 red centroids, many tied
-distances, 7,140 triangles).  Each file's sha256 must match the digest
+distances, 7,140 triangles), and every method on a one-precinct map, whose
+single bar is born at the horizon under Vietoris-Rips and alpha (the barcode
+plot's degenerate axis).  Each file's sha256 must match the digest
 recorded here; a rewrite of any layer that changes a single byte of a
 barcode, complex, raster or drawing fails this gate.  To see which file
 moved, compare the failing build's directory against the table.
@@ -229,6 +231,34 @@ DIGESTS = {
         "mask.pgm": "a921cf20f296b47077c5d2524779ee664f0de7efd637eb57c43ad0502828632a",
         "schedule.txt": "5ad213b3dbab63b7e3a6db80893088fda44d254bec39144137babdd7f053ddcc",
     },
+    ("grid1", "vr", "red"): {
+        "barcode.json": "6871561cb5fff8c67a7eab8dd973da2c74ad86b514b347c3e3d5db5e605f960d",
+        "barcode.svg": "199a95c1f414ef58bad85646c1e3ad12cc3ada7621b9831543cc275ec588612b",
+        "complex.txt": "4a57a29906697af07fab967273e54422a90ee5c7f7b1c6f1725aefeadc4e4ef8",
+        "feature_map.svg": "e7f9b8e7899c71c415fc5aa18b7c99189c7c9a29070b19338f17db7d5c20d6d5",
+    },
+    ("grid1", "alpha", "red"): {
+        "barcode.json": "6871561cb5fff8c67a7eab8dd973da2c74ad86b514b347c3e3d5db5e605f960d",
+        "barcode.svg": "199a95c1f414ef58bad85646c1e3ad12cc3ada7621b9831543cc275ec588612b",
+        "complex.txt": "4a57a29906697af07fab967273e54422a90ee5c7f7b1c6f1725aefeadc4e4ef8",
+        "feature_map.svg": "e7f9b8e7899c71c415fc5aa18b7c99189c7c9a29070b19338f17db7d5c20d6d5",
+    },
+    ("grid1", "adjacency", "red"): {
+        "adjacency.txt": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "barcode.json": "0fb0a6a3a032fcc8fe872657b90f669be2f53d8b13dd273453919720eef355bf",
+        "barcode.svg": "c98f9cd407d17684fbbf4c2ef306b29db514ceb554faa8b278635fca4cdbe372",
+        "complex.txt": "6bdb8c2f40b58c3203670e5777217a23a5ad4ffc093e6d13c1079ebf0ecc5e11",
+        "feature_map.svg": "e7f9b8e7899c71c415fc5aa18b7c99189c7c9a29070b19338f17db7d5c20d6d5",
+    },
+    ("grid1", "levelset", "red"): {
+        "barcode.json": "6871561cb5fff8c67a7eab8dd973da2c74ad86b514b347c3e3d5db5e605f960d",
+        "barcode.svg": "199a95c1f414ef58bad85646c1e3ad12cc3ada7621b9831543cc275ec588612b",
+        "complex.txt": "eaf69bd2e953e3423f876c0a5ecce7f79ac2bfa4f1fa8792066e73002f658a8a",
+        "feature_map.svg": "e7f9b8e7899c71c415fc5aa18b7c99189c7c9a29070b19338f17db7d5c20d6d5",
+        "field.pgm": "bfc9f7f769f7ca633657e0e20343c1ec3c8ea71c1b9cd4f03167f1e76c9151e0",
+        "mask.pgm": "74254e45ffd44659f7c6f53e031d5f61aa9e952c949232d82370d563680427e2",
+        "schedule.txt": "f699b319801f9a3585ac33d1e3565a3473c776247f87a2826205da3b13c304e2",
+    },
     ("grid6", "vr", "red"): {
         "barcode.json": "1478f3ad25e026a1bb0f237c9979f71b03a101f81fd15d05ece305f16e30e093",
         "barcode.svg": "91ada251ee58a3200ff2e88e7391d8b23695794a7d94b00bda8a5bd306a97de6",
@@ -244,7 +274,8 @@ def maps(tmp_path_factory):
     root = tmp_path_factory.mktemp("maps")
     paths = {}
     for name, argv in [(f, ["--fixture", f]) for f in ("grid", "annulus", "blobs", "dissent")] + [
-        ("grid6", ["--fixture", "grid", "--n", "6"])
+        ("grid6", ["--fixture", "grid", "--n", "6"]),
+        ("grid1", ["--fixture", "grid", "--n", "1"]),
     ]:
         paths[name] = root / f"{name}.geojson"
         with contextlib.redirect_stdout(io.StringIO()):

@@ -10,6 +10,7 @@ import pytest
 import geoph
 from geoph import pipeline
 from geoph.cli import main
+from geoph.homology import PersistencePair
 from geoph.precincts import centroids, parse_feature_collection
 from geoph.synth import grid_fixture, write_fixture
 
@@ -292,6 +293,32 @@ class TestBuild:
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+    def test_build_makes_pairs_only_for_the_loops_it_draws(self, tmp_path, capsys, monkeypatch):
+        # The counts, barcode.json and barcode.svg read the barcode's
+        # columns; only the feature map's dimension-1 cycles become pairs.
+        made = []
+        init = PersistencePair.__init__
+
+        def counted(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PersistencePair, "__init__", counted)
+        src = synth(tmp_path, "grid", "g.geojson", "--n", "6")
+        capsys.readouterr()
+        out = tmp_path / "out"
+        argv = ["build", "--method", "vr", "--candidate", "red"]
+        assert main(argv + ["--input", str(src), "--out", str(out)]) == 0
+        records = json.loads((out / "barcode.json").read_text())
+        loops = sum(r["dimension"] == 1 for r in records)
+        assert len(records) > 1000
+        assert len(made) <= loops
+        long = sum(r["long_persistence"] for r in records)
+        summary = f"bars: {len(records)} rendered, {long} long-persistence\n"
+        assert summary in capsys.readouterr().out
+        assert json.loads((out / "run.json").read_text())["bars"] == len(records)
 
 
 class TestBench:
