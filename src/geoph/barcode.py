@@ -3,16 +3,19 @@
 A ``Barcode`` holds every bar of one filtration as arrays, in column order:
 dimension, birth, death, the immortal and zero-length masks, the
 long-persistence flags and birth positions, and the generators as one CSR
-array of simplex rows.  ``homology.persistence_pairs`` fills the columns
-off a reduction; ``Barcode(pairs, horizon)`` fills them from hand-built
-``PersistencePair`` objects.  The long-persistence flags, ``barcode.json``
-(``Barcode.to_json``) and ``barcode.svg`` (``render.render_barcode_svg``)
-are computed on the columns; ``PersistencePair`` objects are built only
-when ``Barcode.pairs`` or ``Barcode.rendered()`` is read.
+array of simplex rows.  Births and deaths are float64, with NaN for the
+death of a bar that never dies.  ``homology.persistence_pairs`` fills the
+columns off a reduction; ``Barcode(pairs, horizon)`` fills the same columns
+from hand-built ``PersistencePair`` objects.  The long-persistence flags,
+``barcode.json`` (``Barcode.to_json``) and ``barcode.svg``
+(``render.render_barcode_svg``) are computed on the columns;
+``PersistencePair`` objects are built from them whenever ``Barcode.pairs``
+or ``Barcode.rendered()`` is read.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -67,19 +70,20 @@ class Barcode:
     """Every bar of one filtration, as columns, in column order.
 
     Bar k has ``dimension[k]``, ``birth[k]``, ``birth_position[k]`` and
-    ``long_persistence[k]``; it never dies if ``immortal[k]``, and dies at
-    ``death[k]`` otherwise.  ``zero_length[k]`` marks a bar that dies at its
-    birth value: no artifact shows it.  Its generator is the rows
+    ``long_persistence[k]``; it never dies if ``immortal[k]`` (``death[k]``
+    is NaN), and dies at ``death[k]`` otherwise.  ``zero_length[k]`` marks
+    a bar that dies at its birth value: no artifact shows it.  Its
+    generator is the rows
     ``generator_at[generator_ptr[k]:generator_ptr[k + 1]]`` of ``simplices``,
     the vertex, edge and triangle tables (one row of vertex ids per simplex)
     numbered on from one table to the next.
 
     ``horizon`` is the maximum filtration value present; it stands in for
     infinite deaths when persistence ratios are needed.  ``pairs`` and
-    ``rendered()`` give the bars as ``PersistencePair`` objects, built when
-    read.  ``Barcode(pairs, horizon)`` takes hand-built pairs; their births
-    and deaths are kept as they are (object columns), so a pair reads back
-    equal and is written exactly as given.
+    ``rendered()`` give the bars as ``PersistencePair`` objects, built on
+    each read.  ``Barcode(pairs, horizon)`` takes hand-built pairs into the
+    same float64 columns a build fills, so an int birth or death reads back
+    and is written as a float (``1.0``).
     """
 
     def __init__(self, pairs: Iterable[PersistencePair], horizon: float):
@@ -104,8 +108,8 @@ class Barcode:
         self._set(
             horizon,
             column("dimension", np.int64),
-            column("birth", object),
-            column("death", object),
+            column("birth", np.float64),
+            np.array([np.nan if p.death is None else p.death for p in pairs], dtype=np.float64),
             column("infinite", bool),
             column("long_persistence", bool),
             column("birth_position", np.int64),
@@ -113,7 +117,6 @@ class Barcode:
             np.array([offset[d] + row for d, row in found], dtype=np.int64),
             simplices,
         )
-        self._pairs = pairs
 
     def _set(
         self,
@@ -131,7 +134,7 @@ class Barcode:
         self.horizon = horizon
         self.dimension = dimension
         self.birth = birth
-        self.death = death  # read only where not immortal
+        self.death = death
         self.immortal = immortal
         self.zero_length = ~immortal & (death == birth)
         self.long_persistence = long_persistence
@@ -139,7 +142,6 @@ class Barcode:
         self.generator_ptr = generator_ptr
         self.generator_at = generator_at
         self.simplices = simplices
-        self._pairs: tuple[PersistencePair, ...] | None = None
 
     @classmethod
     def _of_columns(cls, horizon: float, *columns) -> Barcode:
@@ -150,9 +152,7 @@ class Barcode:
 
     @property
     def pairs(self) -> tuple[PersistencePair, ...]:
-        if self._pairs is None:
-            self._pairs = tuple(self._bars(np.arange(len(self.dimension))))
-        return self._pairs
+        return tuple(self._bars(np.arange(len(self.dimension))))
 
     def shown(self, dimension: int | None = None) -> np.ndarray:
         """Indices of the bars that appear in output artifacts, ascending."""
@@ -163,10 +163,7 @@ class Barcode:
 
     def rendered(self, dimension: int | None = None) -> list[PersistencePair]:
         """Pairs that appear in output artifacts: zero-length bars drop out."""
-        at = self.shown(dimension)
-        if self._pairs is not None:
-            return [self._pairs[k] for k in at.tolist()]
-        return self._bars(at)
+        return self._bars(self.shown(dimension))
 
     def _bars(self, at: np.ndarray) -> list[PersistencePair]:
         """Bars ``at`` as pairs; each generator simplex is built once."""
@@ -273,53 +270,32 @@ def _distinct(
 
 
 def _json_numbers(column: np.ndarray) -> np.ndarray:
-    """``_json_number`` of each value of a column, as an object array.  A
-    float column formats each distinct value (bit pattern) once."""
-    if column.dtype != np.float64:
-        return np.array(list(map(_json_number, column.tolist())), dtype=object)
+    """Each value of a float64 column as json writes it (``float.__repr__``),
+    as an object array; each distinct value (bit pattern) is formatted
+    once."""
     bits = np.sort(column.view(np.int64))
     bits = bits[np.r_[True, bits[1:] != bits[:-1]]]
-    texts = list(map(_json_number, bits.view(np.float64).tolist()))
+    texts = list(map(float.__repr__, bits.view(np.float64).tolist()))
     return np.array(texts, dtype=object)[np.searchsorted(bits, column.view(np.int64))]
 
 
-def _json_number(x: float | None) -> str:
-    """A birth or death as json writes it (values are finite, see FilteredComplex)."""
-    if x is None:
-        return "null"
-    if isinstance(x, int):
-        return int.__repr__(x)
-    return float.__repr__(x)
-
-
-def classify_long_persistence(
-    barcode: Barcode, threshold: float = LONG_PERSISTENCE_THRESHOLD
-) -> Barcode:
-    """Flag dimension-1 bars whose persistence ratio reaches ``threshold``.
+def classify_long_persistence(barcode: Barcode) -> Barcode:
+    """A copy of ``barcode`` that flags the dimension-1 bars whose
+    persistence ratio reaches ``LONG_PERSISTENCE_THRESHOLD``.
 
     The ratio divides each bar's persistence by the largest dimension-1
     persistence, with infinite deaths standing at the horizon; bars that
     never die are always flagged.  Comparison is >=, so a ratio exactly at
     the threshold counts as long.  Zero-length bars and the bars of other
-    dimensions keep their flags.
+    dimensions keep their flags.  The copy shares every other column.
     """
     pmax = barcode.max_persistence(1)
     persistence = barcode.persistence()
     ratio = persistence / pmax if pmax > 0 else np.zeros(len(persistence))
-    flags = np.where(
+    flagged = copy.copy(barcode)
+    flagged.long_persistence = np.where(
         (barcode.dimension == 1) & ~barcode.zero_length,
-        barcode.immortal | (ratio >= threshold),
+        barcode.immortal | (ratio >= LONG_PERSISTENCE_THRESHOLD),
         barcode.long_persistence,
     )
-    return Barcode._of_columns(
-        barcode.horizon,
-        barcode.dimension,
-        barcode.birth,
-        barcode.death,
-        barcode.immortal,
-        flags,
-        barcode.birth_position,
-        barcode.generator_ptr,
-        barcode.generator_at,
-        barcode.simplices,
-    )
+    return flagged

@@ -15,14 +15,17 @@ since no earlier column can hold that face.  They are found with numpy, as
 are the edges a triangle kills at their own value (zero-length births,
 never reduced); the Python loop runs over the other columns only.  In the
 loop a column is one Python int whose bit b is the face b ranks below its
-lowest row, so an addition is an xor and a shift.  The loop only logs which
-columns each column adds; numpy then sums the chains from that log into one
-CSR array (``ReducedMatrix.chain_ptr``, ``.chain_at``).
-``persistence_pairs`` reads every bar's dimension, birth, death and
-generator off those arrays into a columnar ``Barcode`` (module
-``barcode``), with no per-bar object.  The full per-column views
-(``BoundaryMatrix.columns``, ``ReducedMatrix.matrix``, ``.chains``,
-``.pairs``, ``.r`` and ``.v``) are built on first read.
+lowest row, so an addition is an xor and a shift; these ints do not outlive
+the loop.  The loop only logs which columns each column adds; numpy then
+sums the chains from that log into one CSR array
+(``ReducedMatrix.chain_ptr``, ``.chain_at``), the one record of the
+reduction.  ``persistence_pairs`` reads every bar's dimension, birth, death
+and generator off those arrays into a columnar ``Barcode`` (module
+``barcode``), with no per-bar object.  The per-column views
+(``BoundaryMatrix.columns``, ``ReducedMatrix.matrix``, ``.chains`` and
+``.pairs``) are built on first read; the reduced matrix is computed as
+R = DV, the boundary of each chain (Cohen-Steiner, Edelsbrunner and
+Morozov 2006, *Vines and Vineyards*).
 
 ``betti_oracle`` is a deliberately separate brute-force computation
 (Gaussian elimination on the raw boundary maps) used to cross-check the
@@ -87,27 +90,21 @@ class ReducedColumns:
 
 @dataclass(frozen=True, eq=False)
 class ReducedMatrix:
-    """Result of column reduction: pairing, reduced columns, chain history.
+    """Result of column reduction: the pairing and the chains.
 
     ``owner[i]`` is the column whose reduced lowest row is i, or -1.  An
     ``apparent`` column keeps its boundary as its reduced column, and its
-    chain is itself.  ``aligned[d - 1][c]`` is the reduced column of the
-    d-simplex of filtration rank c (its rank among the d-simplices) as a
-    low-aligned int: bit b is the face b ranks below the column's lowest
-    row, 0 is a zero column.  It is set for each column the reduction loop
-    reduced or added and None elsewhere.  The chain of each column the loop
-    reduced is ``chain_at[chain_ptr[j]:chain_ptr[j + 1]]``, positions in
-    ascending order.  The other columns (vertices and zero-length edge
-    births) have an empty reduced column and chain.  ``r`` and ``v`` (row
-    and chain sets of the columns the loop reduced or added, None
-    elsewhere), ``matrix``, ``chains`` and ``pairs`` are built on first
-    read.
+    chain is itself.  The chain of each column the loop reduced is
+    ``chain_at[chain_ptr[j]:chain_ptr[j + 1]]``, positions in ascending
+    order; the other columns (apparent ones, vertices and zero-length edge
+    births) have an empty row there.  ``matrix`` holds the reduced columns,
+    each the F2 boundary of its chain (R = DV), and ``chains`` and ``pairs``
+    the per-column views of the rest; all three are built on first read.
     """
 
     boundary: BoundaryMatrix
     owner: np.ndarray
     apparent: np.ndarray
-    aligned: tuple[list[int | None], ...]
     chain_ptr: np.ndarray
     chain_at: np.ndarray
 
@@ -118,51 +115,48 @@ class ReducedMatrix:
         return dict(zip(low.tolist(), self.owner[low].tolist()))
 
     @cached_property
-    def r(self) -> list[frozenset[int] | None]:
-        rank, by_rank = _filtration_ranks(self.boundary.complex)
-        low_of = np.full(len(rank), -1, dtype=np.int64)
-        low_of[self.owner[self.owner >= 0]] = np.flatnonzero(self.owner >= 0)
-        r: list[frozenset[int] | None] = [None] * len(rank)
-        for d, aligned in enumerate(self.aligned, start=1):
-            for j, col in zip(by_rank[d].tolist(), aligned):
-                if col == 0:
-                    r[j] = _EMPTY
-                elif col is not None:
-                    rows = by_rank[d - 1][rank[low_of[j]] - _bits(col)]
-                    r[j] = frozenset(rows.tolist())
-        return r
-
-    @cached_property
-    def v(self) -> list[frozenset[int] | None]:
-        _, by_rank = _filtration_ranks(self.boundary.complex)
-        ptr = self.chain_ptr.tolist()
-        v: list[frozenset[int] | None] = [None] * (len(ptr) - 1)
-        for d, aligned in enumerate(self.aligned, start=1):
-            for j, col in zip(by_rank[d].tolist(), aligned):
-                if col is not None:  # an added apparent column has no chain row: it is its chain
-                    v[j] = frozenset(self.chain_at[ptr[j] : ptr[j + 1]].tolist() or (j,))
-        return v
-
-    @cached_property
     def matrix(self) -> ReducedColumns:
-        cols = list(self.boundary.columns)
-        for j in np.flatnonzero(~self.apparent).tolist():
-            cols[j] = self.r[j] or _EMPTY
+        """Column j of R = DV: the F2 sum of the boundaries of j's chain,
+        read as keys ``j * n + face``."""
+        n = len(self.owner)
+        column = np.repeat(np.arange(n), np.diff(self.chain_ptr))
+        keys = []
+        for at, face_at in self.boundary.face_positions:
+            row = np.full(n, -1, dtype=np.int64)
+            row[at] = np.arange(len(at))
+            row = row[self.chain_at]
+            hit = row >= 0
+            keys.append((column[hit, None] * n + face_at[row[hit]]).ravel())
+        cols = _sets(*_csr(_odd(np.concatenate(keys)), n, n))
+        boundary = self.boundary.columns
+        for j in np.flatnonzero(self.apparent).tolist():
+            cols[j] = boundary[j]
         return ReducedColumns(tuple(cols))
 
     @cached_property
     def chains(self) -> tuple[frozenset[int], ...]:
         """Column j of the accumulated additions."""
-        chains = [_EMPTY if v is None else v for v in self.v]
+        chains = _sets(self.chain_ptr, self.chain_at)
         for j in np.flatnonzero(self.apparent).tolist():
             chains[j] = frozenset((j,))
         return tuple(chains)
 
 
-def _bits(col: int) -> np.ndarray:
-    """The set bits of a nonnegative int, ascending."""
-    raw = col.to_bytes((col.bit_length() + 7) // 8, "little")
-    return np.flatnonzero(np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little"))
+def _csr(keys: np.ndarray, n: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending keys ``j * n + k`` (0 <= k < n) as a CSR array of ``rows``
+    rows: row j holds the k of its keys."""
+    ptr = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=rows), out=ptr[1:])
+    return ptr, keys % n
+
+
+def _sets(ptr: np.ndarray, flat: np.ndarray) -> list[frozenset[int]]:
+    """The rows of a CSR array as sets."""
+    flat = flat.tolist()
+    return [
+        frozenset(flat[a:b]) if b > a else _EMPTY
+        for a, b in zip(ptr[:-1].tolist(), ptr[1:].tolist())
+    ]
 
 
 def _filtration_ranks(fc: FilteredComplex) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -191,16 +185,18 @@ def reduce_matrix(bm: BoundaryMatrix) -> ReducedMatrix:
     A pivot is one dimension below its column, so a column only ever adds
     columns of its own dimension, and every reduced column and chain is the
     one the plain left-to-right order gives.  Apparent columns are paired
-    before the loop; one's aligned column is built the first time a later
-    column adds it.  An edge whose row a triangle owns at the edge's own
+    before the loop.  An edge whose row a triangle owns at the edge's own
     value is a zero-length birth: its column reduces to zero and no artifact
     shows its generator, so it is skipped (clearing).
 
-    The loop works in filtration ranks.  A working column is one int aligned
-    at its lowest row, and so is each pivot's stored column, so an addition
-    is one xor that clears bit 0, and a shift past the trailing zeros moves
-    the low down.  The loop only logs which columns each column adds; the
-    chains are summed from that log afterwards (:func:`_chain_keys`).
+    The loop works in filtration ranks.  A working column is one int whose
+    bit b is the face b ranks below its lowest row, and so is each pivot's
+    stored column (an apparent one's is built the first time a later column
+    adds it), so an addition is one xor that clears bit 0, and a shift past
+    the trailing zeros moves the low down.  These ints live only as long as
+    the loop: the loop logs which columns each column adds, the chains are
+    summed from that log afterwards (:func:`_chain_keys`), and the reduced
+    columns are the chains' boundaries (``ReducedMatrix.matrix``).
     """
     fc = bm.complex
     n = len(bm)
@@ -215,7 +211,6 @@ def reduce_matrix(bm: BoundaryMatrix) -> ReducedMatrix:
         owner[low[hit]] = at[hit]
         apparent[at[hit]] = True
     rank, by_rank = _filtration_ranks(fc)
-    aligned: list[list[int | None]] = [[], []]
     keys = []
     for d in (2, 1):
         at, face_at = bm.face_positions[d - 1]
@@ -262,7 +257,6 @@ def reduce_matrix(bm: BoundaryMatrix) -> ReducedMatrix:
             added.append(len(log) - before)
         own = np.array(own, dtype=np.int64)
         owner[face_by[own >= 0]] = column_at[own[own >= 0]]
-        aligned[d - 1] = r
         keys.append(
             _chain_keys(
                 n, column_at, apparent[column_at], todo,
@@ -270,9 +264,7 @@ def reduce_matrix(bm: BoundaryMatrix) -> ReducedMatrix:
             )
         )
     keys = _odd(np.concatenate(keys))
-    chain_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys // n, minlength=n), out=chain_ptr[1:])
-    return ReducedMatrix(bm, owner, apparent, tuple(aligned), chain_ptr, keys % n)
+    return ReducedMatrix(bm, owner, apparent, *_csr(keys, n, n))
 
 
 def _chain_keys(
@@ -349,12 +341,11 @@ def persistence_pairs(reduced: ReducedMatrix, fc: FilteredComplex) -> Barcode:
         fc.max_value(),
         dimension[born],
         values[born],
-        values[np.maximum(killer, 0)],
+        np.where(killer < 0, np.nan, values[killer]),
         killer < 0,
         np.zeros(len(born), dtype=bool),
         born,
-        np.concatenate([[0], np.cumsum(np.bincount(key // n, minlength=len(born)))]),
-        key % n,
+        *_csr(key, n, len(born)),
         simplices,
     )
 

@@ -50,8 +50,6 @@ class RunConfig:
     dt: float = 1.0
     n_steps: int | None = None
     tol: float = 1e-9
-    max_side: int = MAX_SIDE
-    vr_warning_threshold: int = VR_SWITCH_THRESHOLD
     auto_alpha: bool = True
 
     def __post_init__(self) -> None:
@@ -124,7 +122,7 @@ def run_pipeline(cfg: RunConfig, m: PrecinctMap, input_name: str = "map") -> Run
         )
         fc = FilteredComplex([])
     elif method in ("vr", "alpha"):
-        if method == "vr" and len(winners) > cfg.vr_warning_threshold:
+        if method == "vr" and len(winners) > VR_SWITCH_THRESHOLD:
             if cfg.auto_alpha:
                 warnings.warn(
                     f"{len(winners)} precincts exceed the Vietoris-Rips budget; "
@@ -149,7 +147,7 @@ def run_pipeline(cfg: RunConfig, m: PrecinctMap, input_name: str = "map") -> Run
         fc = build_adjacency_complex(m, graph, cfg.candidate, step=cfg.step)
         coords = dict(enumerate(centroids(winners)))
     else:  # levelset
-        mask = rasterize_mask(m, cfg.candidate, max_side=cfg.max_side)
+        mask = rasterize_mask(m, cfg.candidate)
         field_v = signed_distance_field(mask)
         schedule = vertex_schedule(
             field_v, cfg.velocity, cfg.dt, cfg.n_steps, cfg.stride

@@ -10,6 +10,7 @@ thicker.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -42,8 +43,8 @@ def render_barcode_svg(barcode: Barcode, path: str | Path | None = None) -> str:
     shown = barcode.shown()
     lo = min([0.0] + barcode.birth[shown].tolist())
     hi = barcode.horizon
-    if hi <= lo:
-        hi = lo + 1.0
+    if hi <= lo:  # below -2**53, lo + 1.0 rounds back to lo
+        hi = lo + 1.0 if lo + 1.0 > lo else math.nextafter(lo, math.inf)
 
     left, right, top, bottom = 56.0, 36.0, 16.0, 30.0
     bar_h, bar_gap, group_gap = 7.0, 3.0, 16.0

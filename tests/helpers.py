@@ -756,7 +756,7 @@ def barcode_svg_reference(barcode):
     lo = min([0.0] + [p.birth for p in bars])
     hi = barcode.horizon
     if hi <= lo:
-        hi = lo + 1.0
+        hi = lo + 1.0 if lo + 1.0 > lo else math.nextafter(lo, math.inf)
 
     left, right, top, bottom = 56.0, 36.0, 16.0, 30.0
     bar_h, bar_gap, group_gap = 7.0, 3.0, 16.0

@@ -1,8 +1,9 @@
 import json
+from functools import partial
 
 import pytest
 
-from geoph import pipeline
+from geoph import levelset, pipeline
 from geoph.errors import InputError
 from geoph.pipeline import (
     BenchmarkRow,
@@ -24,6 +25,13 @@ from geoph.synth import (
 
 def grid_map(n=3):
     return parse_feature_collection(grid_fixture(n))
+
+
+def coarse_raster(monkeypatch, max_side):
+    """Level-set runs rasterize at most ``max_side`` cells a side."""
+    monkeypatch.setattr(
+        pipeline, "rasterize_mask", partial(levelset.rasterize_mask, max_side=max_side)
+    )
 
 
 class TestConfig:
@@ -62,9 +70,10 @@ class TestRun:
         assert len(immortal1) == 1
         assert immortal1[0].long_persistence
 
-    def test_levelset_on_blobs(self):
+    def test_levelset_on_blobs(self, monkeypatch):
+        coarse_raster(monkeypatch, 40)
         m = parse_feature_collection(blobs_fixture())
-        cfg = RunConfig(method="levelset", candidate="red", max_side=40, stride=2)
+        cfg = RunConfig(method="levelset", candidate="red", stride=2)
         res = run_pipeline(cfg, m)
         assert res.mask is not None and res.field_ is not None
         assert res.schedule is not None
@@ -79,22 +88,18 @@ class TestRun:
         assert res.barcode.pairs == ()
         assert res.row.winners == 0
 
-    def test_vr_auto_switches_to_alpha_over_budget(self):
-        cfg = RunConfig(method="vr", candidate="red", vr_warning_threshold=5)
+    def test_vr_auto_switches_to_alpha_over_budget(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "VR_SWITCH_THRESHOLD", 5)
+        cfg = RunConfig(method="vr", candidate="red")
         with pytest.warns(UserWarning, match="switching to the alpha"):
             res = run_pipeline(cfg, grid_map(3))
         assert res.config.method == "vr"
         assert res.method_used == "alpha"
         assert res.row.method == "alpha"
 
-    def test_vr_warns_but_stays_when_auto_disabled(self):
-        cfg = RunConfig(
-            method="vr",
-            candidate="red",
-            vr_warning_threshold=5,
-            auto_alpha=False,
-            eps_max=1.5,
-        )
+    def test_vr_warns_but_stays_when_auto_disabled(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "VR_SWITCH_THRESHOLD", 5)
+        cfg = RunConfig(method="vr", candidate="red", auto_alpha=False, eps_max=1.5)
         with pytest.warns(UserWarning, match="large"):
             res = run_pipeline(cfg, grid_map(3))
         assert res.method_used == "vr"
@@ -115,9 +120,10 @@ class TestOutputs:
         return base
 
     @pytest.mark.parametrize("method", ["vr", "alpha", "adjacency", "levelset"])
-    def test_artifact_set_per_method(self, method, tmp_path):
+    def test_artifact_set_per_method(self, method, tmp_path, monkeypatch):
+        coarse_raster(monkeypatch, 30)
         m = parse_feature_collection(dissent_fixture())
-        cfg = RunConfig(method=method, candidate="red", max_side=30, stride=2)
+        cfg = RunConfig(method=method, candidate="red", stride=2)
         res = run_pipeline(cfg, m)
         written = write_outputs(res, m, tmp_path / "out")
         assert {p.name for p in written} == self.expected(method)
@@ -136,9 +142,10 @@ class TestOutputs:
         assert (info["vertices"], info["edges"], info["triangles"]) == res.complex.counts()
         assert info["config"]["step"] == 0.05
 
-    def test_deterministic_artifacts(self, tmp_path):
+    def test_deterministic_artifacts(self, tmp_path, monkeypatch):
+        coarse_raster(monkeypatch, 40)
         m = parse_feature_collection(annulus_fixture(hole_radius=20.0))
-        cfg = RunConfig(method="levelset", candidate="red", max_side=40, stride=2)
+        cfg = RunConfig(method="levelset", candidate="red", stride=2)
         for d in ("a", "b"):
             write_outputs(run_pipeline(cfg, m), m, tmp_path / d)
         for name in ("barcode.json", "barcode.svg", "feature_map.svg", "complex.txt"):
