@@ -7,7 +7,7 @@ array of simplex rows.  Births and deaths are float64, with NaN for the
 death of a bar that never dies.  ``homology.persistence_pairs`` fills the
 columns off a reduction; ``Barcode(pairs, horizon)`` fills the same columns
 from hand-built ``PersistencePair`` objects.  The long-persistence flags,
-``barcode.json`` (``Barcode.to_json``) and ``barcode.svg``
+``barcode.json`` (``Barcode.json_blocks``) and ``barcode.svg``
 (``render.render_barcode_svg``) are computed on the columns;
 ``PersistencePair`` objects are built from them whenever ``Barcode.pairs``
 or ``Barcode.rendered()`` is read.
@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .complexes import Simplex
 
 LONG_PERSISTENCE_THRESHOLD = 0.75
+_JSON_BLOCK = 2048  # rendered bars per block of `json_blocks` text
 
 
 def _gather(ptr: np.ndarray, flat: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -196,19 +197,31 @@ class Barcode:
         return max(self.persistence()[self.shown(dimension)].tolist(), default=0.0)
 
     def to_json(self) -> str:
-        """The rendered bars as ``barcode.json`` text.
+        """The rendered bars as ``barcode.json`` text: ``json_blocks`` joined."""
+        return "".join(self.json_blocks())
+
+    def json_blocks(self) -> Iterator[str]:
+        """``barcode.json`` text in blocks of ``_JSON_BLOCK`` rendered bars,
+        so a writer never holds the whole text.
 
         The bytes are those of ``json.dumps(records, indent=2,
         sort_keys=True)`` plus a newline, over one record per rendered bar,
         written directly: CPython's json runs a pure-Python encoder whenever
         ``indent`` is set, which is slow and holds much memory on large
-        generators.  Each distinct generator simplex is formatted once, and
-        the text is one join over a flat list: per bar, its head, its
-        simplices and its tail.
+        generators.  Within a block, each distinct generator simplex is
+        formatted once, and the block is one join over a flat list: per bar,
+        its head, its simplices and its tail.
         """
         at = self.shown()
         if not len(at):
-            return "[]\n"
+            yield "[]\n"
+            return
+        yield "[\n"
+        for i in range(0, len(at), _JSON_BLOCK):
+            yield self._json_block(at[i : i + _JSON_BLOCK], i + _JSON_BLOCK >= len(at))
+
+    def _json_block(self, at: np.ndarray, last: bool) -> str:
+        """The records of bars ``at``; the list closes after them if ``last``."""
         rows, sizes = _gather(self.generator_ptr, self.generator_at, at)
         tables, code = _distinct(self.simplices, rows)
         texts = []
@@ -231,7 +244,7 @@ class Barcode:
                 sizes.tolist(),
             )
         ]
-        tails = np.array(  # at 4 * (generator not empty) + 2 * (last bar) + flag
+        tails = np.array(  # at 4 * (generator not empty) + 2 * (list closes) + flag
             [
                 '%s,\n    "long_persistence": %s\n  }%s' % (close, flag, more)
                 for close in ("", "\n    ]")
@@ -240,16 +253,15 @@ class Barcode:
             ],
             dtype=object,
         )
-        last = np.zeros(len(at), dtype=np.int64)
-        last[-1] = 1
-        head_at = 1 + 2 * np.arange(len(at)) + starts
+        closes = np.zeros(len(at), dtype=np.int64)
+        closes[-1] = last
+        head_at = 2 * np.arange(len(at)) + starts
         tail_at = head_at + sizes + 1
-        pieces = np.empty(1 + 2 * len(at) + len(rows), dtype=object)
-        pieces[0] = "[\n"
+        pieces = np.empty(2 * len(at) + len(rows), dtype=object)
         pieces[head_at] = heads
-        pieces[tail_at] = tails[self.long_persistence[at] + 2 * last + 4 * (sizes > 0)]
+        pieces[tail_at] = tails[self.long_persistence[at] + 2 * closes + 4 * (sizes > 0)]
         between = np.ones(len(pieces), dtype=bool)
-        between[0] = between[head_at] = between[tail_at] = False
+        between[head_at] = between[tail_at] = False
         pieces[between] = texts[code]
         return "".join(pieces.tolist())
 
@@ -289,9 +301,12 @@ def classify_long_persistence(barcode: Barcode) -> Barcode:
     the threshold counts as long.  Zero-length bars and the bars of other
     dimensions keep their flags.  The copy shares every other column.
     """
-    pmax = barcode.max_persistence(1)
-    persistence = barcode.persistence()
-    ratio = persistence / pmax if pmax > 0 else np.zeros(len(persistence))
+    # Spans past the float range give inf, and inf / inf gives nan (never
+    # flagged), as Python float arithmetic does.
+    with np.errstate(over="ignore", invalid="ignore"):
+        pmax = barcode.max_persistence(1)
+        persistence = barcode.persistence()
+        ratio = persistence / pmax if pmax > 0 else np.zeros(len(persistence))
     flagged = copy.copy(barcode)
     flagged.long_persistence = np.where(
         (barcode.dimension == 1) & ~barcode.zero_length,

@@ -11,7 +11,7 @@ A complex is stored as arrays: for each dimension, its simplices as rows of
 vertex ids in lexicographic order with the filtration position of each row,
 and the values in filtration order.  Faces are found by binary search over
 packed vertex ranks.  The ``(simplex, value)`` tuples of ``entries`` are
-built only when read; ``to_text`` formats straight from the arrays.  The
+built only when read; ``text_blocks`` formats straight from the arrays.  The
 constructor validates its entries; the builders
 in this package emit valid complexes by construction and hand their arrays
 to ``FilteredComplex._from_arrays``, which does not.
@@ -28,7 +28,7 @@ Simplex = tuple[int, ...]
 Entry = tuple[Simplex, float]
 
 MAX_DIM = 2
-_TEXT_BLOCK = 4096  # simplices per block of `to_text` lines
+_TEXT_BLOCK = 4096  # simplices per block of `text_blocks` lines
 
 
 def simplex(vertices: Iterable[int]) -> Simplex:
@@ -209,16 +209,25 @@ class FilteredComplex:
         return c0, c1, c2
 
     def to_text(self) -> str:
-        """One ``v0,v1,...<TAB>repr(value)`` line per simplex, in canonical order."""
-        listed: list[str] = []
-        for r in self._rows:
-            listed += map(",".join, zip(*[map(str, column) for column in r.T.tolist()]))
-        parts = []  # joined a block at a time, so the lines of a whole complex never coexist
+        """One ``v0,v1,...<TAB>repr(value)`` line per simplex, in canonical
+        order: ``text_blocks`` joined."""
+        return "".join(self.text_blocks())
+
+    def text_blocks(self) -> Iterator[str]:
+        """The lines of ``to_text`` in blocks of ``_TEXT_BLOCK`` simplices, so
+        a writer never holds the whole text; a block formats only its own
+        simplices."""
+        starts = np.cumsum([0] + [len(r) for r in self._rows]).tolist()
         for i in range(0, len(self), _TEXT_BLOCK):
-            in_order = map(listed.__getitem__, self._order[i : i + _TEXT_BLOCK].tolist())
+            block = self._order[i : i + _TEXT_BLOCK]  # rows, all dimensions in turn
+            at = np.sort(block)
+            listed: list[str] = []
+            for r, a, b in zip(self._rows, starts, starts[1:]):
+                mine = r[at[(a <= at) & (at < b)] - a]
+                listed += map(",".join, zip(*[map(str, column) for column in mine.T.tolist()]))
+            in_order = map(listed.__getitem__, np.searchsorted(at, block).tolist())
             values = self._values[i : i + _TEXT_BLOCK].tolist()
-            parts.append("".join([f"{text}\t{value!r}\n" for text, value in zip(in_order, values)]))
-        return "".join(parts)
+            yield "".join([f"{text}\t{value!r}\n" for text, value in zip(in_order, values)])
 
     @classmethod
     def from_text(cls, text: str) -> "FilteredComplex":

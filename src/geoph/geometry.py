@@ -246,18 +246,6 @@ def _ldexp(x: float, e: int) -> float:
         return math.copysign(math.inf, x)
 
 
-def point_in_rings(x: float, y: float, rings: Iterable[Ring]) -> bool:
-    """Even-odd membership test against the union of ring boundaries."""
-    inside = False
-    for ring in rings:
-        for (x0, y0), (x1, y1) in zip(ring[:-1], ring[1:]):
-            if (y0 <= y) != (y1 <= y):
-                xc = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
-                if x < xc:
-                    inside = not inside
-    return inside
-
-
 def rings_bbox(rings: Iterable[Ring]) -> tuple[float, float, float, float]:
     xs: list[float] = []
     ys: list[float] = []

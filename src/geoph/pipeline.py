@@ -11,6 +11,7 @@ import time
 import warnings
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
+from typing import Iterable
 
 from .adjacency import AdjacencyGraph, build_adjacency_complex, queen_adjacency
 from .alpha import build_alpha_complex
@@ -194,27 +195,24 @@ def write_outputs(result: RunResult, m: PrecinctMap, out_dir: str | Path) -> lis
     out.mkdir(parents=True, exist_ok=True)
     written = []
 
-    def emit(name: str, text: str) -> None:
+    def emit(name: str, blocks: Iterable[str]) -> None:
         p = out / name
-        p.write_text(text)
+        with p.open("w") as f:
+            f.writelines(blocks)
         written.append(p)
 
-    emit("barcode.json", result.barcode.to_json())
-    emit("barcode.svg", render_barcode_svg(result.barcode))
+    # The two largest files go to disk a block at a time, never as one string.
+    emit("barcode.json", result.barcode.json_blocks())
+    emit("barcode.svg", [render_barcode_svg(result.barcode)])
     emit(
         "feature_map.svg",
-        render_feature_map(
-            m,
-            result.barcode,
-            result.config.candidate,
-            result.vertex_coords,
-        ),
+        [render_feature_map(m, result.barcode, result.config.candidate, result.vertex_coords)],
     )
-    emit("complex.txt", result.complex.to_text())
+    emit("complex.txt", result.complex.text_blocks())
     if result.graph is not None:
-        emit("adjacency.txt", result.graph.to_edge_list())
+        emit("adjacency.txt", [result.graph.to_edge_list()])
     if result.schedule is not None:
-        emit("schedule.txt", result.schedule.to_text())
+        emit("schedule.txt", [result.schedule.to_text()])
     if result.mask is not None:
         write_pgm(result.mask, out / "mask.pgm")
         written.append(out / "mask.pgm")
@@ -237,7 +235,7 @@ def write_outputs(result: RunResult, m: PrecinctMap, out_dir: str | Path) -> lis
             k: v for k, v in asdict(result.config).items() if k not in ("method", "candidate")
         },
     }
-    emit("run.json", json.dumps(run_info, indent=2, sort_keys=True) + "\n")
+    emit("run.json", [json.dumps(run_info, indent=2, sort_keys=True) + "\n"])
     return written
 
 

@@ -70,12 +70,6 @@ class PrecinctMap:
     def __iter__(self) -> Iterator[Precinct]:
         return iter(self.precincts)
 
-    def by_id(self, pid: str) -> Precinct:
-        for p in self.precincts:
-            if p.id == pid:
-                return p
-        raise KeyError(pid)
-
     def bbox(self) -> tuple[float, float, float, float]:
         boxes = [p.bbox() for p in self.precincts]
         if not boxes:

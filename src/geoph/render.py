@@ -36,13 +36,16 @@ def render_barcode_svg(barcode: Barcode, path: str | Path | None = None) -> str:
     """Barcode plot: one rect per bar, grouped by dimension.
 
     Zero-length bars are omitted.  Bars that never die run to the plot
-    horizon and get an arrowhead.  Long-persistence bars use a darker fill.
+    horizon (the barcode's, or the largest value drawn if that is larger)
+    and get an arrowhead.  Long-persistence bars use a darker fill.
     Positions are computed on the barcode's columns, and each bar is one
     ``%`` template.
     """
     shown = barcode.shown()
-    lo = min([0.0] + barcode.birth[shown].tolist())
-    hi = barcode.horizon
+    # The plot spans every value it draws; a build has none past its horizon.
+    drawn = barcode.birth[shown].tolist() + barcode.death[shown[~barcode.immortal[shown]]].tolist()
+    lo = min([0.0] + drawn)
+    hi = max([barcode.horizon] + drawn)
     if hi <= lo:  # below -2**53, lo + 1.0 rounds back to lo
         hi = lo + 1.0 if lo + 1.0 > lo else math.nextafter(lo, math.inf)
 
@@ -50,8 +53,12 @@ def render_barcode_svg(barcode: Barcode, path: str | Path | None = None) -> str:
     bar_h, bar_gap, group_gap = 7.0, 3.0, 16.0
     plot_w = 560.0
 
+    # Halved, the span of two finite floats never overflows; a span that
+    # fits is left whole, so its coordinates do not move.
+    s = 1.0 if math.isfinite(float(hi) - lo) else 0.5
+
     def x(t):
-        return left + (t - lo) / (hi - lo) * plot_w
+        return left + (t * s - lo * s) / (hi * s - lo * s) * plot_w
 
     dimension = barcode.dimension[shown]
     dims = sorted(set(dimension.tolist()))
@@ -110,10 +117,10 @@ def render_barcode_svg(barcode: Barcode, path: str | Path | None = None) -> str:
             f'height="{height:.2f}" viewBox="0 0 660 {height:.2f}">',
             *axis,
             *body,
-            "</svg>",
+            "</svg>\n",
         ]
     )
-    return _write(svg + "\n", path)
+    return _write(svg, path)
 
 
 def margin_color(winner: str | None, delta: float) -> str:
@@ -222,10 +229,10 @@ def render_feature_map(
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.2f}" '
             f'height="{height:.2f}" viewBox="0 0 {width:.2f} {height:.2f}">',
             *body,
-            "</svg>",
+            "</svg>\n",
         ]
     )
-    return _write(svg + "\n", path)
+    return _write(svg, path)
 
 
 def _ring_path(p: Precinct, ring, to_svg) -> str:

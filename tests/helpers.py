@@ -12,6 +12,8 @@ every edge for each flip, with a ``Fraction`` in-circle test.  The
 ``barcode.svg`` reference draws one ``PersistencePair`` at a time.  Both
 read ``Barcode.rendered()``, never the barcode's columns.  The
 boundary-matrix reference looks every face up in a dict of simplices.
+Two small lookups that only tests use live here too: ``by_id`` and
+``point_in_rings``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,26 @@ import random
 from itertools import combinations
 
 import numpy as np
+
+
+def by_id(m, pid):
+    """The precinct of map ``m`` with id ``pid``."""
+    for p in m:
+        if p.id == pid:
+            return p
+    raise KeyError(pid)
+
+
+def point_in_rings(x, y, rings):
+    """Even-odd membership test against the union of ring boundaries."""
+    inside = False
+    for ring in rings:
+        for (x0, y0), (x1, y1) in zip(ring[:-1], ring[1:]):
+            if (y0 <= y) != (y1 <= y):
+                xc = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
+                if x < xc:
+                    inside = not inside
+    return inside
 
 
 def naive_vr(points, eps):
@@ -744,6 +766,11 @@ def barcode_json_reference(barcode):
     return json.dumps(records, indent=2, sort_keys=True) + "\n"
 
 
+def complex_text_reference(fc):
+    """``complex.txt`` text written line by line off ``fc.entries``."""
+    return "".join(f"{','.join(map(str, s))}\t{value!r}\n" for s, value in fc.entries)
+
+
 def barcode_svg_reference(barcode):
     """``barcode.svg`` text drawn bar by bar off ``barcode.rendered()``: the
     writer as it was before it read the barcode's columns."""
@@ -753,8 +780,9 @@ def barcode_svg_reference(barcode):
         return f"{x:.2f}"
 
     bars = barcode.rendered()
-    lo = min([0.0] + [p.birth for p in bars])
-    hi = barcode.horizon
+    drawn = [p.birth for p in bars] + [p.death for p in bars if p.death is not None]
+    lo = min([0.0] + drawn)
+    hi = max([barcode.horizon] + drawn)
     if hi <= lo:
         hi = lo + 1.0 if lo + 1.0 > lo else math.nextafter(lo, math.inf)
 
@@ -763,7 +791,9 @@ def barcode_svg_reference(barcode):
     plot_w = 560.0
 
     def x(t: float) -> float:
-        return left + (t - lo) / (hi - lo) * plot_w
+        if math.isfinite(hi - lo):
+            return left + (t - lo) / (hi - lo) * plot_w
+        return left + (t / 2 - lo / 2) / (hi / 2 - lo / 2) * plot_w
 
     dims = sorted({p.dimension for p in bars})
     body: list[str] = []

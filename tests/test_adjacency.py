@@ -19,6 +19,7 @@ from geoph.synth import dissent_fixture, grid_fixture
 
 from helpers import (
     adjacency_complex_reference,
+    by_id,
     clique_triangles,
     complex_at,
     grid_queen_edges,
@@ -58,30 +59,30 @@ def count_exact_tests(monkeypatch):
 class TestTouching:
     def test_shared_side(self):
         m = map_of(square_precinct("a", 0, 0, 1, 0), square_precinct("b", 1, 0, 1, 0))
-        assert precincts_touch(m.by_id("a"), m.by_id("b"))
+        assert precincts_touch(by_id(m, "a"), by_id(m, "b"))
 
     def test_shared_corner_counts(self):
         m = map_of(square_precinct("a", 0, 0, 1, 0), square_precinct("b", 1, 1, 1, 0))
-        assert precincts_touch(m.by_id("a"), m.by_id("b"))
+        assert precincts_touch(by_id(m, "a"), by_id(m, "b"))
 
     def test_gap_does_not(self):
         m = map_of(square_precinct("a", 0, 0, 1, 0), square_precinct("b", 1.001, 0, 1, 0))
-        assert not precincts_touch(m.by_id("a"), m.by_id("b"))
+        assert not precincts_touch(by_id(m, "a"), by_id(m, "b"))
 
     def test_gap_within_tolerance_does(self):
         m = map_of(square_precinct("a", 0, 0, 1, 0), square_precinct("b", 1.001, 0, 1, 0))
-        assert precincts_touch(m.by_id("a"), m.by_id("b"), tol=0.01)
+        assert precincts_touch(by_id(m, "a"), by_id(m, "b"), tol=0.01)
 
     def test_orientation_invariant(self):
         # Same two squares, one traced clockwise: contact is geometric only.
         cw = square_precinct("b", 1, 0, 1, 0)
         cw["geometry"]["coordinates"][0].reverse()
         m = map_of(square_precinct("a", 0, 0, 1, 0), cw)
-        assert precincts_touch(m.by_id("a"), m.by_id("b"))
+        assert precincts_touch(by_id(m, "a"), by_id(m, "b"))
 
     def test_symmetry(self):
         m = map_of(square_precinct("a", 0, 0, 1, 0), square_precinct("b", 1, 1, 1, 0))
-        a, b = m.by_id("a"), m.by_id("b")
+        a, b = by_id(m, "a"), by_id(m, "b")
         assert precincts_touch(a, b) == precincts_touch(b, a)
 
 

@@ -8,14 +8,13 @@ from geoph.geometry import (
     circumcircle,
     in_circumcircle,
     normalize_ring,
-    point_in_rings,
     point_segment_distance,
     polygon_centroid,
     ring_area,
     segment_segment_distance,
 )
 
-from helpers import in_circle_reference
+from helpers import in_circle_reference, point_in_rings
 
 
 def test_point_cloud_flags_duplicates():

@@ -5,7 +5,6 @@ import warnings
 import numpy as np
 import pytest
 
-from geoph.geometry import point_in_rings
 from geoph.homology import barcode_of, betti_oracle
 from geoph.levelset import (
     MAX_SIDE,
@@ -26,11 +25,13 @@ from geoph.precincts import parse_feature_collection
 from geoph.synth import FIXTURES, annulus_fixture, blobs_fixture, grid_fixture, make_fixture
 
 from helpers import (
+    by_id,
     dilate_by_disk,
     distance_sq_reference,
     jittered_lattice_map,
     levelset_complex_reference,
     nearest_opposite_distance,
+    point_in_rings,
     rasterize_mask_reference,
     superlevel_mask_at,
     value_of,
@@ -51,7 +52,7 @@ class TestRasterize:
     def test_centers_against_point_membership(self):
         m = parse_feature_collection(annulus_fixture(hole_radius=20.0))
         mask = rasterize_mask(m, "red", max_side=40)
-        rings = m.by_id("ring").rings
+        rings = by_id(m, "ring").rings
         t = mask.transform
         for row in range(mask.height):
             for col in range(mask.width):

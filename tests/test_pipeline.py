@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from functools import partial
 
 import pytest
@@ -152,6 +153,23 @@ class TestOutputs:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
+
+    def test_barcode_json_is_written_in_blocks(self, tmp_path):
+        # VR on 49 centroids: 18,424 triangles, and a generator on each of
+        # thousands of immortal H2 bars, so barcode.json runs to megabytes.
+        m = grid_map(7)
+        res = run_pipeline(RunConfig(method="vr", candidate="red"), m)
+        tracemalloc.start()
+        try:
+            write_outputs(res, m, tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = (tmp_path / "barcode.json").stat().st_size
+        assert size > 10_000_000
+        assert peak < size / 2
+        assert (tmp_path / "barcode.json").read_text() == res.barcode.to_json()
+        assert (tmp_path / "complex.txt").read_text() == res.complex.to_text()
 
 
 class TestBench:

@@ -14,7 +14,9 @@ from geoph.precincts import (
     vote_margin,
     winning_precincts,
 )
-from geoph.geometry import normalize_ring, point_in_rings
+from geoph.geometry import normalize_ring
+
+from helpers import by_id, point_in_rings
 
 
 def feature(pid, rings, blue, red, gtype="Polygon"):
@@ -42,19 +44,19 @@ class TestParsing:
         path.write_text(json.dumps(collection(feature("a", [SQ], 10, 5), feature("b", [SQ2], 3, 9))))
         m = load_precincts(path)
         assert len(m) == 2
-        assert m.by_id("a").votes_blue == 10
-        assert m.by_id("b").winner() == "red"
+        assert by_id(m, "a").votes_blue == 10
+        assert by_id(m, "b").winner() == "red"
 
     def test_unclosed_rings_get_closed(self):
         m = parse_feature_collection(collection(feature("a", [SQ[:-1]], 1, 0)))
-        ring = m.by_id("a").rings[0]
+        ring = by_id(m, "a").rings[0]
         assert ring[0] == ring[-1]
 
     def test_multipolygon_flattens_to_rings(self):
         m = parse_feature_collection(
             collection(feature("a", [SQ, SQ2], 1, 0, gtype="MultiPolygon"))
         )
-        assert len(m.by_id("a").rings) == 2
+        assert len(by_id(m, "a").rings) == 2
 
     def test_missing_votes_names_the_feature(self):
         feat = feature("p7", [SQ], 1, 0)

@@ -7,11 +7,14 @@ time) read ``Barcode.rendered()``.  Hand-built barcodes reach what no
 filtration gives: triangle generators on dimension-1 bars, births at or
 above the horizon, births below -2**53.  Barcodes read off random
 filtrations reach the values a build writes, -0.0 among them.  Both kinds
-hold the same float64 columns.
+hold the same float64 columns.  ``barcode.json`` and ``complex.txt`` are
+written in blocks; the bytes must not depend on where the blocks end.  An
+overflow or invalid value in a writer's float arithmetic fails the test.
 """
 
 import json
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,9 +27,12 @@ from geoph.render import render_barcode_svg
 from helpers import (
     barcode_json_reference,
     barcode_svg_reference,
+    complex_text_reference,
     long_persistence_reference,
     random_filtered_entries,
 )
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 numbers = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
@@ -49,9 +55,18 @@ def bars(draw):
     )
 
 
-def assert_writers_match(bc):
-    assert bc.to_json() == barcode_json_reference(bc)
+def assert_writers_match(bc, fc=None):
+    text = bc.to_json()
+    assert text == barcode_json_reference(bc)
     assert render_barcode_svg(bc) == barcode_svg_reference(bc)
+    lines = None if fc is None else fc.to_text()
+    if fc is not None:
+        assert lines == complex_text_reference(fc)
+    for size in (1, 2, 3):  # blocks of a few bars or simplices, the last one short
+        with patch("geoph.barcode._JSON_BLOCK", size), patch("geoph.complexes._TEXT_BLOCK", size):
+            assert bc.to_json() == text
+            if fc is not None:
+                assert fc.to_text() == lines
 
 
 LOOP = ((0, 1), (0, 2), (1, 2))
@@ -104,7 +119,7 @@ def test_barcodes_read_off_filtrations(seed, levels):
     entries = random_filtered_entries(random.Random(seed))
     fc = close_under_faces([(s, levels[int(value)]) for s, value in entries])
     bc = classify_long_persistence(barcode_of(fc))
-    assert_writers_match(bc)
+    assert_writers_match(bc, fc)
     rebuilt = Barcode(bc.pairs, bc.horizon)  # the same columns, filled from pairs
     assert rebuilt.to_json() == bc.to_json()
     assert render_barcode_svg(rebuilt) == render_barcode_svg(bc)
@@ -133,3 +148,30 @@ def test_generator_simplices_have_one_to_three_vertices():
         Barcode([PersistencePair(1, 0.0, 1.0, ((0, 1, 2, 3),), 0)], 1.0)
     with pytest.raises(ValueError, match="1 to 3 vertices"):
         Barcode([PersistencePair(1, 0.0, 1.0, ((),), 0)], 1.0)
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [[], [PersistencePair(1, 0.5, 2.0, LOOP, 0)], [PersistencePair(0, 0.0, None, (), 0)]],
+    ids=["empty", "one bar", "one bar without a generator"],
+)
+def test_small_barcodes_in_blocks(pairs):
+    bc = Barcode(pairs, 2.0)
+    assert_writers_match(bc)
+    assert list(bc.json_blocks()) == (["[]\n"] if not pairs else ["[\n", bc.to_json()[2:]])
+
+
+def test_block_list_closes_once():
+    bc = Barcode([PersistencePair(0, float(k), None, ((k,),), k) for k in range(5)], 5.0)
+    with patch("geoph.barcode._JSON_BLOCK", 2):
+        blocks = list(bc.json_blocks())
+    assert len(blocks) == 4  # "[\n", then bars 0-1, 2-3 and 4
+    assert [b.endswith("\n]\n") for b in blocks] == [False, False, False, True]
+    assert "".join(blocks) == barcode_json_reference(bc)
+
+
+def test_plot_span_that_overflows_a_float():
+    bc = Barcode([PersistencePair(0, -1e308, 1e308, ((0,),), 0)], 1e308)
+    svg = render_barcode_svg(bc)
+    assert "nan" not in svg and "inf" not in svg
+    assert svg == barcode_svg_reference(bc)
