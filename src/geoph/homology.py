@@ -13,19 +13,22 @@ Apparent pairs come first (Bauer 2021, *Ripser*): a column whose lowest
 face has it as its oldest coface keeps its boundary and pairs at once,
 since no earlier column can hold that face.  They are found with numpy, as
 are the edges a triangle kills at their own value (zero-length births,
-never reduced); the Python loop runs over the other columns only.  In the
-loop a column is one Python int whose bit b is the face b ranks below its
-lowest row, so an addition is an xor and a shift; these ints do not outlive
-the loop.  The loop only logs which columns each column adds; numpy then
-sums the chains from that log into one CSR array
-(``ReducedMatrix.chain_ptr``, ``.chain_at``), the one record of the
-reduction.  ``persistence_pairs`` reads every bar's dimension, birth, death
-and generator off those arrays into a columnar ``Barcode`` (module
-``barcode``), with no per-bar object.  The per-column views
-(``BoundaryMatrix.columns``, ``ReducedMatrix.matrix``, ``.chains`` and
-``.pairs``) are built on first read; the reduced matrix is computed as
-R = DV, the boundary of each chain (Cohen-Steiner, Edelsbrunner and
-Morozov 2006, *Vines and Vineyards*).
+never reduced).  The other columns of a dimension take one of two paths
+that make the same additions.  The column loop reduces one column at a
+time, as one Python int whose bit b is the face b ranks below its lowest
+row, so an addition is an xor and a shift.  When the columns to reduce
+outnumber the face rows (Vietoris-Rips triangles), the rows are swept
+instead, last to first, as numpy ``uint64`` bit rows over the columns: at
+each row, every column whose lowest row it is adds the row's owner at once.
+Either path only logs which columns each column adds; numpy then sums the
+chains from that log into one CSR array (``ReducedMatrix.chain_ptr``,
+``.chain_at``), the one record of the reduction.  ``persistence_pairs``
+reads every bar's dimension, birth, death and generator off those arrays
+into a columnar ``Barcode`` (module ``barcode``), with no per-bar object.
+The per-column views (``BoundaryMatrix.columns``, ``ReducedMatrix.matrix``,
+``.chains`` and ``.pairs``) are built on first read; the reduced matrix is
+computed as R = DV, the boundary of each chain (Cohen-Steiner, Edelsbrunner
+and Morozov 2006, *Vines and Vineyards*).
 
 ``betti_oracle`` is a deliberately separate brute-force computation
 (Gaussian elimination on the raw boundary maps) used to cross-check the
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -50,6 +53,7 @@ from .barcode import (  # noqa: F401 -- the barcode's names stay importable from
 from .complexes import FilteredComplex, Simplex, faces
 
 _EMPTY: frozenset[int] = frozenset()
+_UNPACK_BLOCK = 1 << 16  # words of the row sweep's bit rows unpacked at a time
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,18 +189,16 @@ def reduce_matrix(bm: BoundaryMatrix) -> ReducedMatrix:
     A pivot is one dimension below its column, so a column only ever adds
     columns of its own dimension, and every reduced column and chain is the
     one the plain left-to-right order gives.  Apparent columns are paired
-    before the loop.  An edge whose row a triangle owns at the edge's own
-    value is a zero-length birth: its column reduces to zero and no artifact
-    shows its generator, so it is skipped (clearing).
+    first.  An edge whose row a triangle owns at the edge's own value is a
+    zero-length birth: its column reduces to zero and no artifact shows its
+    generator, so it is skipped (clearing).
 
-    The loop works in filtration ranks.  A working column is one int whose
-    bit b is the face b ranks below its lowest row, and so is each pivot's
-    stored column (an apparent one's is built the first time a later column
-    adds it), so an addition is one xor that clears bit 0, and a shift past
-    the trailing zeros moves the low down.  These ints live only as long as
-    the loop: the loop logs which columns each column adds, the chains are
-    summed from that log afterwards (:func:`_chain_keys`), and the reduced
-    columns are the chains' boundaries (``ReducedMatrix.matrix``).
+    The other columns of each dimension go through the column loop
+    (:func:`_reduce_columns`) or, when they outnumber the face rows, the
+    row sweep (:func:`_reduce_rows`), as :func:`_reduction_path` picks.
+    Both make the same additions and log them, the chains are summed from
+    that log (:func:`_chain_keys`), and the reduced columns are the chains'
+    boundaries (``ReducedMatrix.matrix``).
     """
     fc = bm.complex
     n = len(bm)
@@ -217,54 +219,132 @@ def reduce_matrix(bm: BoundaryMatrix) -> ReducedMatrix:
         column_at, face_by = by_rank[d], by_rank[d - 1]
         face_rank = np.empty_like(face_at)
         face_rank[rank[at]] = np.sort(rank[face_at], axis=1)
-        offsets = face_rank[:, -1:] - face_rank[:, :-1]
         todo = ~apparent[column_at]
         if d == 1:  # clear zero-length births
             killer = owner[column_at]
             todo &= (killer < 0) | (values[np.maximum(killer, 0)] != values[column_at])
         todo = np.flatnonzero(todo)
-        cols = [1] * len(todo)
-        for off in offsets[todo].T.tolist():
-            cols = [col | 1 << b for col, b in zip(cols, off)]
-        offsets = offsets.T.tolist()
         own = owner[face_by]  # the column owning each face rank, as a column rank
         own[own >= 0] = rank[own[own >= 0]]
-        own = own.tolist()
-        r: list[int | None] = [None] * len(column_at)
-        log: list[int] = []
-        added = []
-        for j, low, col in zip(todo.tolist(), face_rank[todo, -1].tolist(), cols):
-            before = len(log)
-            while True:
-                k = own[low]
-                if k < 0:
-                    own[low] = j
-                    break
-                rk = r[k]
-                if rk is None:  # an apparent column, added for the first time
-                    rk = 1
-                    for off in offsets:
-                        rk |= 1 << off[k]
-                    r[k] = rk
-                log.append(k)
-                col ^= rk
-                if not col:
-                    break
-                shift = (col & -col).bit_length() - 1
-                col >>= shift
-                low -= shift
-            r[j] = col
-            added.append(len(log) - before)
-        own = np.array(own, dtype=np.int64)
+        added, log = _reduction_path(len(todo), len(face_by))(face_rank, todo, own)
         owner[face_by[own >= 0]] = column_at[own[own >= 0]]
-        keys.append(
-            _chain_keys(
-                n, column_at, apparent[column_at], todo,
-                np.array(added, dtype=np.int64), np.array(log, dtype=np.int64),
-            )
-        )
+        keys.append(_chain_keys(n, column_at, apparent[column_at], todo, added, log))
     keys = _odd(np.concatenate(keys))
     return ReducedMatrix(bm, owner, apparent, *_csr(keys, n, n))
+
+
+def _reduction_path(columns: int, rows: int) -> Callable[..., tuple[np.ndarray, np.ndarray]]:
+    """The row sweep when the columns to reduce outnumber the face rows (a
+    dense dimension: Vietoris-Rips triangles), else the column loop."""
+    return _reduce_rows if columns > rows else _reduce_columns
+
+
+def _reduce_columns(
+    face_rank: np.ndarray, todo: np.ndarray, own: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reduce the columns ``todo`` (column ranks, ascending) one by one.
+
+    ``face_rank[k]`` holds column k's face ranks, ascending, and ``own[r]``
+    the column owning face rank r or -1; it is updated in place.  Returns
+    how many columns each todo column added, and those columns in order.
+    A working column is one int whose bit b is the face b ranks below its
+    lowest row, and so is each pivot's stored column (an apparent one's is
+    built the first time a later column adds it), so an addition is one xor
+    that clears bit 0, and a shift past the trailing zeros moves the low.
+    """
+    offsets = face_rank[:, -1:] - face_rank[:, :-1]
+    cols = [1] * len(todo)
+    for off in offsets[todo].T.tolist():
+        cols = [col | 1 << b for col, b in zip(cols, off)]
+    offsets = offsets.T.tolist()
+    owner = own.tolist()
+    r: list[int | None] = [None] * len(face_rank)
+    log: list[int] = []
+    added = []
+    for j, low, col in zip(todo.tolist(), face_rank[todo, -1].tolist(), cols):
+        before = len(log)
+        while True:
+            k = owner[low]
+            if k < 0:
+                owner[low] = j
+                break
+            rk = r[k]
+            if rk is None:  # an apparent column, added for the first time
+                rk = 1
+                for off in offsets:
+                    rk |= 1 << off[k]
+                r[k] = rk
+            log.append(k)
+            col ^= rk
+            if not col:
+                break
+            shift = (col & -col).bit_length() - 1
+            col >>= shift
+            low -= shift
+        r[j] = col
+        added.append(len(log) - before)
+    own[:] = owner
+    return np.array(added, dtype=np.int64), np.array(log, dtype=np.int64)
+
+
+def _reduce_rows(
+    face_rank: np.ndarray, todo: np.ndarray, own: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_reduce_columns` as a sweep over the rows, last to first.
+
+    ``bits[r]`` is row r over the todo columns, bit t of it the t-th one.
+    When row r is reached, every column that owns no row has its low at r
+    or below, so the candidates (the bits of row r owning no row) are the
+    columns whose low is r.  If an apparent column owns r, each candidate
+    adds it; otherwise the oldest candidate takes r and each other one adds
+    it, final since a column that owns a row never changes again.  So each
+    column adds the same columns as in the loop, and ``own`` ends the same.
+    A row is not read after its turn, so it keeps its candidates less its
+    owner: the columns that added the owner, read out at the end as the log.
+    """
+    m = len(todo)
+    words = (m + 63) >> 6
+    bits = np.zeros((len(own), words), dtype=np.uint64)
+    t = np.arange(m)
+    one = np.left_shift(np.uint64(1), (t & 63).astype(np.uint64))
+    at = face_rank[todo] * words + (t >> 6)[:, None]
+    np.bitwise_or.at(bits.reshape(-1), at.ravel(), np.repeat(one, face_rank.shape[1]))
+    free = np.full(words, np.iinfo(np.uint64).max, dtype=np.uint64)  # the columns owning no row
+    for r in range(len(own) - 1, -1, -1):
+        row = bits[r]
+        row &= free
+        hit = np.flatnonzero(row)
+        if not len(hit):
+            continue
+        k = own[r]
+        if k < 0:  # the oldest candidate takes the row
+            w = hit[0]
+            v = int(row[w])
+            b = v & -v
+            own[r] = todo[(w << 6) + b.bit_length() - 1]
+            free[w] ^= b
+            row[w] = v ^ b
+            if v == b and len(hit) == 1:
+                continue
+            below = np.flatnonzero(bits[:r, w] & np.uint64(b))
+        else:  # an apparent column owns the row
+            below = face_rank[k, :-1]
+        bits[below] ^= row
+    rows, word = np.nonzero(bits)
+    cols = len(face_rank)
+    keys = [np.zeros(0, dtype=np.int64)]  # t * cols + k: todo column t added column k
+    for s in range(0, len(rows), _UNPACK_BLOCK):
+        rs, ws = rows[s:s + _UNPACK_BLOCK], word[s:s + _UNPACK_BLOCK]
+        on = bits[rs, ws].astype("<u8", copy=False).view(np.uint8)
+        on = np.flatnonzero(np.unpackbits(on, bitorder="little"))
+        at = on >> 6
+        keys.append(((ws[at] << 6) + (on & 63)) * cols + own[rs][at])
+    del bits, rows, word
+    keys = np.concatenate(keys)
+    keys.sort()
+    added = np.bincount(keys // cols, minlength=m)
+    keys %= cols  # in place, so the log is never held twice
+    return added, keys
 
 
 def _chain_keys(

@@ -8,6 +8,12 @@ plot's degenerate axis).  Each file's sha256 must match the digest
 recorded here; a rewrite of any layer that changes a single byte of a
 barcode, complex, raster or drawing fails this gate.  To see which file
 moved, compare the failing build's directory against the table.
+
+Each build also records which reduction path each dimension took: the
+three dense Vietoris-Rips builds (dissent, grid and the 6 x 6 grid, red)
+reduce their triangles by the row sweep and every other dimension goes
+through the column loop, so the table guards both paths.  The warnings the
+builds are known to raise are matched; any other warning fails the build.
 """
 
 import contextlib
@@ -16,7 +22,11 @@ import io
 
 import pytest
 
+from geoph import homology
 from geoph.cli import main
+from geoph.pipeline import METHODS
+
+pytestmark = pytest.mark.filterwarnings("error")
 
 DIGESTS = {
     ("grid", "vr", "blue"): {
@@ -283,11 +293,37 @@ def maps(tmp_path_factory):
     return paths
 
 
+EMPTY = "no blue-winning precincts in .*; empty complex"
+WARNINGS = {
+    **{(f, m, "blue"): EMPTY for f in ("grid", "annulus", "blobs") for m in METHODS},
+    ("grid", "levelset", "red"): "mask is entirely true",
+    ("grid1", "levelset", "red"): "mask is entirely true",
+}
+# The flag complexes on 8, 25 and 36 points reduce their triangles by the
+# row sweep (more triangles to reduce than edges); every other dimension of
+# every build, triangles first, goes through the column loop.
+ROW_SWEPT = {(f, "vr", "red") for f in ("dissent", "grid", "grid6")}
+
+
 @pytest.mark.parametrize("fixture, method, candidate", sorted(DIGESTS))
-def test_artifacts_are_byte_identical(maps, tmp_path, fixture, method, candidate):
+def test_artifacts_are_byte_identical(maps, tmp_path, monkeypatch, fixture, method, candidate):
+    paths = []
+    choose = homology._reduction_path
+
+    def record(columns, rows):
+        path = choose(columns, rows)
+        paths.append(path.__name__)
+        return path
+
+    monkeypatch.setattr(homology, "_reduction_path", record)
     out = tmp_path / "out"
     argv = ["build", "--method", method, "--candidate", candidate]
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    warning = WARNINGS.get((fixture, method, candidate))
+    with (
+        pytest.warns(UserWarning, match=warning) if warning else contextlib.nullcontext(),
+        contextlib.redirect_stdout(io.StringIO()),
+        contextlib.redirect_stderr(io.StringIO()),
+    ):
         code = main(argv + ["--input", str(maps[fixture]), "--out", str(out)])
     assert code == 0
     got = {
@@ -296,3 +332,5 @@ def test_artifacts_are_byte_identical(maps, tmp_path, fixture, method, candidate
         if p.name != "run.json"
     }
     assert got == DIGESTS[fixture, method, candidate]
+    triangles = "_reduce_rows" if (fixture, method, candidate) in ROW_SWEPT else "_reduce_columns"
+    assert paths == [triangles, "_reduce_columns"]

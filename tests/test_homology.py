@@ -6,7 +6,10 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from geoph import homology
 from geoph.complexes import (
     FilteredComplex,
     close_under_faces,
@@ -90,6 +93,30 @@ class TestBoundaryMatrix:
         assert fc.entries == validated.entries
 
 
+@pytest.fixture(params=["columns", "rows"])
+def reduction_path(request, monkeypatch):
+    """Reduce every dimension by the column loop, or every one by the row sweep."""
+    path = getattr(homology, f"_reduce_{request.param}")
+    monkeypatch.setattr(homology, "_reduction_path", lambda columns, rows: path)
+
+
+def reduced_by(path, bm):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology, "_reduction_path", lambda columns, rows: path)
+        return reduce_matrix(bm)
+
+
+@st.composite
+def tied_complexes(draw):
+    """Complexes on up to 7 vertices with up to 4 distinct values: many ties,
+    and dense enough that several columns share a low row."""
+    n = draw(st.integers(1, 7))
+    simplices = [s for d in (1, 2, 3) for s in combinations(range(n), d)]
+    value = st.none() | st.integers(0, 3)
+    values = draw(st.lists(value, min_size=len(simplices), max_size=len(simplices)))
+    return close_under_faces([(s, v) for s, v in zip(simplices, values) if v is not None])
+
+
 def assert_matches_dense_reference(fc):
     bm = build_boundary_matrix(fc)
     red = reduce_matrix(bm)
@@ -150,6 +177,7 @@ def assert_pairs_match_reference(fc):
 
 
 class TestReduction:
+    @pytest.mark.usefixtures("reduction_path")
     def test_matches_dense_reference_on_random_complexes(self):
         rng = random.Random(31)
         for _ in range(60):
@@ -157,8 +185,18 @@ class TestReduction:
 
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("fixture", FIXTURES)
+    @pytest.mark.usefixtures("reduction_path")
     def test_matches_dense_reference_on_fixtures(self, fixture, method):
         assert_matches_dense_reference(fixture_complex(fixture, method))
+
+    @given(tied_complexes())
+    @settings(max_examples=200, deadline=None)
+    def test_both_paths_give_the_same_reduction(self, fc):
+        bm = build_boundary_matrix(fc)
+        loop = reduced_by(homology._reduce_columns, bm)
+        rows = reduced_by(homology._reduce_rows, bm)
+        for field in ("owner", "apparent", "chain_ptr", "chain_at"):
+            assert np.array_equal(getattr(loop, field), getattr(rows, field)), field
 
     def test_chains_empty_only_for_vertices_and_zero_length_births(self):
         rng = random.Random(31)
@@ -171,6 +209,7 @@ class TestReduction:
     def test_chains_empty_only_where_skipped_on_fixtures(self, fixture, method):
         assert_chains_empty_exactly_where_skipped(fixture_complex(fixture, method))
 
+    @pytest.mark.usefixtures("reduction_path")
     def test_apparent_pair_that_is_a_zero_length_edge_birth(self):
         # The triangle is the only coface of its youngest edge (1, 2), and
         # both enter at 1: the pair is apparent and the edge is cleared.
@@ -191,6 +230,7 @@ class TestReduction:
         assert_matches_dense_reference(fc)
         assert_pairs_match_reference(fc)
 
+    @pytest.mark.usefixtures("reduction_path")
     def test_apparent_column_added_by_two_later_columns(self):
         # (0, 1), (1, 2) and (0, 3) are apparent; (0, 2) adds (1, 2) then
         # (0, 1), and (1, 3) adds (0, 3) then (0, 1) again.
@@ -214,6 +254,7 @@ class TestReduction:
         assert_matches_dense_reference(fc)
         assert_pairs_match_reference(fc)
 
+    @pytest.mark.usefixtures("reduction_path")
     def test_matches_dense_reference_on_dense_flag_complexes(self):
         # Vietoris-Rips on 12-30 distinct points of a 7 x 7 lattice: many
         # tied distances, long columns, and pivots that are not apparent.
@@ -236,6 +277,7 @@ class TestReduction:
             nested += any(k in adders for _, k in added)
         assert wide and nonapparent_added and nested
 
+    @pytest.mark.usefixtures("reduction_path")
     def test_matches_dense_reference_on_wide_level_set_columns(self):
         m = parse_feature_collection(make_fixture("blobs"))
         with warnings.catch_warnings():
