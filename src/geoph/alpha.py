@@ -25,10 +25,15 @@ edge's closed diametral disk on one side lies strictly inside the
 circumcircle of that side's triangle unless that triangle's apex is itself
 in the disk.
 
-The final check that no circumcircle strictly holds any point covers every
-point.  It runs over small numpy blocks as a conservative float prefilter;
-what that cannot decide goes to the exact in-circle test, so every decision
-is the scalar one.
+The output is checked edge by edge on the insertion's own edge map, the
+enclosing triangle included: its three sides are the only edges with one
+triangle, every other edge has two with apexes strictly on opposite sides,
+V - E + T = 1 with every point a vertex, and no apex lies strictly inside
+the circumcircle of the triangle across its edge (the exact in-circle
+test).  The first three make the map a triangulation of the enclosing
+triangle; the last makes every edge locally Delaunay, and by the Delaunay
+lemma (de Berg et al., *Computational Geometry*, ch. 9) the triangulation
+is then Delaunay, so no circumcircle strictly holds any point.
 """
 
 from __future__ import annotations
@@ -42,22 +47,10 @@ import numpy as np
 
 from .complexes import FilteredComplex
 from .errors import DegenerateTriangulationError, NumericalError
-from .geometry import (
-    IN_CIRCLE_TOL,
-    Point,
-    PointCloud,
-    circumcircle,
-    in_circle_determinant,
-    in_circumcircle,
-    orient2d,
-)
+from .geometry import Point, PointCloud, circumcircle, in_circumcircle, orient2d
 
 Edge = tuple[int, int]
 Tri = tuple[int, int, int]
-
-# Triangles per numpy block in the verification.  Each block holds a few
-# arrays of triangles x points floats.
-_VERIFY_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -185,8 +178,10 @@ def delaunay_triangulation(pc: PointCloud) -> Triangulation:
     rejected, and so are coordinates whose float orientation tests would
     overflow (the enclosing triangle's doubled area is not a finite normal
     float) or underflow (nor is the squared span of the points).  The output
-    is verified: every triangle's circumcircle must be empty of all other
-    points.
+    is verified before the enclosing triangle's vertices are dropped: the
+    edge map must be a triangulation of the enclosing triangle with every
+    point a vertex and every edge locally Delaunay, so every triangle's
+    circumcircle is empty of all other points.
     """
     points = pc.points
     n = len(points)
@@ -239,31 +234,31 @@ def delaunay_triangulation(pc: PointCloud) -> Triangulation:
             last = tuple(sorted((a, b, p_idx)))  # type: ignore[assignment]
             _link(owners, last)
 
+    _canonical_cocircular_flips(verts, owners, n)
+    _verify_delaunay(verts, owners, n)
     real = tuple(sorted(t for t in _triangles(owners) if t[2] < n))
     if not real:
         raise DegenerateTriangulationError("all points are collinear")
-    real = _canonical_cocircular_flips(points, real)
-    _verify_empty_circumcircles(points, real)
     return Triangulation(points=points, triangles=real)
 
 
 def _canonical_cocircular_flips(
-    points: tuple[Point, ...], triangles: tuple[Tri, ...]
-) -> tuple[Tri, ...]:
+    verts: list[Point], owners: dict[Edge, list[Tri]], n: int
+) -> None:
     """Flip exactly-cocircular interior edges to the lex-smallest diagonal.
 
-    Each step flips the interior edge, among all whose quadrilateral is
-    exactly cocircular and whose other diagonal is lex-smaller, with the
-    smallest other diagonal.  A heap keyed ``(diagonal, edge)`` holds the
-    candidates; an entry is stale once its edge is gone or has other
-    apexes.  A flip changes the apexes of the quadrilateral's four outer
-    edges only, so those are the edges tested again.  Each flip strictly
-    lowers the sorted diagonal pair, so this terminates; among cocircular
-    configurations every flip preserves Delaunayness.
+    Edits the edge map in place.  Only quadrilaterals of the ``n`` points
+    count: an edge with an enclosing vertex (index >= n) as an end or an
+    apex is never flipped.  Each step flips the interior edge, among all
+    whose quadrilateral is exactly cocircular and whose other diagonal is
+    lex-smaller, with the smallest other diagonal.  A heap keyed
+    ``(diagonal, edge)`` holds the candidates; an entry is stale once its
+    edge is gone or has other apexes.  A flip changes the apexes of the
+    quadrilateral's four outer edges only, so those are the edges tested
+    again.  Each flip strictly lowers the sorted diagonal pair, so this
+    terminates; among cocircular configurations every flip preserves
+    Delaunayness.
     """
-    owners: dict[Edge, list[Tri]] = {}
-    for t in triangles:
-        _link(owners, t)
 
     def apexes(e: Edge) -> Edge | None:
         ts = owners.get(e)
@@ -275,11 +270,11 @@ def _canonical_cocircular_flips(
 
     def candidate(e: Edge) -> Edge | None:
         alt = apexes(e)
-        if alt is None or alt >= e:
+        if alt is None or alt >= e or max(e[1], alt[1]) >= n:
             return None
         a, b = e
         c, d = alt
-        if _in_circle(points[a], points[b], points[c], points[d]) != 0:
+        if _in_circle(verts[a], verts[b], verts[c], verts[d]) != 0:
             return None
         return alt
 
@@ -299,44 +294,32 @@ def _canonical_cocircular_flips(
             nxt = candidate(outer)
             if nxt is not None:
                 heapq.heappush(heap, (nxt, outer))
-    return tuple(sorted(_triangles(owners)))
 
 
-def _verify_empty_circumcircles(
-    points: tuple[Point, ...], triangles: tuple[Tri, ...]
-) -> None:
-    """Raise unless no triangle's circumcircle strictly holds another point.
+def _verify_delaunay(verts: list[Point], owners: dict[Edge, list[Tri]], n: int) -> None:
+    """Raise unless the edge map is a Delaunay triangulation of all ``verts``.
 
-    Checks every triangle against every point, in blocks of triangles.  The
-    float determinant is the in-circle test's own, taken over arrays.  An
-    entry whose determinant is below minus twice the exact-fallback
-    threshold is outside; every other entry goes to the in-circle test
-    itself, in the order of a scan of triangles, then points.
+    The checks are the module docstring's, with the enclosing triangle on
+    vertices n, n+1, n+2.  The signs of the two orientations are compared
+    rather than multiplied, since the product of two tiny areas can
+    underflow to zero.
     """
-    xs = np.array([p[0] for p in points])
-    ys = np.array([p[1] for p in points])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(triangles), _VERIFY_BLOCK):
-            block = triangles[start : start + _VERIFY_BLOCK]
-            corners = []
-            for t in block:
-                pa, pb, pc_ = (points[v] for v in t)
-                if orient2d(pa, pb, pc_) < 0:
-                    pb, pc_ = pc_, pb
-                corners.append((*pa, *pb, *pc_))
-            ax, ay, bx, by, cx, cy = (np.array(col)[:, None] for col in zip(*corners))
-            det, (ad2, bd2, cd2) = in_circle_determinant((ax, ay), (bx, by), (cx, cy), (xs, ys))
-            scale = np.maximum(np.maximum(np.maximum(ad2, bd2), cd2), 1.0)
-            undecided = ~(det < -2.0 * (IN_CIRCLE_TOL * scale * scale))
-            rows = np.arange(len(block))[:, None]
-            undecided[rows, np.array(block)] = False  # a triangle's own corners
-            for i, q in zip(*np.nonzero(undecided)):
-                t = block[i]
-                pa, pb, pc_ = (points[v] for v in t)
-                if _in_circle(pa, pb, pc_, points[q]) > 0:
-                    raise NumericalError(
-                        f"triangulation failed verification at triangle {t}"
-                    )
+    hull = {(n, n + 1), (n, n + 2), (n + 1, n + 2)}
+    for e, ts in owners.items():
+        if len(ts) == 1 and e in hull:
+            continue
+        if len(ts) != 2:
+            raise NumericalError(f"triangulation failed verification at edge {e}")
+        a, b = e
+        c, d = (next(v for v in t if v not in e) for t in ts)
+        side_c = orient2d(verts[a], verts[b], verts[c])
+        side_d = orient2d(verts[a], verts[b], verts[d])
+        if not ((side_c > 0 and side_d < 0) or (side_c < 0 and side_d > 0)) or (
+            _in_circle(verts[a], verts[b], verts[c], verts[d]) > 0
+        ):
+            raise NumericalError(f"triangulation failed verification at edge {e}")
+    if (n + 3) - len(owners) + len(_triangles(owners)) != 1:
+        raise NumericalError("triangulation failed verification: V - E + T != 1")
 
 
 def _dist_sq(a: Point, b: Point) -> float:
@@ -369,7 +352,7 @@ def alpha_filtration(tri: Triangulation, pc: PointCloud) -> FilteredComplex:
         for e, apex in _sides(t):
             incident.setdefault(e, []).append((r, apex))
 
-    edges = sorted(tri.edges())
+    edges = sorted([*incident, *tri.extra_edges])
     r2s = [_dist_sq(points[u], points[v]) / 4.0 for u, v in edges]
     if not all(map(math.isfinite, [*radii, *r2s])):
         raise NumericalError("alpha radius is not finite; coordinates are too large")

@@ -86,8 +86,8 @@ def in_circle_determinant(a, b, c, p):
     distances ``(|a - p|^2, |b - p|^2, |c - p|^2)``.
 
     Positive when p is inside the circle through a counterclockwise abc.
-    Plain arithmetic, so the coordinates may be floats, integers or numpy
-    arrays, with results of the same kind.
+    Plain arithmetic, so the coordinates may be floats or integers, with
+    results of the same kind.
     """
     adx, ady = a[0] - p[0], a[1] - p[1]
     bdx, bdy = b[0] - p[0], b[1] - p[1]

@@ -76,8 +76,8 @@ def annulus_fixture(hole_radius: float = 20.0, size: float = 250.0, segments: in
 
 
 def blobs_fixture(side: float = 80.0, gap: float = 60.0) -> dict:
-    if side <= 0 or gap <= 0:
-        raise ValueError("side and gap must be positive")
+    if not (0 < side < math.inf and 0 < gap < math.inf):
+        raise ValueError("side and gap must be finite and positive")
     return {
         "type": "FeatureCollection",
         "features": [

@@ -171,19 +171,57 @@ class TestDelaunayAgainstReferences:
             assert delaunay_triangulation(pc).triangles == expected
 
     def test_verification_rejects_a_non_delaunay_diagonal(self, monkeypatch):
-        # The flip pass is made to return the other diagonal of a kite whose
-        # circumcircles are not empty; the global check must catch it.
+        # The flip pass is made to put the other diagonal of a kite, whose
+        # circumcircles are not empty, into the edge map; the edge-by-edge
+        # check must catch it.
         pc = cloud((0.0, 0.0), (4.0, -1.0), (4.0, 1.0), (5.0, 0.0))
         assert delaunay_triangulation(pc).triangles == ((0, 1, 2), (1, 2, 3))
-        monkeypatch.setattr(
-            alpha, "_canonical_cocircular_flips", lambda *_: ((0, 1, 3), (0, 2, 3))
-        )
+
+        def wrong_diagonal(verts, owners, n):
+            for t in ((0, 1, 2), (1, 2, 3)):
+                alpha._unlink(owners, t)
+            for t in ((0, 1, 3), (0, 2, 3)):
+                alpha._link(owners, t)
+
+        monkeypatch.setattr(alpha, "_canonical_cocircular_flips", wrong_diagonal)
         with pytest.raises(NumericalError, match="verification"):
+            delaunay_triangulation(pc)
+
+    @pytest.mark.parametrize(
+        "unlink, link",
+        [
+            ((), ((0, 1, 2),)),  # overlaps (0, 1, 4) and (1, 2, 4)
+            ((), ((0, 1, 4),)),  # a second copy
+            (((0, 1, 4),), ()),  # leaves a hole
+            # the centre's star, its hole filled without it: locally
+            # Delaunay, but one point short of V - E + T = 1
+            (((0, 1, 4), (0, 3, 4), (1, 2, 4), (2, 3, 4)), ((0, 1, 2), (0, 2, 3))),
+        ],
+        ids=["overlapping", "duplicated", "hole", "star-removed"],
+    )
+    def test_verification_rejects_a_broken_edge_map(self, monkeypatch, unlink, link):
+        pc = cloud((0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0), (1.0, 1.0))
+        assert delaunay_triangulation(pc).triangles == (
+            (0, 1, 4), (0, 3, 4), (1, 2, 4), (2, 3, 4)
+        )
+        flips = alpha._canonical_cocircular_flips
+
+        def broken(verts, owners, n):
+            flips(verts, owners, n)
+            for t in unlink:
+                alpha._unlink(owners, t)
+            for t in link:
+                alpha._link(owners, t)
+
+        monkeypatch.setattr(alpha, "_canonical_cocircular_flips", broken)
+        with pytest.raises(NumericalError, match="failed verification"):
             delaunay_triangulation(pc)
 
     def test_scaling_guard(self, monkeypatch):
         # Cavities come from walks over the edge map, not from testing every
-        # triangle, and each flip re-tests four edges, not all of them.
+        # triangle, each flip re-tests four edges, not all of them, and the
+        # verification tests each edge once, so the in-circle calls of all
+        # three stay linear in the points.
         calls = []
         predicate = alpha.in_circumcircle
 

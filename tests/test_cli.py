@@ -33,13 +33,17 @@ class TestSynth:
         path = synth(tmp_path, "grid", "g.geojson", "--n", "2")
         assert len(json.loads(path.read_text())["features"]) == 4
 
-    def test_bad_parameter_exits_two(self, tmp_path, capsys):
-        code = main(
-            ["synth", "--fixture", "annulus", "--out", str(tmp_path / "a.geojson"),
-             "--hole-radius", "-5"]
-        )
+    @pytest.mark.parametrize(
+        "fixture, flag, value",
+        [("annulus", "--hole-radius", "-5"), ("blobs", "--gap", "inf"), ("blobs", "--gap", "nan")],
+        ids=["annulus-negative-hole", "blobs-gap-inf", "blobs-gap-nan"],
+    )
+    def test_bad_parameter_exits_two(self, tmp_path, capsys, fixture, flag, value):
+        out = tmp_path / "a.geojson"
+        code = main(["synth", "--fixture", fixture, "--out", str(out), flag, value])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_output_directory_exits_two(self, tmp_path, capsys):
         code = main(["synth", "--fixture", "grid", "--out", str(tmp_path / "nodir" / "g.geojson")])
