@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .complexes import Simplex
+from .complexes import Simplex, _float_reprs
 
 LONG_PERSISTENCE_THRESHOLD = 0.75
 _JSON_BLOCK = 2048  # rendered bars per block of `json_blocks` text
@@ -238,8 +238,8 @@ class Barcode:
             '  {\n    "birth": %s,\n    "death": %s,\n    "dimension": %d,\n    "generator": %s'
             % (birth, death, d, "[\n" if size else "[]")
             for birth, death, d, size in zip(
-                _json_numbers(self.birth[at]).tolist(),
-                np.where(self.immortal[at], "null", _json_numbers(self.death[at])).tolist(),
+                _float_reprs(self.birth[at]).tolist(),
+                np.where(self.immortal[at], "null", _float_reprs(self.death[at])).tolist(),
                 self.dimension[at].tolist(),
                 sizes.tolist(),
             )
@@ -279,16 +279,6 @@ def _distinct(
     cut = np.searchsorted(at, offset)
     tables = [t[at[a:b] - o] for t, a, b, o in zip(simplices, cut[:-1], cut[1:], offset)]
     return tables, (np.cumsum(used) - 1)[rows]
-
-
-def _json_numbers(column: np.ndarray) -> np.ndarray:
-    """Each value of a float64 column as json writes it (``float.__repr__``),
-    as an object array; each distinct value (bit pattern) is formatted
-    once."""
-    bits = np.sort(column.view(np.int64))
-    bits = bits[np.r_[True, bits[1:] != bits[:-1]]]
-    texts = list(map(float.__repr__, bits.view(np.float64).tolist()))
-    return np.array(texts, dtype=object)[np.searchsorted(bits, column.view(np.int64))]
 
 
 def classify_long_persistence(barcode: Barcode) -> Barcode:

@@ -1,12 +1,13 @@
 """Level-set front propagation over a rasterized vote mask.
 
-The winning precincts are rasterized to a bit mask (even-odd scanline fill),
-turned into a signed distance field (positive inside, negative outside),
-and then advanced at constant speed: the front at step k is the superlevel
-set phi + v*k*dt >= 0, which for a distance field is plain outward
-dilation.  The squared Euclidean distance transform is exact and separable:
-a column pass finds each cell's nearest feature row with running max/min
-index scans and squares the gap; a row pass then takes
+The winning precincts are rasterized to a bit mask (even-odd scanline fill
+over every segment at once, crossings paired off in sorted order), turned
+into a signed distance field (positive inside, negative outside), and then
+advanced at constant speed: the front at step k is the superlevel set
+phi + v*k*dt >= 0, which for a distance field is plain outward dilation.
+The squared Euclidean distance transform is exact and separable: a column
+pass finds each cell's nearest feature row with running max/min index
+scans and squares the gap; a row pass then takes
 out[r, q] = min_p (q - p)^2 + g[r, p] over growing offsets |q - p|, and
 stops once the next offset's square reaches the largest value so far.
 The filtered complex lives on a strided subgrid: a vertex enters at the
@@ -19,14 +20,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .complexes import FilteredComplex
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .geometry import Point
 from .precincts import PrecinctMap, winning_precincts
 
@@ -86,6 +86,8 @@ def _grid_shape(extent_x: float, extent_y: float, max_side: int) -> tuple[int, i
     if long_extent <= 0.0:
         return 1, 1, 1.0
     cell = long_extent / max_side
+    if not 0.0 < cell < math.inf:
+        raise NumericalError(f"map extent {long_extent!r} gives no finite positive cell size")
     w = max(1, min(max_side, math.ceil(extent_x / cell - 1e-9)))
     h = max(1, min(max_side, math.ceil(extent_y / cell - 1e-9)))
     return w, h, cell
@@ -97,41 +99,43 @@ def rasterize_mask(m: PrecinctMap, candidate: str, max_side: int = MAX_SIDE) -> 
     The grid covers the bounding box of the whole map, its longer side
     ``max_side`` cells, cells square.  A cell is set when its center lies
     inside a winning precinct.  An empty winning set gives an all-false
-    mask.
+    mask.  A map whose extent, cell size or scanline crossings leave the
+    float range raises ``NumericalError``.
     """
     if not (1 <= max_side <= MAX_SIDE):
         raise ValueError(f"max_side must be in [1, {MAX_SIDE}]")
     x0, y0, x1, y1 = m.bbox()
     w, h, cell = _grid_shape(x1 - x0, y1 - y0, max_side)
-    transform = GridTransform(x0=x0, y0=y0, cell=cell)
-    cells = np.zeros((h, w), dtype=bool)
-    centers = [y0 + (row + 0.5) * cell for row in range(h)]  # ascending
-
-    for p in winning_precincts(m, candidate):
-        segments = [
-            seg
-            for ring in p.rings
-            for seg in zip(ring[:-1], ring[1:])
-            if seg[0][1] != seg[1][1]
-        ]
-        # a segment crosses row y only when min(ay, by) <= y < max(ay, by)
-        ys = [y for seg in segments for _, y in seg]
-        first = bisect_left(centers, min(ys, default=0.0))
-        stop = bisect_left(centers, max(ys, default=0.0))
-        for row in range(first, stop):
-            y = centers[row]
-            xs = []
-            for (ax, ay), (bx, by) in segments:
-                if (ay <= y) != (by <= y):
-                    xs.append(ax + (y - ay) * (bx - ax) / (by - ay))
-            xs.sort()
-            for lo, hi in zip(xs[::2], xs[1::2]):
-                # columns whose center x satisfies lo <= x < hi
-                c_lo = math.ceil((lo - x0) / cell - 0.5 - 1e-9)
-                c_hi = math.ceil((hi - x0) / cell - 0.5 - 1e-9)
-                if c_hi > c_lo:
-                    cells[row, max(0, c_lo) : min(w, c_hi)] = True
-    return BitMask(cells=cells, transform=transform)
+    rings = [(k, ring) for k, p in enumerate(winning_precincts(m, candidate)) for ring in p.rings]
+    sizes = [len(ring) for _, ring in rings]
+    points = np.array([pt for _, ring in rings for pt in ring], dtype=float).reshape(-1, 2)
+    # segment j runs from point j to point j + 1 of its ring; a horizontal one crosses no row
+    a = np.delete(np.arange(len(points)), np.cumsum(sizes, dtype=np.int64) - 1)
+    a = a[points[a, 1] != points[a + 1, 1]]
+    precinct = np.repeat([k for k, _ in rings], sizes)[a]
+    (ax, ay), (bx, by) = points[a].T, points[a + 1].T
+    # a segment crosses row y only when min(ay, by) <= y < max(ay, by)
+    centers = y0 + (np.arange(h) + 0.5) * cell  # ascending
+    first = np.searchsorted(centers, np.minimum(ay, by))
+    count = np.searchsorted(centers, np.maximum(ay, by)) - first
+    seg = np.repeat(np.arange(len(a)), count)
+    row = np.arange(len(seg)) + np.repeat(first - np.cumsum(count) + count, count)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = ax[seg] + (centers[row] - ay[seg]) * (bx[seg] - ax[seg]) / (by[seg] - ay[seg])
+    if not np.isfinite(x).all():
+        raise NumericalError("a scanline crossing leaves the float range")
+    # A closed ring crosses each row an even number of times, so in
+    # (precinct, row, x) order the crossings pair off in turn.
+    at = np.lexsort((x, row, precinct[seg]))
+    # columns whose center x satisfies lo <= x < hi, clipped to the grid
+    col = np.clip(np.ceil((x[at] - x0) / cell - 0.5 - 1e-9), 0, w).astype(np.int64)
+    lo, hi = col[::2], col[1::2]
+    # +1 where a run starts and -1 where it stops (lo <= hi, as x is sorted):
+    # each row's running sum is positive exactly on the union of its runs
+    key, size = row[at[::2]] * (w + 1), h * (w + 1)
+    runs = np.bincount(key + lo, minlength=size) - np.bincount(key + hi, minlength=size)
+    cells = runs.reshape(h, w + 1).cumsum(axis=1)[:, :w] > 0
+    return BitMask(cells=cells, transform=GridTransform(x0=x0, y0=y0, cell=cell))
 
 
 def _distance_sq_to(feature: np.ndarray) -> np.ndarray:

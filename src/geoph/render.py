@@ -5,7 +5,8 @@ Feature maps shade each precinct by its winner's color, darker for a
 stronger majority and white for a strictly equal vote, then overlay the
 dimension-1 generator cycles of the barcode as closed polylines in the
 analyzed candidate's color; long-persistence cycles come out darker and
-thicker.
+thicker.  The cycles come from the barcode's generator columns, walked
+and formatted a block of bars at a time.
 """
 
 from __future__ import annotations
@@ -17,13 +18,15 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InputError
-from .barcode import Barcode, PersistencePair
+from .barcode import Barcode, _gather
+from .complexes import _unique
 from .precincts import Precinct, PrecinctMap, check_candidate, vote_margin
 
 SHORT_BAR_FILL = {0: "#9ecae1", 1: "#fc9272", 2: "#a1d99b"}
 LONG_BAR_FILL = {0: "#08519c", 1: "#99000d", 2: "#006d2c"}
 FULL_SHADE = {"blue": (8, 48, 107), "red": (103, 0, 13)}
 CYCLE_STROKE = {"blue": ("#4292c6", "#08306b"), "red": ("#fb6a4a", "#67000d")}
+_CYCLE_BLOCK = 1024  # generator simplices per block of feature-map walks
 
 
 def _write(svg: str, path: str | Path | None) -> str:
@@ -133,63 +136,72 @@ def margin_color(winner: str | None, delta: float) -> str:
     return "#{:02x}{:02x}{:02x}".format(*mix)
 
 
-def _closed_walks(edges: Sequence[tuple[int, int]]) -> list[list[int]]:
-    """Split an even-degree edge set into closed walks (one per component)."""
-    adj: dict[int, list[int]] = {}
-    for a, b in sorted(edges):
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    for v in adj:
-        adj[v].sort(reverse=True)  # pops yield the smallest remaining neighbor
-    used: set[tuple[int, int]] = set()
+def _closed_walks(ends: np.ndarray) -> tuple[list[list[int]], np.ndarray]:
+    """Split an edge set into closed walks (one per component when every degree is even)
+    by Hierholzer's algorithm over a CSR table.  Edge k joins the nodes ``ends[k]``, any
+    two ints, and counts once however often it repeats.  Walks start at each node in
+    ascending order and leave a node by its smallest unused neighbour.  Returns the walks,
+    as lists of indices into the distinct nodes, and the distinct nodes, ascending."""
+    nodes, node = _unique(ends)
+    n = len(nodes)
+    node = np.sort(node, axis=1)
+    edges, _ = _unique(node[:, 0] * n + node[:, 1])  # lower node * n + upper node
+    # each edge in both directions, in (node, neighbour) order
+    half = np.sort(np.concatenate([edges, edges % n * n + edges // n]))
+    src, dst = half // n, half % n
+    edge = np.searchsorted(edges, np.minimum(src, dst) * n + np.maximum(src, dst)).tolist()
+    ptr = np.searchsorted(src, np.arange(n + 1)).tolist()
+    target, nxt, end = dst.tolist(), ptr[:-1], ptr[1:]
+    used = [False] * len(edges)
     walks = []
-    for start in sorted(adj):
-        if all((min(start, w), max(start, w)) in used for w in adj[start]):
-            continue
+    for start in range(n):
         stack, walk = [start], []
         while stack:
             v = stack[-1]
-            advanced = False
-            while adj[v]:
-                w = adj[v].pop()
-                key = (min(v, w), max(v, w))
-                if key in used:
-                    continue
-                used.add(key)
-                stack.append(w)
-                advanced = True
-                break
-            if not advanced:
+            i = nxt[v]
+            while i < end[v] and used[edge[i]]:
+                i += 1
+            if i < end[v]:
+                used[edge[i]] = True
+                stack.append(target[i])
+                i += 1
+            else:
                 walk.append(stack.pop())
-        walks.append(walk)
-    return walks
+            nxt[v] = i
+        if len(walk) > 1:  # else every edge at ``start`` was walked already
+            walks.append(walk)
+    return walks, nodes
 
 
-def _cycle_polyline(
-    pair: PersistencePair,
+def _cycle_polylines(
+    barcode: Barcode,
+    at: np.ndarray,
     coords: Mapping[int, tuple[float, float]],
     to_svg,
-    stroke: str,
-    width: float,
+    strokes: Sequence[str],
 ) -> list[str]:
-    edges = []
-    for s in pair.generator:
-        if len(s) != 2:
-            raise InputError("generator is not an edge cycle")
-        edges.append((s[0], s[1]))
-    out = []
-    for walk in _closed_walks(edges):
-        pts = []
-        for v in walk:
-            if v not in coords:
-                raise InputError(f"generator vertex {v} has no coordinate")
-            pts.append(to_svg(*coords[v]))
-        points = " ".join(f"{px:.2f},{py:.2f}" for px, py in pts)
-        out.append(
-            f'<polyline points="{points}" fill="none" stroke="{stroke}" '
-            f'stroke-width="{width:.2f}" stroke-linejoin="round"/>'
-        )
-    return out
+    """The closed polylines of the generators of bars ``at``, bar by bar; a
+    long-persistence bar takes the second of ``strokes``."""
+    rows, sizes = _gather(barcode.generator_ptr, barcode.generator_at, at)
+    first = len(barcode.simplices[0])
+    if ((rows < first) | (rows >= first + len(barcode.simplices[1]))).any():
+        raise InputError("generator is not an edge cycle")
+    ends = barcode.simplices[1][rows - first]
+    vertex, rank = _unique(ends)
+    bar = np.repeat(np.arange(len(at)), sizes)[:, None]
+    # A node is a bar and one of its vertices, so each walk stays in its bar.
+    walks, nodes = _closed_walks(bar * len(vertex) + rank)
+    missing = [v for v in vertex.tolist() if v not in coords]
+    if missing:
+        raise InputError(f"generator vertex {missing[0]} has no coordinate")
+    px, py = to_svg(*np.array([coords[v] for v in vertex.tolist()], dtype=float).reshape(-1, 2).T)
+    texts = np.array(["%.2f,%.2f" % xy for xy in zip(px.tolist(), py.tolist())], dtype=object)
+    node_text = texts[nodes % len(vertex)].tolist()
+    long = barcode.long_persistence[at][nodes[[walk[0] for walk in walks]] // len(vertex)]
+    return [
+        f'<polyline points="{" ".join(map(node_text.__getitem__, walk))}" ' + strokes[flag]
+        for walk, flag in zip(walks, long.tolist())
+    ]
 
 
 def render_feature_map(
@@ -202,14 +214,17 @@ def render_feature_map(
     """Margin-shaded precinct map with the dimension-1 cycles drawn on top."""
     check_candidate(candidate)
     x0, y0, x1, y1 = m.bbox()
-    span = max(x1 - x0, y1 - y0, 1e-9)
+    # Halved, the span of two finite floats never overflows; a span that
+    # fits is left whole, so its coordinates do not move.
+    s = 1.0 if math.isfinite(max(x1 - x0, y1 - y0)) else 0.5
+    span = max(x1 * s - x0 * s, y1 * s - y0 * s, 1e-9)
     pad = 12.0
     scale = 640.0 / span
-    width = (x1 - x0) * scale + 2 * pad
-    height = (y1 - y0) * scale + 2 * pad
+    width = (x1 * s - x0 * s) * scale + 2 * pad
+    height = (y1 * s - y0 * s) * scale + 2 * pad
 
-    def to_svg(px: float, py: float) -> tuple[float, float]:
-        return (pad + (px - x0) * scale, pad + (y1 - py) * scale)
+    def to_svg(px, py):
+        return (pad + (px * s - x0 * s) * scale, pad + (y1 * s - py * s) * scale)
 
     body = []
     for p in m:
@@ -220,10 +235,13 @@ def render_feature_map(
             f'<path d="{d}" fill="{margin_color(winner, delta)}" '
             f'fill-rule="evenodd" stroke="#444" stroke-width="0.6"/>'
         )
-    light, dark = CYCLE_STROKE[candidate]
-    for pair in barcode.rendered(dimension=1):
-        stroke, w = (dark, 3.0) if pair.long_persistence else (light, 1.5)
-        body.extend(_cycle_polyline(pair, vertex_coords, to_svg, stroke, w))
+    stroke = 'fill="none" stroke="%s" stroke-width="%.2f" stroke-linejoin="round"/>'
+    strokes = [stroke % sw for sw in zip(CYCLE_STROKE[candidate], (1.5, 3.0))]
+    shown = barcode.shown(1)
+    block = barcode.generator_ptr[shown] // _CYCLE_BLOCK  # of each bar's first simplex
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats do
+        for at in np.split(shown, np.flatnonzero(np.diff(block)) + 1):
+            body += _cycle_polylines(barcode, at, vertex_coords, to_svg, strokes)
     svg = "\n".join(
         [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.2f}" '

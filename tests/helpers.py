@@ -9,8 +9,9 @@ reference shares only the grid shape and the winner selection, and scans
 every row.  The Delaunay reference scans every triangle for each cavity and
 every edge for each flip, with a ``Fraction`` in-circle test.  The
 ``barcode.json`` reference is the standard library's JSON encoder, and the
-``barcode.svg`` reference draws one ``PersistencePair`` at a time.  Both
-read ``Barcode.rendered()``, never the barcode's columns.  The
+``barcode.svg`` and ``feature_map.svg`` references draw one
+``PersistencePair`` at a time.  All three read ``Barcode.rendered()``,
+never the barcode's columns.  The
 boundary-matrix reference looks every face up in a dict of simplices.
 Two small lookups that only tests use live here too: ``by_id`` and
 ``point_in_rings``.
@@ -843,3 +844,99 @@ def barcode_svg_reference(barcode):
         ]
     )
     return svg + "\n"
+
+
+def _closed_walks_reference(edges):
+    """Split an even-degree edge set into closed walks (one per component)."""
+    adj = {}
+    for a, b in sorted(edges):
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    for v in adj:
+        adj[v].sort(reverse=True)  # pops yield the smallest remaining neighbor
+    used = set()
+    walks = []
+    for start in sorted(adj):
+        if all((min(start, w), max(start, w)) in used for w in adj[start]):
+            continue
+        stack, walk = [start], []
+        while stack:
+            v = stack[-1]
+            advanced = False
+            while adj[v]:
+                w = adj[v].pop()
+                key = (min(v, w), max(v, w))
+                if key in used:
+                    continue
+                used.add(key)
+                stack.append(w)
+                advanced = True
+                break
+            if not advanced:
+                walk.append(stack.pop())
+        walks.append(walk)
+    return walks
+
+
+def feature_map_svg_reference(m, barcode, candidate, vertex_coords):
+    """``feature_map.svg`` text drawn cycle by cycle off
+    ``barcode.rendered(dimension=1)``, each generator's walks found with a
+    dict of neighbour lists and a set of used edges: the renderer as it was
+    before it read the barcode's columns."""
+    from geoph.errors import InputError
+    from geoph.precincts import check_candidate, vote_margin
+    from geoph.render import CYCLE_STROKE, margin_color
+
+    check_candidate(candidate)
+    x0, y0, x1, y1 = m.bbox()
+    span = max(x1 - x0, y1 - y0, 1e-9)
+    pad = 12.0
+    scale = 640.0 / span
+    width = (x1 - x0) * scale + 2 * pad
+    height = (y1 - y0) * scale + 2 * pad
+
+    def to_svg(px, py):
+        return (pad + (px - x0) * scale, pad + (y1 - py) * scale)
+
+    def ring_path(ring):
+        pts = [to_svg(x, y) for x, y in ring[:-1]]
+        head = f"M {pts[0][0]:.2f},{pts[0][1]:.2f}"
+        rest = " ".join(f"L {x:.2f},{y:.2f}" for x, y in pts[1:])
+        return f"{head} {rest} Z"
+
+    body = []
+    for p in m:
+        d = " ".join(ring_path(ring) for ring in p.rings)
+        winner = p.winner()
+        delta = vote_margin(p) if p.total_votes() > 0 else 0.0
+        body.append(
+            f'<path d="{d}" fill="{margin_color(winner, delta)}" '
+            f'fill-rule="evenodd" stroke="#444" stroke-width="0.6"/>'
+        )
+    light, dark = CYCLE_STROKE[candidate]
+    for pair in barcode.rendered(dimension=1):
+        stroke, w = (dark, 3.0) if pair.long_persistence else (light, 1.5)
+        edges = []
+        for s in pair.generator:
+            if len(s) != 2:
+                raise InputError("generator is not an edge cycle")
+            edges.append((s[0], s[1]))
+        for walk in _closed_walks_reference(edges):
+            pts = []
+            for v in walk:
+                if v not in vertex_coords:
+                    raise InputError(f"generator vertex {v} has no coordinate")
+                pts.append(to_svg(*vertex_coords[v]))
+            points = " ".join(f"{px:.2f},{py:.2f}" for px, py in pts)
+            body.append(
+                f'<polyline points="{points}" fill="none" stroke="{stroke}" '
+                f'stroke-width="{w:.2f}" stroke-linejoin="round"/>'
+            )
+    return "\n".join(
+        [
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.2f}" '
+            f'height="{height:.2f}" viewBox="0 0 {width:.2f} {height:.2f}">',
+            *body,
+            "</svg>\n",
+        ]
+    )

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -12,7 +14,18 @@ from geoph import pipeline
 from geoph.cli import main
 from geoph.homology import PersistencePair
 from geoph.precincts import centroids, parse_feature_collection
-from geoph.synth import grid_fixture, write_fixture
+from geoph.synth import dissent_fixture, grid_fixture, write_fixture
+
+from helpers import jittered_lattice_map
+
+
+def mapped(obj, f):
+    """The map ``obj`` with ``f`` applied to every coordinate."""
+    for feature in obj["features"]:
+        feature["geometry"]["coordinates"] = [
+            [[f(x), f(y)] for x, y in ring] for ring in feature["geometry"]["coordinates"]
+        ]
+    return obj
 
 
 def synth(tmp_path, fixture, name, *extra):
@@ -238,6 +251,39 @@ class TestBuild:
             assert "Traceback" not in err
             assert "duplicate points" not in err
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            mapped(dissent_fixture(), lambda c: (c - 1.5) / 1.5 * 1e308),
+            mapped(dissent_fixture(), lambda c: c * 5e-324 * 40 / 3),
+            mapped(jittered_lattice_map(6, 0.3, 1), lambda c: c * 1e160),
+        ],
+        # onto [-1e308, 1e308] the extent overflows; at 40 * 5e-324 the cell
+        # underflows to 0; at 1e160 a scanline crossing overflows
+        ids=["extent-overflows", "cell-underflows", "crossing-overflows"],
+    )
+    def test_levelset_on_extreme_extents_exits_three(self, tmp_path, capsys, obj):
+        src = tmp_path / "extreme.geojson"
+        write_fixture(obj, src)
+        argv = ["build", "--candidate", "red", "--input", str(src)]
+        code = main(argv + ["--method", "levelset", "--out", str(tmp_path / "levelset")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "numerical error:" in err
+        assert "Traceback" not in err
+        assert main(argv + ["--method", "adjacency", "--out", str(tmp_path / "adjacency")]) == 0
+
+    def test_feature_map_of_a_span_that_overflows_is_finite(self, tmp_path):
+        src = tmp_path / "wide.geojson"
+        write_fixture(mapped(dissent_fixture(), lambda c: (c - 1.5) / 1.5 * 1e308), src)
+        argv = ["build", "--method", "adjacency", "--candidate", "red", "--input", str(src)]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 0
+        svg = (tmp_path / "o" / "feature_map.svg").read_text()
+        values = re.findall(r'(?:width|height|viewBox|points|d)="([^"]*)"', svg)
+        numbers = [float(t) for v in values for t in re.split(r"[\s,MLZ]+", v) if t]
+        assert "<polyline" in svg
+        assert all(map(math.isfinite, numbers))
+
     @pytest.mark.parametrize("method", ["vr", "alpha", "adjacency", "levelset"])
     def test_zero_vote_precinct_warns_once(self, tmp_path, method):
         obj = grid_fixture(4)
@@ -300,8 +346,9 @@ class TestBuild:
 
 
     def test_build_makes_pairs_only_for_the_loops_it_draws(self, tmp_path, capsys, monkeypatch):
-        # The counts, barcode.json and barcode.svg read the barcode's
-        # columns; only the feature map's dimension-1 cycles become pairs.
+        # The counts, barcode.json, barcode.svg and the feature map's
+        # dimension-1 cycles all read the barcode's columns: no bar becomes
+        # a pair.
         made = []
         init = PersistencePair.__init__
 
@@ -318,7 +365,7 @@ class TestBuild:
         records = json.loads((out / "barcode.json").read_text())
         loops = sum(r["dimension"] == 1 for r in records)
         assert len(records) > 1000
-        assert len(made) <= loops
+        assert loops and made == []
         long = sum(r["long_persistence"] for r in records)
         summary = f"bars: {len(records)} rendered, {long} long-persistence\n"
         assert summary in capsys.readouterr().out

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from geoph.errors import NumericalError
 from geoph.homology import barcode_of, betti_oracle
 from geoph.levelset import (
     MAX_SIDE,
@@ -36,6 +37,31 @@ from helpers import (
     superlevel_mask_at,
     value_of,
 )
+
+
+def awkward_map(max_side):
+    """Red shapes over a 3 x 2 map: one spans the grid from the left edge to
+    the right, one from the bottom to the top, a diamond has its vertices
+    on row centers for ``max_side``, and all three overlap."""
+    cell = 3.0 / max_side  # as the grid computes it: long extent / max_side
+    centers = [(r + 0.5) * cell for r in range(max_side) if (r + 0.5) * cell <= 2.0]
+    lo, mid, hi = centers[0], centers[len(centers) // 2], centers[-1]
+    rings = [
+        [(0.0, 0.5), (3.0, 0.5), (3.0, 1.2), (0.0, 1.2)],
+        [(2.2, 0.0), (2.8, 0.0), (2.8, 2.0), (2.2, 2.0)],
+        [(1.0, mid), (1.5, lo), (2.6, mid), (1.5, hi)],
+    ]
+    return {
+        "type": "FeatureCollection",
+        "features": [
+            {
+                "type": "Feature",
+                "properties": {"id": f"a{i}", "votes_blue": 1, "votes_red": 2},
+                "geometry": {"type": "Polygon", "coordinates": [[*map(list, ring)]]},
+            }
+            for i, ring in enumerate(rings)
+        ],
+    }
 
 
 def field_from(rows, cell=1.0):
@@ -91,7 +117,7 @@ class TestRasterize:
                 for i, ring in enumerate(squares)
             ],
         }
-        maps = [make_fixture(name) for name in FIXTURES] + [tied]
+        maps = [make_fixture(name) for name in FIXTURES] + [tied, awkward_map(max_side)]
         maps += [
             jittered_lattice_map(n, jitter, seed)
             for n, jitter, seed in ((1, 0.0, 0), (6, 0.3, 1), (13, 0.49, 2), (30, 0.0, 3))
@@ -103,6 +129,27 @@ class TestRasterize:
                 assert got.transform == want.transform
                 assert got.cells.shape == want.cells.shape
                 assert (got.cells == want.cells).all()
+
+    @pytest.mark.parametrize(
+        "obj, scale, message",
+        [
+            (grid_fixture(2), lambda c: (c - 1.0) * 1e308, "extent"),  # x1 - x0 overflows
+            (grid_fixture(2), lambda c: c * 5e-324 * 20, "extent"),  # extent / 250 underflows
+            (jittered_lattice_map(6, 0.3, 1), lambda c: c * 1e160, "crossing"),
+        ],
+        ids=["extent-overflows", "cell-underflows", "crossing-overflows"],
+    )
+    def test_extent_cell_or_crossing_out_of_float_range(self, obj, scale, message):
+        for feature in obj["features"]:
+            feature["geometry"]["coordinates"] = [
+                [[scale(x), scale(y)] for x, y in ring]
+                for ring in feature["geometry"]["coordinates"]
+            ]
+        m = parse_feature_collection(obj)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=message):
+                rasterize_mask(m, "red")
 
     def test_max_side_validation(self):
         m = parse_feature_collection(grid_fixture(1))

@@ -1,14 +1,16 @@
 """The column writers against bar-by-bar references, byte for byte.
 
-``Barcode.to_json`` and ``render_barcode_svg`` read a barcode's columns.
-``barcode_json_reference`` (the standard library's encoder) and
-``barcode_svg_reference`` (the plot drawn one ``PersistencePair`` at a
-time) read ``Barcode.rendered()``.  Hand-built barcodes reach what no
+``Barcode.to_json``, ``render_barcode_svg`` and ``render_feature_map``
+read a barcode's columns.  ``barcode_json_reference`` (the standard
+library's encoder), ``barcode_svg_reference`` (the plot drawn one
+``PersistencePair`` at a time) and ``feature_map_svg_reference`` (each
+cycle walked with a dict and a set) read ``Barcode.rendered()``.  Hand-built barcodes reach what no
 filtration gives: triangle generators on dimension-1 bars, births at or
 above the horizon, births below -2**53.  Barcodes read off random
 filtrations reach the values a build writes, -0.0 among them.  Both kinds
 hold the same float64 columns.  ``barcode.json`` and ``complex.txt`` are
-written in blocks; the bytes must not depend on where the blocks end.  An
+written in blocks, and the feature map's cycles are walked in blocks; the
+bytes must not depend on where the blocks end.  An
 overflow or invalid value in a writer's float arithmetic fails the test.
 """
 
@@ -22,12 +24,15 @@ from hypothesis import strategies as st
 
 from geoph.complexes import close_under_faces
 from geoph.homology import Barcode, PersistencePair, barcode_of, classify_long_persistence
-from geoph.render import render_barcode_svg
+from geoph.precincts import parse_feature_collection
+from geoph.render import render_barcode_svg, render_feature_map
+from geoph.synth import annulus_fixture, dissent_fixture
 
 from helpers import (
     barcode_json_reference,
     barcode_svg_reference,
     complex_text_reference,
+    feature_map_svg_reference,
     long_persistence_reference,
     random_filtered_entries,
 )
@@ -137,10 +142,11 @@ def test_int_births_and_deaths_are_written_as_floats():
 
 
 def test_signed_zeros_keep_their_sign():
-    fc = close_under_faces([((0,), -0.0), ((1,), 0.0), ((0, 1), 1.0)])
+    fc = close_under_faces([((0,), -0.0), ((1,), 0.0), ((2,), -0.0), ((0, 1), 1.0)])
     text = barcode_of(fc).to_json()
     assert '"birth": -0.0' in text and '"birth": 0.0' in text
-    assert text == barcode_json_reference(barcode_of(fc))
+    assert fc.to_text() == "0\t-0.0\n1\t0.0\n2\t-0.0\n0,1\t1.0\n"
+    assert_writers_match(barcode_of(fc), fc)
 
 
 def test_generator_simplices_have_one_to_three_vertices():
@@ -175,3 +181,103 @@ def test_plot_span_that_overflows_a_float():
     svg = render_barcode_svg(bc)
     assert "nan" not in svg and "inf" not in svg
     assert svg == barcode_svg_reference(bc)
+
+
+# A hole (annulus), a MultiPolygon with a hole and a triangle, and a grid.
+FEATURE_MAPS = [
+    parse_feature_collection(dissent_fixture()),
+    parse_feature_collection(annulus_fixture(hole_radius=40.0, segments=12)),
+    parse_feature_collection(
+        {
+            "type": "FeatureCollection",
+            "features": [
+                {
+                    "type": "Feature",
+                    "properties": {"id": "multi", "votes_blue": 1, "votes_red": 3},
+                    "geometry": {
+                        "type": "MultiPolygon",
+                        "coordinates": [
+                            [
+                                [[0, 0], [4, 0], [4, 4], [0, 4], [0, 0]],
+                                [[1, 1], [1, 3], [3, 3], [3, 1], [1, 1]],
+                            ],
+                            [[[6, 0], [8, 0], [8, 2], [6, 0]]],
+                        ],
+                    },
+                },
+                {
+                    "type": "Feature",
+                    "properties": {"id": "tie", "votes_blue": 2, "votes_red": 2},
+                    "geometry": {
+                        "type": "Polygon",
+                        "coordinates": [[[0, 5], [8, 5], [8, 6], [0, 5]]],
+                    },
+                },
+            ],
+        }
+    ),
+]
+# Edges over few vertex ids, in either order, possibly repeated and even
+# loops, so that generators have odd degrees and cycles share vertices.
+edges = st.tuples(st.integers(0, 7), st.integers(0, 7))
+coordinates = st.lists(
+    st.tuples(st.floats(-300, 300), st.floats(-300, 300)), min_size=8, max_size=8
+).map(lambda points: dict(enumerate(points)))
+
+
+@st.composite
+def drawn_bars(draw):
+    dimension = draw(st.integers(0, 2))
+    birth = draw(st.floats(0, 10))
+    if dimension == 1:
+        generator = draw(st.lists(edges, max_size=9))
+    else:  # other tables, so that edge rows do not start at 0
+        generator = [tuple(range(k, k + dimension + 1)) for k in draw(st.lists(st.integers(0, 5)))]
+    return PersistencePair(
+        dimension=dimension,
+        birth=birth,
+        death=draw(st.one_of(st.none(), st.just(birth), st.floats(0, 10))),
+        generator=tuple(generator),
+        birth_position=0,
+        long_persistence=draw(st.booleans()),
+    )
+
+
+TRIANGLE = ((0, 1), (1, 2), (0, 2))
+FIGURE_EIGHT = TRIANGLE + ((2, 3), (3, 4), (2, 4))
+
+
+@given(
+    st.lists(drawn_bars(), max_size=8),
+    st.sampled_from(FEATURE_MAPS),
+    coordinates,
+    st.sampled_from(["blue", "red"]),
+)
+@settings(max_examples=120, deadline=None)
+@example(  # a figure-eight; two loops in one generator; a loop sharing vertices
+    pairs=[
+        PersistencePair(1, 0.0, None, FIGURE_EIGHT, 0),
+        PersistencePair(1, 1.0, 4.0, TRIANGLE + ((5, 6), (6, 7), (5, 7)), 0, True),
+        PersistencePair(1, 1.0, 2.0, ((0, 2), (2, 5), (0, 5)), 0),
+    ],
+    m=FEATURE_MAPS[2],
+    points={v: (v * 1.5, v % 3 - 1.0) for v in range(8)},
+    candidate="red",
+)
+@example(  # odd degrees, repeated and reversed edges, an empty generator
+    pairs=[
+        PersistencePair(1, 0.0, 3.0, ((0, 1), (1, 2)), 0),
+        PersistencePair(1, 0.0, 3.0, TRIANGLE + ((1, 0), (0, 1), (2, 3)), 0, True),
+        PersistencePair(1, 0.0, 3.0, (), 0),
+    ],
+    m=FEATURE_MAPS[1],
+    points={v: (v * 20.0, 250.0 - v) for v in range(8)},
+    candidate="blue",
+)
+def test_feature_maps(pairs, m, points, candidate):
+    bc = Barcode(pairs, 10.0)
+    svg = render_feature_map(m, bc, candidate, points)
+    assert svg == feature_map_svg_reference(m, bc, candidate, points)
+    for size in (1, 2, 3):  # blocks of a few generator edges
+        with patch("geoph.render._CYCLE_BLOCK", size):
+            assert render_feature_map(m, bc, candidate, points) == svg
