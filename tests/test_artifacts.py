@@ -4,7 +4,11 @@ Every synthetic fixture is built with every method for both candidates, plus
 one dense Vietoris-Rips build on a 6 x 6 grid (36 red centroids, many tied
 distances, 7,140 triangles), and every method on a one-precinct map, whose
 single bar is born at the horizon under Vietoris-Rips and alpha (the barcode
-plot's degenerate axis).  Each file's sha256 must match the digest
+plot's degenerate axis).  Level-set builds off the default stride and step
+budget pin the schedule's extremes: every lattice vertex (``--stride 1``,
+on the dissent map and the one-precinct map), a one-step budget that
+leaves 289 vertices out (``inf`` in ``schedule.txt``), and a front so slow
+that its step counts run to 300 digits.  Each file's sha256 must match the digest
 recorded here; a rewrite of any layer that changes a single byte of a
 barcode, complex, raster or drawing fails this gate.  To see which file
 moved, compare the failing build's directory against the table.
@@ -278,6 +282,47 @@ DIGESTS = {
 }
 
 
+# Level-set builds on red with extra options, keyed by (fixture, options).
+OPTION_DIGESTS = {
+    ("dissent", "--stride 1"): {
+        "barcode.json": "5a28b67b1d032680666d29459c124798a3c7b44dd9495e2e38c80430ed54e54d",
+        "barcode.svg": "fc4ea29861a1ee9a49fe1dbad6ecb1f1cba2811854035040f721fc911d76f219",
+        "complex.txt": "bfe34b36797c5b884bbda19019a32fab750f3ad0c1db049233cf3a04b9537663",
+        "feature_map.svg": "8ad6c050f2ff0ccf73c3d602c71d2c0ce9f96ac73b371574a5ed2a1e3b533f1e",
+        "field.pgm": "8565d6238ed3fc9705d94c076f6a33ba861bfa706382889867318497f3222130",
+        "mask.pgm": "a921cf20f296b47077c5d2524779ee664f0de7efd637eb57c43ad0502828632a",
+        "schedule.txt": "f2802209fc4eb9c2c3327ab995613018c63072fe3953b758c57604b774c15e5b",
+    },
+    ("dissent", "--steps 1"): {
+        "barcode.json": "65aa172d1c822727905ff717df58227473db76469fe414bb7eea63090d500727",
+        "barcode.svg": "18f6238411439a19689e62b75291da3f3da2f6b9945b565d5211c40c0b29b223",
+        "complex.txt": "1595eadcb284b773d215041bd4eafaf5a625f8f7b56ab030a2e43a9b0bc7c7d3",
+        "feature_map.svg": "72e4ef09d4289e73c25df21e690d4dfe7a536d0aac53d972c68ca7bdf107d77a",
+        "field.pgm": "8565d6238ed3fc9705d94c076f6a33ba861bfa706382889867318497f3222130",
+        "mask.pgm": "a921cf20f296b47077c5d2524779ee664f0de7efd637eb57c43ad0502828632a",
+        "schedule.txt": "d12ee1f63743e3cd653f2ea5a80e631c6b699ea2ef89a23995fed3e9d7705c8d",
+    },
+    ("dissent", "--velocity 1e-300"): {
+        "barcode.json": "499dd6df858392ccd8d9b7f502f31c6429b6b6f030d29589b802aa6bc5eb399a",
+        "barcode.svg": "27413974426e7d44b0bffacc8fce9c2ccec34cd6ad9a67e11f301264ca8725b6",
+        "complex.txt": "f0a05989fe84d778345f1059278547d4699aeb68c19ae9a4fff937f55a0702df",
+        "feature_map.svg": "72e4ef09d4289e73c25df21e690d4dfe7a536d0aac53d972c68ca7bdf107d77a",
+        "field.pgm": "8565d6238ed3fc9705d94c076f6a33ba861bfa706382889867318497f3222130",
+        "mask.pgm": "a921cf20f296b47077c5d2524779ee664f0de7efd637eb57c43ad0502828632a",
+        "schedule.txt": "5bacfe344d09f138de62288de7a70d052c0b9796de5c30661886202c8d9f42da",
+    },
+    ("grid1", "--stride 1"): {
+        "barcode.json": "6871561cb5fff8c67a7eab8dd973da2c74ad86b514b347c3e3d5db5e605f960d",
+        "barcode.svg": "199a95c1f414ef58bad85646c1e3ad12cc3ada7621b9831543cc275ec588612b",
+        "complex.txt": "59a999fa569019e18adfbc427d573f34e1dd4f937d25fe5b23d83ae0a2df6c00",
+        "feature_map.svg": "e7f9b8e7899c71c415fc5aa18b7c99189c7c9a29070b19338f17db7d5c20d6d5",
+        "field.pgm": "bfc9f7f769f7ca633657e0e20343c1ec3c8ea71c1b9cd4f03167f1e76c9151e0",
+        "mask.pgm": "74254e45ffd44659f7c6f53e031d5f61aa9e952c949232d82370d563680427e2",
+        "schedule.txt": "26d8e91b8203914dda443ca55ce3699207fa9ac2c8f2c3c4a58217b4636a4244",
+    },
+}
+
+
 @pytest.fixture(scope="module")
 def maps(tmp_path_factory):
     """GeoJSON path per fixture name, written once."""
@@ -299,14 +344,19 @@ WARNINGS = {
     ("grid", "levelset", "red"): "mask is entirely true",
     ("grid1", "levelset", "red"): "mask is entirely true",
 }
+OPTION_WARNINGS = {
+    ("dissent", "--steps 1"): "n_steps=1 leaves the front short; 42 steps reach every vertex",
+    ("grid1", "--stride 1"): "mask is entirely true",
+}
 # The flag complexes on 8, 25 and 36 points reduce their triangles by the
 # row sweep (more triangles to reduce than edges); every other dimension of
 # every build, triangles first, goes through the column loop.
 ROW_SWEPT = {(f, "vr", "red") for f in ("dissent", "grid", "grid6")}
 
 
-@pytest.mark.parametrize("fixture, method, candidate", sorted(DIGESTS))
-def test_artifacts_are_byte_identical(maps, tmp_path, monkeypatch, fixture, method, candidate):
+def build_digests(maps, tmp_path, monkeypatch, fixture, argv, warning):
+    """The sha256 of every artifact but ``run.json`` of one build, and the
+    reduction path each dimension took."""
     paths = []
     choose = homology._reduction_path
 
@@ -317,20 +367,35 @@ def test_artifacts_are_byte_identical(maps, tmp_path, monkeypatch, fixture, meth
 
     monkeypatch.setattr(homology, "_reduction_path", record)
     out = tmp_path / "out"
-    argv = ["build", "--method", method, "--candidate", candidate]
-    warning = WARNINGS.get((fixture, method, candidate))
     with (
         pytest.warns(UserWarning, match=warning) if warning else contextlib.nullcontext(),
         contextlib.redirect_stdout(io.StringIO()),
         contextlib.redirect_stderr(io.StringIO()),
     ):
-        code = main(argv + ["--input", str(maps[fixture]), "--out", str(out)])
+        code = main(["build", *argv, "--input", str(maps[fixture]), "--out", str(out)])
     assert code == 0
     got = {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(out.iterdir())
         if p.name != "run.json"
     }
+    return got, paths
+
+
+@pytest.mark.parametrize("fixture, method, candidate", sorted(DIGESTS))
+def test_artifacts_are_byte_identical(maps, tmp_path, monkeypatch, fixture, method, candidate):
+    argv = ["--method", method, "--candidate", candidate]
+    warning = WARNINGS.get((fixture, method, candidate))
+    got, paths = build_digests(maps, tmp_path, monkeypatch, fixture, argv, warning)
     assert got == DIGESTS[fixture, method, candidate]
     triangles = "_reduce_rows" if (fixture, method, candidate) in ROW_SWEPT else "_reduce_columns"
     assert paths == [triangles, "_reduce_columns"]
+
+
+@pytest.mark.parametrize("fixture, options", sorted(OPTION_DIGESTS))
+def test_levelset_options_are_byte_identical(maps, tmp_path, monkeypatch, fixture, options):
+    argv = ["--method", "levelset", "--candidate", "red", *options.split()]
+    warning = OPTION_WARNINGS.get((fixture, options))
+    got, paths = build_digests(maps, tmp_path, monkeypatch, fixture, argv, warning)
+    assert got == OPTION_DIGESTS[fixture, options]
+    assert paths == ["_reduce_columns", "_reduce_columns"]
