@@ -26,21 +26,27 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    b = sub.add_parser("build", help="build one complex and its artifacts")
+    # An option left off stays out of the namespace, so RunConfig's default holds.
+    b = sub.add_parser(
+        "build", help="build one complex and its artifacts", argument_default=argparse.SUPPRESS
+    )
     b.add_argument("--method", required=True, choices=METHODS)
     b.add_argument("--candidate", required=True, choices=CANDIDATES)
     b.add_argument("--input", required=True, help="GeoJSON FeatureCollection")
     b.add_argument("--out", required=True, help="output directory")
-    b.add_argument("--eps-max", type=float, default=None, help="Vietoris-Rips cutoff")
-    b.add_argument("--step", type=float, default=0.05, help="margin threshold step")
-    b.add_argument("--stride", type=int, default=5, help="level-set grid stride")
-    b.add_argument("--velocity", type=float, default=1.0, help="front speed, cells/step")
-    b.add_argument("--dt", type=float, default=1.0, help="time step")
-    b.add_argument("--steps", type=int, default=None, help="number of front steps")
-    b.add_argument("--tol", type=float, default=1e-9, help="contiguity tolerance")
+    b.add_argument("--eps-max", type=float, help="Vietoris-Rips cutoff")
+    b.add_argument("--step", type=float, help="margin threshold step")
+    b.add_argument("--stride", type=int, help="level-set grid stride")
+    b.add_argument("--velocity", type=float, help="front speed, cells/step")
+    b.add_argument("--dt", type=float, help="time step")
+    b.add_argument(
+        "--steps", type=int, dest="n_steps", metavar="STEPS", help="number of front steps"
+    )
+    b.add_argument("--tol", type=float, help="contiguity tolerance")
     b.add_argument(
         "--no-auto-alpha",
-        action="store_true",
+        dest="auto_alpha",
+        action="store_false",
         help="never switch large Vietoris-Rips runs to the alpha complex",
     )
 
@@ -63,25 +69,14 @@ def _cmd_build(args: argparse.Namespace) -> int:
     out = Path(args.out)
     if out.exists() and not out.is_dir():
         raise InputError(f"--out {out} exists and is not a directory")
-    cfg = RunConfig(
-        method=args.method,
-        candidate=args.candidate,
-        eps_max=args.eps_max,
-        step=args.step,
-        stride=args.stride,
-        velocity=args.velocity,
-        dt=args.dt,
-        n_steps=args.steps,
-        tol=args.tol,
-        auto_alpha=not args.no_auto_alpha,
-    )
+    cfg = RunConfig(**{k: v for k, v in vars(args).items() if k not in ("command", "input", "out")})
     m = load_precincts(args.input)
     result = run_pipeline(cfg, m, input_name=Path(args.input).stem)
     written = write_outputs(result, m, args.out)
     v, e, t = result.complex.counts()
     print(
         f"{result.row.input_name}: {result.method_used} complex for "
-        f"{args.candidate} has {v} vertices, {e} edges, {t} triangles"
+        f"{cfg.candidate} has {v} vertices, {e} edges, {t} triangles"
     )
     shown = result.barcode.shown()
     print(

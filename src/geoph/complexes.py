@@ -72,7 +72,7 @@ class FilteredComplex:
     build from a partial simplex list.
     """
 
-    __slots__ = ("_rows", "_positions", "_values", "_order", "_entries")
+    __slots__ = ("_rows", "_positions", "_values", "_order", "_dimensions", "_entries")
 
     def __init__(self, entries: Iterable[Entry]):
         rows: list[list[Simplex]] = [[] for _ in range(MAX_DIM + 1)]
@@ -132,8 +132,10 @@ class FilteredComplex:
         self._rows = tuple(by_dim)
         self._positions = tuple(np.split(position, np.cumsum([len(r) for r in by_dim[:-1]])))
         self._values = value[order]
-        self._values.flags.writeable = False
         self._order = order  # row (all dimensions, in turn) at each position
+        self._dimensions = np.repeat(np.arange(len(by_dim)), [len(r) for r in by_dim])[order]
+        for a in (self._values, self._order, self._dimensions):
+            a.flags.writeable = False
         self._entries: tuple[Entry, ...] | None = None
 
     def _simplex(self, d: int, k: int) -> Simplex:
@@ -187,6 +189,16 @@ class FilteredComplex:
         """Filtration values in canonical order (read only)."""
         return self._values
 
+    @property
+    def order(self) -> np.ndarray:
+        """Row of each position, numbered on from vertices to edges to triangles (read only)."""
+        return self._order
+
+    @property
+    def dimensions(self) -> np.ndarray:
+        """The dimension of the simplex at each position (read only)."""
+        return self._dimensions
+
     def rows(self, d: int) -> tuple[np.ndarray, np.ndarray]:
         """The d-simplices as rows of vertex ids in lexicographic order, and
         the filtration position of each row."""
@@ -220,7 +232,7 @@ class FilteredComplex:
         starts = np.cumsum([0] + [len(r) for r in self._rows])
         for i in range(0, len(self), _TEXT_BLOCK):
             block = self._order[i : i + _TEXT_BLOCK]  # rows, all dimensions in turn
-            d = np.searchsorted(starts, block, side="right") - 1
+            d = self._dimensions[i : i + _TEXT_BLOCK]
             end = np.cumsum(2 * d + 4)  # a line of a d-simplex has 2 * d + 4 pieces
             pieces = np.empty(end[-1], dtype=object)
             pieces[:] = ","

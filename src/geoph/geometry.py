@@ -35,7 +35,8 @@ class PointCloud:
         pts = tuple((float(x), float(y)) for x, y in self.points)
         object.__setattr__(self, "points", pts)
         if len(set(pts)) < len(pts):
-            warnings.warn("point cloud contains duplicate coordinates", stacklevel=2)
+            # level 2 is the dataclass's generated __init__; 3 is its caller
+            warnings.warn("point cloud contains duplicate coordinates", stacklevel=3)
 
     def __len__(self) -> int:
         return len(self.points)

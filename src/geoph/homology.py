@@ -397,14 +397,7 @@ def persistence_pairs(reduced: ReducedMatrix, fc: FilteredComplex) -> Barcode:
     n = len(fc)
     values = fc.values
     simplices = tuple(fc.rows(d)[0] for d in range(3))
-    row = np.empty(n, dtype=np.int64)  # row of each position, numbered on across dimensions
-    dimension = np.empty(n, dtype=np.int64)
-    start = 0
-    for d in range(3):
-        _, at = fc.rows(d)
-        row[at] = start + np.arange(len(at))
-        dimension[at] = d
-        start += len(at)
+    row, dimension = fc.order, fc.dimensions
     owner = reduced.owner
     dies = np.zeros(n, dtype=bool)
     dies[owner[owner >= 0]] = True

@@ -21,13 +21,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from .complexes import FilteredComplex
 from .errors import InputError, NumericalError
-from .geometry import Point
 from .precincts import PrecinctMap, winning_precincts
 
 MAX_SIDE = 250
@@ -41,9 +41,6 @@ class GridTransform:
     x0: float
     y0: float
     cell: float
-
-    def cell_center(self, row: int, col: int) -> Point:
-        return (self.x0 + (col + 0.5) * self.cell, self.y0 + (row + 0.5) * self.cell)
 
 
 @dataclass(frozen=True)
@@ -186,26 +183,26 @@ def signed_distance_field(mask: BitMask) -> ScalarField:
 
 @dataclass(frozen=True)
 class GridVertexSchedule:
-    """Entry step for every strided grid vertex (None = never enters)."""
+    """Entry step of every strided grid vertex, as one float64 grid over the
+    lattice rows x cols (``inf``: never enters).  Steps are whole numbers,
+    which a float holds exactly up to 1e308."""
 
     stride: int
     n_steps: int
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
-    entry: tuple[int | None, ...]  # row-major over rows x cols
+    steps: np.ndarray
 
-    def items(self) -> list[tuple[int, int, int | None]]:
-        out = []
-        i = 0
-        for r in self.rows:
-            for c in self.cols:
-                out.append((r, c, self.entry[i]))
-                i += 1
-        return out
+    @property
+    def rows(self) -> range:
+        return range(0, self.steps.shape[0] * self.stride, self.stride)
+
+    @property
+    def cols(self) -> range:
+        return range(0, self.steps.shape[1] * self.stride, self.stride)
 
     def to_text(self) -> str:
         lines = [
-            f"{r}\t{c}\t{'inf' if k is None else k}" for r, c, k in self.items()
+            f"{r}\t{c}\t{'inf' if k == math.inf else '%d' % k}"
+            for (r, c), k in zip(product(self.rows, self.cols), self.steps.ravel().tolist())
         ]
         return "\n".join(lines) + ("\n" if lines else "")
 
@@ -232,15 +229,10 @@ def vertex_schedule(
         )
     if stride < 1:
         raise ValueError("stride must be at least 1")
-    h, w = field.shape
-    rows = tuple(range(0, h, stride))
-    cols = tuple(range(0, w, stride))
     phi = field.values[::stride, ::stride]
-    # Python ints, not int64: a tiny velocity * dt gives counts near 1e302.
-    raw = np.frompyfunc(int, 1, 1)(
-        np.ceil(np.maximum(-phi, 0.0) / (velocity * dt) - 1e-9)
-    ).ravel()
-    needed = raw.max(initial=0)
+    # + 0.0 turns the -0.0 that ceil gives in (-1, 0] into 0.0
+    steps = np.ceil(np.maximum(-phi, 0.0) / (velocity * dt) - 1e-9) + 0.0
+    needed = int(steps.max())
     if n_steps is None:
         n_steps = needed
     elif n_steps < needed:
@@ -248,10 +240,12 @@ def vertex_schedule(
             f"n_steps={n_steps} leaves the front short; {needed} steps reach every vertex",
             stacklevel=2,
         )
-    entry = tuple(np.where(raw <= n_steps, raw, None).tolist())
-    return GridVertexSchedule(
-        stride=stride, n_steps=n_steps, rows=rows, cols=cols, entry=entry
-    )
+        # a step is past n_steps exactly when it is past the largest float <= n_steps
+        cut = float(n_steps)
+        if cut > n_steps:
+            cut = math.nextafter(cut, -math.inf)
+        steps[steps > cut] = math.inf
+    return GridVertexSchedule(stride=stride, n_steps=n_steps, steps=steps)
 
 
 def build_levelset_complex(
@@ -272,9 +266,8 @@ def build_levelset_complex(
 
 
 def complex_from_schedule(schedule: GridVertexSchedule) -> FilteredComplex:
-    n_rows, n_cols = len(schedule.rows), len(schedule.cols)
-    steps = np.array(schedule.entry, dtype=float).reshape(n_rows, n_cols)
-    steps[np.isnan(steps)] = np.inf  # None: never enters
+    steps = schedule.steps  # inf: never enters
+    n_rows, n_cols = steps.shape
     ids = np.arange(n_rows * n_cols).reshape(n_rows, n_cols)
     rows: list[list[np.ndarray]] = [[], [], []]
     values: list[list[np.ndarray]] = [[], [], []]
@@ -301,16 +294,12 @@ def complex_from_schedule(schedule: GridVertexSchedule) -> FilteredComplex:
     )
 
 
-def vertex_coordinates(
-    schedule: GridVertexSchedule, transform: GridTransform
-) -> dict[int, Point]:
-    """Map coordinates of every scheduled vertex id (entered or not)."""
-    out = {}
-    ncols = len(schedule.cols)
-    for ri, r in enumerate(schedule.rows):
-        for ci, c in enumerate(schedule.cols):
-            out[ri * ncols + ci] = transform.cell_center(r, c)
-    return out
+def vertex_coordinates(schedule: GridVertexSchedule, transform: GridTransform) -> np.ndarray:
+    """Map coordinates of every scheduled vertex (entered or not) as an
+    ``(n, 2)`` float64 array: row v holds vertex v's cell center."""
+    cr = np.stack(np.meshgrid(schedule.cols, schedule.rows), axis=-1).reshape(-1, 2)
+    with np.errstate(over="ignore"):  # as Python floats do
+        return (transform.x0, transform.y0) + (cr + 0.5) * transform.cell
 
 
 def write_pgm(obj: BitMask | ScalarField, path: str | Path) -> None:

@@ -13,14 +13,18 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Iterable
 
-from .adjacency import AdjacencyGraph, build_adjacency_complex, queen_adjacency
+import numpy as np
+
+from .adjacency import DEFAULT_STEP, DEFAULT_TOL, AdjacencyGraph
+from .adjacency import build_adjacency_complex, queen_adjacency
 from .alpha import build_alpha_complex
 from .barcode import Barcode, classify_long_persistence
 from .complexes import FilteredComplex
 from .errors import GeophError, InputError
-from .geometry import Point, PointCloud
+from .geometry import PointCloud
 from .homology import barcode_of
 from .levelset import (
+    DEFAULT_STRIDE,
     MAX_SIDE,
     BitMask,
     GridVertexSchedule,
@@ -45,12 +49,12 @@ class RunConfig:
     method: str
     candidate: str
     eps_max: float | None = None
-    step: float = 0.05
-    stride: int = 5
+    step: float = DEFAULT_STEP
+    stride: int = DEFAULT_STRIDE
     velocity: float = 1.0
     dt: float = 1.0
     n_steps: int | None = None
-    tol: float = 1e-9
+    tol: float = DEFAULT_TOL
     auto_alpha: bool = True
 
     def __post_init__(self) -> None:
@@ -101,7 +105,7 @@ class RunResult:
     barcode: Barcode
     complex: FilteredComplex
     row: BenchmarkRow
-    vertex_coords: dict[int, Point]
+    vertex_coords: np.ndarray  # (n, 2): row v holds vertex v's map coordinates
     graph: AdjacencyGraph | None = None
     schedule: GridVertexSchedule | None = None
     mask: BitMask | None = None
@@ -113,7 +117,7 @@ def run_pipeline(cfg: RunConfig, m: PrecinctMap, input_name: str = "map") -> Run
     winners = winning_precincts(m, cfg.candidate)
     method = cfg.method
     graph = schedule = mask = field_v = None
-    coords: dict[int, Point] = {}
+    coords = np.empty((0, 2))
 
     t0 = time.perf_counter()
     if not winners:
@@ -137,8 +141,10 @@ def run_pipeline(cfg: RunConfig, m: PrecinctMap, input_name: str = "map") -> Run
                     stacklevel=2,
                 )
         pts = centroids(winners)
-        coords = dict(enumerate(pts))
-        cloud = PointCloud(points=tuple(pts))
+        coords = np.array(pts)
+        with warnings.catch_warnings():  # the builders report duplicates themselves
+            warnings.filterwarnings("ignore", "point cloud contains duplicate coordinates")
+            cloud = PointCloud(points=tuple(pts))
         if method == "vr":
             fc = build_vr_complex(cloud, eps_max=cfg.eps_max)
         else:
@@ -146,7 +152,7 @@ def run_pipeline(cfg: RunConfig, m: PrecinctMap, input_name: str = "map") -> Run
     elif method == "adjacency":
         graph = queen_adjacency(m, tol=cfg.tol)
         fc = build_adjacency_complex(m, graph, cfg.candidate, step=cfg.step)
-        coords = dict(enumerate(centroids(winners)))
+        coords = np.array(centroids(winners))
     else:  # levelset
         mask = rasterize_mask(m, cfg.candidate)
         field_v = signed_distance_field(mask)

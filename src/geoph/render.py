@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -176,7 +176,7 @@ def _closed_walks(ends: np.ndarray) -> tuple[list[list[int]], np.ndarray]:
 def _cycle_polylines(
     barcode: Barcode,
     at: np.ndarray,
-    coords: Mapping[int, tuple[float, float]],
+    coords: np.ndarray,
     to_svg,
     strokes: Sequence[str],
 ) -> list[str]:
@@ -191,10 +191,10 @@ def _cycle_polylines(
     bar = np.repeat(np.arange(len(at)), sizes)[:, None]
     # A node is a bar and one of its vertices, so each walk stays in its bar.
     walks, nodes = _closed_walks(bar * len(vertex) + rank)
-    missing = [v for v in vertex.tolist() if v not in coords]
-    if missing:
+    missing = vertex[(vertex < 0) | (vertex >= len(coords))]
+    if len(missing):
         raise InputError(f"generator vertex {missing[0]} has no coordinate")
-    px, py = to_svg(*np.array([coords[v] for v in vertex.tolist()], dtype=float).reshape(-1, 2).T)
+    px, py = to_svg(*coords[vertex].T)
     texts = np.array(["%.2f,%.2f" % xy for xy in zip(px.tolist(), py.tolist())], dtype=object)
     node_text = texts[nodes % len(vertex)].tolist()
     long = barcode.long_persistence[at][nodes[[walk[0] for walk in walks]] // len(vertex)]
@@ -208,10 +208,11 @@ def render_feature_map(
     m: PrecinctMap,
     barcode: Barcode,
     candidate: str,
-    vertex_coords: Mapping[int, tuple[float, float]],
+    vertex_coords: np.ndarray,
     path: str | Path | None = None,
 ) -> str:
-    """Margin-shaded precinct map with the dimension-1 cycles drawn on top."""
+    """Margin-shaded precinct map with the dimension-1 cycles drawn on top;
+    row v of the ``(n, 2)`` float array ``vertex_coords`` holds vertex v."""
     check_candidate(candidate)
     x0, y0, x1, y1 = m.bbox()
     # Halved, the span of two finite floats never overflows; a span that

@@ -406,15 +406,13 @@ def levelset_complex_reference(schedule):
     """Level-set lattice complex from a dict keyed by (row, col) lattice index."""
     from geoph.complexes import FilteredComplex
 
-    ncols = len(schedule.cols)
+    nrows, ncols = schedule.steps.shape
     step_of = {}
-    i = 0
-    for ri in range(len(schedule.rows)):
+    for ri in range(nrows):
         for ci in range(ncols):
-            k = schedule.entry[i]
-            if k is not None:
+            k = float(schedule.steps[ri, ci])
+            if k != math.inf:
                 step_of[(ri, ci)] = k
-            i += 1
 
     def vid(ri, ci):
         return ri * ncols + ci
@@ -427,7 +425,7 @@ def levelset_complex_reference(schedule):
             if other in step_of:
                 pair = tuple(sorted((vid(ri, ci), vid(*other))))
                 entries.append((pair, float(max(k, step_of[other]))))
-    for ri in range(len(schedule.rows) - 1):
+    for ri in range(nrows - 1):
         for ci in range(ncols - 1):
             a, b = (ri, ci), (ri, ci + 1)
             c, d = (ri + 1, ci), (ri + 1, ci + 1)

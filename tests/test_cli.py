@@ -319,6 +319,56 @@ class TestBuild:
         zero_vote = [w for w in caught if "'r1c1' has no votes" in str(w.message)]
         assert len(zero_vote) == 1
 
+    @pytest.mark.parametrize(
+        "method, code, message",
+        [
+            ("vr", 0, "coincident points produce zero-length edges"),
+            ("alpha", 3, None),
+        ],
+    )
+    def test_duplicate_centroids_warn_once(self, tmp_path, capsys, method, code, message):
+        obj = grid_fixture(1)
+        twin = json.loads(json.dumps(obj["features"][0]))
+        twin["properties"]["id"] = "twin"
+        obj["features"].append(twin)
+        src = tmp_path / "twins.geojson"
+        write_fixture(obj, src)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = main(
+                ["build", "--method", method, "--candidate", "red",
+                 "--input", str(src), "--out", str(tmp_path / "o")]
+            )
+        assert got == code
+        assert [str(w.message) for w in caught] == ([message] if message else [])
+        if code == 3:
+            assert "duplicate points cannot be triangulated" in capsys.readouterr().err
+
+    def test_bare_build_records_the_config_defaults(self, tmp_path):
+        from dataclasses import asdict
+
+        src = synth(tmp_path, "dissent", "d.geojson")
+        out = tmp_path / "o"
+        argv = ["build", "--method", "levelset", "--candidate", "red"]
+        assert main([*argv, "--input", str(src), "--out", str(out)]) == 0
+        config = json.loads((out / "run.json").read_text())["config"]
+        defaults = asdict(pipeline.RunConfig(method="levelset", candidate="red"))
+        del defaults["method"], defaults["candidate"]
+        assert config == defaults
+
+    def test_options_reach_the_config(self, tmp_path):
+        src = synth(tmp_path, "dissent", "d.geojson")
+        out = tmp_path / "o"
+        argv = ["build", "--method", "vr", "--candidate", "red", "--eps-max", "2.5",
+                "--step", "0.1", "--stride", "3", "--velocity", "2", "--dt", "0.5",
+                "--steps", "7", "--tol", "0.001", "--no-auto-alpha"]
+        assert main([*argv, "--input", str(src), "--out", str(out)]) == 0
+        config = json.loads((out / "run.json").read_text())["config"]
+        assert config == {
+            "eps_max": 2.5, "step": 0.1, "stride": 3, "velocity": 2.0, "dt": 0.5,
+            "n_steps": 7, "tol": 0.001, "auto_alpha": False,
+        }
+
     def test_deterministic_across_invocations(self, tmp_path):
         src = synth(tmp_path, "dissent", "d.geojson")
         for d in ("x", "y"):

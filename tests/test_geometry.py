@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import pytest
 
@@ -20,6 +21,15 @@ from helpers import in_circle_reference, point_in_rings
 def test_point_cloud_flags_duplicates():
     with pytest.warns(UserWarning, match="duplicate"):
         PointCloud(points=((0, 0), (0, 0), (1, 1)))
+
+
+def test_point_cloud_duplicate_warning_names_the_caller():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        PointCloud(points=((0, 0), (0, 0)))
+    (w,) = caught
+    assert "duplicate" in str(w.message)
+    assert w.filename == __file__
 
 
 def test_circumcircle_of_right_triangle_sits_on_hypotenuse():

@@ -82,7 +82,7 @@ class TestRasterize:
         t = mask.transform
         for row in range(mask.height):
             for col in range(mask.width):
-                x, y = t.cell_center(row, col)
+                x, y = t.x0 + (col + 0.5) * t.cell, t.y0 + (row + 0.5) * t.cell
                 assert mask.cells[row, col] == point_in_rings(x, y, rings)
 
     def test_losing_candidate_gives_empty_mask(self):
@@ -257,26 +257,26 @@ class TestSchedule:
     def test_entry_steps_from_field(self):
         sf = field_from([[0.5, -0.5, -1.5, -2.2]])
         s = vertex_schedule(sf, velocity=1.0, dt=1.0, stride=1)
-        assert s.entry == (0, 1, 2, 3)
+        assert s.steps.tolist() == [[0.0, 1.0, 2.0, 3.0]]
         assert s.n_steps == 3
 
     def test_velocity_and_dt_scale_steps(self):
         sf = field_from([[-3.0]])
-        assert vertex_schedule(sf, velocity=2.0, dt=1.0, stride=1).entry == (2,)
-        assert vertex_schedule(sf, velocity=1.0, dt=0.5, stride=1).entry == (6,)
+        assert vertex_schedule(sf, velocity=2.0, dt=1.0, stride=1).steps.tolist() == [[2.0]]
+        assert vertex_schedule(sf, velocity=1.0, dt=0.5, stride=1).steps.tolist() == [[6.0]]
 
     def test_short_budget_warns_and_drops(self):
         sf = field_from([[0.0, -1.0, -5.0]])
         with pytest.warns(UserWarning, match="leaves the front short"):
             s = vertex_schedule(sf, n_steps=2, stride=1)
-        assert s.entry == (0, 1, None)
+        assert s.steps.tolist() == [[0.0, 1.0, math.inf]]
 
     def test_stride_subsamples(self):
         sf = field_from([[float(-c) for c in range(11)] for _ in range(6)])
         s = vertex_schedule(sf, stride=5)
-        assert s.rows == (0, 5)
-        assert s.cols == (0, 5, 10)
-        assert len(s.entry) == 6
+        assert tuple(s.rows) == (0, 5)
+        assert tuple(s.cols) == (0, 5, 10)
+        assert s.steps.shape == (2, 3)
 
     def test_text_export_uses_inf(self):
         sf = field_from([[0.0, -4.0]])
@@ -304,15 +304,45 @@ class TestSchedule:
                 s = vertex_schedule(field_from(values), velocity, dt, n_steps, stride)
             budget = max(want) if n_steps is None else n_steps
             assert s.n_steps == budget
-            assert s.entry == tuple(k if k <= budget else None for k in want)
-            assert all(type(k) is int for k in s.entry if k is not None)
+            assert s.steps.dtype == np.float64
+            assert s.steps.shape == (len(values[::stride]), len(values[0][::stride]))
+            assert s.steps.ravel().tolist() == [k if k <= budget else math.inf for k in want]
+            assert not np.signbit(s.steps).any()  # 0.0, never -0.0
 
     def test_tiny_velocity_keeps_exact_step_counts(self):
         s = vertex_schedule(field_from([[-1.5, 0.5]]), velocity=1e-300, stride=1)
-        assert s.entry == (math.ceil(1.5 / 1e-300 - 1e-9), 0)
-        assert s.entry[0] > 2**63  # past the int64 range
+        step = math.ceil(1.5 / 1e-300 - 1e-9)
+        assert step > 2**63  # past the int64 range
+        assert s.steps.tolist() == [[step, 0.0]]  # the float equals the exact int
+        assert s.n_steps == step
+        assert s.to_text() == f"0\t0\t{step}\n0\t1\t0\n"
         fc = complex_from_schedule(s)
-        assert value_of(fc, (0, 1)) == float(s.entry[0])
+        assert value_of(fc, (0, 1)) == float(step)
+
+    def test_huge_budget_keeps_every_vertex_silently(self):
+        sf = field_from([[-1.5, 0.5, -250.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = vertex_schedule(sf, n_steps=10**399, stride=1)
+        assert s.n_steps == 10**399
+        assert s.steps.tolist() == [[2.0, 0.0, 250.0]]
+
+    def test_budget_past_float_precision_is_exact(self):
+        # 2**70 - 1 rounds up to the float 2**70, a step that it leaves out
+        sf = field_from([[-(2.0**70), -(2.0**70 - 2.0**18), 0.0]])
+        with pytest.warns(UserWarning, match="leaves the front short"):
+            s = vertex_schedule(sf, n_steps=2**70 - 1, stride=1)
+        assert s.steps.tolist() == [[math.inf, 2.0**70 - 2.0**18, 0.0]]
+
+    def test_nonnegative_field_enters_at_zero_not_minus_zero(self, tmp_path):
+        # ceil gives -0.0 on (-1, 0]; steps and both text files read 0
+        sf = field_from([[0.0, 0.5, 3.0], [2.0, 1e-12, 7.0]])
+        s = vertex_schedule(sf, stride=1)
+        assert not np.signbit(s.steps).any()
+        assert s.to_text() == "".join(f"{r}\t{c}\t0\n" for r in (0, 1) for c in (0, 1, 2))
+        text = complex_from_schedule(s).to_text()
+        assert "-0.0" not in text
+        assert all(line.endswith("\t0.0") for line in text.splitlines())
 
     def test_validation(self):
         sf = field_from([[0.0]])
@@ -387,13 +417,12 @@ class TestComplex:
         schedules = []
         for n_rows, n_cols in [(1, 1), (1, 9), (9, 1), (2, 2), (6, 7), (13, 10)]:
             for p_none in (0.0, 0.3, 1.0):
-                entry = tuple(
-                    None if rng.random() < p_none else rng.randrange(0, 6)
+                steps = [
+                    math.inf if rng.random() < p_none else float(rng.randrange(0, 6))
                     for _ in range(n_rows * n_cols)
-                )
+                ]
                 schedules.append(GridVertexSchedule(
-                    stride=1, n_steps=5, rows=tuple(range(n_rows)),
-                    cols=tuple(range(n_cols)), entry=entry,
+                    stride=1, n_steps=5, steps=np.reshape(steps, (n_rows, n_cols)),
                 ))
         values = [[rng.uniform(-9.0, 3.0) for _ in range(11)] for _ in range(7)]
         for stride in (1, 2, 3, 5, 12):
@@ -411,9 +440,11 @@ class TestComplex:
         sf = field_from([[1.0] * 7 for _ in range(7)], cell=2.0)
         s = vertex_schedule(sf, stride=5)
         coords = vertex_coordinates(s, sf.transform)
-        assert coords[0] == (1.0, 1.0)
-        assert coords[1] == (11.0, 1.0)  # column 5
-        assert coords[2] == (1.0, 11.0)  # row 5
+        assert coords.dtype == np.float64
+        assert coords.shape == (4, 2)  # rows 0 and 5, cols 0 and 5
+        assert coords[0].tolist() == [1.0, 1.0]
+        assert coords[1].tolist() == [11.0, 1.0]  # column 5
+        assert coords[2].tolist() == [1.0, 11.0]  # row 5
 
 
 class TestPgm:

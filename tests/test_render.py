@@ -1,5 +1,6 @@
 import re
 
+import numpy as np
 import pytest
 
 from geoph.errors import InputError
@@ -109,7 +110,7 @@ def dissent_run():
     m = parse_feature_collection(dissent_fixture())
     fc = build_adjacency_complex(m, queen_adjacency(m), "red")
     bc = classify_long_persistence(barcode_of(fc))
-    coords = dict(enumerate(centroids(winning_precincts(m, "red"))))
+    coords = np.array(centroids(winning_precincts(m, "red")))
     return m, bc, coords
 
 
@@ -143,19 +144,30 @@ class TestFeatureMap:
         fixture["features"][0]["properties"]["votes_red"] = 50
         m = parse_feature_collection(fixture)
         bc = Barcode(pairs=(), horizon=1.0)
-        svg = render_feature_map(m, bc, "red", {})
+        svg = render_feature_map(m, bc, "red", np.empty((0, 2)))
         assert 'fill="#ffffff"' in svg
 
     def test_missing_coordinate_is_an_error(self):
         m, bc, _ = dissent_run()
         with pytest.raises(InputError, match="no coordinate"):
-            render_feature_map(m, bc, "red", {})
+            render_feature_map(m, bc, "red", np.empty((0, 2)))
+
+    def test_missing_coordinate_names_smallest_vertex_past_the_array(self):
+        m = parse_feature_collection(dissent_fixture())
+        loop = ((1, 9), (9, 12), (1, 12), (4, 5), (5, 6), (4, 6))
+        bc = Barcode(pairs=(bar(1, 0.0, None, gen=loop),), horizon=1.0)
+        coords = np.zeros((9, 2))  # vertices 0 to 8
+        with pytest.raises(InputError, match="generator vertex 9 has no coordinate"):
+            render_feature_map(m, bc, "red", coords)
+        with pytest.raises(InputError, match="generator vertex 12 has no coordinate"):
+            render_feature_map(m, bc, "red", coords[:1].repeat(10, axis=0))
+        assert "<polyline" in render_feature_map(m, bc, "red", np.zeros((13, 2)))
 
     def test_non_edge_generator_rejected(self):
         m = parse_feature_collection(dissent_fixture())
         bad = Barcode(pairs=(bar(1, 0.0, None, gen=((0, 1, 2),)),), horizon=1.0)
         with pytest.raises(InputError, match="edge cycle"):
-            render_feature_map(m, bad, "red", {0: (0, 0)})
+            render_feature_map(m, bad, "red", np.zeros((1, 2)))
 
     def test_unknown_candidate_rejected(self):
         m, bc, coords = dissent_run()

@@ -18,6 +18,7 @@ import json
 import random
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -276,8 +277,9 @@ FIGURE_EIGHT = TRIANGLE + ((2, 3), (3, 4), (2, 4))
 )
 def test_feature_maps(pairs, m, points, candidate):
     bc = Barcode(pairs, 10.0)
-    svg = render_feature_map(m, bc, candidate, points)
+    coords = np.array([points[v] for v in range(len(points))])  # row v: vertex v
+    svg = render_feature_map(m, bc, candidate, coords)
     assert svg == feature_map_svg_reference(m, bc, candidate, points)
     for size in (1, 2, 3):  # blocks of a few generator edges
         with patch("geoph.render._CYCLE_BLOCK", size):
-            assert render_feature_map(m, bc, candidate, points) == svg
+            assert render_feature_map(m, bc, candidate, coords) == svg
