@@ -247,6 +247,46 @@ def _ldexp(x: float, e: int) -> float:
         return math.copysign(math.inf, x)
 
 
+@dataclass(frozen=True, eq=False)
+class RingTable:
+    """The ring points of a list of polygons, as one table.
+
+    Row k of the ``(N, 2)`` float64 ``points`` is one ring point; each
+    ring's closing point (a repeat of its first) is left out.  Ring r holds
+    rows ``ring_ptr[r]:ring_ptr[r + 1]``, and ``owner[k]`` is the position
+    of the polygon row k belongs to, so ``owner`` never decreases.  Every
+    polygon has at least one ring.
+    """
+
+    points: np.ndarray
+    ring_ptr: np.ndarray
+    owner: np.ndarray
+
+    @classmethod
+    def of(cls, polygons: Sequence[Sequence[Ring]]) -> RingTable:
+        rings = [ring for polygon in polygons for ring in polygon]
+        sizes = [len(ring) - 1 for ring in rings]
+        points = np.array([p for ring in rings for p in ring[:-1]], dtype=np.float64)
+        owner = np.repeat(np.arange(len(polygons)), [len(polygon) for polygon in polygons])
+        return cls(
+            points=points.reshape(-1, 2),
+            ring_ptr=np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)]),
+            owner=np.repeat(owner, sizes),
+        )
+
+    def polygon_ptr(self) -> np.ndarray:
+        """Polygon i holds rows ``polygon_ptr()[i]:polygon_ptr()[i + 1]``."""
+        first = np.flatnonzero(np.diff(self.owner, prepend=-1))
+        return np.append(first, len(self.owner))
+
+    def boxes(self) -> np.ndarray:
+        """Each polygon's bounding box as a ``(P, 4)`` row x0, y0, x1, y1."""
+        first = self.polygon_ptr()[:-1]
+        return np.hstack(
+            [np.minimum.reduceat(self.points, first), np.maximum.reduceat(self.points, first)]
+        )
+
+
 def rings_bbox(rings: Iterable[Ring]) -> tuple[float, float, float, float]:
     xs: list[float] = []
     ys: list[float] = []

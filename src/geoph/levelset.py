@@ -43,7 +43,7 @@ class GridTransform:
     cell: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BitMask:
     """Boolean raster (row 0 at the bottom of the map) with its transform."""
 
@@ -66,7 +66,7 @@ class BitMask:
         return self.cells.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalarField:
     """Real-valued raster sharing the BitMask layout."""
 
@@ -181,7 +181,7 @@ def signed_distance_field(mask: BitMask) -> ScalarField:
     return ScalarField(values=values, transform=mask.transform)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridVertexSchedule:
     """Entry step of every strided grid vertex, as one float64 grid over the
     lattice rows x cols (``inf``: never enters).  Steps are whole numbers,

@@ -4,6 +4,12 @@ A precinct is one or more closed rings (exterior boundaries and holes,
 interpreted even-odd) plus two non-negative integer vote counts.  A precinct
 belongs to the blue side when votes_blue > votes_red, to the red side when
 votes_red > votes_blue, and to neither on a tie.
+
+A map keeps the points of all its rings in one ``RingTable``, built the
+first time it is read: one ``(N, 2)`` float64 array of points, the ring
+offsets into it and the precinct that owns each point.  The map's bounding
+box, queen adjacency (shared vertices and the precincts' boxes) and the
+feature map's outlines read that table; the rings stay as parsed.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .errors import InputError
-from .geometry import Point, Ring, normalize_ring, polygon_centroid, rings_bbox
+from .geometry import Point, Ring, RingTable, normalize_ring, polygon_centroid, rings_bbox
 
 CANDIDATES = ("blue", "red")
 
@@ -41,11 +47,6 @@ class Precinct:
         return None
 
     def bbox(self) -> tuple[float, float, float, float]:
-        return self._bbox
-
-    @cached_property
-    def _bbox(self) -> tuple[float, float, float, float]:
-        # Computed once: queen adjacency reads it for every candidate pair.
         return rings_bbox(self.rings)
 
 
@@ -70,16 +71,17 @@ class PrecinctMap:
     def __iter__(self) -> Iterator[Precinct]:
         return iter(self.precincts)
 
+    @cached_property
+    def ring_table(self) -> RingTable:
+        """Every ring point of the map; owner k is ``self.precincts[k]``.
+        Built on first read and kept, outside the compared fields."""
+        return RingTable.of([p.rings for p in self.precincts])
+
     def bbox(self) -> tuple[float, float, float, float]:
-        boxes = [p.bbox() for p in self.precincts]
-        if not boxes:
+        points = self.ring_table.points
+        if not len(points):
             raise InputError("empty precinct map")
-        return (
-            min(b[0] for b in boxes),
-            min(b[1] for b in boxes),
-            max(b[2] for b in boxes),
-            max(b[3] for b in boxes),
-        )
+        return (*points.min(axis=0).tolist(), *points.max(axis=0).tolist())
 
 
 def vote_margin(p: Precinct) -> float:

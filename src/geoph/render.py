@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InputError
 from .barcode import Barcode, _gather
 from .complexes import _unique
-from .precincts import Precinct, PrecinctMap, check_candidate, vote_margin
+from .precincts import PrecinctMap, check_candidate, vote_margin
 
 SHORT_BAR_FILL = {0: "#9ecae1", 1: "#fc9272", 2: "#a1d99b"}
 LONG_BAR_FILL = {0: "#08519c", 1: "#99000d", 2: "#006d2c"}
@@ -227,20 +227,12 @@ def render_feature_map(
     def to_svg(px, py):
         return (pad + (px * s - x0 * s) * scale, pad + (y1 * s - py * s) * scale)
 
-    body = []
-    for p in m:
-        d = " ".join(_ring_path(p, ring, to_svg) for ring in p.rings)
-        winner = p.winner()
-        delta = vote_margin(p) if p.total_votes() > 0 else 0.0
-        body.append(
-            f'<path d="{d}" fill="{margin_color(winner, delta)}" '
-            f'fill-rule="evenodd" stroke="#444" stroke-width="0.6"/>'
-        )
     stroke = 'fill="none" stroke="%s" stroke-width="%.2f" stroke-linejoin="round"/>'
     strokes = [stroke % sw for sw in zip(CYCLE_STROKE[candidate], (1.5, 3.0))]
     shown = barcode.shown(1)
     block = barcode.generator_ptr[shown] // _CYCLE_BLOCK  # of each bar's first simplex
     with np.errstate(over="ignore", invalid="ignore"):  # as Python floats do
+        body = _outline_paths(m, to_svg)
         for at in np.split(shown, np.flatnonzero(np.diff(block)) + 1):
             body += _cycle_polylines(barcode, at, vertex_coords, to_svg, strokes)
     svg = "\n".join(
@@ -254,8 +246,27 @@ def render_feature_map(
     return _write(svg, path)
 
 
-def _ring_path(p: Precinct, ring, to_svg) -> str:
-    pts = [to_svg(x, y) for x, y in ring[:-1]]
-    head = f"M {pts[0][0]:.2f},{pts[0][1]:.2f}"
-    rest = " ".join(f"L {x:.2f},{y:.2f}" for x, y in pts[1:])
-    return f"{head} {rest} Z"
+def _outline_paths(m: PrecinctMap, to_svg) -> list[str]:
+    """One shaded ``<path>`` per precinct, its rings as ``M … L … Z``
+    subpaths; each distinct point (by bit pattern) is formatted once."""
+    table = m.ring_table
+    px, py = to_svg(*table.points.T)
+    xs, ix = _unique(px.view(np.int64))
+    ys, iy = _unique(py.view(np.int64))
+    codes, at = _unique(ix * len(ys) + iy)
+    x, y = xs.view(np.float64)[codes // len(ys)], ys.view(np.float64)[codes % len(ys)]
+    texts = np.array(["%.2f,%.2f" % xy for xy in zip(x.tolist(), y.tolist())], dtype=object)
+    lead = np.full(len(px), "L ", dtype=object)
+    lead[table.ring_ptr[:-1]] = "M "
+    tail = np.full(len(px), "", dtype=object)
+    tail[table.ring_ptr[1:] - 1] = " Z"
+    tokens = (lead + texts[at] + tail).tolist()
+    ptr = table.polygon_ptr().tolist()
+    body = []
+    for p, a, b in zip(m, ptr[:-1], ptr[1:]):
+        delta = vote_margin(p) if p.total_votes() > 0 else 0.0
+        body.append(
+            f'<path d="{" ".join(tokens[a:b])}" fill="{margin_color(p.winner(), delta)}" '
+            f'fill-rule="evenodd" stroke="#444" stroke-width="0.6"/>'
+        )
+    return body

@@ -879,22 +879,27 @@ def _closed_walks_reference(edges):
 def feature_map_svg_reference(m, barcode, candidate, vertex_coords):
     """``feature_map.svg`` text drawn cycle by cycle off
     ``barcode.rendered(dimension=1)``, each generator's walks found with a
-    dict of neighbour lists and a set of used edges: the renderer as it was
-    before it read the barcode's columns."""
+    dict of neighbour lists and a set of used edges, and each precinct's
+    outline formatted point by point off its rings: the renderer as it was
+    before it read the barcode's columns and the map's ring table."""
     from geoph.errors import InputError
     from geoph.precincts import check_candidate, vote_margin
     from geoph.render import CYCLE_STROKE, margin_color
 
     check_candidate(candidate)
-    x0, y0, x1, y1 = m.bbox()
-    span = max(x1 - x0, y1 - y0, 1e-9)
+    xs = [x for p in m for ring in p.rings for x, _ in ring]
+    ys = [y for p in m for ring in p.rings for _, y in ring]
+    x0, y0, x1, y1 = min(xs), min(ys), max(xs), max(ys)
+    # Every coordinate is halved when the map's extent overflows.
+    h = 1.0 if math.isfinite(max(x1 - x0, y1 - y0)) else 0.5
+    span = max(x1 * h - x0 * h, y1 * h - y0 * h, 1e-9)
     pad = 12.0
     scale = 640.0 / span
-    width = (x1 - x0) * scale + 2 * pad
-    height = (y1 - y0) * scale + 2 * pad
+    width = (x1 * h - x0 * h) * scale + 2 * pad
+    height = (y1 * h - y0 * h) * scale + 2 * pad
 
     def to_svg(px, py):
-        return (pad + (px - x0) * scale, pad + (y1 - py) * scale)
+        return (pad + (px * h - x0 * h) * scale, pad + (y1 * h - py * h) * scale)
 
     def ring_path(ring):
         pts = [to_svg(x, y) for x, y in ring[:-1]]

@@ -4,6 +4,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geoph import adjacency
 from geoph.adjacency import (
@@ -125,7 +127,16 @@ class TestQueenGraph:
         )
         g = queen_adjacency(m)
         assert g.to_edge_list() == "a\tb\n"
-        assert AdjacencyGraph(nodes=("x",), edges=frozenset()).to_edge_list() == ""
+        assert AdjacencyGraph(nodes=("x",), edge_positions=[]).to_edge_list() == ""
+
+    def test_graphs_compare_by_edge_set(self):
+        g = queen_adjacency(parse_feature_collection(grid_fixture(3)))
+        rows = g.edge_positions
+        assert g == queen_adjacency(parse_feature_collection(grid_fixture(3)))
+        assert g == AdjacencyGraph(g.nodes, rows[::-1, ::-1])
+        assert g != AdjacencyGraph(g.nodes, rows[1:])
+        assert g != AdjacencyGraph(g.nodes[::-1], rows)
+        assert g != g.edges
 
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -297,12 +308,96 @@ class TestSweepMatchesAllPairs:
         queen_adjacency(m, tol)
         assert calls == []
 
+    def test_gap_that_rounds_down_to_tol(self):
+        # x0 - x1 lies just above tol and rounds to it, while x1 + tol rounds
+        # below x0: the sweep's bound on x0 must allow for both roundings.
+        x0 = math.nextafter(-1.0, 0.0)
+        assert x0 - -3.0 == 2.0 and x0 > -3.0 + 2.0
+        m = map_of(
+            polygon_precinct("a", [[rect_ring(-4.0, 0.0, -3.0, 1.0)]]),
+            polygon_precinct("b", [[rect_ring(x0, 0.5, x0 + 1.0, 1.5)]]),
+        )
+        assert queen_adjacency(m, 2.0).edges == queen_edges_reference(m, 2.0) == {("a", "b")}
+
     @pytest.mark.parametrize("factor", [1e-300, 1e300])
     @pytest.mark.parametrize("tol", TOLERANCES)
     def test_extreme_scales(self, factor, tol):
         for seed in range(2):
             m = scaled_map(jittered_lattice_map(6, 0.3, seed), factor)
             assert queen_adjacency(m, tol).edges == queen_edges_reference(m, tol)
+
+
+# Ids that sort differently as numbers, as bytes or by locale, and one that
+# a fixed-width numpy string would cut short.
+IDS = (
+    "10", "9", "-1", "007", "1e3", "3.0", "0", "99", "100", "2",
+    "é", "e", "Ω", "ß", "日本", "😀", "Z", "a", "a\x00", "ab",
+    "Ä", "z", "ℤ", " ", "~", "_", "A", "ё", "0x1F", "٣",
+)
+
+
+@st.composite
+def queen_maps(draw):
+    """A map and a tolerance.  Rows of unit cells around the origin, each
+    row shifted by 0 or half a cell (T-junctions between rows), with cells
+    removed and zero coordinates written -0.0 in some precincts; squares
+    beside the lattice at tol * (1 - 1e-9), tol and tol * (1 + 1e-9),
+    offset half a cell so they share no vertex; a holed square with
+    islands in its hole, one at the same gaps from the hole's side; a
+    MultiPolygon with one part beside the holed square and one on the
+    lattice's corner.  Columns and stacked squares tie on x0."""
+    tol = draw(st.sampled_from([0.0, 1e-9, 0.01, 0.25]))
+    gap = tol * draw(st.sampled_from([1 - 1e-9, 1.0, 1 + 1e-9]))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rings = []
+    for r in range(rows):
+        shift = draw(st.sampled_from([0.0, 0.5]))
+        for c in range(cols):
+            if draw(st.integers(0, 4)):  # a cell is removed one time in five
+                x, y = c - cols // 2 + shift, r - rows // 2
+                ring = rect_ring(x, y, x + 1, y + 1)
+                if draw(st.booleans()):
+                    ring = [[-0.0 if v == 0 else v for v in pt] for pt in ring]
+                rings.append([[ring]])
+    right, top = cols - cols // 2 + 0.5, rows - rows // 2
+    for k in range(draw(st.integers(0, 2))):  # stacked beside the lattice
+        rings.append([[rect_ring(right + gap, k + 0.5, right + gap + 1, k + 1.5)]])
+    cx, cy = 0.0, -20.0
+    hole = rect_ring(cx - 2, cy - 2, cx + 2, cy + 2)[::-1]
+    rings.append([[rect_ring(cx - 4, cy - 4, cx + 4, cy + 4), hole]])
+    islands = [
+        rect_ring(cx - 2, cy - 2, cx - 1, cy - 1),  # on a corner of the hole
+        rect_ring(cx - 0.5, cy - 0.5, cx + 0.5, cy + 0.5),  # free
+        rect_ring(cx + 1 - gap, cy - 0.25, cx + 2 - gap, cy + 0.25),  # gap to the hole's side
+    ]
+    rings += [[[ring]] for ring in islands if draw(st.booleans())]
+    if draw(st.booleans()):
+        left, bottom = -(cols // 2), -(rows // 2)
+        rings.append(
+            [
+                [rect_ring(cx + 4 + gap, cy + 0.5, cx + 5 + gap, cy + 1.5)],
+                [rect_ring(left - 1, bottom - 1, left, bottom)],
+            ]
+        )
+    if draw(st.booleans()):
+        rings.append([[rect_ring(0.25, top + gap, 1.25, top + gap + 1)]])
+    ids = draw(st.permutations(IDS))
+    feats = [polygon_precinct(pid, polygons) for pid, polygons in zip(ids, rings)]
+    return map_of(*draw(st.permutations(feats))), tol
+
+
+@given(queen_maps())
+@settings(max_examples=60, deadline=None)
+def test_queen_matches_all_pairs_on_generated_maps(drawn):
+    m, tol = drawn
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_exact_tests(mp)
+        g = queen_adjacency(m, tol)
+    expected = queen_edges_reference(m, tol)
+    assert g.edges == expected
+    vertices = {p.id: {pt for ring in p.rings for pt in ring} for p in m}
+    assert not [pair for pair in calls if vertices[pair[0]] & vertices[pair[1]]]
+    assert g.to_edge_list() == "".join(f"{u}\t{v}\n" for u, v in sorted(expected))
 
 
 class TestMarginLevel:

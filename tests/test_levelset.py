@@ -358,6 +358,17 @@ class TestSchedule:
             vertex_schedule(sf, velocity=1e-300, dt=1e-10)
 
 
+    def test_array_holders_compare_by_identity(self):
+        m = parse_feature_collection(jittered_lattice_map(4, 0.3, 0))
+        masks = [rasterize_mask(m, "red", max_side=8) for _ in range(2)]
+        fields = [signed_distance_field(mask) for mask in masks]
+        schedules = [vertex_schedule(f, 1.0, 1.0, None, 2) for f in fields]
+        for a, b in (masks, fields, schedules):
+            assert (a == b) is False
+            assert a == a
+            assert (a != b) is True
+
+
 class TestComplex:
     def test_two_by_two_block_counts(self):
         sf = field_from([[1.0, -1.0], [-1.0, -2.0]])

@@ -205,3 +205,40 @@ class TestCentroids:
         with pytest.warns(UserWarning, match="zero area"):
             cx, cy = centroid_of(precinct("s", 1, 0, rings=(sliver,)))
         assert (cx, cy) == pytest.approx((1.0, 0.0))
+
+
+class TestRingTable:
+    def holed_and_multi(self):
+        outer = [(0, 0), (4, 0), (4, 4), (0, 4), (0, 0)]
+        hole = [(1, 1), (1, 2), (2, 2), (2, 1), (1, 1)]
+        return parse_feature_collection(
+            collection(
+                feature("h", [outer, hole], 1, 0),
+                feature("m", [SQ2, [(-3, 5), (-2, 5), (-2, 7)]], 0, 1, gtype="MultiPolygon"),
+            )
+        )
+
+    def test_rows_offsets_and_owners(self):
+        m = self.holed_and_multi()
+        table = m.ring_table
+        rings = [ring for p in m for ring in p.rings]
+        assert table.points.tolist() == [list(pt) for ring in rings for pt in ring[:-1]]
+        assert table.ring_ptr.tolist() == [0, 4, 8, 12, 15]
+        assert table.owner.tolist() == [0] * 8 + [1] * 7
+        assert table.polygon_ptr().tolist() == [0, 8, 15]
+        assert m.ring_table is table
+
+    def test_boxes(self):
+        m = self.holed_and_multi()
+        assert m.ring_table.boxes().tolist() == [list(p.bbox()) for p in m]
+        assert m.bbox() == (-3.0, 0.0, 4.0, 7.0)
+        assert all(type(v) is float for v in m.bbox())
+        with pytest.raises(InputError, match="empty precinct map"):
+            PrecinctMap(precincts=()).bbox()
+
+    def test_table_is_not_compared(self):
+        m = self.holed_and_multi()
+        m.ring_table
+        assert m == PrecinctMap(precincts=m.precincts)
+        assert PrecinctMap(precincts=m.precincts) == m
+        assert m != PrecinctMap(precincts=m.precincts[:1])

@@ -14,7 +14,9 @@ bytes must not depend on where the blocks end.  An
 overflow or invalid value in a writer's float arithmetic fails the test.
 """
 
+import copy
 import json
+import math
 import random
 from unittest.mock import patch
 
@@ -184,40 +186,61 @@ def test_plot_span_that_overflows_a_float():
     assert svg == barcode_svg_reference(bc)
 
 
-# A hole (annulus), a MultiPolygon with a hole and a triangle, and a grid.
+# A MultiPolygon with a hole and a triangle, and a tied triangle.
+MULTI_RING = {
+    "type": "FeatureCollection",
+    "features": [
+        {
+            "type": "Feature",
+            "properties": {"id": "multi", "votes_blue": 1, "votes_red": 3},
+            "geometry": {
+                "type": "MultiPolygon",
+                "coordinates": [
+                    [
+                        [[0, 0], [4, 0], [4, 4], [0, 4], [0, 0]],
+                        [[1, 1], [1, 3], [3, 3], [3, 1], [1, 1]],
+                    ],
+                    [[[6, 0], [8, 0], [8, 2], [6, 0]]],
+                ],
+            },
+        },
+        {
+            "type": "Feature",
+            "properties": {"id": "tie", "votes_blue": 2, "votes_red": 2},
+            "geometry": {
+                "type": "Polygon",
+                "coordinates": [[[0, 5], [8, 5], [8, 6], [0, 5]]],
+            },
+        },
+    ],
+}
+
+
+def stretched(coords):
+    """Coordinates c as (c - 4) * 4e307, so x spans [-1.6e308, 1.6e308]."""
+    if isinstance(coords, list):
+        return [stretched(c) for c in coords]
+    return (coords - 4) * 4e307
+
+
+HUGE = copy.deepcopy(MULTI_RING)
+for feat in HUGE["features"]:
+    feat["geometry"]["coordinates"] = stretched(feat["geometry"]["coordinates"])
+# A hole (annulus), multiple rings, a grid; and multiple rings over an
+# extent that overflows, which the renderer halves.
 FEATURE_MAPS = [
     parse_feature_collection(dissent_fixture()),
     parse_feature_collection(annulus_fixture(hole_radius=40.0, segments=12)),
-    parse_feature_collection(
-        {
-            "type": "FeatureCollection",
-            "features": [
-                {
-                    "type": "Feature",
-                    "properties": {"id": "multi", "votes_blue": 1, "votes_red": 3},
-                    "geometry": {
-                        "type": "MultiPolygon",
-                        "coordinates": [
-                            [
-                                [[0, 0], [4, 0], [4, 4], [0, 4], [0, 0]],
-                                [[1, 1], [1, 3], [3, 3], [3, 1], [1, 1]],
-                            ],
-                            [[[6, 0], [8, 0], [8, 2], [6, 0]]],
-                        ],
-                    },
-                },
-                {
-                    "type": "Feature",
-                    "properties": {"id": "tie", "votes_blue": 2, "votes_red": 2},
-                    "geometry": {
-                        "type": "Polygon",
-                        "coordinates": [[[0, 5], [8, 5], [8, 6], [0, 5]]],
-                    },
-                },
-            ],
-        }
-    ),
+    parse_feature_collection(MULTI_RING),
+    parse_feature_collection(HUGE),
 ]
+
+
+def test_huge_feature_map_is_halved():
+    x0, y0, x1, y1 = FEATURE_MAPS[3].bbox()
+    assert math.isinf(x1 - x0)  # so the renderer takes its halving path
+
+
 # Edges over few vertex ids, in either order, possibly repeated and even
 # loops, so that generators have odd degrees and cycles share vertices.
 edges = st.tuples(st.integers(0, 7), st.integers(0, 7))
@@ -274,6 +297,12 @@ FIGURE_EIGHT = TRIANGLE + ((2, 3), (3, 4), (2, 4))
     m=FEATURE_MAPS[1],
     points={v: (v * 20.0, 250.0 - v) for v in range(8)},
     candidate="blue",
+)
+@example(  # the map whose extent overflows
+    pairs=[PersistencePair(1, 0.0, None, TRIANGLE, 0, True)],
+    m=FEATURE_MAPS[3],
+    points={v: (v * 2e307, -v * 2e307) for v in range(8)},
+    candidate="red",
 )
 def test_feature_maps(pairs, m, points, candidate):
     bc = Barcode(pairs, 10.0)
