@@ -19,18 +19,35 @@ in, and every pairwise-adjacent triple spans a triangle.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import FilteredComplex, _unique
+from .complexes import FilteredComplex, _lookup, _ranges, _unique
+from .errors import InputError
 from .geometry import RingTable, segment_segment_distance
 from .precincts import Precinct, PrecinctMap, check_candidate, vote_margin, winning_precincts
 
 DEFAULT_TOL = 1e-9
 DEFAULT_STEP = 0.05
 _SWEEP_BLOCK = 1 << 13  # candidate pairs per block of the box sweep
+
+
+def check_tol(tol: float) -> None:
+    """The contiguity tolerance is finite and non-negative."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InputError(f"tol must be finite and non-negative, got {tol}")
+
+
+def check_step(step: float) -> None:
+    """The margin step is finite and positive, and normal: with a subnormal
+    one, k would overflow before ``k * step`` reaches 1."""
+    if not (math.isfinite(step) and step > 0):
+        raise InputError(f"step must be finite and positive, got {step}")
+    if step < sys.float_info.min:
+        raise InputError(f"step {step} is below the smallest normal float {sys.float_info.min}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,16 +122,7 @@ def precincts_touch(a: Precinct, b: Precinct, tol: float = DEFAULT_TOL) -> bool:
 def _later_pairs(rows: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every pair (t, u) with t in ``rows`` and t < u < ``end`` of t, by t then u."""
     count = np.maximum(end - rows - 1, 0)
-    first = np.repeat(rows, count)
-    skip = np.repeat(np.cumsum(count) - count, count)
-    return first, first + 1 + np.arange(len(first)) - skip
-
-
-def _found(values: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Which of ``values`` the ascending int array ``table`` holds."""
-    if not len(table):
-        return np.zeros(len(values), dtype=bool)
-    return table[np.minimum(np.searchsorted(table, values), len(table) - 1)] == values
+    return np.repeat(rows, count), _ranges(rows + 1, count)
 
 
 def _shared_vertex_pairs(table: RingTable, n: int) -> np.ndarray:
@@ -178,15 +186,14 @@ def queen_adjacency(m: PrecinctMap, tol: float = DEFAULT_TOL) -> AdjacencyGraph:
     ``precincts_touch`` does not reject on its boxes) reach
     ``precincts_touch``, the earlier precinct first.
     """
-    if tol < 0:
-        raise ValueError("tolerance must be non-negative")
+    check_tol(tol)
     n = len(m)
     table = m.ring_table
     shared = _shared_vertex_pairs(table, n)
     near = _near_box_pairs(table.boxes(), tol)
     touching = [
         code
-        for code in near[~_found(near, shared)].tolist()
+        for code in near[~_lookup(shared, near)[1]].tolist()
         if precincts_touch(m.precincts[code // n], m.precincts[code % n], tol)
     ]
     codes = np.sort(np.concatenate([shared, np.array(touching, dtype=np.int64)]))
@@ -205,10 +212,7 @@ def margin_level(delta: float, step: float = DEFAULT_STEP) -> float:
     """
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"margin {delta} outside [0, 1]")
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    if step < sys.float_info.min:  # k * step would overflow before reaching 1
-        raise ValueError(f"step {step} is below the smallest normal float")
+    check_step(step)
 
     def above(k: int) -> bool:
         return delta < 1.0 - k * step - 1e-12
@@ -252,7 +256,7 @@ def build_adjacency_complex(
     row_end = np.searchsorted(lower, lower, side="right")
     first, second = _later_pairs(np.arange(len(codes)), row_end)
     third = upper[first] * w + upper[second]
-    closed = _found(third, codes)
+    closed = _lookup(codes, third)[1]
     levels = np.array(level, dtype=np.float64)
     edge_rows = np.stack([lower, upper], axis=1)
     triangle_rows = np.stack([lower[first], upper[first], upper[second]], axis=1)[closed]

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .complexes import Simplex, _float_reprs
+from .complexes import Simplex, _float_reprs, _ranges
 
 LONG_PERSISTENCE_THRESHOLD = 0.75
 _JSON_BLOCK = 2048  # rendered bars per block of `json_blocks` text
@@ -32,9 +32,7 @@ def _gather(ptr: np.ndarray, flat: np.ndarray, rows: np.ndarray) -> tuple[np.nda
     their sizes."""
     starts = ptr[rows]
     sizes = ptr[rows + 1] - starts
-    ends = np.cumsum(sizes)
-    total = int(ends[-1]) if len(ends) else 0
-    return flat[np.arange(total) + np.repeat(starts - ends + sizes, sizes)], sizes
+    return flat[_ranges(starts, sizes)], sizes
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,12 @@ def _lookup(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.n
     return at, found
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The int ranges ``[start, start + count)``, concatenated in turn."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + counts, counts)
+
+
 class FilteredComplex:
     """Immutable filtered complex with a canonical simplex order.
 

@@ -8,8 +8,8 @@ class GeophError(Exception):
     pass
 
 
-class InputError(GeophError):
-    """Malformed or unusable input data (files, features, parameters)."""
+class InputError(GeophError, ValueError):
+    """Malformed or unusable input data (files, features, parameters); a ValueError too."""
 
 
 class NumericalError(GeophError):

@@ -26,12 +26,29 @@ from pathlib import Path
 
 import numpy as np
 
-from .complexes import FilteredComplex
+from .complexes import FilteredComplex, _ranges
 from .errors import InputError, NumericalError
 from .precincts import PrecinctMap, winning_precincts
 
 MAX_SIDE = 250
 DEFAULT_STRIDE = 5
+
+
+def check_front(velocity: float, dt: float, n_steps: int | None, stride: int) -> None:
+    """Speed and time step finite and positive, their product large enough to
+    count steps across ``MAX_SIDE`` cells; stride >= 1; n_steps None or >= 0."""
+    for name, value in (("velocity", velocity), ("dt", dt)):
+        if not (math.isfinite(value) and value > 0):
+            raise InputError(f"{name} must be finite and positive, got {value}")
+    if velocity * dt == 0 or not math.isfinite(MAX_SIDE / (velocity * dt)):
+        raise InputError(
+            f"velocity * dt = {velocity * dt!r} is too small to count "
+            f"steps across {MAX_SIDE} cells"
+        )
+    if stride < 1:
+        raise InputError(f"stride must be at least 1, got {stride}")
+    if n_steps is not None and n_steps < 0:
+        raise InputError(f"n_steps must be non-negative, got {n_steps}")
 
 
 @dataclass(frozen=True)
@@ -103,27 +120,27 @@ def rasterize_mask(m: PrecinctMap, candidate: str, max_side: int = MAX_SIDE) -> 
         raise ValueError(f"max_side must be in [1, {MAX_SIDE}]")
     x0, y0, x1, y1 = m.bbox()
     w, h, cell = _grid_shape(x1 - x0, y1 - y0, max_side)
-    rings = [(k, ring) for k, p in enumerate(winning_precincts(m, candidate)) for ring in p.rings]
-    sizes = [len(ring) for _, ring in rings]
-    points = np.array([pt for _, ring in rings for pt in ring], dtype=float).reshape(-1, 2)
-    # segment j runs from point j to point j + 1 of its ring; a horizontal one crosses no row
-    a = np.delete(np.arange(len(points)), np.cumsum(sizes, dtype=np.int64) - 1)
-    a = a[points[a, 1] != points[a + 1, 1]]
-    precinct = np.repeat([k for k, _ in rings], sizes)[a]
-    (ax, ay), (bx, by) = points[a].T, points[a + 1].T
-    # a segment crosses row y only when min(ay, by) <= y < max(ay, by)
+    table = m.ring_table
+    won = {p.id for p in winning_precincts(m, candidate)}
+    # segment a runs from row a to the next row of its ring, the last wrapping to the first
+    after = np.arange(1, len(table.owner) + 1)
+    after[table.ring_ptr[1:] - 1] = table.ring_ptr[:-1]
+    a = np.flatnonzero(np.array([p.id in won for p in m])[table.owner])
+    (ax, ay), (bx, by) = table.points[a].T, table.points[after[a]].T
+    # a segment crosses row y only when min(ay, by) <= y < max(ay, by), a flat one none
     centers = y0 + (np.arange(h) + 0.5) * cell  # ascending
     first = np.searchsorted(centers, np.minimum(ay, by))
     count = np.searchsorted(centers, np.maximum(ay, by)) - first
     seg = np.repeat(np.arange(len(a)), count)
-    row = np.arange(len(seg)) + np.repeat(first - np.cumsum(count) + count, count)
+    row = _ranges(first, count)
     with np.errstate(over="ignore", invalid="ignore"):
         x = ax[seg] + (centers[row] - ay[seg]) * (bx[seg] - ax[seg]) / (by[seg] - ay[seg])
     if not np.isfinite(x).all():
         raise NumericalError("a scanline crossing leaves the float range")
     # A closed ring crosses each row an even number of times, so in
-    # (precinct, row, x) order the crossings pair off in turn.
-    at = np.lexsort((x, row, precinct[seg]))
+    # (precinct, row, x) order the crossings pair off in turn; any key that
+    # tells the precincts apart, here their map positions, pairs the same.
+    at = np.lexsort((x, row, table.owner[a[seg]]))
     # columns whose center x satisfies lo <= x < hi, clipped to the grid
     col = np.clip(np.ceil((x[at] - x0) / cell - 0.5 - 1e-9), 0, w).astype(np.int64)
     lo, hi = col[::2], col[1::2]
@@ -220,15 +237,7 @@ def vertex_schedule(
     (the field is clipped, so this is bounded by the grid side); a smaller
     explicit budget leaves vertices out and warns.
     """
-    if velocity <= 0 or dt <= 0:
-        raise ValueError("velocity and dt must be positive")
-    if velocity * dt == 0 or not math.isfinite(MAX_SIDE / (velocity * dt)):
-        raise ValueError(
-            f"velocity * dt = {velocity * dt!r} is too small to count steps "
-            f"across {MAX_SIDE} cells"
-        )
-    if stride < 1:
-        raise ValueError("stride must be at least 1")
+    check_front(velocity, dt, n_steps, stride)
     phi = field.values[::stride, ::stride]
     # + 0.0 turns the -0.0 that ceil gives in (-1, 0] into 0.0
     steps = np.ceil(np.maximum(-phi, 0.0) / (velocity * dt) - 1e-9) + 0.0

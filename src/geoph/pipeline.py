@@ -5,8 +5,6 @@ persistence, and write artifacts.  Also the batch benchmark driver.
 from __future__ import annotations
 
 import json
-import math
-import sys
 import time
 import warnings
 from dataclasses import dataclass, field, asdict
@@ -15,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .adjacency import DEFAULT_STEP, DEFAULT_TOL, AdjacencyGraph
+from .adjacency import DEFAULT_STEP, DEFAULT_TOL, AdjacencyGraph, check_step, check_tol
 from .adjacency import build_adjacency_complex, queen_adjacency
 from .alpha import build_alpha_complex
 from .barcode import Barcode, classify_long_persistence
@@ -25,10 +23,10 @@ from .geometry import PointCloud
 from .homology import barcode_of
 from .levelset import (
     DEFAULT_STRIDE,
-    MAX_SIDE,
     BitMask,
     GridVertexSchedule,
     ScalarField,
+    check_front,
     complex_from_schedule,
     rasterize_mask,
     signed_distance_field,
@@ -38,7 +36,7 @@ from .levelset import (
 )
 from .precincts import PrecinctMap, centroids, check_candidate, load_precincts, winning_precincts
 from .render import render_barcode_svg, render_feature_map
-from .rips import build_vr_complex
+from .rips import build_vr_complex, check_eps_max
 
 METHODS = ("vr", "alpha", "adjacency", "levelset")
 VR_SWITCH_THRESHOLD = 150
@@ -61,29 +59,10 @@ class RunConfig:
         if self.method not in METHODS:
             raise InputError(f"method must be one of {METHODS}, got {self.method!r}")
         check_candidate(self.candidate)
-        if self.stride < 1:
-            raise InputError(f"stride must be at least 1, got {self.stride}")
-        for name in ("step", "velocity", "dt"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise InputError(f"{name} must be finite and positive, got {value}")
-        if self.velocity * self.dt == 0 or not math.isfinite(
-            MAX_SIDE / (self.velocity * self.dt)
-        ):
-            raise InputError(
-                f"velocity * dt = {self.velocity * self.dt!r} is too small to count "
-                f"steps across {MAX_SIDE} cells"
-            )
-        if self.step < sys.float_info.min:
-            raise InputError(f"step must be at least {sys.float_info.min}, got {self.step}")
-        if not (math.isfinite(self.tol) and self.tol >= 0):
-            raise InputError(f"tol must be finite and non-negative, got {self.tol}")
-        if self.eps_max is not None and not (
-            math.isfinite(self.eps_max) and self.eps_max > 0
-        ):
-            raise InputError(f"eps_max must be finite and positive, got {self.eps_max}")
-        if self.n_steps is not None and self.n_steps < 0:
-            raise InputError(f"n_steps must be non-negative, got {self.n_steps}")
+        check_eps_max(self.eps_max)
+        check_step(self.step)
+        check_tol(self.tol)
+        check_front(self.velocity, self.dt, self.n_steps, self.stride)
 
 
 @dataclass

@@ -200,14 +200,14 @@ def parse_feature_collection(obj: dict, source: str = "<input>") -> PrecinctMap:
 
 
 def load_precincts(path: str | Path) -> PrecinctMap:
-    """Read a GeoJSON FeatureCollection of precincts."""
+    """Read a UTF-8 GeoJSON FeatureCollection of precincts."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, too deep, too many digits
         raise InputError(f"{path}: invalid JSON ({exc})") from exc
     return parse_feature_collection(obj, source=str(path))

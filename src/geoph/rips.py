@@ -8,13 +8,20 @@ neighbors, so nothing beyond the distance cutoff is ever touched.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
 
 from .complexes import FilteredComplex
-from .errors import NumericalError
+from .errors import InputError, NumericalError
 from .geometry import PointCloud, distance_matrix
+
+
+def check_eps_max(eps_max: float | None) -> None:
+    """The cutoff is None (the diameter) or finite and positive."""
+    if eps_max is not None and not (math.isfinite(eps_max) and eps_max > 0):
+        raise InputError(f"eps_max must be finite and positive, got {eps_max}")
 
 
 def build_vr_complex(pc: PointCloud, eps_max: float | None = None) -> FilteredComplex:
@@ -26,6 +33,7 @@ def build_vr_complex(pc: PointCloud, eps_max: float | None = None) -> FilteredCo
     a distance is not finite (coordinates too large for their squares to be
     floats).
     """
+    check_eps_max(eps_max)
     n = len(pc)
     if n == 0:
         raise ValueError("empty point cloud")
@@ -33,13 +41,8 @@ def build_vr_complex(pc: PointCloud, eps_max: float | None = None) -> FilteredCo
         dist = distance_matrix(pc)
     if not np.isfinite(dist).all():
         raise NumericalError("pairwise distance is not finite; coordinates are too large")
-    if eps_max is None:
-        eps_max = float(dist.max())
-        if eps_max == 0.0:
-            eps_max = 1.0  # degenerate cloud; any positive cutoff works
-    eps_max = float(eps_max)
-    if eps_max <= 0.0:
-        raise ValueError("eps_max must be positive")
+    if eps_max is None:  # the diameter; a degenerate cloud takes any positive cutoff
+        eps_max = float(dist.max()) or 1.0
 
     near = dist <= eps_max
     v, u = np.nonzero(np.tril(near, -1))  # edges (u, v) with u < v

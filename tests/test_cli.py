@@ -28,6 +28,15 @@ def mapped(obj, f):
     return obj
 
 
+# Files no JSON decoder reads: bytes that are not UTF-8, arrays nested past
+# the decoder's recursion limit, and an integer over Python's digit limit.
+UNREADABLE = {
+    "latin1": "{\"type\": \"FeatureCollection\", \"name\": \"caf\u00e9\"}".encode("latin-1"),
+    "nested": b"[" * 200_000 + b"]" * 200_000,
+    "digits": b'{"type": "FeatureCollection", "n": ' + b"9" * 5000 + b"}",
+}
+
+
 def synth(tmp_path, fixture, name, *extra):
     path = tmp_path / name
     assert main(["synth", "--fixture", fixture, "--out", str(path), *extra]) == 0
@@ -118,6 +127,21 @@ class TestBuild:
         )
         assert code == 2
         assert "features" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", sorted(UNREADABLE))
+    def test_unreadable_input_exits_two(self, tmp_path, capsys, kind):
+        bad = tmp_path / "bad.geojson"
+        bad.write_bytes(UNREADABLE[kind])
+        out = tmp_path / "o"
+        code = main(
+            ["build", "--method", "vr", "--candidate", "red",
+             "--input", str(bad), "--out", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error:" in err and str(bad) in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "method, flag, value",
@@ -431,6 +455,20 @@ class TestBench:
         assert code == 0
         assert out.exists() and out.with_suffix(".txt").exists()
         assert "runs ->" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", sorted(UNREADABLE))
+    def test_unreadable_file_drops_only_its_cells(self, tmp_path, capsys, kind):
+        (tmp_path / "maps").mkdir()
+        synth(tmp_path / "maps", "grid", "g.geojson", "--n", "2")
+        (tmp_path / "maps" / "bad.geojson").write_bytes(UNREADABLE[kind])
+        out = tmp_path / "bench.csv"
+        with pytest.warns(UserWarning, match="bad.geojson") as caught:
+            code = main(["bench", "--input-dir", str(tmp_path / "maps"), "--out", str(out)])
+        assert code == 0
+        assert len(caught) == 8  # every method and candidate on the bad file
+        inputs = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+        assert inputs == ["g"] * 8
+        assert "8 runs ->" in capsys.readouterr().out
 
     def test_empty_directory_exits_two(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()
