@@ -28,7 +28,7 @@ import numpy as np
 from .complexes import FilteredComplex, _lookup, _ranges, _unique
 from .errors import InputError
 from .geometry import RingTable, segment_segment_distance
-from .precincts import Precinct, PrecinctMap, check_candidate, vote_margin, winning_precincts
+from .precincts import Precinct, PrecinctMap, check_candidate, winner_rows
 
 DEFAULT_TOL = 1e-9
 DEFAULT_STEP = 0.05
@@ -197,9 +197,7 @@ def queen_adjacency(m: PrecinctMap, tol: float = DEFAULT_TOL) -> AdjacencyGraph:
         if precincts_touch(m.precincts[code // n], m.precincts[code % n], tol)
     ]
     codes = np.sort(np.concatenate([shared, np.array(touching, dtype=np.int64)]))
-    return AdjacencyGraph(
-        nodes=tuple(p.id for p in m), edge_positions=np.stack([codes // n, codes % n], axis=1)
-    )
+    return AdjacencyGraph(nodes=m.ids, edge_positions=np.stack([codes // n, codes % n], axis=1))
 
 
 def margin_level(delta: float, step: float = DEFAULT_STEP) -> float:
@@ -229,6 +227,23 @@ def margin_level(delta: float, step: float = DEFAULT_STEP) -> float:
     return round(hi * step, 12)
 
 
+def _margin_levels(deltas: np.ndarray, step: float) -> np.ndarray:
+    """``margin_level`` of each margin in ``deltas`` (each in [0, 1]).
+
+    When the scale has few thresholds against the number of margins, each
+    threshold ``1 - k*step - 1e-12`` and level is computed once, as
+    ``margin_level`` computes it, and every margin finds the first
+    threshold at or below it by one ``searchsorted``.
+    """
+    check_step(step)
+    if 1.0 / step > 16 * (len(deltas) + 16):
+        return np.array([margin_level(d, step) for d in deltas.tolist()], dtype=np.float64)
+    k = np.arange(int(1.0 / step) + 2)  # the last threshold is below 0
+    threshold = 1.0 - k * step - 1e-12
+    level = np.array([round(j * step, 12) for j in k.tolist()], dtype=np.float64)
+    return level[np.searchsorted(-threshold, -deltas, side="left")]
+
+
 def build_adjacency_complex(
     m: PrecinctMap,
     g: AdjacencyGraph,
@@ -238,15 +253,16 @@ def build_adjacency_complex(
     """Margin-filtered clique complex of the candidate's winning precincts.
 
     Vertex i is the i-th winning precinct in id order; use
-    :func:`winning_precincts` to recover the correspondence.  A triangle
+    :func:`winning_precincts` to recover the correspondence.  A precinct's
+    level is ``margin_level`` of its entry in ``m.margins``.  A triangle
     i < j < k is a pair of edges (i, j), (i, k) whose third side (j, k) is
     an edge too.
     """
     check_candidate(candidate)
-    winners = winning_precincts(m, candidate)
-    level = [margin_level(vote_margin(p), step) for p in winners]
-    index = {p.id: i for i, p in enumerate(winners)}
-    w = len(winners)
+    rows = winner_rows(m, candidate)
+    levels = _margin_levels(m.margins[rows], step)
+    index = {m.ids[k]: i for i, k in enumerate(rows.tolist())}
+    w = len(rows)
 
     vertex = np.array([index.get(pid, -1) for pid in g.nodes], dtype=np.int64)
     ends = vertex[g.edge_positions]
@@ -257,7 +273,6 @@ def build_adjacency_complex(
     first, second = _later_pairs(np.arange(len(codes)), row_end)
     third = upper[first] * w + upper[second]
     closed = _lookup(codes, third)[1]
-    levels = np.array(level, dtype=np.float64)
     edge_rows = np.stack([lower, upper], axis=1)
     triangle_rows = np.stack([lower[first], upper[first], upper[second]], axis=1)[closed]
     return FilteredComplex._from_arrays(

@@ -13,12 +13,16 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .complexes import _ranges
+
 Point = tuple[float, float]
 Ring = list[Point]
 
 # Relative bound on the float in-circle determinant below which the sign is
 # recomputed exactly.
 IN_CIRCLE_TOL = 1e-12
+# Polygons left when RingTable.centroids stops stepping by segment index
+_TAIL = 8
 
 
 @dataclass(frozen=True)
@@ -207,46 +211,6 @@ def ring_area(ring: Ring) -> float:
     return 0.5 * s
 
 
-def polygon_centroid(rings: Iterable[Ring]) -> tuple[Point, float]:
-    """Area-weighted centroid of a multi-ring polygon, with total signed area.
-
-    Rings combine through their signed areas, so conventionally oriented
-    holes (clockwise inside a counterclockwise exterior) subtract correctly.
-    The sums run on coordinates scaled by a power of two that brings the
-    largest into [0.5, 1), so their third-order terms neither underflow nor
-    overflow; the scaling is exact, and the result is the unscaled formula's
-    wherever that one neither underflows nor overflows.  An area beyond the
-    float range comes back as 0.0 or inf.  When the total area vanishes the
-    centroid is nan and the caller is expected to fall back to a vertex
-    average.
-    """
-    rings = list(rings)
-    _, e = math.frexp(max((abs(c) for ring in rings for p in ring for c in p), default=0.0))
-    ax = ay = area = 0.0
-    for ring in rings:
-        scaled = [(math.ldexp(x, -e), math.ldexp(y, -e)) for x, y in ring]
-        for (x0, y0), (x1, y1) in zip(scaled[:-1], scaled[1:]):
-            cross = x0 * y1 - x1 * y0
-            area += cross
-            ax += (x0 + x1) * cross
-            ay += (y0 + y1) * cross
-    area *= 0.5
-    if area == 0.0:
-        return (math.nan, math.nan), 0.0
-    return (
-        (_ldexp(ax / (6.0 * area), e), _ldexp(ay / (6.0 * area), e)),
-        _ldexp(area, 2 * e),
-    )
-
-
-def _ldexp(x: float, e: int) -> float:
-    """``x * 2**e``, with an overflow as a signed inf."""
-    try:
-        return math.ldexp(x, e)
-    except OverflowError:
-        return math.copysign(math.inf, x)
-
-
 @dataclass(frozen=True, eq=False)
 class RingTable:
     """The ring points of a list of polygons, as one table.
@@ -279,12 +243,65 @@ class RingTable:
         first = np.flatnonzero(np.diff(self.owner, prepend=-1))
         return np.append(first, len(self.owner))
 
+    def next_rows(self) -> np.ndarray:
+        """The row of each row's next point in its ring, the last wrapping to the first."""
+        after = np.arange(1, len(self.owner) + 1)
+        after[self.ring_ptr[1:] - 1] = self.ring_ptr[:-1]
+        return after
+
     def boxes(self) -> np.ndarray:
         """Each polygon's bounding box as a ``(P, 4)`` row x0, y0, x1, y1."""
         first = self.polygon_ptr()[:-1]
         return np.hstack(
             [np.minimum.reduceat(self.points, first), np.maximum.reduceat(self.points, first)]
         )
+
+    def centroids(self, polygons: np.ndarray) -> np.ndarray:
+        """The area-weighted centroid of each polygon in ``polygons``
+        (positions), as a ``(k, 2)`` float64 array: nan where the total
+        signed area vanishes, inf where the centroid leaves the float range.
+
+        Rings combine through their signed areas, so conventionally oriented
+        holes (clockwise inside a counterclockwise exterior) subtract.  Each
+        polygon's shoelace sums run on its coordinates scaled by the power
+        of two that brings the largest into [0.5, 1), so their third-order
+        terms neither underflow nor overflow; the scaling is exact.  The
+        terms are added in ring and segment order, one after another, as a
+        scalar loop adds them: one numpy step per segment index across every
+        polygon that has that segment, longest polygons first, and once no
+        more than ``_TAIL`` polygons are left, one sequential
+        ``np.add.accumulate`` each.
+        """
+        ptr = self.polygon_ptr()
+        polygons = np.asarray(polygons, dtype=np.int64)
+        count = ptr[polygons + 1] - ptr[polygons]
+        if not len(polygons):
+            return np.empty((0, 2))
+        rows = _ranges(ptr[polygons], count)
+        head = np.cumsum(count) - count  # each polygon's first position in rows
+        _, e = np.frexp(np.maximum.reduceat(np.abs(self.points[rows]).max(axis=1), head))
+        x0, y0 = np.ldexp(self.points[rows], np.repeat(-e, count)[:, None]).T
+        nxt = np.arange(len(rows)) + self.next_rows()[rows] - rows
+        x1, y1 = x0[nxt], y0[nxt]
+        cross = x0 * y1 - x1 * y0
+        terms = np.stack([cross, (x0 + x1) * cross, (y0 + y1) * cross])
+        # order[:n] are the n polygons with more than j segments, for each j
+        order = np.argsort(-count, kind="stable")
+        head, count = head[order], count[order]
+        active = np.searchsorted(-count, -np.arange(count[0]), side="left")
+        steps = int(np.count_nonzero(active > _TAIL))
+        sums = np.zeros((3, len(count)))
+        for j, n in enumerate(active[:steps].tolist()):
+            sums[:, :n] += terms[:, head[:n] + j]
+        for p in range(int(active[steps]) if steps < len(active) else 0):
+            rest = terms[:, head[p] + steps : head[p] + count[p]]
+            sums[:, p] = np.add.accumulate(np.hstack([sums[:, p : p + 1], rest]), axis=1)[:, -1]
+        area, ax, ay = sums[:, np.argsort(order)]
+        area *= 0.5
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out = np.ldexp(np.stack([ax, ay], axis=1) / (6.0 * area)[:, None], e[:, None])
+        out[area == 0.0] = np.nan
+        return out
 
 
 def rings_bbox(rings: Iterable[Ring]) -> tuple[float, float, float, float]:

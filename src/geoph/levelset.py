@@ -28,7 +28,7 @@ import numpy as np
 
 from .complexes import FilteredComplex, _ranges
 from .errors import InputError, NumericalError
-from .precincts import PrecinctMap, winning_precincts
+from .precincts import PrecinctMap, winner_rows
 
 MAX_SIDE = 250
 DEFAULT_STRIDE = 5
@@ -36,7 +36,8 @@ DEFAULT_STRIDE = 5
 
 def check_front(velocity: float, dt: float, n_steps: int | None, stride: int) -> None:
     """Speed and time step finite and positive, their product large enough to
-    count steps across ``MAX_SIDE`` cells; stride >= 1; n_steps None or >= 0."""
+    count steps across ``MAX_SIDE`` cells; stride an int >= 1; n_steps None
+    or an int >= 0.  As for vote counts, a bool is not an int here."""
     for name, value in (("velocity", velocity), ("dt", dt)):
         if not (math.isfinite(value) and value > 0):
             raise InputError(f"{name} must be finite and positive, got {value}")
@@ -45,8 +46,12 @@ def check_front(velocity: float, dt: float, n_steps: int | None, stride: int) ->
             f"velocity * dt = {velocity * dt!r} is too small to count "
             f"steps across {MAX_SIDE} cells"
         )
+    if isinstance(stride, bool) or not isinstance(stride, int):
+        raise InputError(f"stride must be an integer, got {stride!r}")
     if stride < 1:
         raise InputError(f"stride must be at least 1, got {stride}")
+    if n_steps is not None and (isinstance(n_steps, bool) or not isinstance(n_steps, int)):
+        raise InputError(f"n_steps must be an integer, got {n_steps!r}")
     if n_steps is not None and n_steps < 0:
         raise InputError(f"n_steps must be non-negative, got {n_steps}")
 
@@ -121,11 +126,11 @@ def rasterize_mask(m: PrecinctMap, candidate: str, max_side: int = MAX_SIDE) -> 
     x0, y0, x1, y1 = m.bbox()
     w, h, cell = _grid_shape(x1 - x0, y1 - y0, max_side)
     table = m.ring_table
-    won = {p.id for p in winning_precincts(m, candidate)}
-    # segment a runs from row a to the next row of its ring, the last wrapping to the first
-    after = np.arange(1, len(table.owner) + 1)
-    after[table.ring_ptr[1:] - 1] = table.ring_ptr[:-1]
-    a = np.flatnonzero(np.array([p.id in won for p in m])[table.owner])
+    won = np.zeros(len(m), dtype=bool)
+    won[winner_rows(m, candidate)] = True
+    # segment a runs from row a to the next row of its ring
+    after = table.next_rows()
+    a = np.flatnonzero(won[table.owner])
     (ax, ay), (bx, by) = table.points[a].T, table.points[after[a]].T
     # a segment crosses row y only when min(ay, by) <= y < max(ay, by), a flat one none
     centers = y0 + (np.arange(h) + 0.5) * cell  # ascending

@@ -224,26 +224,34 @@ def write_outputs(result: RunResult, m: PrecinctMap, out_dir: str | Path) -> lis
     return written
 
 
-def _bench_one(path: Path, method: str, candidate: str) -> BenchmarkRow | None:
-    try:
-        m = load_precincts(path)
-        cfg = RunConfig(method=method, candidate=candidate)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return run_pipeline(cfg, m, input_name=path.stem).row
-    except GeophError as exc:
-        reason = str(exc)
-    except MemoryError:
-        # e.g. VR on a map too large for this machine: drop the cell, not the table
-        reason = "out of memory"
+def _bench_one(
+    m: PrecinctMap | str, path: Path, method: str, candidate: str
+) -> BenchmarkRow | None:
+    """One cell of the table: a build on the loaded map ``m``, or else a
+    warning with the reason the cell is dropped (``m`` itself when the file
+    could not be loaded)."""
+    reason = m
+    if not isinstance(m, str):
+        try:
+            cfg = RunConfig(method=method, candidate=candidate)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                return run_pipeline(cfg, m, input_name=path.stem).row
+        except GeophError as exc:
+            reason = str(exc)
+        except MemoryError:
+            # e.g. VR on a map too large for this machine: drop the cell, not the table
+            reason = "out of memory"
     warnings.warn(f"{path.name} {method}/{candidate}: {reason}", stacklevel=2)
     return None
 
 
 def bench_directory(input_dir: str | Path, out_path: str | Path) -> list[BenchmarkRow]:
-    """Run every method and candidate over every GeoJSON file in a directory.
+    """Run every method and candidate over every GeoJSON file in a directory,
+    loading each file once.
 
-    Failed combinations are dropped and show up as missing table cells.
+    Failed combinations are dropped and show up as missing table cells; a
+    file that cannot be loaded drops all of its cells.
     """
     input_dir = Path(input_dir)
     if not input_dir.is_dir():
@@ -255,14 +263,16 @@ def bench_directory(input_dir: str | Path, out_path: str | Path) -> list[Benchma
     )
     if not files:
         raise InputError(f"no .geojson inputs under {input_dir}")
-    tasks = [
-        (f, method, cand)
-        for f in files
-        for method in METHODS
-        for cand in ("blue", "red")
-    ]
-    results = [_bench_one(*t) for t in tasks]
-    rows = [r for r in results if r is not None]
+    rows = []
+    for path in files:
+        try:
+            m = load_precincts(path)
+        except GeophError as exc:
+            m = str(exc)
+        except MemoryError:
+            m = "out of memory"
+        cells = [_bench_one(m, path, method, c) for method in METHODS for c in ("blue", "red")]
+        rows += [r for r in cells if r is not None]
     rows.sort(key=lambda r: (r.input_name, r.method, r.candidate))
     benchmark_report(rows, out_path)
     return rows

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InputError
 from .barcode import Barcode, _gather
 from .complexes import _unique
-from .precincts import PrecinctMap, check_candidate, vote_margin
+from .precincts import SIDES, PrecinctMap, check_candidate
 
 SHORT_BAR_FILL = {0: "#9ecae1", 1: "#fc9272", 2: "#a1d99b"}
 LONG_BAR_FILL = {0: "#08519c", 1: "#99000d", 2: "#006d2c"}
@@ -128,12 +128,18 @@ def render_barcode_svg(barcode: Barcode, path: str | Path | None = None) -> str:
 
 def margin_color(winner: str | None, delta: float) -> str:
     """Linear white-to-dark ramp in the winner's hue; white for no winner."""
-    if winner is None:
-        return "#ffffff"
-    r, g, b = FULL_SHADE[winner]
-    t = min(1.0, max(0.0, delta))
-    mix = tuple(round(255 + (c - 255) * t) for c in (r, g, b))
-    return "#{:02x}{:02x}{:02x}".format(*mix)
+    return margin_colors(np.array([SIDES.index(winner)]), np.array([delta]))[0]
+
+
+def margin_colors(sides: np.ndarray, deltas: np.ndarray) -> list[str]:
+    """``margin_color`` of each winner (as a ``SIDES`` code) and margin; each
+    distinct color is formatted once."""
+    shade = np.array([(255, 255, 255), *(FULL_SHADE[c] for c in SIDES[1:])])[sides]
+    t = np.fmin(np.fmax(deltas, 0.0), 1.0)[:, None]  # nan as 0, as min(1.0, max(0.0, nan))
+    mix = np.rint(255 + (shade - 255) * t).astype(np.int64)
+    colors, at = _unique((mix[:, 0] << 16) | (mix[:, 1] << 8) | mix[:, 2])
+    texts = ["#%06x" % c for c in colors.tolist()]
+    return [texts[i] for i in at.tolist()]
 
 
 def _closed_walks(ends: np.ndarray) -> tuple[list[list[int]], np.ndarray]:
@@ -262,11 +268,8 @@ def _outline_paths(m: PrecinctMap, to_svg) -> list[str]:
     tail[table.ring_ptr[1:] - 1] = " Z"
     tokens = (lead + texts[at] + tail).tolist()
     ptr = table.polygon_ptr().tolist()
-    body = []
-    for p, a, b in zip(m, ptr[:-1], ptr[1:]):
-        delta = vote_margin(p) if p.total_votes() > 0 else 0.0
-        body.append(
-            f'<path d="{" ".join(tokens[a:b])}" fill="{margin_color(p.winner(), delta)}" '
-            f'fill-rule="evenodd" stroke="#444" stroke-width="0.6"/>'
-        )
-    return body
+    return [
+        f'<path d="{" ".join(tokens[a:b])}" fill="{fill}" '
+        f'fill-rule="evenodd" stroke="#444" stroke-width="0.6"/>'
+        for fill, a, b in zip(margin_colors(m.sides, m.margins), ptr[:-1], ptr[1:])
+    ]

@@ -13,8 +13,11 @@ every edge for each flip, with a ``Fraction`` in-circle test.  The
 ``PersistencePair`` at a time.  All three read ``Barcode.rendered()``,
 never the barcode's columns.  The
 boundary-matrix reference looks every face up in a dict of simplices.
-Two small lookups that only tests use live here too: ``by_id`` and
-``point_in_rings``.
+The loader reference reads a FeatureCollection feature by feature and each
+ring point by point through ``normalize_ring``, into standalone
+``Precinct``s; the centroid reference runs the shoelace sums one segment at
+a time.  Two small lookups that only tests use live here too: ``by_id``
+and ``point_in_rings``.
 """
 
 from __future__ import annotations
@@ -884,7 +887,7 @@ def feature_map_svg_reference(m, barcode, candidate, vertex_coords):
     before it read the barcode's columns and the map's ring table."""
     from geoph.errors import InputError
     from geoph.precincts import check_candidate, vote_margin
-    from geoph.render import CYCLE_STROKE, margin_color
+    from geoph.render import CYCLE_STROKE
 
     check_candidate(candidate)
     xs = [x for p in m for ring in p.rings for x, _ in ring]
@@ -913,7 +916,7 @@ def feature_map_svg_reference(m, barcode, candidate, vertex_coords):
         winner = p.winner()
         delta = vote_margin(p) if p.total_votes() > 0 else 0.0
         body.append(
-            f'<path d="{d}" fill="{margin_color(winner, delta)}" '
+            f'<path d="{d}" fill="{margin_color_reference(winner, delta)}" '
             f'fill-rule="evenodd" stroke="#444" stroke-width="0.6"/>'
         )
     light, dark = CYCLE_STROKE[candidate]
@@ -943,3 +946,114 @@ def feature_map_svg_reference(m, barcode, candidate, vertex_coords):
             "</svg>\n",
         ]
     )
+
+
+def margin_color_reference(winner, delta):
+    """A precinct's fill, one channel at a time."""
+    from geoph.render import FULL_SHADE
+
+    if winner is None:
+        return "#ffffff"
+    t = min(1.0, max(0.0, delta))
+    mix = tuple(round(255 + (c - 255) * t) for c in FULL_SHADE[winner])
+    return "#{:02x}{:02x}{:02x}".format(*mix)
+
+
+def polygon_centroid_reference(rings):
+    """Area-weighted centroid of a multi-ring polygon, with total signed
+    area, summed one segment at a time.
+
+    The sums run on coordinates scaled by the power of two that brings the
+    largest into [0.5, 1).  When the total area vanishes the centroid is
+    nan; a centroid or area beyond the float range comes back as inf.
+    """
+
+    def ldexp(x, e):
+        try:
+            return math.ldexp(x, e)
+        except OverflowError:
+            return math.copysign(math.inf, x)
+
+    rings = list(rings)
+    _, e = math.frexp(max((abs(c) for ring in rings for p in ring for c in p), default=0.0))
+    ax = ay = area = 0.0
+    for ring in rings:
+        scaled = [(math.ldexp(x, -e), math.ldexp(y, -e)) for x, y in ring]
+        for (x0, y0), (x1, y1) in zip(scaled[:-1], scaled[1:]):
+            cross = x0 * y1 - x1 * y0
+            area += cross
+            ax += (x0 + x1) * cross
+            ay += (y0 + y1) * cross
+    area *= 0.5
+    if area == 0.0:
+        return (math.nan, math.nan), 0.0
+    return (ldexp(ax / (6.0 * area), e), ldexp(ay / (6.0 * area), e)), ldexp(area, 2 * e)
+
+
+def parse_feature_collection_reference(obj, source="<input>"):
+    """The loader, feature by feature: each ring through ``normalize_ring``
+    point by point, each feature a standalone ``Precinct``, and the map
+    built from them.  A coordinate that ``float`` cannot convert, an int past
+    the float range included, is a bad ring coordinate, and properties that
+    are not an object are an input error."""
+    from geoph.errors import InputError
+    from geoph.geometry import normalize_ring
+    from geoph.precincts import Precinct, PrecinctMap
+
+    def require(condition, message):
+        if not condition:
+            raise InputError(message)
+
+    def votes(props, key, where):
+        require(key in props, f"{where}: missing property {key!r}")
+        v = props[key]
+        is_int = isinstance(v, int) and not isinstance(v, bool)
+        require(is_int, f"{where}: {key} must be an integer")
+        require(v >= 0, f"{where}: {key} must be non-negative")
+        return v
+
+    def parse_rings(geometry, where):
+        gtype = geometry.get("type")
+        coords = geometry.get("coordinates")
+        if gtype == "Polygon":
+            polys = [coords]
+        elif gtype == "MultiPolygon":
+            polys = coords
+        else:
+            raise InputError(f"{where}: geometry must be Polygon or MultiPolygon, got {gtype!r}")
+        rings = []
+        try:
+            for poly in polys:
+                for ring in poly:
+                    rings.append(normalize_ring(ring))
+        except (TypeError, ValueError, IndexError, OverflowError) as exc:
+            raise InputError(f"{where}: bad ring coordinates ({exc})") from exc
+        require(bool(rings), f"{where}: geometry has no rings")
+        return tuple(rings)
+
+    require(isinstance(obj, dict), f"{source}: not a JSON object")
+    require(obj.get("type") == "FeatureCollection", f"{source}: not a FeatureCollection")
+    features = obj.get("features")
+    require(isinstance(features, list), f"{source}: features must be a list")
+    precincts = []
+    for i, feat in enumerate(features):
+        where = f"{source}: feature {i}"
+        require(isinstance(feat, dict), f"{where}: not an object")
+        props = feat.get("properties") or {}
+        require(isinstance(props, dict), f"{where}: properties must be an object")
+        pid = props.get("id")
+        if isinstance(pid, (int, float)) and not isinstance(pid, bool):
+            pid = str(pid)
+        require(isinstance(pid, str) and pid != "", f"{where}: missing or empty id")
+        where = f"{source}: feature {i} ({pid})"
+        geometry = feat.get("geometry")
+        require(isinstance(geometry, dict), f"{where}: missing geometry")
+        precincts.append(
+            Precinct(
+                id=pid,
+                rings=parse_rings(geometry, where),
+                votes_blue=votes(props, "votes_blue", where),
+                votes_red=votes(props, "votes_red", where),
+            )
+        )
+    return PrecinctMap(precincts=tuple(precincts))

@@ -143,6 +143,23 @@ class TestBuild:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_integer_coordinate_past_the_float_range_exits_two(self, tmp_path, capsys):
+        obj = grid_fixture(2)
+        obj["features"][1]["geometry"]["coordinates"][0][2][0] = int("9" * 401)
+        bad = tmp_path / "big.geojson"
+        bad.write_text(json.dumps(obj))
+        out = tmp_path / "o"
+        code = main(
+            ["build", "--method", "adjacency", "--candidate", "red",
+             "--input", str(bad), "--out", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error:" in err and "feature 1" in err
+        assert "bad ring coordinates (int too large to convert to float)" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "method, flag, value",
         [
@@ -469,6 +486,23 @@ class TestBench:
         inputs = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
         assert inputs == ["g"] * 8
         assert "8 runs ->" in capsys.readouterr().out
+
+    def test_each_map_is_loaded_once(self, tmp_path, monkeypatch):
+        (tmp_path / "maps").mkdir()
+        for name in ("g.geojson", "h.geojson"):
+            synth(tmp_path / "maps", "grid", name, "--n", "2")
+        loaded = []
+
+        def load(path):
+            loaded.append(Path(path).name)
+            return parse_feature_collection(json.loads(Path(path).read_text()))
+
+        monkeypatch.setattr(pipeline, "load_precincts", load)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rows = pipeline.bench_directory(tmp_path / "maps", tmp_path / "b.csv")
+        assert loaded == ["g.geojson", "h.geojson"]
+        assert [r.input_name for r in rows] == ["g"] * 8 + ["h"] * 8
 
     def test_empty_directory_exits_two(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()

@@ -6,16 +6,16 @@ import pytest
 
 from geoph.geometry import (
     PointCloud,
+    RingTable,
     circumcircle,
     in_circumcircle,
     normalize_ring,
     point_segment_distance,
-    polygon_centroid,
     ring_area,
     segment_segment_distance,
 )
 
-from helpers import in_circle_reference, point_in_rings
+from helpers import in_circle_reference, point_in_rings, polygon_centroid_reference
 
 
 def test_point_cloud_flags_duplicates():
@@ -151,9 +151,10 @@ def test_ring_area_sign_follows_orientation():
 def test_polygon_centroid_with_hole():
     outer = normalize_ring([(0, 0), (4, 0), (4, 4), (0, 4)])
     hole = normalize_ring(list(reversed([(1, 1), (3, 1), (3, 3), (1, 3)])))
-    (cx, cy), area = polygon_centroid([outer, hole])
+    (cx, cy), area = polygon_centroid_reference([outer, hole])
     assert (cx, cy) == pytest.approx((2.0, 2.0))
     assert area == pytest.approx(16.0 - 4.0)
+    assert RingTable.of([[outer, hole]]).centroids([0]).tolist() == [[cx, cy]]
 
 
 def test_point_in_rings_even_odd():

@@ -117,3 +117,27 @@ def test_negative_step_budget_is_rejected_without_a_warning():
         warnings.simplefilter("error")
         with pytest.raises(InputError, match="n_steps must be non-negative"):
             vertex_schedule(FIELD, n_steps=-1)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"stride": 1.5},
+        {"stride": 2.0},
+        {"stride": True},
+        {"stride": "2"},
+        {"stride": None},
+        {"n_steps": 2.5},
+        {"n_steps": 3.0},
+        {"n_steps": False},
+        {"n_steps": "4"},
+    ],
+    ids=repr,
+)
+def test_stride_and_step_budget_must_be_ints(kwargs):
+    (name,) = kwargs
+    message = f"{name} must be an integer"
+    with pytest.raises(InputError, match=message):
+        RunConfig(method="levelset", candidate="red", **kwargs)
+    with pytest.raises(InputError, match=message):
+        vertex_schedule(FIELD, **kwargs)
