@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -226,18 +226,6 @@ class RingTable:
     ring_ptr: np.ndarray
     owner: np.ndarray
 
-    @classmethod
-    def of(cls, polygons: Sequence[Sequence[Ring]]) -> RingTable:
-        rings = [ring for polygon in polygons for ring in polygon]
-        sizes = [len(ring) - 1 for ring in rings]
-        points = np.array([p for ring in rings for p in ring[:-1]], dtype=np.float64)
-        owner = np.repeat(np.arange(len(polygons)), [len(polygon) for polygon in polygons])
-        return cls(
-            points=points.reshape(-1, 2),
-            ring_ptr=np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)]),
-            owner=np.repeat(owner, sizes),
-        )
-
     def polygon_ptr(self) -> np.ndarray:
         """Polygon i holds rows ``polygon_ptr()[i]:polygon_ptr()[i + 1]``."""
         first = np.flatnonzero(np.diff(self.owner, prepend=-1))
@@ -303,13 +291,3 @@ class RingTable:
         out[area == 0.0] = np.nan
         return out
 
-
-def rings_bbox(rings: Iterable[Ring]) -> tuple[float, float, float, float]:
-    xs: list[float] = []
-    ys: list[float] = []
-    for ring in rings:
-        xs.extend(p[0] for p in ring)
-        ys.extend(p[1] for p in ring)
-    if not xs:
-        raise ValueError("no points")
-    return min(xs), min(ys), max(xs), max(ys)

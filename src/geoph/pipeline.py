@@ -34,7 +34,8 @@ from .levelset import (
     vertex_schedule,
     write_pgm,
 )
-from .precincts import PrecinctMap, centroids, check_candidate, load_precincts, winning_precincts
+from .precincts import PrecinctMap, centroids, check_candidate, load_precincts, winner_rows
+from .precincts import winning_precincts
 from .render import render_barcode_svg, render_feature_map
 from .rips import build_vr_complex, check_eps_max
 
@@ -229,14 +230,19 @@ def _bench_one(
 ) -> BenchmarkRow | None:
     """One cell of the table: a build on the loaded map ``m``, or else a
     warning with the reason the cell is dropped (``m`` itself when the file
-    could not be loaded)."""
+    could not be loaded).  A vr cell past the Vietoris-Rips budget is
+    dropped before it builds, since ``run_pipeline`` would build the alpha
+    cell again in its place."""
     reason = m
     if not isinstance(m, str):
         try:
             cfg = RunConfig(method=method, candidate=candidate)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                return run_pipeline(cfg, m, input_name=path.stem).row
+                n = len(winner_rows(m, candidate))
+                if method != "vr" or n <= VR_SWITCH_THRESHOLD:
+                    return run_pipeline(cfg, m, input_name=path.stem).row
+            reason = f"{n} winners exceed the Vietoris-Rips budget of {VR_SWITCH_THRESHOLD}"
         except GeophError as exc:
             reason = str(exc)
         except MemoryError:

@@ -8,14 +8,16 @@ votes_red > votes_blue, and to neither on a tie.
 A map is columns with one row per precinct, in input order: the ids, the
 two vote counts as exact Python ints, and one ``RingTable`` of every ring
 point (an ``(N, 2)`` float64 array of points, the ring offsets into it and
-the precinct that owns each point).  The loader fills them in one pass,
-with one ``np.array`` call for all the rings when every coordinate is a
-plain number.  Winners come from comparing the vote columns and margins
-from dividing them, as object arrays, so a count past 2**63 stays exact;
-the bounding box, centroids, queen adjacency, the raster and the feature
-map read the table.  A ``Precinct`` of a map is a view of its row, built
-the first time ``m.precincts``, an iteration or ``winning_precincts``
-reads it; its rings are rebuilt from the table when read.
+the precinct that owns each point).  ``PrecinctMap(ids, votes_blue,
+votes_red, ring_table)`` is its one constructor, and the loader fills the
+columns in one pass, with one ``np.array`` call for all the rings when
+every coordinate is a plain number.  Winners come from comparing the vote
+columns and margins from dividing them, as object arrays, so a count past
+2**63 stays exact; the bounding boxes, centroids, queen adjacency, the
+raster and the feature map read the table.  A ``Precinct`` is only a view
+of a map's row, made the first time ``m.precincts``, an iteration or
+``winning_precincts`` reads it: its winner, margin and box are read from
+the map's columns, and its rings are rebuilt from the table when read.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import InputError
-from .geometry import Point, Ring, RingTable, normalize_ring, rings_bbox
+from .geometry import Point, Ring, RingTable, normalize_ring
 
 CANDIDATES = ("blue", "red")
 # m.sides codes: 0 for a tie, else 1 + the winner's position in CANDIDATES
@@ -40,31 +42,24 @@ _RING_ERRORS = (TypeError, ValueError, IndexError, OverflowError)
 
 
 class Precinct:
-    """A precinct's id, rings (closed lists of points) and vote counts.
+    """A view of one row of a ``PrecinctMap``: its id, vote counts and rings.
 
-    ``Precinct(id, rings, votes_blue, votes_red)`` stands alone; the
-    precincts of a map are views of its rows.  Precincts are equal when
-    all four fields are.
+    ``m.precincts``, iteration and ``winning_precincts`` make the views;
+    the rings are rebuilt from the map's ring table when first read.
+    Compare maps, not views: a view is equal only to itself.
     """
 
     __slots__ = ("id", "votes_blue", "votes_red", "_rings", "_map", "_row")
 
-    def __init__(self, id: str, rings: Sequence[Ring], votes_blue: int, votes_red: int) -> None:
-        self.id, self.votes_blue, self.votes_red = id, votes_blue, votes_red
-        self._rings, self._map, self._row = tuple(rings), None, -1
+    def __init__(self, m: PrecinctMap, row: int) -> None:
+        self.id, self.votes_blue, self.votes_red = m.ids[row], m.votes_blue[row], m.votes_red[row]
+        self._rings, self._map, self._row = None, m, row
 
     @property
     def rings(self) -> tuple[Ring, ...]:
         if self._rings is None:
             self._rings = self._map._rings(self._row)
         return self._rings
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Precinct):
-            return NotImplemented
-        return (self.id, self.votes_blue, self.votes_red, self.rings) == (
-            other.id, other.votes_blue, other.votes_red, other.rings
-        )
 
     def __repr__(self) -> str:
         names = ("id", "rings", "votes_blue", "votes_red")
@@ -75,46 +70,24 @@ class Precinct:
 
     def winner(self) -> str | None:
         """'blue', 'red', or None for ties (including zero-vote precincts)."""
-        if self.votes_blue > self.votes_red:
-            return "blue"
-        if self.votes_red > self.votes_blue:
-            return "red"
-        return None
+        return SIDES[self._map.sides[self._row]]
 
     def bbox(self) -> tuple[float, float, float, float]:
-        return rings_bbox(self.rings)
+        return self._map._boxes[self._row]
 
 
 class PrecinctMap:
-    """The columns of a precinct map (see the module docstring).
-
-    ``PrecinctMap(precincts)`` fills them from standalone precincts and
-    keeps those as ``precincts``; ``from_columns`` takes them as they are.
-    Maps are equal when their precincts are.
+    """The columns of a precinct map (see the module docstring): row k is
+    ``ids[k]``, with ``votes_blue[k]`` and ``votes_red[k]`` votes and
+    ``ring_table``'s polygon k.  Maps are equal when their columns are.
     """
 
-    def __init__(self, precincts: Sequence[Precinct] = ()) -> None:
-        precincts = tuple(precincts)
-        self._fill(
-            tuple(p.id for p in precincts),
-            [p.votes_blue for p in precincts],
-            [p.votes_red for p in precincts],
-            RingTable.of([p.rings for p in precincts]),
-        )
-        self.precincts = precincts
-
-    @classmethod
-    def from_columns(
-        cls, ids: Sequence[str], blue: Sequence[int], red: Sequence[int], table: RingTable
-    ) -> PrecinctMap:
-        """The map whose row k is ``ids[k]``, with ``blue[k]`` and ``red[k]``
-        votes and ``table``'s polygon k."""
-        m = cls.__new__(cls)
-        m._fill(ids, blue, red, table)
-        return m
-
-    def _fill(
-        self, ids: Sequence[str], blue: Sequence[int], red: Sequence[int], table: RingTable
+    def __init__(
+        self,
+        ids: Sequence[str],
+        votes_blue: Sequence[int],
+        votes_red: Sequence[int],
+        ring_table: RingTable,
     ) -> None:
         if len(set(ids)) < len(ids):
             seen: set[str] = set()
@@ -123,8 +96,8 @@ class PrecinctMap:
                     raise InputError(f"duplicate precinct id {pid!r}")
                 seen.add(pid)
         self.ids = tuple(ids)
-        self.votes_blue, self.votes_red = tuple(blue), tuple(red)
-        self.ring_table = table
+        self.votes_blue, self.votes_red = tuple(votes_blue), tuple(votes_red)
+        self.ring_table = ring_table
         # candidate -> row positions of its winners sorted by id, filled by winner_rows
         self._winners: dict[str, np.ndarray] = {}
 
@@ -137,7 +110,13 @@ class PrecinctMap:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PrecinctMap):
             return NotImplemented
-        return self.precincts == other.precincts
+        t, u = self.ring_table, other.ring_table
+        return (self.ids, self.votes_blue, self.votes_red) == (
+            other.ids, other.votes_blue, other.votes_red
+        ) and all(
+            np.array_equal(a, b)
+            for a, b in ((t.points, u.points), (t.ring_ptr, u.ring_ptr), (t.owner, u.owner))
+        )
 
     @cached_property
     def precincts(self) -> tuple[Precinct, ...]:
@@ -145,17 +124,8 @@ class PrecinctMap:
         return tuple(self._views(range(len(self))))
 
     def _views(self, rows: Iterable[int]) -> list[Precinct]:
-        """A new view of each row in ``rows``; its rings are read from the
-        table when first asked for."""
-        ids, blue, red = self.ids, self.votes_blue, self.votes_red
-        views = []
-        for k in rows:
-            p = Precinct.__new__(Precinct)
-            p.id, p.votes_blue, p.votes_red, p._rings, p._map, p._row = (
-                ids[k], blue[k], red[k], None, self, k
-            )
-            views.append(p)
-        return views
+        """A new view of each row in ``rows``."""
+        return [Precinct(self, k) for k in rows]
 
     @cached_property
     def _vote_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -192,6 +162,11 @@ class PrecinctMap:
             rings.append(ring)
         return tuple(rings)
 
+    @cached_property
+    def _boxes(self) -> list[tuple[float, float, float, float]]:
+        """Each row's bounding box x0, y0, x1, y1 (``RingTable.boxes``)."""
+        return list(map(tuple, self.ring_table.boxes().tolist()))
+
     def bbox(self) -> tuple[float, float, float, float]:
         points = self.ring_table.points
         if not len(points):
@@ -201,10 +176,9 @@ class PrecinctMap:
 
 def vote_margin(p: Precinct) -> float:
     """Normalized margin |blue - red| / (blue + red); undefined at zero votes."""
-    total = p.total_votes()
-    if total == 0:
+    if p.total_votes() == 0:
         raise ValueError(f"precinct {p.id!r} recorded no votes")
-    return abs(p.votes_blue - p.votes_red) / total
+    return float(p._map.margins[p._row])
 
 
 def check_candidate(candidate: str) -> str:
@@ -239,15 +213,16 @@ def winning_precincts(m: PrecinctMap, candidate: str) -> list[Precinct]:
 
 
 def centroids(precincts: Sequence[Precinct]) -> list[Point]:
-    """Area-weighted centroids (``RingTable.centroids``); a precinct whose
-    centroid is not finite, as when its area vanishes, falls back to the
-    mean of its ring points with a warning.  Views of one map are read
-    from its ring table."""
-    maps = {id(p._map) for p in precincts}
-    if len(maps) == 1 and precincts[0]._map is not None:
-        table, rows = precincts[0]._map.ring_table, np.array([p._row for p in precincts])
-    else:
-        table, rows = RingTable.of([p.rings for p in precincts]), np.arange(len(precincts))
+    """Area-weighted centroids of views of one map, from its ring table
+    (``RingTable.centroids``); a precinct whose centroid is not finite, as
+    when its area vanishes, falls back to the mean of its ring points with
+    a warning."""
+    if not precincts:
+        return []
+    m = precincts[0]._map
+    if any(p._map is not m for p in precincts):
+        raise ValueError("centroids of precincts from more than one map")
+    table, rows = m.ring_table, np.array([p._row for p in precincts])
     out = table.centroids(rows)
     ptr = table.polygon_ptr()
     for i in np.flatnonzero(~np.isfinite(out).all(axis=1)).tolist():
@@ -257,11 +232,6 @@ def centroids(precincts: Sequence[Precinct]) -> list[Point]:
         xs, ys = table.points[ptr[rows[i]] : ptr[rows[i] + 1]].T.tolist()
         out[i] = sum(xs) / len(xs), sum(ys) / len(ys)
     return list(map(tuple, out.tolist()))
-
-
-def centroid_of(p: Precinct) -> Point:
-    """The centroid ``centroids`` gives ``p``."""
-    return centroids([p])[0]
 
 
 def _require(condition: bool, message: str) -> None:
@@ -334,6 +304,7 @@ def parse_feature_collection(obj: dict, source: str = "<input>") -> PrecinctMap:
     _require(obj.get("type") == "FeatureCollection", f"{source}: not a FeatureCollection")
     features = obj.get("features")
     _require(isinstance(features, list), f"{source}: features must be a list")
+    _require(len(features) > 0, f"{source}: no features")
     ids: list[str] = []
     blue: list[int] = []
     red: list[int] = []
@@ -383,7 +354,7 @@ def parse_feature_collection(obj: dict, source: str = "<input>") -> PrecinctMap:
         counts.append(len(rings) - sum(counts))  # rings of the failing feature
         _ring_table(rings, counts, where)  # a bad ring read before the error fails first
         raise
-    return PrecinctMap.from_columns(tuple(ids), blue, red, _ring_table(rings, counts, where))
+    return PrecinctMap(ids, blue, red, _ring_table(rings, counts, where))
 
 
 def load_precincts(path: str | Path) -> PrecinctMap:

@@ -14,10 +14,11 @@ every edge for each flip, with a ``Fraction`` in-circle test.  The
 never the barcode's columns.  The
 boundary-matrix reference looks every face up in a dict of simplices.
 The loader reference reads a FeatureCollection feature by feature and each
-ring point by point through ``normalize_ring``, into standalone
-``Precinct``s; the centroid reference runs the shoelace sums one segment at
-a time.  Two small lookups that only tests use live here too: ``by_id``
-and ``point_in_rings``.
+ring point by point through ``normalize_ring``, into plain columns; the
+centroid reference runs the shoelace sums one segment at a time.  A few
+small helpers that only tests use live here too: ``by_id``,
+``point_in_rings`` and ``feature_collection``, which is how tests build a
+map from polygons and votes.
 """
 
 from __future__ import annotations
@@ -991,14 +992,14 @@ def polygon_centroid_reference(rings):
 
 
 def parse_feature_collection_reference(obj, source="<input>"):
-    """The loader, feature by feature: each ring through ``normalize_ring``
-    point by point, each feature a standalone ``Precinct``, and the map
-    built from them.  A coordinate that ``float`` cannot convert, an int past
-    the float range included, is a bad ring coordinate, and properties that
-    are not an object are an input error."""
+    """The loader, feature by feature, each ring through ``normalize_ring``
+    point by point: the columns ``(ids, votes_blue, votes_red, rings)``, where
+    ``rings[k]`` is a tuple of precinct k's closed rings.  A coordinate that
+    ``float`` cannot convert, an int past the float range included, is a bad
+    ring coordinate, and properties that are not an object are an input
+    error."""
     from geoph.errors import InputError
     from geoph.geometry import normalize_ring
-    from geoph.precincts import Precinct, PrecinctMap
 
     def require(condition, message):
         if not condition:
@@ -1035,7 +1036,8 @@ def parse_feature_collection_reference(obj, source="<input>"):
     require(obj.get("type") == "FeatureCollection", f"{source}: not a FeatureCollection")
     features = obj.get("features")
     require(isinstance(features, list), f"{source}: features must be a list")
-    precincts = []
+    require(bool(features), f"{source}: no features")
+    ids, blue, red, rings = [], [], [], []
     for i, feat in enumerate(features):
         where = f"{source}: feature {i}"
         require(isinstance(feat, dict), f"{where}: not an object")
@@ -1048,12 +1050,37 @@ def parse_feature_collection_reference(obj, source="<input>"):
         where = f"{source}: feature {i} ({pid})"
         geometry = feat.get("geometry")
         require(isinstance(geometry, dict), f"{where}: missing geometry")
-        precincts.append(
-            Precinct(
-                id=pid,
-                rings=parse_rings(geometry, where),
-                votes_blue=votes(props, "votes_blue", where),
-                votes_red=votes(props, "votes_red", where),
-            )
+        rings.append(parse_rings(geometry, where))
+        blue.append(votes(props, "votes_blue", where))
+        red.append(votes(props, "votes_red", where))
+        ids.append(pid)
+    for k, pid in enumerate(ids):
+        require(pid not in ids[:k], f"duplicate precinct id {pid!r}")
+    return tuple(ids), tuple(blue), tuple(red), rings
+
+
+def feature_collection(polygons, votes, ids=None, gtype="Polygon"):
+    """A GeoJSON FeatureCollection dict with one feature per polygon.
+
+    ``polygons[k]`` is precinct k's list of rings, each a list of points;
+    ``votes[k]`` its (votes_blue, votes_red) pair, and ``ids[k]`` its id
+    (default ``p{k}``).  A ``MultiPolygon`` feature holds each ring as a
+    polygon of its own.
+    """
+    features = []
+    for k, (rings, (blue, red)) in enumerate(zip(polygons, votes, strict=True)):
+        coords = [[list(p) for p in ring] for ring in rings]
+        if gtype == "MultiPolygon":
+            coords = [[ring] for ring in coords]
+        features.append(
+            {
+                "type": "Feature",
+                "properties": {
+                    "id": f"p{k}" if ids is None else ids[k],
+                    "votes_blue": blue,
+                    "votes_red": red,
+                },
+                "geometry": {"type": gtype, "coordinates": coords},
+            }
         )
-    return PrecinctMap(precincts=tuple(precincts))
+    return {"type": "FeatureCollection", "features": features}

@@ -160,6 +160,22 @@ class TestBuild:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["vr", "alpha", "adjacency", "levelset"])
+    def test_empty_collection_exits_two_before_writing(self, tmp_path, capsys, method):
+        bad = tmp_path / "empty.geojson"
+        bad.write_text('{"type": "FeatureCollection", "features": []}')
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(
+                ["build", "--method", method, "--candidate", "red",
+                 "--input", str(bad), "--out", str(out)]
+            )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {bad}: no features\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "method, flag, value",
         [
@@ -503,6 +519,31 @@ class TestBench:
             rows = pipeline.bench_directory(tmp_path / "maps", tmp_path / "b.csv")
         assert loaded == ["g.geojson", "h.geojson"]
         assert [r.input_name for r in rows] == ["g"] * 8 + ["h"] * 8
+
+    def test_vr_past_the_budget_is_dropped_before_it_builds(self, tmp_path, monkeypatch):
+        (tmp_path / "maps").mkdir()
+        (tmp_path / "maps" / "j.geojson").write_text(json.dumps(jittered_lattice_map(4, 0.2, 0)))
+        runs = []
+        run = pipeline.run_pipeline
+
+        def counted(cfg, m, input_name):
+            runs.append((cfg.method, cfg.candidate))
+            return run(cfg, m, input_name)
+
+        monkeypatch.setattr(pipeline, "run_pipeline", counted)
+        monkeypatch.setattr(pipeline, "VR_SWITCH_THRESHOLD", 5)  # 8 winners of each side
+        with pytest.warns(UserWarning) as caught:
+            rows = pipeline.bench_directory(tmp_path / "maps", tmp_path / "b.csv")
+        assert len(runs) == 6 and ("vr", "blue") not in runs and ("vr", "red") not in runs
+        cells = [(r.input_name, r.method, r.candidate) for r in rows]
+        methods = ("adjacency", "alpha", "levelset")
+        assert cells == [("j", m, c) for m in methods for c in ("blue", "red")]
+        lines = (tmp_path / "b.csv").read_text().splitlines()[1:]
+        assert len(lines) == len(set(tuple(line.split(",")[:3]) for line in lines)) == 6
+        budget = "8 winners exceed the Vietoris-Rips budget of 5"
+        assert [str(w.message) for w in caught] == [
+            f"j.geojson vr/{c}: {budget}" for c in ("blue", "red")
+        ]
 
     def test_empty_directory_exits_two(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()

@@ -6,7 +6,6 @@ import pytest
 
 from geoph.geometry import (
     PointCloud,
-    RingTable,
     circumcircle,
     in_circumcircle,
     normalize_ring,
@@ -14,8 +13,14 @@ from geoph.geometry import (
     ring_area,
     segment_segment_distance,
 )
+from geoph.precincts import parse_feature_collection
 
-from helpers import in_circle_reference, point_in_rings, polygon_centroid_reference
+from helpers import (
+    feature_collection,
+    in_circle_reference,
+    point_in_rings,
+    polygon_centroid_reference,
+)
 
 
 def test_point_cloud_flags_duplicates():
@@ -154,7 +159,8 @@ def test_polygon_centroid_with_hole():
     (cx, cy), area = polygon_centroid_reference([outer, hole])
     assert (cx, cy) == pytest.approx((2.0, 2.0))
     assert area == pytest.approx(16.0 - 4.0)
-    assert RingTable.of([[outer, hole]]).centroids([0]).tolist() == [[cx, cy]]
+    m = parse_feature_collection(feature_collection([[outer, hole]], [(1, 0)]))
+    assert m.ring_table.centroids([0]).tolist() == [[cx, cy]]
 
 
 def test_point_in_rings_even_odd():

@@ -11,11 +11,9 @@ from hypothesis import strategies as st
 
 from geoph.adjacency import _margin_levels, margin_level
 from geoph.errors import InputError
-from geoph.geometry import RingTable
 from geoph.precincts import (
     SIDES,
     Precinct,
-    PrecinctMap,
     centroids,
     parse_feature_collection,
     vote_margin,
@@ -25,6 +23,7 @@ from geoph.precincts import (
 from geoph.render import margin_color, margin_colors
 
 from helpers import (
+    feature_collection,
     margin_color_reference,
     parse_feature_collection_reference,
     polygon_centroid_reference,
@@ -118,20 +117,38 @@ collections = st.lists(features(), min_size=0, max_size=6).map(
 
 
 def outcome(parse, obj):
-    """The map's columns, or the InputError message."""
+    """What ``parse`` returned (a map, or the reference's columns) with the
+    values compared: ids, votes, ring-table arrays and rings per precinct;
+    or the InputError message."""
     try:
-        m = parse(obj, "src")
+        got = parse(obj, "src")
     except InputError as exc:
         return str(exc)
-    t = m.ring_table
+    if isinstance(got, tuple):
+        ids, blue, red, rings = got
+        return got, (ids, blue, red, *table_of(rings), rings)
+    t = got.ring_table
     table = (t.points.tobytes(), t.ring_ptr.tolist(), t.owner.tolist())
-    return m, (m.ids, m.votes_blue, m.votes_red, *table)
+    return got, (got.ids, got.votes_blue, got.votes_red, *table, [p.rings for p in got])
 
 
-def scalar_centroid(p):
-    (cx, cy), _ = polygon_centroid_reference(p.rings)
+def table_of(rings):
+    """The ring table of closed rings per precinct: point bytes without the
+    closing repeats, ring offsets and each point's precinct."""
+    flat = [(k, ring[:-1]) for k, polygon in enumerate(rings) for ring in polygon]
+    ptr = np.cumsum([0] + [len(ring) for _, ring in flat]).tolist()
+    owner = [k for k, ring in flat for _ in ring]
+    return bits([pt for _, ring in flat for pt in ring]), ptr, owner
+
+
+def side(blue, red):
+    return 1 if blue > red else 2 if red > blue else 0
+
+
+def scalar_centroid(rings):
+    (cx, cy), _ = polygon_centroid_reference(rings)
     if not (math.isfinite(cx) and math.isfinite(cy)):
-        pts = [pt for ring in p.rings for pt in ring[:-1]]
+        pts = [pt for ring in rings for pt in ring[:-1]]
         cx = sum(x for x, _ in pts) / len(pts)
         cy = sum(y for _, y in pts) / len(pts)
     return (cx, cy)
@@ -141,21 +158,33 @@ def bits(points):
     return np.array(points, dtype=np.float64).reshape(-1, 2).tobytes()
 
 
+def check_views(m, blue, red, rings):
+    """Every view of ``m`` against the reference columns."""
+    for k, p in enumerate(m):
+        assert isinstance(p, Precinct) and p.id == m.ids[k]
+        assert (p.votes_blue, p.votes_red) == (blue[k], red[k]) == (m.votes_blue[k], m.votes_red[k])
+        assert p.total_votes() == blue[k] + red[k]
+        assert p.winner() == SIDES[side(blue[k], red[k])] == SIDES[m.sides[k]]
+        if blue[k] + red[k]:
+            assert vote_margin(p) == abs(blue[k] - red[k]) / (blue[k] + red[k]) == m.margins[k]
+            assert type(vote_margin(p)) is float
+        else:
+            with pytest.raises(ValueError, match="no votes"):
+                vote_margin(p)
+        pts = [pt for ring in rings[k] for pt in ring]
+        box = (min(x for x, _ in pts), min(y for _, y in pts))
+        box += (max(x for x, _ in pts), max(y for _, y in pts))
+        assert p.bbox() == box and all(type(v) is float for v in p.bbox())
+        # the view closes each ring by its first point, so only the others are compared bitwise
+        assert p.rings == rings[k]
+        assert bits([pt for ring in p.rings for pt in ring[:-1]]) == table_of([rings[k]])[0]
+
+
 SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]
 
 
 def collection(*rings_per_feature, blue=2, red=1):
-    return {
-        "type": "FeatureCollection",
-        "features": [
-            {
-                "type": "Feature",
-                "properties": {"id": f"p{i}", "votes_blue": blue, "votes_red": red},
-                "geometry": {"type": "Polygon", "coordinates": rings},
-            }
-            for i, rings in enumerate(rings_per_feature)
-        ],
-    }
+    return feature_collection(rings_per_feature, [(blue, red)] * len(rings_per_feature))
 
 
 @given(collections)
@@ -166,6 +195,18 @@ def collection(*rings_per_feature, blue=2, red=1):
 @example(collection([SQUARE, [[0, 0], [10**400, 0], [0, 1]]]))
 @example(collection([[[0.0, 0.0], [1, 0], [0, 1], [-0.0, 0.0]]]))
 @example(collection([[[2**63 + 1, 0], [2**64, 1], [0, 3**50]]], blue=2**63, red=2**63 + 1))
+@example(collection())
+@example(
+    feature_collection(
+        [
+            [SQUARE, [[0.25, 0.25], [0.25, 0.5], [0.5, 0.5]]],
+            [[[2, -0.0], [3, 0], [3, 1]]],
+            [SQUARE],
+        ],
+        [(0, 0), (7, 7), (2**63, 2**63 - 1)],
+        gtype="MultiPolygon",
+    )
+)
 def test_loader_matches_the_scalar_reference(obj):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -175,17 +216,16 @@ def test_loader_matches_the_scalar_reference(obj):
         if isinstance(want, str) or isinstance(got, str):
             assert got == want
             return
-        (m, columns), (ref, ref_columns) = got, want
+        (m, columns), ((ids, blue, red, rings), ref_columns) = got, want
         assert columns == ref_columns
-        assert m.precincts == ref.precincts and m == ref
-        assert m.sides.tolist() == [SIDES.index(p.winner()) for p in ref]
-        assert m.margins.tolist() == [vote_margin(p) if p.total_votes() else 0.0 for p in ref]
-        for c in ("blue", "red"):
-            won = sorted(p.id for p in ref if p.winner() == c)
+        assert m.sides.tolist() == [side(b, r) for b, r in zip(blue, red)]
+        margins = [abs(b - r) / (b + r) if b + r else 0.0 for b, r in zip(blue, red)]
+        assert m.margins.tolist() == margins
+        for code, c in enumerate(SIDES[1:], 1):
+            won = sorted(pid for pid, b, r in zip(ids, blue, red) if side(b, r) == code)
             assert [m.ids[k] for k in winner_rows(m, c).tolist()] == won
-        got_c = centroids(list(m))
-        assert bits(got_c) == bits([scalar_centroid(p) for p in ref])
-        assert bits(centroids(list(ref))) == bits(got_c)
+        assert bits(centroids(list(m))) == bits([scalar_centroid(r) for r in rings])
+        check_views(m, blue, red, rings)
 
 
 class TestLoader:
@@ -268,13 +308,14 @@ CENTROID_CASES = {
 
 @pytest.mark.parametrize("polygons", CENTROID_CASES.values(), ids=CENTROID_CASES.keys())
 def test_table_centroids_are_polygon_centroid_bit_for_bit(polygons):
-    precincts = [Precinct(f"p{i}", rings, 1, 0) for i, rings in enumerate(polygons)]
-    want = [polygon_centroid_reference(p.rings)[0] for p in precincts]
-    got = RingTable.of([p.rings for p in precincts]).centroids(np.arange(len(precincts)))
+    m = parse_feature_collection(feature_collection(polygons, [(1, 0)] * len(polygons)))
+    assert m.ring_table.points.tobytes() == table_of(polygons)[0]
+    want = [polygon_centroid_reference(rings)[0] for rings in polygons]
+    got = m.ring_table.centroids(np.arange(len(m)))
     assert got.tobytes() == bits(want)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        assert bits(centroids(precincts)) == bits([scalar_centroid(p) for p in precincts])
+        assert bits(centroids(list(m))) == bits([scalar_centroid(rings) for rings in polygons])
 
 
 def test_one_long_ring_beside_small_precincts():
@@ -284,10 +325,11 @@ def test_one_long_ring_beside_small_precincts():
     for x in range(5, 45):
         polygons += [[ring_of([(x, y), (x + 1, y), (x + 1, y + 1.5), (x, y + 1)])] for y in (0, 3)]
     polygons += [[ring_of(circle(n, 1.0, 60 + n, 0.5))] for n in (12, 40, 300, 301, 2000)]
-    precincts = [Precinct(f"p{i}", rings, 1, 0) for i, rings in enumerate(polygons)]
-    order = np.random.default_rng(3).permutation(len(precincts))
-    got = RingTable.of([p.rings for p in precincts]).centroids(order)
-    assert got.tobytes() == bits([polygon_centroid_reference(precincts[k].rings)[0] for k in order])
+    m = parse_feature_collection(feature_collection(polygons, [(1, 0)] * len(polygons)))
+    assert m.ring_table.points.tobytes() == table_of(polygons)[0]
+    order = np.random.default_rng(3).permutation(len(m))
+    got = m.ring_table.centroids(order)
+    assert got.tobytes() == bits([polygon_centroid_reference(polygons[k])[0] for k in order])
 
 
 def test_margin_levels_match_margin_level():
@@ -310,11 +352,3 @@ def test_margin_colors_match_the_reference():
         got = margin_colors(np.full(len(deltas), side), deltas)
         assert got == [margin_color_reference(winner, d) for d in deltas.tolist()]
         assert [margin_color(winner, d) for d in deltas.tolist()[:20]] == got[:20]
-
-
-def test_map_from_precincts_keeps_them():
-    ps = (Precinct("a", [ring_of([(0, 0), (1, 0), (0, 1)])], 3, 4),)
-    m = PrecinctMap(ps)
-    assert m.precincts is ps and m.ids == ("a",) and m.sides.tolist() == [2]
-    with pytest.raises(InputError, match="duplicate precinct id 'a'"):
-        PrecinctMap(ps * 2)

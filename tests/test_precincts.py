@@ -2,32 +2,25 @@ import json
 import random
 import warnings
 
+import numpy as np
 import pytest
 
 from geoph.errors import InputError
+from geoph.geometry import RingTable
 from geoph.precincts import (
-    Precinct,
     PrecinctMap,
-    centroid_of,
+    centroids,
     load_precincts,
     parse_feature_collection,
     vote_margin,
     winning_precincts,
 )
-from geoph.geometry import normalize_ring
 
-from helpers import by_id, point_in_rings
+from helpers import by_id, feature_collection, point_in_rings
 
 
 def feature(pid, rings, blue, red, gtype="Polygon"):
-    coords = [[list(p) for p in ring] for ring in rings]
-    if gtype == "MultiPolygon":
-        coords = [[ring] for ring in coords]
-    return {
-        "type": "Feature",
-        "properties": {"id": pid, "votes_blue": blue, "votes_red": red},
-        "geometry": {"type": gtype, "coordinates": coords},
-    }
+    return feature_collection([rings], [(blue, red)], ids=[pid], gtype=gtype)["features"][0]
 
 
 def collection(*features):
@@ -112,10 +105,21 @@ class TestParsing:
             load_precincts(p)
 
 
-def precinct(pid, blue, red, rings=(SQ,)):
-    return Precinct(
-        id=pid, rings=tuple(normalize_ring(r) for r in rings), votes_blue=blue, votes_red=red
+def votes_map(*rows, rings=(SQ,)):
+    """The map of precincts (id, votes_blue, votes_red), each with ``rings``."""
+    ids = [pid for pid, _, _ in rows]
+    polygons = [rings] * len(rows)
+    return parse_feature_collection(
+        feature_collection(polygons, [(b, r) for _, b, r in rows], ids=ids)
     )
+
+
+def precinct(pid, blue, red, rings=(SQ,)):
+    return votes_map((pid, blue, red), rings=rings).precincts[0]
+
+
+def centroid_of(p):
+    return centroids([p])[0]
 
 
 class TestVotes:
@@ -134,25 +138,18 @@ class TestVotes:
         assert precinct("a", 2, 2).winner() is None
 
     def test_winning_precincts_sorted_and_filtered(self):
-        m = PrecinctMap(
-            precincts=(
-                precinct("c", 5, 1),
-                precinct("a", 9, 2),
-                precinct("b", 1, 5),
-                precinct("t", 3, 3),
-            )
-        )
+        m = votes_map(("c", 5, 1), ("a", 9, 2), ("b", 1, 5), ("t", 3, 3))
         assert [p.id for p in winning_precincts(m, "blue")] == ["a", "c"]
         assert [p.id for p in winning_precincts(m, "red")] == ["b"]
 
     def test_zero_vote_precinct_excluded_with_warning(self):
-        m = PrecinctMap(precincts=(precinct("a", 1, 0), precinct("z", 0, 0)))
+        m = votes_map(("a", 1, 0), ("z", 0, 0))
         with pytest.warns(UserWarning, match="'z' has no votes"):
             winners = winning_precincts(m, "blue")
         assert [p.id for p in winners] == ["a"]
 
     def test_zero_vote_precinct_warns_once_per_map(self):
-        m = PrecinctMap(precincts=(precinct("a", 1, 0), precinct("b", 0, 2), precinct("z", 0, 0)))
+        m = votes_map(("a", 1, 0), ("b", 0, 2), ("z", 0, 0))
         with pytest.warns(UserWarning, match="'z' has no votes"):
             assert [p.id for p in winning_precincts(m, "blue")] == ["a"]
         with warnings.catch_warnings():
@@ -160,12 +157,13 @@ class TestVotes:
             assert [p.id for p in winning_precincts(m, "red")] == ["b"]
             winning_precincts(m, "blue").clear()  # callers get their own list
             assert [p.id for p in winning_precincts(m, "blue")] == ["a"]
-        assert m == PrecinctMap(precincts=m.precincts)
+        copy = PrecinctMap(m.ids, m.votes_blue, m.votes_red, m.ring_table)
+        assert m == copy
         with pytest.warns(UserWarning, match="'z' has no votes"):
-            winning_precincts(PrecinctMap(precincts=m.precincts), "red")
+            winning_precincts(copy, "red")
 
     def test_bad_candidate_rejected(self):
-        m = PrecinctMap(precincts=(precinct("a", 1, 0),))
+        m = votes_map(("a", 1, 0))
         with pytest.raises(InputError, match="candidate"):
             winning_precincts(m, "green")
 
@@ -233,12 +231,41 @@ class TestRingTable:
         assert m.ring_table.boxes().tolist() == [list(p.bbox()) for p in m]
         assert m.bbox() == (-3.0, 0.0, 4.0, 7.0)
         assert all(type(v) is float for v in m.bbox())
+        empty = RingTable(np.empty((0, 2)), np.zeros(1, dtype=np.int64), np.empty(0, np.int64))
         with pytest.raises(InputError, match="empty precinct map"):
-            PrecinctMap(precincts=()).bbox()
+            PrecinctMap((), (), (), empty).bbox()
 
-    def test_table_is_not_compared(self):
+    def test_maps_compare_by_columns(self):
         m = self.holed_and_multi()
-        m.ring_table
-        assert m == PrecinctMap(precincts=m.precincts)
-        assert PrecinctMap(precincts=m.precincts) == m
-        assert m != PrecinctMap(precincts=m.precincts[:1])
+        t = m.ring_table
+
+        def with_(ids=m.ids, blue=m.votes_blue, red=m.votes_red, **table):
+            columns = {"points": t.points, "ring_ptr": t.ring_ptr, "owner": t.owner, **table}
+            return PrecinctMap(ids, blue, red, RingTable(**columns))
+
+        signed = t.points.copy()
+        signed[signed == 0] = -0.0
+        assert m == with_(points=signed) and with_(points=signed) == m
+        assert "precincts" not in vars(m)
+        assert m != with_(ids=("h", "n"))
+        assert m != with_(blue=(1, 1)) and m != with_(red=(0, 2))
+        assert m != with_(points=t.points + [0.0, 1e-9])
+        assert m != with_(ring_ptr=np.array([0, 4, 8, 11, 15]))
+        assert m != with_(owner=np.array([0] * 4 + [1] * 11))
+        assert m != with_(points=t.points[:12], ring_ptr=t.ring_ptr[:4], owner=t.owner[:12])
+        assert m != "not a map"
+
+    def test_views_read_the_columns(self):
+        m = self.holed_and_multi()
+        h, multi = m
+        assert (h.winner(), multi.winner()) == ("blue", "red")
+        assert h.bbox() == (0.0, 0.0, 4.0, 4.0) and multi.bbox() == (-3.0, 0.0, 3.0, 7.0)
+        assert vote_margin(h) == 1.0 and type(vote_margin(h)) is float
+        assert by_id(m, "m") is multi and m.precincts[1] is multi
+
+    def test_centroids_of_two_maps_raise(self):
+        m, other = self.holed_and_multi(), self.holed_and_multi()
+        assert centroids([]) == []
+        assert centroids([m.precincts[1], m.precincts[0]]) == centroids(list(m))[::-1]
+        with pytest.raises(ValueError, match="more than one map"):
+            centroids([m.precincts[0], other.precincts[1]])
