@@ -1,13 +1,18 @@
 """Delaunay triangulation and the alpha filtration built on top of it.
 
 The triangulation is Bowyer-Watson incremental insertion inside a large
-enclosing triangle, over a map from each edge to the triangles that own it.
-A point's cavity is found by walking that map from the last triangle created
-towards the point until a triangle's circumcircle strictly holds it, then
-growing through neighbours.  The in-circle test is exact (a float
-determinant with an exact integer fallback near zero), and under an exact
-test the cavity is edge-connected and holds the triangle containing the
-point, so the walk finds the same cavity as a scan of every triangle.
+enclosing triangle, on plain lists: each triangle keeps its vertices in
+counterclockwise order and the three triangles across its edges.  A point's
+cavity is found by walking those links from the last triangle made towards
+the point until a triangle's circumcircle strictly holds it, then growing
+through neighbours.  The in-circle test is exact: a float determinant with
+an exact fallback, near zero or on overflow, on integer coordinates made
+once per vertex, and a vertex order fixed when the triangle is made by an
+exact orientation on those coordinates.  Under an exact test the cavity is edge-connected and
+holds the triangle containing the point, so the walk finds the same cavity
+as a scan of every triangle.  Only after the last insertion is the map
+from each edge to its triangles built; the flips and the verification
+below work on that map, not on the links.
 
 Cocircular point groups admit several Delaunay triangulations; a post-pass
 flips interior edges between exactly cocircular quadrilaterals, always the
@@ -25,15 +30,16 @@ edge's closed diametral disk on one side lies strictly inside the
 circumcircle of that side's triangle unless that triangle's apex is itself
 in the disk.
 
-The output is checked edge by edge on the insertion's own edge map, the
-enclosing triangle included: its three sides are the only edges with one
-triangle, every other edge has two with apexes strictly on opposite sides,
-V - E + T = 1 with every point a vertex, and no apex lies strictly inside
-the circumcircle of the triangle across its edge (the exact in-circle
-test).  The first three make the map a triangulation of the enclosing
-triangle; the last makes every edge locally Delaunay, and by the Delaunay
-lemma (de Berg et al., *Computational Geometry*, ch. 9) the triangulation
-is then Delaunay, so no circumcircle strictly holds any point.
+The output is checked edge by edge on that edge map, the enclosing
+triangle included: its three sides are the only edges with one triangle,
+every other edge has two with apexes strictly on opposite sides (an exact
+orientation test), V - E + T = 1 with every point a vertex, and no apex
+lies strictly inside the circumcircle of the triangle across its edge
+(the exact in-circle test).  The first three make the map a
+triangulation of the enclosing triangle; the last makes every edge
+locally Delaunay, and by the Delaunay lemma (de Berg et al.,
+*Computational Geometry*, ch. 9) the triangulation is then Delaunay, so no
+circumcircle strictly holds any point.
 """
 
 from __future__ import annotations
@@ -47,7 +53,16 @@ import numpy as np
 
 from .complexes import FilteredComplex
 from .errors import DegenerateTriangulationError, NumericalError
-from .geometry import Point, PointCloud, circumcircle, in_circumcircle, orient2d
+from .geometry import (
+    IN_CIRCLE_TOL,
+    Point,
+    PointCloud,
+    circumcircle,
+    in_circle_determinant,
+    in_circumcircle,
+    integer_coordinates,
+    orient2d,
+)
 
 Edge = tuple[int, int]
 Tri = tuple[int, int, int]
@@ -70,13 +85,6 @@ class Triangulation:
         for a, b, c in self.triangles:
             out.update(((a, b), (a, c), (b, c)))
         return out
-
-
-def _in_circle(pa: Point, pb: Point, pc: Point, p: Point) -> int:
-    """+1 if p is strictly inside circle(pa, pb, pc), -1 outside, 0 on it."""
-    if orient2d(pa, pb, pc) < 0:
-        pb, pc = pc, pb
-    return in_circumcircle(pa, pb, pc, p)
 
 
 def _sides(t: Tri) -> tuple[tuple[Edge, int], ...]:
@@ -102,68 +110,26 @@ def _triangles(owners: dict[Edge, list[Tri]]) -> set[Tri]:
     return {t for ts in owners.values() for t in ts}
 
 
-def _across(owners: dict[Edge, list[Tri]], t: Tri, e: Edge) -> Tri | None:
-    """The triangle sharing edge ``e`` with ``t``, if any."""
-    for other in owners[e]:
-        if other != t:
-            return other
-    return None
+def _in_circle_order(exact: list[tuple[int, int]], t: Tri) -> Tri:
+    """The vertices of ``t`` in the in-circle test's order: sorted, then the
+    last two swapped if the sorted order is clockwise, by the exact
+    orientation on the integer coordinates ``exact``."""
+    a, b, c = sorted(t)
+    return (a, c, b) if orient2d(exact[a], exact[b], exact[c]) < 0 else (a, b, c)
 
 
-def _cavity(
-    verts: list[Point],
-    owners: dict[Edge, list[Tri]],
-    start: Tri,
-    p: Point,
-) -> list[Tri]:
-    """Every triangle whose circumcircle strictly holds ``p``.
-
-    A depth-first search from ``start`` that steps first across edges with
-    ``p`` on their far side (a visibility walk) stops at the first such
-    triangle; the search covers every triangle, so it finds one if any
-    exists.  The cavity then grows from it through neighbours, which under
-    an exact in-circle test reaches every such triangle.
-    """
-    sign: dict[Tri, int] = {}
-
-    def holds(t: Tri) -> bool:
-        if t not in sign:
-            sign[t] = _in_circle(verts[t[0]], verts[t[1]], verts[t[2]], p)
-        return sign[t] > 0
-
-    seed = None
-    stack = [start]
-    seen = {start}
-    while stack:
-        t = stack.pop()
-        if holds(t):
-            seed = t
-            break
-        toward = []
-        for (u, v), w in _sides(t):
-            nb = _across(owners, t, (u, v))
-            if nb is None or nb in seen:
-                continue
-            seen.add(nb)
-            side_p = orient2d(verts[u], verts[v], p)
-            side_w = orient2d(verts[u], verts[v], verts[w])
-            if (side_p > 0 and side_w < 0) or (side_p < 0 and side_w > 0):
-                toward.append(nb)
-            else:
-                stack.append(nb)
-        stack.extend(toward)
-    if seed is None:
-        return []
-
-    bad = [seed]
-    inside = {seed}
-    for t in bad:  # grows while it is iterated
-        for e, _ in _sides(t):
-            nb = _across(owners, t, e)
-            if nb is not None and nb not in inside and holds(nb):
-                inside.add(nb)
-                bad.append(nb)
-    return bad
+def _in_circle_at(
+    verts: list[Point], exact: list[tuple[int, int]], a: int, b: int, c: int, p: int
+) -> int:
+    """``in_circumcircle`` of vertex p against counterclockwise a, b, c, by
+    index: the same float determinant and filter, and an exact fallback on
+    the vertices' ``integer_coordinates``, made once per triangulation."""
+    det, sq = in_circle_determinant(verts[a], verts[b], verts[c], verts[p])
+    scale = max(*sq, 1.0)
+    if math.inf > abs(det) > IN_CIRCLE_TOL * scale * scale:
+        return 1 if det > 0 else -1
+    det, _ = in_circle_determinant(exact[a], exact[b], exact[c], exact[p])
+    return (det > 0) - (det < 0)
 
 
 def _finite_normal(x: float) -> bool:
@@ -210,32 +176,81 @@ def delaunay_triangulation(pc: PointCloud) -> Triangulation:
             "range for floating-point orientation tests"
         )
     verts = list(points) + enclosing
-    last: Tri = (n, n + 1, n + 2)
+    exact = integer_coordinates(verts)
+    # Triangle t has counterclockwise vertices tv[t], nb[t][i] is the
+    # triangle across the edge opposite tv[t][i] (-1 for none), and ic[t]
+    # is its vertices in _in_circle_order.
+    tv: list[Tri] = [(n, n + 1, n + 2)]
+    nb = [[-1, -1, -1]]
+    ic = [_in_circle_order(exact, tv[0])]
+    last = 0
+
+    for p in range(n):
+        pt = verts[p]
+        # The seed: a depth-first search from the last triangle made that
+        # steps first across edges with p on their far side (a visibility
+        # walk) stops at the first triangle whose circumcircle strictly
+        # holds p; the search covers every triangle, so it finds one.
+        stack, seen, outside = [last], {last}, set()
+        while stack:
+            t = stack.pop()
+            if _in_circle_at(verts, exact, *ic[t], p) > 0:
+                break
+            outside.add(t)
+            toward = []
+            a, b, c = tv[t]
+            for u, (v, w) in zip(nb[t], ((b, c), (c, a), (a, b))):
+                if u >= 0 and u not in seen:
+                    seen.add(u)
+                    (toward if orient2d(verts[v], verts[w], pt) < 0 else stack).append(u)
+            stack.extend(toward)
+        else:  # no seed: p is left out, and the verification fails
+            continue
+        # The cavity grows from the seed through neighbours; under an exact
+        # in-circle test it reaches every triangle whose circumcircle
+        # strictly holds p.  Its rim edges keep the cavity's orientation,
+        # each with the triangle outside it and that one's slot facing in.
+        bad, inside, rim = [t], {t}, []
+        for t in bad:  # grows while it is iterated
+            a, b, c = tv[t]
+            for u, (v, w) in zip(nb[t], ((b, c), (c, a), (a, b))):
+                if u in inside:
+                    continue
+                if u >= 0 and u not in outside:
+                    if _in_circle_at(verts, exact, *ic[u], p) > 0:
+                        inside.add(u)
+                        bad.append(u)
+                        continue
+                    outside.add(u)
+                if orient2d(exact[v], exact[w], exact[p]) == 0:
+                    raise NumericalError(f"degenerate cavity while inserting point {p}")
+                rim.append((v, w, u, nb[u].index(t) if u >= 0 else -1))
+        # The cavity's slots are reused first.  New triangle (v, w, p) faces
+        # the one outside across v-w, and its neighbours across w-p and p-v
+        # are the new triangles on the rim edges starting at w and ending at v.
+        extra = len(rim) - len(bad)  # two, as the cavity is a disk
+        slots = bad + list(range(len(tv), len(tv) + extra))
+        tv += [(-1, -1, -1)] * extra
+        ic += [(-1, -1, -1)] * extra
+        nb += [[-1, -1, -1] for _ in range(extra)]
+        starts = {}
+        for t, (v, w, u, back) in zip(slots, rim):
+            tv[t], nb[t][2], ic[t] = (v, w, p), u, _in_circle_order(exact, (v, w, p))
+            if u >= 0:
+                nb[u][back] = t
+            starts[v] = t
+        for t in slots:
+            s = starts[tv[t][1]]
+            nb[t][0], nb[s][1] = s, t
+        last = slots[-1]
+
+    del nb, ic  # freed before the edge map is built, so the two do not coexist
     owners: dict[Edge, list[Tri]] = {}
-    _link(owners, last)
-
-    for p_idx in range(n):
-        p = verts[p_idx]
-        bad = _cavity(verts, owners, last, p)
-        inside = set(bad)
-        rim = [
-            e
-            for t in bad
-            for e, _ in _sides(t)
-            if _across(owners, t, e) not in inside
-        ]
-        for t in bad:
-            _unlink(owners, t)
-        for a, b in rim:
-            if orient2d(verts[a], verts[b], p) == 0.0:
-                raise NumericalError(
-                    f"degenerate cavity while inserting point {p_idx}"
-                )
-            last = tuple(sorted((a, b, p_idx)))  # type: ignore[assignment]
-            _link(owners, last)
-
+    for t in tv:
+        _link(owners, tuple(sorted(t)))  # type: ignore[arg-type]
+    del tv
     _canonical_cocircular_flips(verts, owners, n)
-    _verify_delaunay(verts, owners, n)
+    _verify_delaunay(verts, exact, owners, n)
     real = tuple(sorted(t for t in _triangles(owners) if t[2] < n))
     if not real:
         raise DegenerateTriangulationError("all points are collinear")
@@ -274,7 +289,8 @@ def _canonical_cocircular_flips(
             return None
         a, b = e
         c, d = alt
-        if _in_circle(verts[a], verts[b], verts[c], verts[d]) != 0:
+        # whether d is on the circle does not depend on the orientation of a, b, c
+        if in_circumcircle(verts[a], verts[b], verts[c], verts[d]) != 0:
             return None
         return alt
 
@@ -296,13 +312,16 @@ def _canonical_cocircular_flips(
                 heapq.heappush(heap, (nxt, outer))
 
 
-def _verify_delaunay(verts: list[Point], owners: dict[Edge, list[Tri]], n: int) -> None:
+def _verify_delaunay(
+    verts: list[Point], exact: list[tuple[int, int]], owners: dict[Edge, list[Tri]], n: int
+) -> None:
     """Raise unless the edge map is a Delaunay triangulation of all ``verts``.
 
     The checks are the module docstring's, with the enclosing triangle on
-    vertices n, n+1, n+2.  The signs of the two orientations are compared
-    rather than multiplied, since the product of two tiny areas can
-    underflow to zero.
+    vertices n, n+1, n+2.  The orientations are exact, on the vertices'
+    integer coordinates ``exact``: they decide the apexes' sides and the
+    counterclockwise order of the in-circle test, so a valid triangle too
+    thin for a float orientation to see passes.
     """
     hull = {(n, n + 1), (n, n + 2), (n + 1, n + 2)}
     for e, ts in owners.items():
@@ -312,11 +331,10 @@ def _verify_delaunay(verts: list[Point], owners: dict[Edge, list[Tri]], n: int) 
             raise NumericalError(f"triangulation failed verification at edge {e}")
         a, b = e
         c, d = (next(v for v in t if v not in e) for t in ts)
-        side_c = orient2d(verts[a], verts[b], verts[c])
-        side_d = orient2d(verts[a], verts[b], verts[d])
-        if not ((side_c > 0 and side_d < 0) or (side_c < 0 and side_d > 0)) or (
-            _in_circle(verts[a], verts[b], verts[c], verts[d]) > 0
-        ):
+        side_c = orient2d(exact[a], exact[b], exact[c])
+        side_d = orient2d(exact[a], exact[b], exact[d])
+        u, w = (b, c) if side_c > 0 else (c, b)  # a, u, w counterclockwise
+        if side_c * side_d >= 0 or in_circumcircle(verts[a], verts[u], verts[w], verts[d]) > 0:
             raise NumericalError(f"triangulation failed verification at edge {e}")
     if (n + 3) - len(owners) + len(_triangles(owners)) != 1:
         raise NumericalError("triangulation failed verification: V - E + T != 1")

@@ -116,25 +116,34 @@ def in_circumcircle(
     Returns +1 if p lies strictly inside, -1 if strictly outside, 0 if
     cocircular.  Triangle abc must be counterclockwise; for clockwise input
     the sign flips.  When the floating determinant is within ``tol`` of zero
-    (scaled by entry magnitudes) the determinant is re-evaluated exactly in
-    integers: every coordinate is scaled by one common power of two, which
-    leaves the sign unchanged.
+    (scaled by entry magnitudes), or overflowed, the determinant is
+    re-evaluated exactly on the ``integer_coordinates`` of the four points.
     """
     det, sq = in_circle_determinant(a, b, c, p)
     scale = max(*sq, 1.0)
-    if abs(det) > tol * scale * scale:
+    if math.inf > abs(det) > tol * scale * scale:
         return 1 if det > 0 else -1
-    # Each coordinate is num / 2**k (as_integer_ratio); multiplying all of
-    # them by the largest 2**k makes them integers.
-    ratios = [x.as_integer_ratio() for x in (*a, *b, *c, *p)]
-    top = max(den.bit_length() for _, den in ratios)
-    ax, ay, bx, by, cx, cy, px, py = (num << (top - den.bit_length()) for num, den in ratios)
-    det, _ = in_circle_determinant((ax, ay), (bx, by), (cx, cy), (px, py))
+    det, _ = in_circle_determinant(*integer_coordinates((a, b, c, p)))
     return (det > 0) - (det < 0)
 
 
+def integer_coordinates(points: Sequence[Point]) -> list[tuple[int, int]]:
+    """The points with every coordinate scaled by one common power of two,
+    as exact integers.
+
+    Each coordinate is num / 2**k (``as_integer_ratio``); multiplying all of
+    them by the largest 2**k makes them integers.  A common positive factor
+    leaves the sign of the orientation and in-circle determinants unchanged.
+    """
+    ratios = [x.as_integer_ratio() for pt in points for x in pt]
+    top = max(den.bit_length() for _, den in ratios)
+    ints = [num << (top - den.bit_length()) for num, den in ratios]
+    return list(zip(ints[0::2], ints[1::2]))
+
+
 def orient2d(a: Point, b: Point, c: Point) -> float:
-    """Twice the signed area of triangle abc (positive if counterclockwise)."""
+    """Twice the signed area of triangle abc (positive if counterclockwise);
+    exact on integer coordinates."""
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 

@@ -80,6 +80,8 @@ class PrecinctMap:
     """The columns of a precinct map (see the module docstring): row k is
     ``ids[k]``, with ``votes_blue[k]`` and ``votes_red[k]`` votes and
     ``ring_table``'s polygon k.  Maps are equal when their columns are.
+    Raises ValueError when the columns' lengths and the table's polygon
+    count differ.
     """
 
     def __init__(
@@ -89,6 +91,12 @@ class PrecinctMap:
         votes_red: Sequence[int],
         ring_table: RingTable,
     ) -> None:
+        polygons = len(ring_table.polygon_ptr()) - 1
+        if not len(ids) == len(votes_blue) == len(votes_red) == polygons:
+            raise ValueError(
+                f"map columns disagree: {len(ids)} ids, {len(votes_blue)} votes_blue, "
+                f"{len(votes_red)} votes_red, {polygons} polygons in the ring table"
+            )
         if len(set(ids)) < len(ids):
             seen: set[str] = set()
             for pid in ids:

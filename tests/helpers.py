@@ -120,8 +120,8 @@ def circumcircle_has_point_strictly(points, tri, q, rel_tol=1e-9):
 
 
 def in_circle_reference(a, b, c, p, tol=1e-12):
-    """In-circle sign with a ``Fraction`` fallback near zero: +1 inside,
-    -1 outside, 0 on circle(a, b, c) for counterclockwise abc."""
+    """In-circle sign with a ``Fraction`` fallback near zero or on overflow:
+    +1 inside, -1 outside, 0 on circle(a, b, c) for counterclockwise abc."""
     from fractions import Fraction
 
     adx, ady = a[0] - p[0], a[1] - p[1]
@@ -136,7 +136,7 @@ def in_circle_reference(a, b, c, p, tol=1e-12):
         + ad2 * (bdx * cdy - cdx * bdy)
     )
     scale = max(ad2, bd2, cd2, 1.0)
-    if abs(det) > tol * scale * scale:
+    if math.inf > abs(det) > tol * scale * scale:
         return 1 if det > 0 else -1
     fadx, fady = Fraction(a[0]) - Fraction(p[0]), Fraction(a[1]) - Fraction(p[1])
     fbdx, fbdy = Fraction(b[0]) - Fraction(p[0]), Fraction(b[1]) - Fraction(p[1])
@@ -157,7 +157,11 @@ def in_circle_reference(a, b, c, p, tol=1e-12):
 
 
 def _orient_reference(a, b, c):
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    """Twice the signed area of triangle abc, exactly (``Fraction``)."""
+    from fractions import Fraction
+
+    (ax, ay), (bx, by), (cx, cy) = ((Fraction(x), Fraction(y)) for x, y in (a, b, c))
+    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
 
 def _in_circle_any_orientation(pa, pb, pc, p, tol):
@@ -213,7 +217,7 @@ def delaunay_reference(pc, tol=1e-12):
         for (a, b), k in edge_count.items():
             if k != 1:
                 continue
-            if _orient_reference(verts[a], verts[b], p) == 0.0:
+            if _orient_reference(verts[a], verts[b], p) == 0:
                 raise NumericalError(f"degenerate cavity while inserting point {p_idx}")
             triangles.add(tuple(sorted((a, b, p_idx))))
 

@@ -1,7 +1,10 @@
 import math
 import random
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geoph import alpha
 from geoph.alpha import (
@@ -11,7 +14,13 @@ from geoph.alpha import (
 )
 from geoph.complexes import FilteredComplex, close_under_faces
 from geoph.errors import DegenerateTriangulationError, NumericalError
-from geoph.geometry import PointCloud
+from geoph.geometry import (
+    PointCloud,
+    in_circle_determinant,
+    in_circumcircle,
+    integer_coordinates,
+    orient2d,
+)
 from geoph.homology import barcode_of, betti_oracle
 from geoph.precincts import centroids, parse_feature_collection
 from geoph.rips import build_vr_complex
@@ -26,6 +35,7 @@ from helpers import (
     delaunay_reference,
     distinct_values,
     hull_point_count,
+    in_circle_reference,
     jittered_lattice_map,
     naive_vr,
     value_of,
@@ -218,22 +228,206 @@ class TestDelaunayAgainstReferences:
             delaunay_triangulation(pc)
 
     def test_scaling_guard(self, monkeypatch):
-        # Cavities come from walks over the edge map, not from testing every
-        # triangle, each flip re-tests four edges, not all of them, and the
-        # verification tests each edge once, so the in-circle calls of all
-        # three stay linear in the points.
-        calls = []
-        predicate = alpha.in_circumcircle
+        # Cavities come from walks over the neighbour links, not from testing
+        # every triangle, each flip re-tests four edges, not all of them, and
+        # the verification tests each edge once, so the in-circle calls of
+        # all three stay linear in the points.  The insertion makes every
+        # in-circle test through _in_circle_at, the flips and the
+        # verification through in_circumcircle.
+        calls = {"_in_circle_at": 0, "in_circumcircle": 0}
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return predicate(*args, **kwargs)
+        def counted(name):
+            predicate = getattr(alpha, name)
 
-        monkeypatch.setattr(alpha, "in_circumcircle", counted)
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return predicate(*args, **kwargs)
+
+            monkeypatch.setattr(alpha, name, wrapper)
+
+        counted("_in_circle_at")
+        counted("in_circumcircle")
         pc = lattice_centroids(24, 0)
         tri = delaunay_triangulation(pc)
         assert len(tri.triangles) == 2 * 23 * 23
-        assert len(calls) <= 100 * len(pc)
+        assert calls["_in_circle_at"] > 0 and calls["in_circumcircle"] > 0
+        assert sum(calls.values()) <= 100 * len(pc)
+
+
+ON_CIRCLES = [  # integer points exactly on circles of radius 5 and 25
+    [
+        (float(x), float(y))
+        for x in range(-r, r + 1)
+        for y in range(-r, r + 1)
+        if x * x + y * y == r * r
+    ]
+    for r in (5, 25)
+]
+
+
+@st.composite
+def cocircular_clouds(draw):
+    """Lattices (some with inexact spacings) or points on one circle, in a
+    drawn order, whole or a random subset of at least three."""
+    if draw(st.booleans()):
+        k = draw(st.integers(2, 7))
+        step = draw(st.sampled_from([1.0, 0.5, 0.1, 0.3, 3.7]))
+        cells = [(x * step, y * step) for x in range(k) for y in range(k)]
+    else:
+        cells = draw(st.sampled_from(ON_CIRCLES)) + draw(st.sampled_from([[], [(0.0, 0.0)]]))
+    if draw(st.booleans()):
+        return draw(st.permutations(cells))
+    return draw(st.lists(st.sampled_from(cells), min_size=3, max_size=len(cells), unique=True))
+
+
+@st.composite
+def scaled_clouds(draw):
+    """Cocircular clouds, points of a grid of step 1/8 or any floats in
+    [-8, 8], scaled by 2**e (exact) or by 10**e for e from -150 to 150
+    (rounded)."""
+    eighths = st.integers(-64, 64).map(lambda k: k / 8.0)
+    pts = draw(
+        cocircular_clouds()
+        | st.lists(st.tuples(eighths, eighths), min_size=3, max_size=30, unique=True)
+        | st.lists(st.tuples(*[st.floats(-8.0, 8.0)] * 2), min_size=3, max_size=30, unique=True)
+    )
+    if draw(st.booleans()):
+        e = draw(st.integers(-500, 480))
+        return [(math.ldexp(x, e), math.ldexp(y, e)) for x, y in pts]
+    factor = 10.0 ** draw(st.integers(-150, 150))
+    return [(x * factor, y * factor) for x, y in pts]
+
+
+@st.composite
+def near_collinear_clouds(draw):
+    """Points on a line, their y moved by a few ulps and a small multiple,
+    and up to two points further off it."""
+    n = draw(st.integers(3, 14))
+    slope = draw(st.sampled_from([0.0, 1.0, 0.1, 1.0 / 3.0, -0.7, 2.5]))
+    offset = draw(st.sampled_from([0.0, 0.3, 1e-3, 100.0]))
+    delta = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3]))
+    xs = draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n, unique=True))
+    pts = []
+    for x in xs:
+        y = slope * x + offset
+        for _ in range(draw(st.integers(0, 2))):
+            y = math.nextafter(y, draw(st.sampled_from([-math.inf, math.inf])))
+        pts.append((float(x), y + draw(st.integers(-2, 2)) * delta))
+    for x in draw(st.lists(st.integers(-20, 20), max_size=2, unique=True)):
+        y = slope * (x + 0.5) + offset + draw(st.sampled_from([-1.0, 1e-2, 0.5]))
+        pts.insert(draw(st.integers(0, len(pts))), (x + 0.5, y))
+    return pts
+
+
+def assert_matches_reference(pts):
+    """Same triangles or the same error type as ``delaunay_reference``,
+    which has no range check: a cloud the triangulation rejects as out of
+    range is not compared."""
+    with warnings.catch_warnings():  # scaling can merge points; both reject duplicates
+        warnings.filterwarnings("ignore", "point cloud contains duplicate coordinates")
+        pc = PointCloud(points=tuple(pts))
+    try:
+        got = delaunay_triangulation(pc).triangles
+    except NumericalError as exc:
+        if "out of range" in str(exc):
+            return
+        got = type(exc)
+    assert got == triangles_or_error(delaunay_reference, pc)
+
+
+class TestDelaunayProperties:
+    @given(cocircular_clouds())
+    @settings(max_examples=150, deadline=None)
+    def test_cocircular_clouds_match_reference(self, pts):
+        assert_matches_reference(pts)
+
+    @given(scaled_clouds())
+    @settings(max_examples=150, deadline=None)
+    def test_scaled_clouds_match_reference(self, pts):
+        assert_matches_reference(pts)
+
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            [(0.0, 0.0), (2e-11, 0.0), (2e-11, 2e-11), (4e-11, 0.0), (1e-11, 3e-11)],
+            [(2.225073858507e-311, 0.0), (1.0, -1.0), (0.0, 0.0)],
+            [(0.0, 0.0), (-2.375e-46, 3.0000000000000003e-46)]
+            + [(-6.1250000000000005e-46, 2.25e-46), (-8e-46, 1.875e-46)],
+            [(0.0, 1.25e-47), (0.0, -1.25e-47), (0.0, 2.5e-47)]
+            + [(-2.375e-46, 3.0000000000000003e-46), (-6.1250000000000005e-46, 2.25e-46)]
+            + [(-8e-46, 1.875e-46), (0.0, -1.6250000000000001e-46), (1.25e-47, -1.25e-47)]
+            + [(-1.25e-47, 0.0), (0.0, 0.0)],
+            [(0.0, 8.684406692798715e76), (5.78960446186581e76, -1.157920892373162e77)]
+            + [(-2.894802230932905e76, 0.0), (0.0, 0.0)],
+            [(0.0, 0.0), (0.0, 2.894802230932905e76), (0.0, 5.78960446186581e76)]
+            + [(8.684406692798715e76, 5.78960446186581e76), (0.0, 8.684406692798715e76)]
+            + [(0.0, 1.157920892373162e77), (1.736881338559743e77, 1.157920892373162e77)],
+        ],
+        ids=["sides", "in-circle-order", "in-circle-order-tiny", "cavity"]
+        + ["overflow", "overflow-cavity"],
+    )
+    def test_clouds_found_by_the_properties(self, pts):
+        # Found by the scaled-cloud property.  The first four have a triangle
+        # whose float orientation is 0 or of the wrong sign: with float
+        # orientations the first failed the verification's sides test, the
+        # next two its in-circle test (run on a clockwise triangle), and in
+        # the fourth the insertion's in-circle tests made a cavity that
+        # swallowed a point.  In the last two the float in-circle determinant
+        # overflows to inf, which the filter took as a sign: the verification
+        # failed, and the reference's cavity went wrong.
+        assert_matches_reference(pts)
+
+    @given(near_collinear_clouds())
+    @settings(max_examples=150, deadline=None)
+    def test_near_collinear_clouds_match_reference(self, pts):
+        assert_matches_reference(pts)
+
+
+@st.composite
+def quadruples(draw):
+    """(a, b, c, p), abc counterclockwise by the float orientation, exactly
+    cocircular (rectangle corners, or points of radius 5 scaled by 2**k) or
+    p moved off the circle by a few ulps; coordinates from 1e-300 to 1e300."""
+    scaled = st.builds(
+        lambda m, e: m * 10.0**e, st.floats(-1.0, 1.0), st.integers(-300, 300)
+    )
+    if draw(st.booleans()):
+        x0, x1, y0, y1 = (draw(scaled) for _ in range(4))
+        quad = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+    else:
+        k, sx, sy = draw(st.integers(-990, 990)), draw(st.integers(-9, 9)), draw(st.integers(-9, 9))
+        quad = [
+            (math.ldexp(x + sx, k), math.ldexp(y + sy, k))
+            for x, y in draw(st.permutations(ON_CIRCLES[0]))[:4]
+        ]
+    a, b, c, (px, py) = quad
+    for _ in range(draw(st.integers(0, 3))):
+        px = math.nextafter(px, draw(st.sampled_from([-math.inf, math.inf])))
+        py = math.nextafter(py, draw(st.sampled_from([-math.inf, math.inf])))
+    if orient2d(a, b, c) < 0:
+        b, c = c, b
+    return a, b, c, (px, py)
+
+
+class TestIntegerCoordinates:
+    @given(quadruples(), st.lists(st.tuples(*[st.floats(-1e300, 1e300)] * 2), max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_sign_matches_in_circumcircle(self, quad, others):
+        # The integer coordinates are made once for the whole vertex list,
+        # so their common power of two may come from another point.
+        verts = [*quad, *others]
+        sign = alpha._in_circle_at(verts, integer_coordinates(verts), 0, 1, 2, 3)
+        exact = in_circle_reference(*quad, tol=math.inf)  # no float filter
+        assert sign == in_circumcircle(*quad) == in_circle_reference(*quad) == exact
+
+    def test_overflowed_determinant_is_not_a_sign(self):
+        # The float determinant is inf, the exact one negative (from the
+        # "overflow" cloud above: edge (2, 3) against apex 1).
+        quad = [(-2.894802230932905e76, 0.0), (0.0, 0.0), (0.0, 8.684406692798715e76)]
+        quad.append((5.78960446186581e76, -1.157920892373162e77))
+        assert in_circle_determinant(*quad)[0] == math.inf
+        sign = alpha._in_circle_at(quad, integer_coordinates(quad), 0, 1, 2, 3)
+        assert sign == in_circumcircle(*quad) == in_circle_reference(*quad, tol=math.inf) == -1
 
 
 class TestAlphaFiltration:

@@ -255,6 +255,26 @@ class TestRingTable:
         assert m != with_(points=t.points[:12], ring_ptr=t.ring_ptr[:4], owner=t.owner[:12])
         assert m != "not a map"
 
+    @pytest.mark.parametrize(
+        "ids, blue, red, message",
+        [
+            (("h", "m", "x"), (1, 0, 2), (0, 1, 0), "3 ids, 3 votes_blue, 3 votes_red, 2 polygons"),
+            (("h", "m"), (1, 0, 2), (0, 1), "2 ids, 3 votes_blue, 2 votes_red, 2 polygons"),
+            (("h", "m"), (1, 0), (0,), "2 ids, 2 votes_blue, 1 votes_red, 2 polygons"),
+        ],
+        ids=["table-short", "votes_blue-long", "votes_red-short"],
+    )
+    def test_columns_that_disagree_are_rejected(self, ids, blue, red, message):
+        t = self.holed_and_multi().ring_table
+        with pytest.raises(ValueError, match=f"map columns disagree: {message}"):
+            PrecinctMap(ids, blue, red, t)
+
+    def test_table_with_another_polygon_count_is_rejected(self):
+        t = self.holed_and_multi().ring_table
+        one = RingTable(t.points, t.ring_ptr, np.zeros_like(t.owner))
+        with pytest.raises(ValueError, match="2 ids, 2 votes_blue, 2 votes_red, 1 polygons"):
+            PrecinctMap(("h", "m"), (1, 0), (0, 1), one)
+
     def test_views_read_the_columns(self):
         m = self.holed_and_multi()
         h, multi = m
