@@ -364,7 +364,7 @@ def alpha_filtration(tri: Triangulation, pc: PointCloud) -> FilteredComplex:
     for t in tri.triangles:
         try:
             _, r = circumcircle(points[t[0]], points[t[1]], points[t[2]])
-        except ValueError:  # a sliver whose float circumcircle formula gives 0
+        except (ValueError, OverflowError):  # a sliver whose circle leaves the float range
             raise NumericalError(f"no float circumradius for thin triangle {t}") from None
         radii.append(r)
         for e, apex in _sides(t):

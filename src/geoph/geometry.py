@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -69,14 +70,16 @@ def distance_matrix(pc: PointCloud) -> np.ndarray:
 def circumcircle(a: Point, b: Point, c: Point) -> tuple[Point, float]:
     """Circumcenter and circumradius of triangle abc.
 
-    Raises ZeroDivisionError-adjacent ValueError for collinear input.
+    Where the float ``d`` cancels to 0 (a thin triangle), both come from the
+    exact ``integer_coordinates``, and OverflowError is raised for a circle
+    beyond the float range.  Raises ValueError for collinear input.
     """
     ax, ay = a
     bx, by = b
     cx, cy = c
     d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
     if d == 0.0:
-        raise ValueError("collinear points have no circumcircle")
+        return _exact_circumcircle(a, b, c)
     a2 = ax * ax + ay * ay
     b2 = bx * bx + by * by
     c2 = cx * cx + cy * cy
@@ -84,6 +87,19 @@ def circumcircle(a: Point, b: Point, c: Point) -> tuple[Point, float]:
     uy = (a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)) / d
     r = math.hypot(ax - ux, ay - uy)
     return (ux, uy), r
+
+
+def _exact_circumcircle(a: Point, b: Point, c: Point) -> tuple[Point, float]:
+    # the unit point's integer x is the power of two the other three are scaled by
+    (ax, ay), (bx, by), (cx, cy), (scale, _) = integer_coordinates((a, b, c, (1.0, 0.0)))
+    bx, by, cx, cy = bx - ax, by - ay, cx - ax, cy - ay
+    d = 2 * (bx * cy - by * cx)
+    if d == 0:
+        raise ValueError("collinear points have no circumcircle")
+    b2, c2 = bx * bx + by * by, cx * cx + cy * cy
+    ux, uy = Fraction(cy * b2 - by * c2, d), Fraction(bx * c2 - cx * b2, d)  # center less a
+    r = math.ldexp(math.sqrt(ux * ux + uy * uy), 1 - scale.bit_length())
+    return (float((ax + ux) / scale), float((ay + uy) / scale)), r
 
 
 def in_circle_determinant(a, b, c, p):

@@ -14,17 +14,18 @@ face has it as its oldest coface keeps its boundary and pairs at once,
 since no earlier column can hold that face.  They are found with numpy, as
 are the edges a triangle kills at their own value (zero-length births,
 never reduced).  The other columns of a dimension take one of two paths
-that make the same additions.  The column loop reduces one column at a
-time, as one Python int whose bit b is the face b ranks below its lowest
-row, so an addition is an xor and a shift.  When the columns to reduce
-outnumber the face rows (Vietoris-Rips triangles), the rows are swept
-instead, last to first, as numpy ``uint64`` bit rows over the columns: at
-each row, every column whose lowest row it is adds the row's owner at once.
-Either path only logs which columns each column adds; numpy then sums the
-chains from that log into one CSR array (``ReducedMatrix.chain_ptr``,
-``.chain_at``), the one record of the reduction.  ``persistence_pairs``
-reads every bar's dimension, birth, death and generator off those arrays
-into a columnar ``Barcode`` (module ``barcode``), with no per-bar object.
+that make the same additions: a column loop, each column one Python int
+(an addition is an xor and a shift), or, when the columns to reduce
+outnumber the face rows (Vietoris-Rips triangles), a sweep over numpy
+``uint64`` bit rows, last row first, where the columns whose lowest row a
+row is add its owner at once.  Each returns its chains as keys (column,
+lexicographic row of a chain simplex): the loop sums them from a log of
+its additions, the sweep folds each pivot it found into the rows above it
+and reads them off its bit rows.  One sort makes them one CSR array
+(``ReducedMatrix.chain_ptr``, ``.chain_at``), the one record of the
+reduction, each chain in lexicographic order, so ``persistence_pairs``
+gathers every bar's dimension, birth, death and generator into a columnar
+``Barcode`` (module ``barcode``) with no sort and no per-bar object.
 The per-column views (``BoundaryMatrix.columns``, ``ReducedMatrix.matrix``,
 ``.chains`` and ``.pairs``) are built on first read; the reduced matrix is
 computed as R = DV, the boundary of each chain (Cohen-Steiner, Edelsbrunner
@@ -53,7 +54,7 @@ from .barcode import (  # noqa: F401 -- the barcode's names stay importable from
 from .complexes import FilteredComplex, Simplex, faces
 
 _EMPTY: frozenset[int] = frozenset()
-_UNPACK_BLOCK = 1 << 16  # words of the row sweep's bit rows unpacked at a time
+_READ_BLOCK = 1 << 20  # words of the row sweep's bit rows read out at a time
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,11 +100,12 @@ class ReducedMatrix:
     ``owner[i]`` is the column whose reduced lowest row is i, or -1.  An
     ``apparent`` column keeps its boundary as its reduced column, and its
     chain is itself.  The chain of each column the loop reduced is
-    ``chain_at[chain_ptr[j]:chain_ptr[j + 1]]``, positions in ascending
-    order; the other columns (apparent ones, vertices and zero-length edge
-    births) have an empty row there.  ``matrix`` holds the reduced columns,
-    each the F2 boundary of its chain (R = DV), and ``chains`` and ``pairs``
-    the per-column views of the rest; all three are built on first read.
+    ``chain_at[chain_ptr[j]:chain_ptr[j + 1]]``, positions in lexicographic
+    order of their simplices; the other columns (apparent ones, vertices and
+    zero-length edge births) have an empty row there.  ``matrix`` holds the
+    reduced columns, each the F2 boundary of its chain (R = DV), and
+    ``chains`` and ``pairs`` the per-column sets of the rest; all three are
+    built on first read.
     """
 
     boundary: BoundaryMatrix
@@ -148,10 +150,11 @@ class ReducedMatrix:
 
 def _csr(keys: np.ndarray, n: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
     """Ascending keys ``j * n + k`` (0 <= k < n) as a CSR array of ``rows``
-    rows: row j holds the k of its keys."""
+    rows: row j holds the k of its keys, written over ``keys``."""
     ptr = np.zeros(rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys // n, minlength=rows), out=ptr[1:])
-    return ptr, keys % n
+    keys %= n
+    return ptr, keys
 
 
 def _sets(ptr: np.ndarray, flat: np.ndarray) -> list[frozenset[int]]:
@@ -196,9 +199,10 @@ def reduce_matrix(bm: BoundaryMatrix) -> ReducedMatrix:
     The other columns of each dimension go through the column loop
     (:func:`_reduce_columns`) or, when they outnumber the face rows, the
     row sweep (:func:`_reduce_rows`), as :func:`_reduction_path` picks.
-    Both make the same additions and log them, the chains are summed from
-    that log (:func:`_chain_keys`), and the reduced columns are the chains'
-    boundaries (``ReducedMatrix.matrix``).
+    Both make the same additions and return the same chains as keys
+    ``j * n + row``, position j and ``FilteredComplex.order`` row, so one
+    sort lists each chain in lexicographic order.  The reduced columns are
+    the chains' boundaries (``ReducedMatrix.matrix``).
     """
     fc = bm.complex
     n = len(bm)
@@ -226,31 +230,40 @@ def reduce_matrix(bm: BoundaryMatrix) -> ReducedMatrix:
         todo = np.flatnonzero(todo)
         own = owner[face_by]  # the column owning each face rank, as a column rank
         own[own >= 0] = rank[own[own >= 0]]
-        added, log = _reduction_path(len(todo), len(face_by))(face_rank, todo, own)
+        path = _reduction_path(len(todo), len(face_by))
+        keys.append(path(face_rank, todo, own, column_at * n, fc.order[column_at]))
         owner[face_by[own >= 0]] = column_at[own[own >= 0]]
-        keys.append(_chain_keys(n, column_at, apparent[column_at], todo, added, log))
-    keys = _odd(np.concatenate(keys))
-    return ReducedMatrix(bm, owner, apparent, *_csr(keys, n, n))
+    keys = np.concatenate(keys)
+    keys.sort()
+    chain_ptr, chain_row = _csr(keys, n, n)
+    at_row = np.concatenate([fc.rows(d)[1] for d in range(3)])  # the position of each row
+    return ReducedMatrix(bm, owner, apparent, chain_ptr, at_row[chain_row])
 
 
-def _reduction_path(columns: int, rows: int) -> Callable[..., tuple[np.ndarray, np.ndarray]]:
+def _reduction_path(columns: int, rows: int) -> Callable[..., np.ndarray]:
     """The row sweep when the columns to reduce outnumber the face rows (a
     dense dimension: Vietoris-Rips triangles), else the column loop."""
     return _reduce_rows if columns > rows else _reduce_columns
 
 
 def _reduce_columns(
-    face_rank: np.ndarray, todo: np.ndarray, own: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    face_rank: np.ndarray, todo: np.ndarray, own: np.ndarray, head: np.ndarray, lex: np.ndarray
+) -> np.ndarray:
     """Reduce the columns ``todo`` (column ranks, ascending) one by one.
 
     ``face_rank[k]`` holds column k's face ranks, ascending, and ``own[r]``
     the column owning face rank r or -1; it is updated in place.  Returns
-    how many columns each todo column added, and those columns in order.
-    A working column is one int whose bit b is the face b ranks below its
-    lowest row, and so is each pivot's stored column (an apparent one's is
-    built the first time a later column adds it), so an addition is one xor
-    that clears bit 0, and a shift past the trailing zeros moves the low.
+    the todo columns' chains as keys ``head[j] + lex[k]`` for k in the chain
+    of j, each key once: ``head[k]`` is column k's position times n and
+    ``lex[k]`` its lexicographic row.  A working column is one int whose
+    bit b is the face b ranks below its lowest row, and so is each pivot's
+    stored column (an apparent one's is built the first time a later column
+    adds it), so an addition is one xor that clears bit 0, and a shift past
+    the trailing zeros moves the low.  The loop logs the columns each column
+    adds; a chain is the column plus the chain of each column it added.  An
+    apparent column's chain is itself, and a pivot the loop reduced is
+    expanded into its own log, one round per level of nesting, with pending
+    pivots that meet twice in one chain cancelled before they are expanded.
     """
     offsets = face_rank[:, -1:] - face_rank[:, :-1]
     cols = [1] * len(todo)
@@ -260,9 +273,8 @@ def _reduce_columns(
     owner = own.tolist()
     r: list[int | None] = [None] * len(face_rank)
     log: list[int] = []
-    added = []
+    ptr = [0]
     for j, low, col in zip(todo.tolist(), face_rank[todo, -1].tolist(), cols):
-        before = len(log)
         while True:
             k = owner[low]
             if k < 0:
@@ -282,14 +294,27 @@ def _reduce_columns(
             col >>= shift
             low -= shift
         r[j] = col
-        added.append(len(log) - before)
+        ptr.append(len(log))
     own[:] = owner
-    return np.array(added, dtype=np.int64), np.array(log, dtype=np.int64)
+    ptr, log = np.array(ptr, dtype=np.int64), np.array(log, dtype=np.int64)
+    apparent = np.ones(len(face_rank), dtype=bool)  # the added columns not reduced here
+    apparent[todo] = False
+    m = len(face_rank)
+    j, k = np.repeat(todo, np.diff(ptr)), log
+    keys = [head[todo] + lex[todo]]
+    while len(k):
+        kept = apparent[k]
+        keys.append(head[j[kept]] + lex[k[kept]])
+        j, k = np.divmod(_odd(j[~kept] * m + k[~kept]), m)
+        keys.append(head[j] + lex[k])
+        k, sizes = _gather(ptr, log, np.searchsorted(todo, k))
+        j = np.repeat(j, sizes)
+    return _odd(np.concatenate(keys))
 
 
 def _reduce_rows(
-    face_rank: np.ndarray, todo: np.ndarray, own: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    face_rank: np.ndarray, todo: np.ndarray, own: np.ndarray, head: np.ndarray, lex: np.ndarray
+) -> np.ndarray:
     """:func:`_reduce_columns` as a sweep over the rows, last to first.
 
     ``bits[r]`` is row r over the todo columns, bit t of it the t-th one.
@@ -299,8 +324,13 @@ def _reduce_rows(
     adds it; otherwise the oldest candidate takes r and each other one adds
     it, final since a column that owns a row never changes again.  So each
     column adds the same columns as in the loop, and ``own`` ends the same.
-    A row is not read after its turn, so it keeps its candidates less its
-    owner: the columns that added the owner, read out at the end as the log.
+    A row is not read after its turn, so it keeps the columns that added
+    its owner.  Each pivot the sweep found, lowest row first, is folded into
+    the rows above it that hold its bit, so its adders take on its chain (a
+    column whose chain holds a pivot ends below the pivot's row, so that row
+    is final by then).  Then ``bits[r]`` holds the columns whose chain holds
+    ``own[r]``: read out in blocks of rows, with each todo column itself,
+    they are the chains, keyed as in the loop.
     """
     m = len(todo)
     words = (m + 63) >> 6
@@ -310,6 +340,7 @@ def _reduce_rows(
     at = face_rank[todo] * words + (t >> 6)[:, None]
     np.bitwise_or.at(bits.reshape(-1), at.ravel(), np.repeat(one, face_rank.shape[1]))
     free = np.full(words, np.iinfo(np.uint64).max, dtype=np.uint64)  # the columns owning no row
+    found = []  # the row, word and bit of each pivot the sweep found, highest row first
     for r in range(len(own) - 1, -1, -1):
         row = bits[r]
         row &= free
@@ -324,62 +355,31 @@ def _reduce_rows(
             own[r] = todo[(w << 6) + b.bit_length() - 1]
             free[w] ^= b
             row[w] = v ^ b
+            found.append((r, w, np.uint64(b)))
             if v == b and len(hit) == 1:
                 continue
             below = np.flatnonzero(bits[:r, w] & np.uint64(b))
         else:  # an apparent column owns the row
             below = face_rank[k, :-1]
         bits[below] ^= row
-    rows, word = np.nonzero(bits)
-    cols = len(face_rank)
-    keys = [np.zeros(0, dtype=np.int64)]  # t * cols + k: todo column t added column k
-    for s in range(0, len(rows), _UNPACK_BLOCK):
-        rs, ws = rows[s:s + _UNPACK_BLOCK], word[s:s + _UNPACK_BLOCK]
-        on = bits[rs, ws].astype("<u8", copy=False).view(np.uint8)
-        on = np.flatnonzero(np.unpackbits(on, bitorder="little"))
-        at = on >> 6
-        keys.append(((ws[at] << 6) + (on & 63)) * cols + own[rs][at])
-    del bits, rows, word
-    keys = np.concatenate(keys)
-    keys.sort()
-    added = np.bincount(keys // cols, minlength=m)
-    keys %= cols  # in place, so the log is never held twice
-    return added, keys
-
-
-def _chain_keys(
-    n: int,
-    at: np.ndarray,
-    apparent: np.ndarray,
-    done: np.ndarray,
-    added: np.ndarray,
-    log: np.ndarray,
-) -> np.ndarray:
-    """The chains of one dimension's reduced columns as keys ``j * n + k``
-    (positions j and k, for k in the chain of j), each key present an odd
-    number of times.
-
-    Columns are indexed by filtration rank: ``at`` holds their positions
-    and ``apparent`` their flags; the loop reduced the columns ``done``,
-    ascending, and column ``done[s]`` added the ``added[s]`` columns that
-    follow in ``log``.  A chain is the column itself plus the chain of each
-    column it added: an apparent column's chain is itself, and a pivot the
-    loop reduced is expanded into its own log, one round per level of
-    nesting, with pending pivots that meet twice in one chain cancelled
-    before they are expanded.
-    """
-    ptr = np.zeros(len(done) + 1, dtype=np.int64)
-    np.cumsum(added, out=ptr[1:])
-    m = len(at)
-    j, k = np.repeat(done, added), log
-    keys = [at[done] * (n + 1)]
-    while len(k):
-        kept = apparent[k]
-        keys.append(at[j[kept]] * n + at[k[kept]])
-        j, k = np.divmod(_odd(j[~kept] * m + k[~kept]), m)
-        keys.append(at[j] * n + at[k])
-        k, sizes = _gather(ptr, log, np.searchsorted(done, k))
-        j = np.repeat(j, sizes)
+    for r, w, b in reversed(found):
+        if bits[r].any():
+            bits[r + 1 + np.flatnonzero(bits[r + 1:, w] & b)] ^= bits[r]
+    column = head[todo]
+    keys = [column + lex[todo]]
+    step = max(1, _READ_BLOCK // max(words, 1))
+    for r in range(0, len(own), step):
+        rs, ws = np.nonzero(bits[r:r + step])
+        v = bits[r + rs, ws]
+        row_key = lex[own[r + rs]]
+        t = (ws << 6) - 1023  # 2**b as a float64 has b + 1023 in its exponent bits
+        while len(v):  # take each word's lowest bit until none is left
+            low = v & (np.uint64(0) - v)
+            keys.append(column[t + (low.astype(np.float64).view(np.int64) >> 52)] + row_key)
+            v ^= low
+            left = v != 0
+            v, t, row_key = v[left], t[left], row_key[left]
+    del bits
     return np.concatenate(keys)
 
 
@@ -388,28 +388,27 @@ def persistence_pairs(reduced: ReducedMatrix, fc: FilteredComplex) -> Barcode:
 
     A column that ends zero is a birth, and the column that owns its row,
     if any, is its death.  A vertex is its own generator; an edge or
-    triangle's is its chain, with its simplices in lexicographic order.  A
-    zero-length dimension-1 bar was never reduced, so its generator is
-    empty: ``()``.  No ``PersistencePair`` is built here.
+    triangle's is its chain, gathered, as ``chain_at`` lists it in
+    lexicographic order.  A zero-length dimension-1 bar was never reduced,
+    so its generator is empty: ``()``.  No ``PersistencePair`` is built.
     """
     if reduced.boundary.complex is not fc and reduced.boundary.complex != fc:
         raise ValueError("reduced matrix does not belong to this complex")
-    n = len(fc)
     values = fc.values
     simplices = tuple(fc.rows(d)[0] for d in range(3))
     row, dimension = fc.order, fc.dimensions
     owner = reduced.owner
-    dies = np.zeros(n, dtype=bool)
+    dies = np.zeros(len(fc), dtype=bool)
     dies[owner[owner >= 0]] = True
     born = np.flatnonzero(~dies)
     killer = owner[born]
-    # Vertex columns have empty chains; a vertex bar's generator is itself.
-    chain, sizes = _gather(reduced.chain_ptr, reduced.chain_at, born)
+    sizes = np.diff(reduced.chain_ptr)
+    generator = row[reduced.chain_at[np.repeat(~dies, sizes)]]  # the births' chains, in order
+    sizes = sizes[born]
+    # A vertex column's chain is empty; its bar's generator is its own row.
     (vertex,) = np.nonzero(dimension[born] == 0)
-    key = np.concatenate(
-        [np.repeat(np.arange(len(born)), sizes) * n + row[chain], vertex * n + row[born[vertex]]]
-    )
-    key.sort()  # bar by bar, each generator's rows ascending: lexicographic order
+    generator = np.insert(generator, np.cumsum(sizes)[vertex], row[born[vertex]])
+    sizes[vertex] = 1
     return Barcode._of_columns(
         fc.max_value(),
         dimension[born],
@@ -418,7 +417,8 @@ def persistence_pairs(reduced: ReducedMatrix, fc: FilteredComplex) -> Barcode:
         killer < 0,
         np.zeros(len(born), dtype=bool),
         born,
-        *_csr(key, n, len(born)),
+        np.r_[0, np.cumsum(sizes)],
+        generator,
         simplices,
     )
 

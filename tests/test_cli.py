@@ -277,6 +277,33 @@ class TestBuild:
             for wrong in ("collinear", "degenerate cavity", "failed verification"):
                 assert wrong not in err
 
+    def test_alpha_on_a_thin_triangle_exits_zero(self, tmp_path, capsys):
+        # Triangle (1, 2, 3) of this cloud is Delaunay, but its float
+        # circumcircle denominator cancels to 0.  Each precinct is its point
+        # repeated, so its area is 0 and its centroid, the average of its
+        # ring points, is the point itself.
+        cloud = [(0.0, 0.0), (-2.375e-46, 3.0000000000000003e-46)]
+        cloud += [(-6.1250000000000005e-46, 2.25e-46), (-8e-46, 1.875e-46)]
+        obj = {"type": "FeatureCollection", "features": [
+            {"type": "Feature", "properties": {"id": f"p{i}", "votes_red": 60, "votes_blue": 40},
+             "geometry": {"type": "Polygon", "coordinates": [[list(p)] * 5]}}
+            for i, p in enumerate(cloud)
+        ]}
+        with pytest.warns(UserWarning, match="zero area"):
+            assert centroids(parse_feature_collection(obj).precincts) == cloud
+        src = tmp_path / "thin.geojson"
+        write_fixture(obj, src)
+        out = tmp_path / "o"
+        with pytest.warns(UserWarning, match="zero area"):
+            code = main(
+                ["build", "--method", "alpha", "--candidate", "red",
+                 "--input", str(src), "--out", str(out)]
+            )
+        err = capsys.readouterr().err
+        assert code == 0, err
+        assert "Traceback" not in err
+        assert "\n1,2,3\t" in (out / "complex.txt").read_text()
+
     @pytest.mark.parametrize(
         "scale, vr_code, alpha_code",
         # At 1e-200 and 1e200 alpha's enclosing triangle, and at 1e200 the

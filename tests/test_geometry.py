@@ -1,6 +1,7 @@
 import math
 import random
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -43,6 +44,21 @@ def test_circumcircle_of_right_triangle_sits_on_hypotenuse():
     assert r == pytest.approx(2.5)
     with pytest.raises(ValueError):
         circumcircle((0, 0), (1, 1), (2, 2))
+
+
+def test_circumcircle_of_a_thin_triangle_comes_from_exact_coordinates():
+    # On both the float denominator cancels to 0 although the exact area is
+    # not 0: the first radius is exact, the second is past the float range.
+    thin = [(-2.375e-46, 3.0000000000000003e-46), (-6.1250000000000005e-46, 2.25e-46)]
+    thin.append((-8e-46, 1.875e-46))
+    _, r = circumcircle(*thin)
+    # R^2 = |ab|^2 |bc|^2 |ca|^2 / (4 cross^2), in fractions
+    a, b, c = ([Fraction(x) for x in p] for p in thin)
+    sq = [(p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 for p, q in ((a, b), (b, c), (c, a))]
+    cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    assert r == pytest.approx(math.sqrt(sq[0] * sq[1] * sq[2] / (4 * cross**2)), rel=1e-12)
+    with pytest.raises(OverflowError):
+        circumcircle((5e-324, 0.0), (1e150, 1e150), (2e150, 2e150))
 
 
 def test_in_circumcircle_signs_and_cocircular_zero():

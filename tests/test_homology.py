@@ -198,6 +198,45 @@ class TestReduction:
         for field in ("owner", "apparent", "chain_ptr", "chain_at"):
             assert np.array_equal(getattr(loop, field), getattr(rows, field)), field
 
+    @given(tied_complexes())
+    @settings(max_examples=200, deadline=None)
+    def test_chains_list_their_simplices_in_lexicographic_order(self, fc):
+        bm = build_boundary_matrix(fc)
+        for path in (homology._reduce_columns, homology._reduce_rows):
+            red = reduced_by(path, bm)
+            ptr = red.chain_ptr.tolist()
+            for j in range(len(fc)):
+                chain = [fc.entries[k][0] for k in red.chain_at[ptr[j] : ptr[j + 1]].tolist()]
+                assert chain == sorted(set(chain)), path.__name__
+
+    def test_row_sweep_folds_a_pivot_it_found_into_another(self, monkeypatch):
+        # The hollow tetrahedron.  Triangle (0, 1, 3) is apparent; (1, 2, 3)
+        # adds it and (0, 1, 2) adds (1, 2, 3), both taking a row, and
+        # (0, 2, 3) adds (0, 1, 2) and reduces to zero.  The sweep finds the
+        # two pivots itself, one adding the other, so the chain of (0, 2, 3)
+        # needs the fold of (0, 1, 2) and then that of (1, 2, 3).
+        fc = close_under_faces(
+            [((i,), 0.0) for i in range(4)]
+            + [((2, 3), 0.0), ((0, 3), 1.0), ((0, 1), 2.0), ((0, 2), 2.0), ((1, 2), 2.0)]
+            + [((1, 3), 2.0), ((0, 1, 3), 2.0), ((1, 2, 3), 2.0), ((0, 1, 2), 3.0)]
+            + [((0, 2, 3), 5.0)]
+        )
+        t013, t123, t012, t023 = (
+            position_of(fc, t) for t in ((0, 1, 3), (1, 2, 3), (0, 1, 2), (0, 2, 3))
+        )
+        monkeypatch.setattr(homology, "_reduction_path", lambda columns, rows: homology._reduce_rows)
+        bm = build_boundary_matrix(fc)
+        additions = []
+        pairs, _, _ = dense_reduce_reference(bm.columns, additions)
+        red = reduce_matrix(bm)
+        assert {(t023, t012), (t012, t123), (t123, t013)} <= set(additions)
+        assert red.apparent[t013] and not red.apparent[[t123, t012]].any()
+        assert {t123, t012} <= set(pairs.values()) and t023 not in pairs.values()
+        chain = red.chain_at[red.chain_ptr[t023] : red.chain_ptr[t023 + 1]].tolist()
+        assert chain == [t012, t013, t023, t123]
+        assert_matches_dense_reference(fc)
+        assert_pairs_match_reference(fc)
+
     def test_chains_empty_only_for_vertices_and_zero_length_births(self):
         rng = random.Random(31)
         for _ in range(60):
