@@ -5,14 +5,16 @@ enclosing triangle, on plain lists: each triangle keeps its vertices in
 counterclockwise order and the three triangles across its edges.  A point's
 cavity is found by walking those links from the last triangle made towards
 the point until a triangle's circumcircle strictly holds it, then growing
-through neighbours.  The in-circle test is exact: a float determinant with
-an exact fallback, near zero or on overflow, on integer coordinates made
-once per vertex, and a vertex order fixed when the triangle is made by an
-exact orientation on those coordinates.  Under an exact test the cavity is edge-connected and
-holds the triangle containing the point, so the walk finds the same cavity
-as a scan of every triangle.  Only after the last insertion is the map
-from each edge to its triangles built; the flips and the verification
-below work on that map, not on the links.
+through neighbours.  The insertion, the flips and the verification below
+decide every in-circle test with one exact predicate,
+``geometry.in_circle_at``: a float determinant with an exact fallback, near
+zero or on overflow, on one table of integer coordinates made once per
+triangulation.  A triangle's vertex order for that test is fixed when it is
+made, by an exact orientation on the same table.  Under an exact test the
+cavity is edge-connected and holds the triangle containing the point, so the
+walk finds the same cavity as a scan of every triangle.  Only after the last
+insertion is the map from each edge to its triangles built; the flips and
+the verification work on that map, not on the links.
 
 Cocircular point groups admit several Delaunay triangulations; a post-pass
 flips interior edges between exactly cocircular quadrilaterals, always the
@@ -35,7 +37,7 @@ triangle included: its three sides are the only edges with one triangle,
 every other edge has two with apexes strictly on opposite sides (an exact
 orientation test), V - E + T = 1 with every point a vertex, and no apex
 lies strictly inside the circumcircle of the triangle across its edge
-(the exact in-circle test).  The first three make the map a
+(the insertion's in-circle test).  The first three make the map a
 triangulation of the enclosing triangle; the last makes every edge
 locally Delaunay, and by the Delaunay lemma (de Berg et al.,
 *Computational Geometry*, ch. 9) the triangulation is then Delaunay, so no
@@ -54,12 +56,10 @@ import numpy as np
 from .complexes import FilteredComplex
 from .errors import DegenerateTriangulationError, NumericalError
 from .geometry import (
-    IN_CIRCLE_TOL,
     Point,
     PointCloud,
     circumcircle,
-    in_circle_determinant,
-    in_circumcircle,
+    in_circle_at,
     integer_coordinates,
     orient2d,
 )
@@ -110,26 +110,17 @@ def _triangles(owners: dict[Edge, list[Tri]]) -> set[Tri]:
     return {t for ts in owners.values() for t in ts}
 
 
+def _apexes(e: Edge, ts: list[Tri]) -> list[int]:
+    """The vertex of each triangle in ``ts`` that is not an end of ``e``."""
+    return [next(v for v in t if v not in e) for t in ts]
+
+
 def _in_circle_order(exact: list[tuple[int, int]], t: Tri) -> Tri:
     """The vertices of ``t`` in the in-circle test's order: sorted, then the
     last two swapped if the sorted order is clockwise, by the exact
     orientation on the integer coordinates ``exact``."""
     a, b, c = sorted(t)
     return (a, c, b) if orient2d(exact[a], exact[b], exact[c]) < 0 else (a, b, c)
-
-
-def _in_circle_at(
-    verts: list[Point], exact: list[tuple[int, int]], a: int, b: int, c: int, p: int
-) -> int:
-    """``in_circumcircle`` of vertex p against counterclockwise a, b, c, by
-    index: the same float determinant and filter, and an exact fallback on
-    the vertices' ``integer_coordinates``, made once per triangulation."""
-    det, sq = in_circle_determinant(verts[a], verts[b], verts[c], verts[p])
-    scale = max(*sq, 1.0)
-    if math.inf > abs(det) > IN_CIRCLE_TOL * scale * scale:
-        return 1 if det > 0 else -1
-    det, _ = in_circle_determinant(exact[a], exact[b], exact[c], exact[p])
-    return (det > 0) - (det < 0)
 
 
 def _finite_normal(x: float) -> bool:
@@ -194,7 +185,7 @@ def delaunay_triangulation(pc: PointCloud) -> Triangulation:
         stack, seen, outside = [last], {last}, set()
         while stack:
             t = stack.pop()
-            if _in_circle_at(verts, exact, *ic[t], p) > 0:
+            if in_circle_at(verts, exact, *ic[t], p) > 0:
                 break
             outside.add(t)
             toward = []
@@ -217,7 +208,7 @@ def delaunay_triangulation(pc: PointCloud) -> Triangulation:
                 if u in inside:
                     continue
                 if u >= 0 and u not in outside:
-                    if _in_circle_at(verts, exact, *ic[u], p) > 0:
+                    if in_circle_at(verts, exact, *ic[u], p) > 0:
                         inside.add(u)
                         bad.append(u)
                         continue
@@ -249,7 +240,7 @@ def delaunay_triangulation(pc: PointCloud) -> Triangulation:
     for t in tv:
         _link(owners, tuple(sorted(t)))  # type: ignore[arg-type]
     del tv
-    _canonical_cocircular_flips(verts, owners, n)
+    _canonical_cocircular_flips(verts, exact, owners, n)
     _verify_delaunay(verts, exact, owners, n)
     real = tuple(sorted(t for t in _triangles(owners) if t[2] < n))
     if not real:
@@ -258,7 +249,7 @@ def delaunay_triangulation(pc: PointCloud) -> Triangulation:
 
 
 def _canonical_cocircular_flips(
-    verts: list[Point], owners: dict[Edge, list[Tri]], n: int
+    verts: list[Point], exact: list[tuple[int, int]], owners: dict[Edge, list[Tri]], n: int
 ) -> None:
     """Flip exactly-cocircular interior edges to the lex-smallest diagonal.
 
@@ -272,15 +263,15 @@ def _canonical_cocircular_flips(
     quadrilateral's four outer edges only, so those are the edges tested
     again.  Each flip strictly lowers the sorted diagonal pair, so this
     terminates; among cocircular configurations every flip preserves
-    Delaunayness.
+    Delaunayness.  Cocircularity is the insertion's ``in_circle_at`` on the
+    integer coordinates ``exact``, so it is exact.
     """
 
     def apexes(e: Edge) -> Edge | None:
         ts = owners.get(e)
         if ts is None or len(ts) != 2:
             return None
-        c = next(v for v in ts[0] if v not in e)
-        d = next(v for v in ts[1] if v not in e)
+        c, d = _apexes(e, ts)
         return (min(c, d), max(c, d))
 
     def candidate(e: Edge) -> Edge | None:
@@ -290,7 +281,7 @@ def _canonical_cocircular_flips(
         a, b = e
         c, d = alt
         # whether d is on the circle does not depend on the orientation of a, b, c
-        if in_circumcircle(verts[a], verts[b], verts[c], verts[d]) != 0:
+        if in_circle_at(verts, exact, a, b, c, d) != 0:
             return None
         return alt
 
@@ -321,7 +312,8 @@ def _verify_delaunay(
     vertices n, n+1, n+2.  The orientations are exact, on the vertices'
     integer coordinates ``exact``: they decide the apexes' sides and the
     counterclockwise order of the in-circle test, so a valid triangle too
-    thin for a float orientation to see passes.
+    thin for a float orientation to see passes.  The in-circle test is the
+    insertion's ``in_circle_at`` on the same ``exact``.
     """
     hull = {(n, n + 1), (n, n + 2), (n + 1, n + 2)}
     for e, ts in owners.items():
@@ -330,11 +322,11 @@ def _verify_delaunay(
         if len(ts) != 2:
             raise NumericalError(f"triangulation failed verification at edge {e}")
         a, b = e
-        c, d = (next(v for v in t if v not in e) for t in ts)
+        c, d = _apexes(e, ts)
         side_c = orient2d(exact[a], exact[b], exact[c])
         side_d = orient2d(exact[a], exact[b], exact[d])
         u, w = (b, c) if side_c > 0 else (c, b)  # a, u, w counterclockwise
-        if side_c * side_d >= 0 or in_circumcircle(verts[a], verts[u], verts[w], verts[d]) > 0:
+        if side_c * side_d >= 0 or in_circle_at(verts, exact, a, u, w, d) > 0:
             raise NumericalError(f"triangulation failed verification at edge {e}")
     if (n + 3) - len(owners) + len(_triangles(owners)) != 1:
         raise NumericalError("triangulation failed verification: V - E + T != 1")

@@ -2,6 +2,10 @@
 
 Everything works on plain (x, y) float pairs.  Polygons are lists of rings,
 each ring a closed list of points (first == last).
+
+There is one in-circle test, ``in_circle_at``: a float determinant with an
+exact fallback on one table of ``integer_coordinates`` that its caller
+makes once for the whole point list.
 """
 
 from __future__ import annotations
@@ -124,22 +128,21 @@ def in_circle_determinant(a, b, c, p):
     return det, (ad2, bd2, cd2)
 
 
-def in_circumcircle(
-    a: Point, b: Point, c: Point, p: Point, tol: float = IN_CIRCLE_TOL
+def in_circle_at(
+    points: Sequence[Point], exact: Sequence[tuple[int, int]], a: int, b: int, c: int, p: int
 ) -> int:
-    """Sign of the in-circle determinant for p against circle(a, b, c).
-
-    Returns +1 if p lies strictly inside, -1 if strictly outside, 0 if
-    cocircular.  Triangle abc must be counterclockwise; for clockwise input
-    the sign flips.  When the floating determinant is within ``tol`` of zero
-    (scaled by entry magnitudes), or overflowed, the determinant is
-    re-evaluated exactly on the ``integer_coordinates`` of the four points.
+    """+1, -1 or 0 as point p lies strictly inside, strictly outside or on
+    the circle through points a, b, c (by index), which must be
+    counterclockwise; for clockwise input the sign flips.  The float
+    determinant decides unless it is within ``IN_CIRCLE_TOL`` of zero
+    (relative to the squared distances) or overflowed; then it is recomputed
+    on ``exact``, the ``integer_coordinates`` of all of ``points``.
     """
-    det, sq = in_circle_determinant(a, b, c, p)
+    det, sq = in_circle_determinant(points[a], points[b], points[c], points[p])
     scale = max(*sq, 1.0)
-    if math.inf > abs(det) > tol * scale * scale:
+    if math.inf > abs(det) > IN_CIRCLE_TOL * scale * scale:
         return 1 if det > 0 else -1
-    det, _ = in_circle_determinant(*integer_coordinates((a, b, c, p)))
+    det, _ = in_circle_determinant(exact[a], exact[b], exact[c], exact[p])
     return (det > 0) - (det < 0)
 
 

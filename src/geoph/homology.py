@@ -173,7 +173,7 @@ def _filtration_ranks(fc: FilteredComplex) -> tuple[np.ndarray, list[np.ndarray]
     rank = np.empty(len(fc), dtype=np.int64)
     by_rank = []
     for d in range(3):
-        at = np.sort(fc.rows(d)[1])
+        at = np.flatnonzero(fc.dimensions == d)
         rank[at] = np.arange(len(at))
         by_rank.append(at)
     return rank, by_rank

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geoph import alpha
+from geoph import alpha, geometry
 from geoph.alpha import (
     alpha_filtration,
     build_alpha_complex,
@@ -16,8 +16,8 @@ from geoph.complexes import FilteredComplex, close_under_faces
 from geoph.errors import DegenerateTriangulationError, NumericalError
 from geoph.geometry import (
     PointCloud,
+    in_circle_at,
     in_circle_determinant,
-    in_circumcircle,
     integer_coordinates,
     orient2d,
 )
@@ -187,7 +187,7 @@ class TestDelaunayAgainstReferences:
         pc = cloud((0.0, 0.0), (4.0, -1.0), (4.0, 1.0), (5.0, 0.0))
         assert delaunay_triangulation(pc).triangles == ((0, 1, 2), (1, 2, 3))
 
-        def wrong_diagonal(verts, owners, n):
+        def wrong_diagonal(verts, exact, owners, n):
             for t in ((0, 1, 2), (1, 2, 3)):
                 alpha._unlink(owners, t)
             for t in ((0, 1, 3), (0, 2, 3)):
@@ -216,8 +216,8 @@ class TestDelaunayAgainstReferences:
         )
         flips = alpha._canonical_cocircular_flips
 
-        def broken(verts, owners, n):
-            flips(verts, owners, n)
+        def broken(verts, exact, owners, n):
+            flips(verts, exact, owners, n)
             for t in unlink:
                 alpha._unlink(owners, t)
             for t in link:
@@ -231,27 +231,35 @@ class TestDelaunayAgainstReferences:
         # Cavities come from walks over the neighbour links, not from testing
         # every triangle, each flip re-tests four edges, not all of them, and
         # the verification tests each edge once, so the in-circle calls of
-        # all three stay linear in the points.  The insertion makes every
-        # in-circle test through _in_circle_at, the flips and the
-        # verification through in_circumcircle.
-        calls = {"_in_circle_at": 0, "in_circumcircle": 0}
+        # all three, every one through in_circle_at, stay linear in the points.
+        calls = 0
+        predicate = alpha.in_circle_at
 
-        def counted(name):
-            predicate = getattr(alpha, name)
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return predicate(*args)
 
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return predicate(*args, **kwargs)
-
-            monkeypatch.setattr(alpha, name, wrapper)
-
-        counted("_in_circle_at")
-        counted("in_circumcircle")
+        monkeypatch.setattr(alpha, "in_circle_at", counted)
         pc = lattice_centroids(24, 0)
         tri = delaunay_triangulation(pc)
         assert len(tri.triangles) == 2 * 23 * 23
-        assert calls["_in_circle_at"] > 0 and calls["in_circumcircle"] > 0
-        assert sum(calls.values()) <= 100 * len(pc)
+        assert 0 < calls <= 100 * len(pc)
+
+    def test_integer_coordinates_are_made_once(self, monkeypatch):
+        # The insertion, the flips and the verification read one table.
+        calls = 0
+        make = geometry.integer_coordinates
+
+        def counted(points):
+            nonlocal calls
+            calls += 1
+            return make(points)
+
+        monkeypatch.setattr(geometry, "integer_coordinates", counted)
+        monkeypatch.setattr(alpha, "integer_coordinates", counted)
+        assert len(delaunay_triangulation(lattice_centroids(24, 0)).triangles) == 2 * 23 * 23
+        assert calls == 1
 
 
 ON_CIRCLES = [  # integer points exactly on circles of radius 5 and 25
@@ -412,13 +420,14 @@ def quadruples(draw):
 class TestIntegerCoordinates:
     @given(quadruples(), st.lists(st.tuples(*[st.floats(-1e300, 1e300)] * 2), max_size=3))
     @settings(max_examples=300, deadline=None)
-    def test_sign_matches_in_circumcircle(self, quad, others):
+    def test_sign_matches_the_fraction_reference(self, quad, others):
         # The integer coordinates are made once for the whole vertex list,
         # so their common power of two may come from another point.
         verts = [*quad, *others]
-        sign = alpha._in_circle_at(verts, integer_coordinates(verts), 0, 1, 2, 3)
+        sign = in_circle_at(verts, integer_coordinates(verts), 0, 1, 2, 3)
+        alone = in_circle_at(quad, integer_coordinates(quad), 0, 1, 2, 3)
         exact = in_circle_reference(*quad, tol=math.inf)  # no float filter
-        assert sign == in_circumcircle(*quad) == in_circle_reference(*quad) == exact
+        assert sign == alone == in_circle_reference(*quad) == exact
 
     def test_overflowed_determinant_is_not_a_sign(self):
         # The float determinant is inf, the exact one negative (from the
@@ -426,8 +435,9 @@ class TestIntegerCoordinates:
         quad = [(-2.894802230932905e76, 0.0), (0.0, 0.0), (0.0, 8.684406692798715e76)]
         quad.append((5.78960446186581e76, -1.157920892373162e77))
         assert in_circle_determinant(*quad)[0] == math.inf
-        sign = alpha._in_circle_at(quad, integer_coordinates(quad), 0, 1, 2, 3)
-        assert sign == in_circumcircle(*quad) == in_circle_reference(*quad, tol=math.inf) == -1
+        sign = in_circle_at(quad, integer_coordinates(quad), 0, 1, 2, 3)
+        det, _ = in_circle_determinant(*integer_coordinates(quad))
+        assert sign == (det > 0) - (det < 0) == in_circle_reference(*quad, tol=math.inf) == -1
 
 
 class TestAlphaFiltration:

@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import geoph
 from geoph import pipeline
@@ -35,6 +40,52 @@ UNREADABLE = {
     "nested": b"[" * 200_000 + b"]" * 200_000,
     "digits": b'{"type": "FeatureCollection", "n": ' + b"9" * 5000 + b"}",
 }
+
+
+def point_precincts(cloud):
+    """A map of zero-area precincts, each its point repeated, so that each
+    centroid is the vertex average of its ring: the point, up to rounding."""
+    return {"type": "FeatureCollection", "features": [
+        {"type": "Feature", "properties": {"id": f"p{i}", "votes_red": 60, "votes_blue": 40},
+         "geometry": {"type": "Polygon", "coordinates": [[list(p)] * 5]}}
+        for i, p in enumerate(cloud)
+    ]}
+
+
+def _nudged(x, draw):
+    """x moved by up to two ulps either way."""
+    for _ in range(draw(st.integers(0, 2))):
+        x = math.nextafter(x, draw(st.sampled_from([-math.inf, math.inf])))
+    return x
+
+
+@st.composite
+def hard_alpha_clouds(draw):
+    """A cocircular lattice, points a few ulps off a line (and up to two
+    further off it), a thin cloud near 1e-46, or a cloud spanning up to
+    1e300, in a drawn order."""
+    kind = draw(st.sampled_from(["lattice", "line", "thin", "huge"]))
+    if kind == "lattice":
+        k = draw(st.integers(2, 6))
+        step = draw(st.sampled_from([1.0, 0.1, 0.3, 3.7]))
+        pts = [(x * step, y * step) for x in range(k) for y in range(k)]
+    elif kind == "line":
+        slope = draw(st.sampled_from([0.0, 0.1, 1.0 / 3.0, -0.7, 2.5]))
+        xs = draw(st.lists(st.integers(-20, 20), min_size=3, max_size=12, unique=True))
+        pts = [(float(x), _nudged(slope * x + 0.3, draw)) for x in xs]
+        for x in draw(st.lists(st.integers(-20, 20), max_size=2, unique=True)):
+            off = draw(st.sampled_from([-1.0, 1e-9, 1e-2, 0.5]))
+            pts.append((x + 0.5, slope * (x + 0.5) + 0.3 + off))
+    elif kind == "thin":  # multiples of 1.25e-47, as the thin triangle's cloud
+        cells = st.tuples(st.integers(-64, 64), st.integers(-64, 64))
+        pts = [
+            (x * 1.25e-47, y * 1.25e-47)
+            for x, y in draw(st.lists(cells, min_size=3, max_size=10, unique=True))
+        ]
+    else:
+        coords = st.tuples(*[st.floats(-1e300, 1e300)] * 2)
+        pts = draw(st.lists(coords, min_size=3, max_size=10, unique=True))
+    return draw(st.permutations(pts))
 
 
 def synth(tmp_path, fixture, name, *extra):
@@ -284,11 +335,7 @@ class TestBuild:
         # ring points, is the point itself.
         cloud = [(0.0, 0.0), (-2.375e-46, 3.0000000000000003e-46)]
         cloud += [(-6.1250000000000005e-46, 2.25e-46), (-8e-46, 1.875e-46)]
-        obj = {"type": "FeatureCollection", "features": [
-            {"type": "Feature", "properties": {"id": f"p{i}", "votes_red": 60, "votes_blue": 40},
-             "geometry": {"type": "Polygon", "coordinates": [[list(p)] * 5]}}
-            for i, p in enumerate(cloud)
-        ]}
+        obj = point_precincts(cloud)
         with pytest.warns(UserWarning, match="zero area"):
             assert centroids(parse_feature_collection(obj).precincts) == cloud
         src = tmp_path / "thin.geojson"
@@ -303,6 +350,30 @@ class TestBuild:
         assert code == 0, err
         assert "Traceback" not in err
         assert "\n1,2,3\t" in (out / "complex.txt").read_text()
+
+    @given(hard_alpha_clouds())
+    @settings(max_examples=250, deadline=None)
+    def test_alpha_on_hard_clouds_exits_cleanly(self, cloud):
+        # Exit 0, 2 or 3 with no exception out of main and no traceback
+        # printed, and a barcode.json that parses after exit 0.
+        with tempfile.TemporaryDirectory() as tmp:
+            src, out = Path(tmp) / "cloud.geojson", Path(tmp) / "o"
+            write_fixture(point_precincts(cloud), src)
+            err = io.StringIO()
+            with (
+                warnings.catch_warnings(),
+                contextlib.redirect_stderr(err),
+                contextlib.redirect_stdout(io.StringIO()),
+            ):
+                warnings.simplefilter("ignore")  # zero area, duplicates
+                code = main(
+                    ["build", "--method", "alpha", "--candidate", "red",
+                     "--input", str(src), "--out", str(out)]
+                )
+            assert code in (0, 2, 3), err.getvalue()
+            assert "Traceback" not in err.getvalue()
+            if code == 0:
+                json.loads((out / "barcode.json").read_text())
 
     @pytest.mark.parametrize(
         "scale, vr_code, alpha_code",

@@ -8,7 +8,9 @@ import pytest
 from geoph.geometry import (
     PointCloud,
     circumcircle,
-    in_circumcircle,
+    in_circle_at,
+    in_circle_determinant,
+    integer_coordinates,
     normalize_ring,
     point_segment_distance,
     ring_area,
@@ -61,19 +63,25 @@ def test_circumcircle_of_a_thin_triangle_comes_from_exact_coordinates():
         circumcircle((5e-324, 0.0), (1e150, 1e150), (2e150, 2e150))
 
 
-def test_in_circumcircle_signs_and_cocircular_zero():
+def _in_circle(a, b, c, p):
+    """``in_circle_at`` on the four points alone."""
+    quad = [a, b, c, p]
+    return in_circle_at(quad, integer_coordinates(quad), 0, 1, 2, 3)
+
+
+def test_in_circle_at_signs_and_cocircular_zero():
     a, b, c = (0.0, 0.0), (1.0, 0.0), (0.0, 1.0)
-    assert in_circumcircle(a, b, c, (0.5, 0.5)) == 1
-    assert in_circumcircle(a, b, c, (5.0, 5.0)) == -1
-    assert in_circumcircle(a, b, c, (1.0, 1.0)) == 0  # fourth corner of the square
+    assert _in_circle(a, b, c, (0.5, 0.5)) == 1
+    assert _in_circle(a, b, c, (5.0, 5.0)) == -1
+    assert _in_circle(a, b, c, (1.0, 1.0)) == 0  # fourth corner of the square
 
 
 def _exact_signs_agree(a, b, c, p):
-    # An infinite tolerance sends both predicates to their exact path.
-    assert in_circumcircle(a, b, c, p, tol=math.inf) == in_circle_reference(
-        a, b, c, p, tol=math.inf
-    )
-    assert in_circumcircle(a, b, c, p) == in_circle_reference(a, b, c, p)
+    # The exact path alone is the sign of the determinant on the integer
+    # coordinates; an infinite tolerance sends the reference to its own.
+    det, _ = in_circle_determinant(*integer_coordinates((a, b, c, p)))
+    assert (det > 0) - (det < 0) == in_circle_reference(a, b, c, p, tol=math.inf)
+    assert _in_circle(a, b, c, p) == in_circle_reference(a, b, c, p)
 
 
 def _ccw(a, b, c):
@@ -105,7 +113,7 @@ class TestExactInCircle:
             a, b, c = _ccw(*quad[:3])
             _exact_signs_agree(a, b, c, quad[3])
         for (a, b, c), p in _rectangles(rng, 200, -5, 5):
-            assert in_circumcircle(a, b, c, p) == 0
+            assert _in_circle(a, b, c, p) == 0
             _exact_signs_agree(a, b, c, p)
         for k in range(1, 12):  # points on the 0.1 and 0.3 grids
             a, b, c = _ccw((0.1, 0.3), (0.1 * k, 0.3), (0.1 * k, 0.3 * k))
