@@ -132,13 +132,14 @@ def delaunay_triangulation(pc: PointCloud) -> Triangulation:
 
     Fewer than three points give a triangle-free result (a single edge for
     two points).  Exactly duplicated points and fully collinear input are
-    rejected, and so are coordinates whose float orientation tests would
-    overflow (the enclosing triangle's doubled area is not a finite normal
-    float) or underflow (nor is the squared span of the points).  The output
-    is verified before the enclosing triangle's vertices are dropped: the
-    edge map must be a triangulation of the enclosing triangle with every
-    point a vertex and every edge locally Delaunay, so every triangle's
-    circumcircle is empty of all other points.
+    rejected, and so are clouds whose hull is too thin for the enclosing
+    triangle (no triangle avoids its vertices), and coordinates whose float
+    orientation tests would overflow (the enclosing triangle's doubled area
+    is not a finite normal float) or underflow (nor is the squared span of
+    the points).  The output is verified before the enclosing triangle's
+    vertices are dropped: the edge map must be a triangulation of the
+    enclosing triangle with every point a vertex and every edge locally
+    Delaunay, so every triangle's circumcircle is empty of all other points.
     """
     points = pc.points
     n = len(points)
@@ -244,6 +245,12 @@ def delaunay_triangulation(pc: PointCloud) -> Triangulation:
     _verify_delaunay(verts, exact, owners, n)
     real = tuple(sorted(t for t in _triangles(owners) if t[2] < n))
     if not real:
+        a, b = exact[0], exact[1]
+        if any(orient2d(a, b, c) for c in exact[2:n]):
+            raise DegenerateTriangulationError(
+                "no triangle avoids the enclosing vertices: the points' convex hull is "
+                "too thin for the enclosing triangle to resolve"
+            )
         raise DegenerateTriangulationError("all points are collinear")
     return Triangulation(points=points, triangles=real)
 
@@ -383,14 +390,12 @@ def alpha_filtration(tri: Triangulation, pc: PointCloud) -> FilteredComplex:
     return FilteredComplex._from_arrays(
         [np.arange(len(points)), edges, tri.triangles],
         [np.zeros(len(points)), edge_values, radii],
+        embedded=True,
     )
 
 
 def build_alpha_complex(pc: PointCloud) -> FilteredComplex:
     """Triangulate and filter in one step, handling tiny inputs."""
-    n = len(pc)
-    if n == 0:
+    if len(pc) == 0:
         raise ValueError("empty point cloud")
-    if n == 1:
-        return FilteredComplex([((0,), 0.0)])
     return alpha_filtration(delaunay_triangulation(pc), pc)

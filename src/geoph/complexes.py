@@ -78,7 +78,7 @@ class FilteredComplex:
     build from a partial simplex list.
     """
 
-    __slots__ = ("_rows", "_positions", "_values", "_order", "_dimensions", "_entries")
+    __slots__ = ("_rows", "_positions", "_values", "_order", "_dimensions", "_entries", "_embedded")
 
     def __init__(self, entries: Iterable[Entry]):
         rows: list[list[Simplex]] = [[] for _ in range(MAX_DIM + 1)]
@@ -109,17 +109,19 @@ class FilteredComplex:
 
     @classmethod
     def _from_arrays(
-        cls, rows: Sequence[np.ndarray], values: Sequence[np.ndarray]
+        cls, rows: Sequence[np.ndarray], values: Sequence[np.ndarray], embedded: bool = False
     ) -> FilteredComplex:
         """A complex from valid arrays, unchecked: for builders only.
 
         ``rows[d]`` holds the d-simplices, one strictly increasing row of
         vertex ids each, in any order and without repeats; ``values[d]``
         their finite values.  The simplices must be closed under faces and
-        monotone.
+        monotone.  ``embedded`` marks a subcomplex of a triangulation of the
+        plane (see :attr:`embedded`).
         """
         fc = cls.__new__(cls)
         fc._set(rows, values)
+        fc._embedded = embedded
         return fc
 
     def _set(self, rows: Sequence, values: Sequence) -> None:
@@ -143,6 +145,7 @@ class FilteredComplex:
         for a in (self._values, self._order, self._dimensions):
             a.flags.writeable = False
         self._entries: tuple[Entry, ...] | None = None
+        self._embedded = False
 
     def _simplex(self, d: int, k: int) -> Simplex:
         return tuple(self._rows[d][k].tolist())
@@ -189,6 +192,14 @@ class FilteredComplex:
                 zip(map(listed.__getitem__, self._order.tolist()), self._values.tolist())
             )
         return self._entries
+
+    @property
+    def embedded(self) -> bool:
+        """Whether the complex is a subcomplex of a triangulation of the
+        plane (alpha, level set): every edge has at most two triangles and
+        there is no H2, so the reduction pairs its triangles on the dual
+        graph.  Only those builders set it; equality ignores it."""
+        return self._embedded
 
     @property
     def values(self) -> np.ndarray:

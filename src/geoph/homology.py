@@ -31,6 +31,12 @@ The per-column views (``BoundaryMatrix.columns``, ``ReducedMatrix.matrix``,
 computed as R = DV, the boundary of each chain (Cohen-Steiner, Edelsbrunner
 and Morozov 2006, *Vines and Vineyards*).
 
+The alpha and level-set complexes lie in a triangulation of the plane
+(``FilteredComplex.embedded``), so they have no H2: every triangle dies and
+none needs a chain.  Their triangles are paired by a union-find on the dual
+graph (Alexander duality; Edelsbrunner and Harer 2010, *Computational
+Topology*; Garin et al. 2020, *Duality in persistent homology of images*).
+
 ``betti_oracle`` is a deliberately separate brute-force computation
 (Gaussian elimination on the raw boundary maps) used to cross-check the
 reduction; it shares no code with it.
@@ -55,6 +61,7 @@ from .complexes import FilteredComplex, Simplex, faces
 
 _EMPTY: frozenset[int] = frozenset()
 _READ_BLOCK = 1 << 20  # words of the row sweep's bit rows read out at a time
+_COPY_BLOCK = 1 << 18  # generator entries ``persistence_pairs`` copies at a time
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,13 +106,15 @@ class ReducedMatrix:
 
     ``owner[i]`` is the column whose reduced lowest row is i, or -1.  An
     ``apparent`` column keeps its boundary as its reduced column, and its
-    chain is itself.  The chain of each column the loop reduced is
+    chain is itself.  The chain of each column the reduction reduced is
     ``chain_at[chain_ptr[j]:chain_ptr[j + 1]]``, positions in lexicographic
-    order of their simplices; the other columns (apparent ones, vertices and
-    zero-length edge births) have an empty row there.  ``matrix`` holds the
+    order of their simplices; the other columns (apparent ones, vertices,
+    zero-length edge births, and the triangles of an embedded complex,
+    paired on the dual graph) have an empty row there.  ``matrix`` holds the
     reduced columns, each the F2 boundary of its chain (R = DV), and
     ``chains`` and ``pairs`` the per-column sets of the rest; all three are
-    built on first read.
+    built on first read, and for an embedded complex the first read of
+    ``matrix`` or ``chains`` reduces its triangle columns.
     """
 
     boundary: BoundaryMatrix
@@ -121,16 +130,26 @@ class ReducedMatrix:
         return dict(zip(low.tolist(), self.owner[low].tolist()))
 
     @cached_property
+    def _chains(self) -> tuple[np.ndarray, np.ndarray]:
+        """``chain_ptr`` and ``chain_at``; for an embedded complex, those of
+        a reduction that reduces its triangles too."""
+        if not self.boundary.complex.embedded:
+            return self.chain_ptr, self.chain_at
+        full = _reduce(self.boundary, dual=False)
+        return full.chain_ptr, full.chain_at
+
+    @cached_property
     def matrix(self) -> ReducedColumns:
         """Column j of R = DV: the F2 sum of the boundaries of j's chain,
         read as keys ``j * n + face``."""
         n = len(self.owner)
-        column = np.repeat(np.arange(n), np.diff(self.chain_ptr))
+        chain_ptr, chain_at = self._chains
+        column = np.repeat(np.arange(n), np.diff(chain_ptr))
         keys = []
         for at, face_at in self.boundary.face_positions:
             row = np.full(n, -1, dtype=np.int64)
             row[at] = np.arange(len(at))
-            row = row[self.chain_at]
+            row = row[chain_at]
             hit = row >= 0
             keys.append((column[hit, None] * n + face_at[row[hit]]).ravel())
         cols = _sets(*_csr(_odd(np.concatenate(keys)), n, n))
@@ -142,7 +161,7 @@ class ReducedMatrix:
     @cached_property
     def chains(self) -> tuple[frozenset[int], ...]:
         """Column j of the accumulated additions."""
-        chains = _sets(self.chain_ptr, self.chain_at)
+        chains = _sets(*self._chains)
         for j in np.flatnonzero(self.apparent).tolist():
             chains[j] = frozenset((j,))
         return tuple(chains)
@@ -194,7 +213,8 @@ def reduce_matrix(bm: BoundaryMatrix) -> ReducedMatrix:
     one the plain left-to-right order gives.  Apparent columns are paired
     first.  An edge whose row a triangle owns at the edge's own value is a
     zero-length birth: its column reduces to zero and no artifact shows its
-    generator, so it is skipped (clearing).
+    generator, so it is skipped (clearing).  An embedded complex's triangles
+    pair on the dual graph instead (:func:`_pair_dual`), with no chain.
 
     The other columns of each dimension go through the column loop
     (:func:`_reduce_columns`) or, when they outnumber the face rows, the
@@ -204,21 +224,27 @@ def reduce_matrix(bm: BoundaryMatrix) -> ReducedMatrix:
     sort lists each chain in lexicographic order.  The reduced columns are
     the chains' boundaries (``ReducedMatrix.matrix``).
     """
+    return _reduce(bm, dual=bm.complex.embedded)
+
+
+def _reduce(bm: BoundaryMatrix, dual: bool) -> ReducedMatrix:
     fc = bm.complex
     n = len(bm)
     values = fc.values
     owner = np.full(n, -1, dtype=np.int64)
     apparent = np.zeros(n, dtype=bool)
-    for at, face_at in bm.face_positions:
+    for at, face_at in bm.face_positions:  # edges, then triangles
         low = face_at.max(axis=1)
-        oldest = np.full(n, n, dtype=np.int64)
+        oldest = np.full(n, n, dtype=np.int64)  # each face's oldest coface, n for none
         np.minimum.at(oldest, face_at, at[:, None])
         hit = oldest[low] == at
         owner[low[hit]] = at[hit]
         apparent[at[hit]] = True
+    if dual:  # ``oldest`` is now each edge's oldest triangle
+        _pair_dual(*bm.face_positions[1], oldest, owner, apparent)
     rank, by_rank = _filtration_ranks(fc)
     keys = []
-    for d in (2, 1):
+    for d in (1,) if dual else (2, 1):
         at, face_at = bm.face_positions[d - 1]
         column_at, face_by = by_rank[d], by_rank[d - 1]
         face_rank = np.empty_like(face_at)
@@ -238,6 +264,53 @@ def reduce_matrix(bm: BoundaryMatrix) -> ReducedMatrix:
     chain_ptr, chain_row = _csr(keys, n, n)
     at_row = np.concatenate([fc.rows(d)[1] for d in range(3)])  # the position of each row
     return ReducedMatrix(bm, owner, apparent, chain_ptr, at_row[chain_row])
+
+
+def _pair_dual(
+    at: np.ndarray, face_at: np.ndarray, oldest: np.ndarray, owner: np.ndarray, apparent: np.ndarray
+) -> None:
+    """Set the ``owner`` of each edge an embedded complex's triangle kills.
+
+    The nodes are the triangles and an outside node n; each edge links its
+    two triangles, or its one and n.  A matrix and its anti-transpose pair
+    alike, so the triangles pair as H0 of this graph with the edges walked
+    in decreasing position: an edge joining two components kills the one
+    whose largest node is smaller, and pairs with that node.  n is largest,
+    so it never dies, and merging the regions outside the complex into it
+    changes no death.  Roots are their components' largest nodes.  An
+    apparent triangle is linked up front under the far side of its youngest
+    edge; an apparent edge kills a vertex, so it closes a dual cycle and is
+    skipped.  An edge of three triangles, or a triangle left unpaired (H2),
+    raises ``ValueError``.
+    """
+    n = len(owner)
+    edge_at = face_at.ravel()
+    triangle_at = np.repeat(at, 3)
+    count = np.bincount(edge_at, minlength=n)
+    if (count > 2).any():
+        raise ValueError(f"embedded complex has an edge in {count.max()} triangles")
+    young = triangle_at != oldest[edge_at]
+    other = np.full(n, n, dtype=np.int64)  # each edge's younger coface, n for one coface
+    other[edge_at[young]] = triangle_at[young]
+    parent = np.arange(n + 1)
+    low = face_at[apparent[at]].max(axis=1)  # the apparent triangles' youngest edges
+    parent[at[apparent[at]]] = other[low]
+    parent = parent.tolist()
+    edges = np.flatnonzero((count > 0) & ~apparent & (owner < 0))[::-1]
+    killed, dying = [], []
+    for e, a, b in zip(edges.tolist(), oldest[edges].tolist(), other[edges].tolist()):
+        while (p := parent[a]) != a:  # path halving
+            parent[a] = a = parent[p]
+        while (p := parent[b]) != b:
+            parent[b] = b = parent[p]
+        if a != b:
+            a, b = min(a, b), max(a, b)
+            parent[a] = b
+            killed.append(e)
+            dying.append(a)
+    owner[killed] = dying
+    if len(killed) + len(low) < len(at):
+        raise ValueError("embedded complex has a triangle that kills no edge")
 
 
 def _reduction_path(columns: int, rows: int) -> Callable[..., np.ndarray]:
@@ -389,8 +462,9 @@ def persistence_pairs(reduced: ReducedMatrix, fc: FilteredComplex) -> Barcode:
     A column that ends zero is a birth, and the column that owns its row,
     if any, is its death.  A vertex is its own generator; an edge or
     triangle's is its chain, gathered, as ``chain_at`` lists it in
-    lexicographic order.  A zero-length dimension-1 bar was never reduced,
-    so its generator is empty: ``()``.  No ``PersistencePair`` is built.
+    lexicographic order, into one array a block of bars at a time.  A
+    zero-length dimension-1 bar was never reduced, so its generator is
+    empty: ``()``.  No ``PersistencePair`` is built.
     """
     if reduced.boundary.complex is not fc and reduced.boundary.complex != fc:
         raise ValueError("reduced matrix does not belong to this complex")
@@ -402,13 +476,25 @@ def persistence_pairs(reduced: ReducedMatrix, fc: FilteredComplex) -> Barcode:
     dies[owner[owner >= 0]] = True
     born = np.flatnonzero(~dies)
     killer = owner[born]
-    sizes = np.diff(reduced.chain_ptr)
-    generator = row[reduced.chain_at[np.repeat(~dies, sizes)]]  # the births' chains, in order
-    sizes = sizes[born]
+    sizes = np.diff(reduced.chain_ptr)[born]
     # A vertex column's chain is empty; its bar's generator is its own row.
-    (vertex,) = np.nonzero(dimension[born] == 0)
-    generator = np.insert(generator, np.cumsum(sizes)[vertex], row[born[vertex]])
+    vertex = dimension[born] == 0
     sizes[vertex] = 1
+    ptr = np.zeros(len(born) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=ptr[1:])
+    generator = np.empty(ptr[-1], dtype=row.dtype)
+    chain_ptr, chain_at = reduced.chain_ptr, reduced.chain_at
+    # No other chain-sized array is made.
+    cuts = np.searchsorted(ptr, np.arange(0, ptr[-1], _COPY_BLOCK))
+    for a, b in zip(cuts.tolist(), [*cuts[1:].tolist(), len(born)]):
+        if a == b:
+            continue
+        first, last = born[a], born[b - 1] + 1
+        keep = np.repeat(~dies[first:last], np.diff(chain_ptr[first : last + 1]))
+        at = chain_at[chain_ptr[first] : chain_ptr[last]][keep]  # the births' chains, in order
+        (v,) = np.nonzero(vertex[a:b])
+        at = np.insert(at, ptr[a + v] - ptr[a] - np.arange(len(v)), born[a + v])
+        generator[ptr[a] : ptr[b]] = row[at]
     return Barcode._of_columns(
         fc.max_value(),
         dimension[born],
@@ -417,7 +503,7 @@ def persistence_pairs(reduced: ReducedMatrix, fc: FilteredComplex) -> Barcode:
         killer < 0,
         np.zeros(len(born), dtype=bool),
         born,
-        np.r_[0, np.cumsum(sizes)],
+        ptr,
         generator,
         simplices,
     )

@@ -351,6 +351,29 @@ class TestBuild:
         assert "Traceback" not in err
         assert "\n1,2,3\t" in (out / "complex.txt").read_text()
 
+    def test_alpha_on_a_thin_hull_names_the_cause(self, tmp_path, capsys):
+        # The points (x, 0.1 x + 0.3), x = 0..4, are not collinear: their
+        # exact orientations are not all 0.  Yet their hull is too thin for
+        # the finite enclosing triangle, so no triangle avoids its vertices;
+        # the error says so rather than calling the points collinear.
+        cloud = [(float(x), 0.1 * x + 0.3) for x in range(5)]
+        obj = point_precincts(cloud)
+        with pytest.warns(UserWarning, match="zero area"):
+            assert centroids(parse_feature_collection(obj).precincts) == cloud
+        src = tmp_path / "thin-hull.geojson"
+        write_fixture(obj, src)
+        with pytest.warns(UserWarning, match="zero area"):
+            code = main(
+                ["build", "--method", "alpha", "--candidate", "red",
+                 "--input", str(src), "--out", str(tmp_path / "o")]
+            )
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "numerical error:" in err
+        assert "convex hull is too thin for the enclosing triangle" in err
+        assert "collinear" not in err
+        assert "Traceback" not in err
+
     @given(hard_alpha_clouds())
     @settings(max_examples=250, deadline=None)
     def test_alpha_on_hard_clouds_exits_cleanly(self, cloud):

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import random
 import warnings
@@ -19,6 +20,7 @@ from geoph.complexes import (
 from geoph.geometry import PointCloud
 from geoph.homology import (
     Barcode,
+    BoundaryMatrix,
     PersistencePair,
     _filtration_ranks,
     barcode_of,
@@ -174,6 +176,108 @@ def assert_pairs_match_reference(fc):
     for dimension in (0, 1, 2):
         assert bc.max_persistence(dimension) == expected.max_persistence(dimension)
     assert classify_long_persistence(expected).pairs == flagged.pairs
+
+
+def embedded_copy(fc):
+    """The same complex, marked as embedded in the plane."""
+    rows, positions = zip(*(fc.rows(d) for d in range(3)))
+    return FilteredComplex._from_arrays(rows, [fc.values[at] for at in positions], embedded=True)
+
+
+@contextlib.contextmanager
+def recorded_paths():
+    """The (path, faces per column) of every call of the column loop and the
+    row sweep made inside the block."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_reduce_columns", "_reduce_rows"):
+
+            def record(face_rank, *args, path=getattr(homology, name)):
+                calls.append((path.__name__, face_rank.shape[1]))
+                return path(face_rank, *args)
+
+            mp.setattr(homology, name, record)
+        yield calls
+
+
+@st.composite
+def planar_complexes(draw):
+    """Face-closed subcomplexes of the Delaunay triangulation (scipy's, with
+    joggled input, so collinear draws triangulate too) of 4 to 14 lattice
+    points, with values from 2 to 4 distinct ones: many ties."""
+    spatial = pytest.importorskip("scipy.spatial")
+    lattice = st.tuples(st.integers(0, 12), st.integers(0, 12))
+    points = draw(st.lists(lattice, min_size=4, max_size=14, unique=True))
+    triangles = spatial.Delaunay(np.array(points, dtype=float), qhull_options="QJ").simplices
+    simplices = {(v,) for v in range(len(points))}
+    for t in triangles.tolist():
+        t = tuple(sorted(t))
+        simplices |= {t, *combinations(t, 2)}
+    simplices = sorted(simplices)
+    value = st.none() | st.integers(0, draw(st.integers(1, 3)))
+    values = draw(st.lists(value, min_size=len(simplices), max_size=len(simplices)))
+    entries = [(s, v) for s, v in zip(simplices, values) if v is not None]
+    return close_under_faces(entries or [((0,), 0)])
+
+
+class TestDualPairing:
+    """The triangles of an embedded complex pair on the dual graph, with the
+    same pairing, barcode and chains as the column reduction."""
+
+    @given(planar_complexes())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_column_reduction_on_planar_complexes(self, fc):
+        marked = embedded_copy(fc)
+        assert marked.embedded and not fc.embedded and marked == fc
+        bm = build_boundary_matrix(fc)
+        plain = reduce_matrix(bm)
+        with recorded_paths() as calls:
+            dual = reduce_matrix(BoundaryMatrix(marked, bm.face_positions))
+            bars = persistence_pairs(dual, marked)
+        assert all(width == 2 for _, width in calls)
+        assert np.array_equal(dual.owner, plain.owner)
+        assert np.array_equal(dual.apparent, plain.apparent)
+        expected = persistence_pairs(plain, fc)
+        assert bars.pairs == expected.pairs
+        assert bars.rendered() == expected.rendered()
+        assert bars.to_json() == expected.to_json()
+        # Read after the build, the chains and reduced columns are today's.
+        assert dual.pairs == plain.pairs
+        assert dual.chains == plain.chains
+        assert dual.matrix.columns == plain.matrix.columns
+
+    def test_rejects_an_edge_in_three_triangles(self):
+        fc = embedded_copy(close_under_faces([((0, 1, k), 1.0) for k in (2, 3, 4)]))
+        with pytest.raises(ValueError, match="edge in 3 triangles"):
+            reduce_matrix(build_boundary_matrix(fc))
+
+    def test_rejects_a_closed_surface(self):
+        # The hollow tetrahedron: every edge has two triangles, and one
+        # triangle is born (H2), so it is left unpaired.
+        fc = close_under_faces([(t, float(k)) for k, t in enumerate(combinations(range(4), 3))])
+        assert barcode_of(fc).rendered(2)
+        with pytest.raises(ValueError, match="triangle that kills no edge"):
+            reduce_matrix(build_boundary_matrix(embedded_copy(fc)))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_only_alpha_and_level_set_builds_skip_the_triangle_reduction(self, method):
+        m = parse_feature_collection(make_fixture("dissent"))
+        with recorded_paths() as calls, warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fc = run_pipeline(RunConfig(method=method, candidate="red"), m).complex
+        triangles = [path for path, width in calls if width == 3]
+        edges = [path for path, width in calls if width == 2]
+        assert fc.counts()[2] > 0 and edges == ["_reduce_columns"]
+        expected = {"vr": ["_reduce_rows"], "adjacency": ["_reduce_columns"]}
+        assert triangles == expected.get(method, [])
+        assert fc.embedded == (method in ("alpha", "levelset"))
+
+    def test_other_constructors_leave_the_mark_off(self):
+        fc = fixture_complex("dissent", "alpha")
+        assert fc.embedded
+        assert not FilteredComplex(fc.entries).embedded
+        assert not close_under_faces(fc.entries).embedded
+        assert not FilteredComplex.from_text(fc.to_text()).embedded
 
 
 class TestReduction:
@@ -386,6 +490,16 @@ class TestPairs:
     @pytest.mark.parametrize("fixture", FIXTURES)
     def test_matches_reference_on_fixtures(self, fixture, method):
         assert_pairs_match_reference(fixture_complex(fixture, method))
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_matches_reference_when_copied_in_small_blocks(self, block, monkeypatch):
+        # Blocks that end inside a bar's generator, and bars whose generators
+        # span several blocks.
+        monkeypatch.setattr(homology, "_COPY_BLOCK", block)
+        rng = random.Random(37)
+        for _ in range(30):
+            assert_pairs_match_reference(close_under_faces(random_filtered_entries(rng)))
+        assert_pairs_match_reference(fixture_complex("dissent", "vr"))
 
     def test_rejects_a_reduction_of_another_complex(self):
         red = reduce_matrix(build_boundary_matrix(hollow_triangle()))
