@@ -175,8 +175,10 @@ def delaunay_reference(pc, tol=1e-12):
     for each cavity, then flips cocircular edges by rescanning every edge
     per flip, then checks every circumcircle against every point.
 
-    Same enclosing triangle, insertion order, canonical flip rule and
-    errors as ``geoph.alpha.delaunay_triangulation``.
+    Same enclosing triangle, canonical flip rule and errors as
+    ``geoph.alpha.delaunay_triangulation``, but the points go in input
+    order, not along its Hilbert curve, on purpose: a match then also
+    shows that the output does not depend on the insertion order.
     """
     from geoph.alpha import Triangulation
     from geoph.errors import DegenerateTriangulationError, NumericalError
@@ -290,7 +292,7 @@ def gabriel_reference(points, u, v):
     (ux, uy), (vx, vy) = points[u], points[v]
     mx, my = (ux + vx) / 2.0, (uy + vy) / 2.0
     r2 = ((ux - vx) ** 2 + (uy - vy) ** 2) / 4.0
-    slack = 1e-12 * max(r2, 1.0)
+    slack = 1e-12 * r2
     return all(
         (wx - mx) ** 2 + (wy - my) ** 2 > r2 + slack
         for w, (wx, wy) in enumerate(points)

@@ -230,8 +230,11 @@ class TestDelaunayAgainstReferences:
     def test_scaling_guard(self, monkeypatch):
         # Cavities come from walks over the neighbour links, not from testing
         # every triangle, each flip re-tests four edges, not all of them, and
-        # the verification tests each edge once, so the in-circle calls of
-        # all three, every one through in_circle_at, stay linear in the points.
+        # the verification tests each edge once.  Along the Hilbert order a
+        # new point's cavity and walk stay small, so the in-circle calls of
+        # all three, every one through in_circle_at, stay linear in the
+        # points: per point, the 48 x 48 lattice needs at most 1.5 times the
+        # 12 x 12 one (the input order needed about 2.5 times).
         calls = 0
         predicate = alpha.in_circle_at
 
@@ -241,10 +244,15 @@ class TestDelaunayAgainstReferences:
             return predicate(*args)
 
         monkeypatch.setattr(alpha, "in_circle_at", counted)
-        pc = lattice_centroids(24, 0)
-        tri = delaunay_triangulation(pc)
-        assert len(tri.triangles) == 2 * 23 * 23
-        assert 0 < calls <= 100 * len(pc)
+        per_point = {}
+        for k in (12, 48):
+            pc = lattice_centroids(k, 0)
+            calls = 0
+            tri = delaunay_triangulation(pc)
+            assert len(tri.triangles) == 2 * (k - 1) ** 2
+            per_point[k] = calls / len(pc)
+        assert 0 < per_point[48] <= 25
+        assert per_point[48] <= 1.5 * per_point[12]
 
     def test_integer_coordinates_are_made_once(self, monkeypatch):
         # The insertion, the flips and the verification read one table.
@@ -327,6 +335,28 @@ def near_collinear_clouds(draw):
     return pts
 
 
+@st.composite
+def crowded_clouds(draw):
+    """Two or three clusters about 1e-9 wide at integer points of [0, 4]^2, so
+    each cluster falls in one or two cells of the insertion order's 2**16
+    grid and its points tie on the curve key.  A cluster is random points or
+    an exactly cocircular lattice of step 2**-30; the whole cloud is in a
+    drawn order."""
+    width = math.ldexp(1.0, -30)
+    coordinate = st.integers(0, 4)
+    centres = draw(st.lists(st.tuples(coordinate, coordinate), min_size=2, max_size=3, unique=True))
+    pts = set()
+    for cx, cy in centres:
+        if draw(st.booleans()):
+            k = draw(st.integers(2, 3))
+            steps = [(i, j) for i in range(k) for j in range(k)]
+        else:
+            unit = st.floats(0.0, 1.0)
+            steps = draw(st.lists(st.tuples(unit, unit), min_size=1, max_size=6))
+        pts.update((cx + i * width, cy + j * width) for i, j in steps)
+    return draw(st.permutations(sorted(pts)))
+
+
 def assert_matches_reference(pts):
     """Same triangles or the same error type as ``delaunay_reference``,
     which has no range check: a cloud the triangulation rejects as out of
@@ -388,6 +418,13 @@ class TestDelaunayProperties:
     @given(near_collinear_clouds())
     @settings(max_examples=150, deadline=None)
     def test_near_collinear_clouds_match_reference(self, pts):
+        assert_matches_reference(pts)
+
+    @given(crowded_clouds())
+    @settings(max_examples=100, deadline=None)
+    def test_crowded_clouds_match_reference(self, pts):
+        # Ties in the curve key keep input order; the reference inserts in
+        # input order throughout.
         assert_matches_reference(pts)
 
 
@@ -542,19 +579,32 @@ class TestAlphaFiltration:
         assert lowered == len(near_right)
 
     def test_gabriel_decisions_at_the_slack_boundary(self):
-        # Third points within about 1e-12 of the edge's slackened diametral
-        # circle, on either side of it; the apex is the only point that can
-        # decide the edge.  At half length 1 the triangle's circumradius
-        # rounds to the half length, so the decision hardly shows in the
-        # values; at 1e-4 the slack floor (1e-12 absolute) is relatively
-        # wide and the circumradius moves by about 1e-9.
+        # Third points within about 1e-12 (relative) of the edge's slackened
+        # diametral circle, on either side of it; the apex is the only point
+        # that can decide the edge.  The slack is relative, so the points sit
+        # at the same relative distance at both scales.  The triangles are
+        # near-right: a Gabriel edge's half length can exceed the float
+        # circumradius, so the reference's raw values are closed under faces.
         for s in (1.0, 1e-4):
             for k in (0.5, 0.9, 0.99, 1.0, 1.01, 1.1, 2.0, 3.0):
-                y = math.sqrt(s * s + k * 1e-12)
+                y = s * math.sqrt(1.0 + k * 1e-12)
                 for apex in ((s, y), (s, -y)):
                     pc = cloud((0.0, 0.0), (2.0 * s, 0.0), apex)
                     tri = delaunay_triangulation(pc)
-                    assert dict(alpha_filtration(tri, pc)) == alpha_values_reference(tri)
+                    raw = alpha_values_reference(tri)
+                    assert alpha_filtration(tri, pc) == close_under_faces(raw.items())
+
+    def test_values_scale_with_the_cloud(self):
+        # Scaling the cloud by 2**k scales every value by 2**k exactly: the
+        # Gabriel slack is relative, so at no scale does it swallow an apex.
+        # Edges (0, 3), (1, 3), (2, 3), (0, 2) and (1, 2) are Gabriel.
+        pts = [(0.0, 0.0), (4.0, 0.0), (2.0, 3.0), (2.0, -0.5)]
+        unscaled = dict(build_alpha_complex(cloud(*pts)))
+        assert unscaled[(2, 3)] == 1.75 < unscaled[(0, 2, 3)]
+        for k in range(-300, 301):
+            scaled = cloud(*[(math.ldexp(x, k), math.ldexp(y, k)) for x, y in pts])
+            expected = {s: math.ldexp(v, k) for s, v in unscaled.items()}
+            assert dict(build_alpha_complex(scaled)) == expected, k
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_lattice_centroids_match_scalar_reference(self, seed):
