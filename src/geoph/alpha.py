@@ -22,7 +22,9 @@ the last triangle made: the walk stays short, and the cavity stays a few
 triangles instead of the fan along the hull that row-major input gives.
 A Delaunay triangulation depends on the order only in how it splits
 cocircular groups, which the flip pass below makes canonical; vertices
-keep their input indices, so the output does not depend on the order.
+keep their input indices, so the output does not depend on the order,
+except in a cocircular group that holds an enclosing vertex, which the
+flip pass leaves as inserted (ROADMAP item 7).
 
 Cocircular point groups admit several Delaunay triangulations; a post-pass
 flips interior edges between exactly cocircular quadrilaterals, always the
@@ -135,16 +137,11 @@ def _finite_normal(x: float) -> bool:
     return math.isfinite(x) and abs(x) >= sys.float_info.min
 
 
-def _hilbert_order(points: tuple[Point, ...]) -> list[int]:
-    """Point indices along a Hilbert curve over the points' bounding square,
-    quantized to a 2**16 x 2**16 grid; points in one cell keep input order.
-
-    The span must be a positive finite float, so the quantization stays in
-    the grid.
-    """
+def _hilbert_order(points: tuple[Point, ...], lo: Point, span: float) -> list[int]:
+    """Point indices along a Hilbert curve over the bounding square with
+    corner ``lo`` and side ``span``, quantized to a 2**16 x 2**16 grid;
+    points in one cell keep input order."""
     xy = np.array(points, dtype=float)
-    lo = xy.min(axis=0)
-    span = (xy.max(axis=0) - lo).max()
     x, y = ((xy - lo) / span * (2**16 - 1)).astype(np.int64).T
     d = np.zeros(len(xy), dtype=np.int64)
     for s in (1 << np.arange(15, -1, -1)).tolist():  # one bit per round, high first
@@ -207,7 +204,7 @@ def delaunay_triangulation(pc: PointCloud) -> Triangulation:
     ic = [_in_circle_order(exact, tv[0])]
     last = 0
 
-    for p in _hilbert_order(points):
+    for p in _hilbert_order(points, (min(xs), min(ys)), span):
         pt = verts[p]
         # The seed: a depth-first search from the last triangle made that
         # steps first across edges with p on their far side (a visibility

@@ -178,7 +178,8 @@ def delaunay_reference(pc, tol=1e-12):
     Same enclosing triangle, canonical flip rule and errors as
     ``geoph.alpha.delaunay_triangulation``, but the points go in input
     order, not along its Hilbert curve, on purpose: a match then also
-    shows that the output does not depend on the insertion order.
+    shows that the output does not depend on the insertion order (outside
+    cocircular groups that hold an enclosing vertex, which neither flips).
     """
     from geoph.alpha import Triangulation
     from geoph.errors import DegenerateTriangulationError, NumericalError

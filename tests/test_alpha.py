@@ -234,7 +234,7 @@ class TestDelaunayAgainstReferences:
         # new point's cavity and walk stay small, so the in-circle calls of
         # all three, every one through in_circle_at, stay linear in the
         # points: per point, the 48 x 48 lattice needs at most 1.5 times the
-        # 12 x 12 one (the input order needed about 2.5 times).
+        # 12 x 12 one.
         calls = 0
         predicate = alpha.in_circle_at
 
@@ -579,20 +579,21 @@ class TestAlphaFiltration:
         assert lowered == len(near_right)
 
     def test_gabriel_decisions_at_the_slack_boundary(self):
-        # Third points within about 1e-12 (relative) of the edge's slackened
-        # diametral circle, on either side of it; the apex is the only point
-        # that can decide the edge.  The slack is relative, so the points sit
-        # at the same relative distance at both scales.  The triangles are
-        # near-right: a Gabriel edge's half length can exceed the float
-        # circumradius, so the reference's raw values are closed under faces.
+        # Third points just outside the edge's diametral circle, by k * 1e-12
+        # in squared distance; the apex is the only point that can decide
+        # the edge.  At half length 1 they sit on either side of the
+        # slackened circle, but the triangle's circumradius rounds to the
+        # half length, so the decision hardly shows in the values; at 1e-4
+        # they sit about k * 1e-4 (relative) outside, far beyond the
+        # relative slack, so every edge is Gabriel, and the circumradius
+        # exceeds the half length by about 1e-9.
         for s in (1.0, 1e-4):
             for k in (0.5, 0.9, 0.99, 1.0, 1.01, 1.1, 2.0, 3.0):
-                y = s * math.sqrt(1.0 + k * 1e-12)
+                y = math.sqrt(s * s + k * 1e-12)
                 for apex in ((s, y), (s, -y)):
                     pc = cloud((0.0, 0.0), (2.0 * s, 0.0), apex)
                     tri = delaunay_triangulation(pc)
-                    raw = alpha_values_reference(tri)
-                    assert alpha_filtration(tri, pc) == close_under_faces(raw.items())
+                    assert dict(alpha_filtration(tri, pc)) == alpha_values_reference(tri)
 
     def test_values_scale_with_the_cloud(self):
         # Scaling the cloud by 2**k scales every value by 2**k exactly: the
