@@ -2,11 +2,15 @@
 
 A ``Barcode`` holds every bar of one filtration as arrays, in column order:
 dimension, birth, death, the immortal and zero-length masks, the
-long-persistence flags and birth positions, and the generators as one CSR
-array of simplex rows.  Births and deaths are float64, with NaN for the
+long-persistence flags and birth positions, the generators as one CSR
+array of simplex rows, and the cycles the feature map draws as one CSR
+array of vertex ids.  Births and deaths are float64, with NaN for the
 death of a bar that never dies.  ``homology.persistence_pairs`` fills the
-columns off a reduction; ``Barcode(pairs, horizon)`` fills the same columns
-from hand-built ``PersistencePair`` objects.  The long-persistence flags,
+columns off a reduction, where H0 comes from a union-find and each shown
+H1 generator is a forest cycle, listed in the order the feature map draws
+it.  ``Barcode(pairs, horizon)`` fills the same columns from hand-built
+``PersistencePair`` objects, whose generators may be any edge sets: it
+splits each into closed walks (``_closed_walks``).  The long-persistence flags,
 ``barcode.json`` (``Barcode.json_blocks``) and ``barcode.svg``
 (``render.render_barcode_svg``) are computed on the columns;
 ``PersistencePair`` objects are built from them whenever ``Barcode.pairs``
@@ -21,7 +25,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .complexes import Simplex, _float_reprs, _ranges
+from .complexes import Simplex, _float_reprs, _ranges, _unique
 
 LONG_PERSISTENCE_THRESHOLD = 0.75
 _JSON_BLOCK = 2048  # rendered bars per block of `json_blocks` text
@@ -75,7 +79,11 @@ class Barcode:
     generator is the rows
     ``generator_at[generator_ptr[k]:generator_ptr[k + 1]]`` of ``simplices``,
     the vertex, edge and triangle tables (one row of vertex ids per simplex)
-    numbered on from one table to the next.
+    numbered on from one table to the next.  Cycle c, drawn for bar
+    ``cycle_bar[c]``, is the polyline of vertex ids
+    ``cycle_at[cycle_ptr[c]:cycle_ptr[c + 1]]``; the shown dimension-1 bars
+    have theirs, in bar order.  ``cycle_at`` is None when one of those bars'
+    generators holds a simplex that is not an edge.
 
     ``horizon`` is the maximum filtration value present; it stands in for
     infinite deaths when persistence ratios are needed.  ``pairs`` and
@@ -104,17 +112,21 @@ class Barcode:
         def column(name: str, dtype) -> np.ndarray:
             return np.array([getattr(p, name) for p in pairs], dtype=dtype)
 
+        dimension, birth = column("dimension", np.int64), column("birth", np.float64)
+        death = np.array([np.nan if p.death is None else p.death for p in pairs], dtype=np.float64)
+        drawn = np.flatnonzero((dimension == 1) & (death != birth)).tolist()  # ``shown(1)``
         self._set(
             horizon,
-            column("dimension", np.int64),
-            column("birth", np.float64),
-            np.array([np.nan if p.death is None else p.death for p in pairs], dtype=np.float64),
+            dimension,
+            birth,
+            death,
             column("infinite", bool),
             column("long_persistence", bool),
             column("birth_position", np.int64),
             np.cumsum([0] + [len(p.generator) for p in pairs], dtype=np.int64),
             np.array([offset[d] + row for d, row in found], dtype=np.int64),
             simplices,
+            *_cycle_columns(drawn, [pairs[k].generator for k in drawn]),
         )
 
     def _set(
@@ -129,6 +141,9 @@ class Barcode:
         generator_ptr: np.ndarray,
         generator_at: np.ndarray,
         simplices: tuple[np.ndarray, ...],
+        cycle_bar: np.ndarray,
+        cycle_ptr: np.ndarray,
+        cycle_at: np.ndarray | None,
     ) -> None:
         self.horizon = horizon
         self.dimension = dimension
@@ -141,6 +156,9 @@ class Barcode:
         self.generator_ptr = generator_ptr
         self.generator_at = generator_at
         self.simplices = simplices
+        self.cycle_bar = cycle_bar
+        self.cycle_ptr = cycle_ptr
+        self.cycle_at = cycle_at
 
     @classmethod
     def _of_columns(cls, horizon: float, *columns) -> Barcode:
@@ -262,6 +280,64 @@ class Barcode:
         between[head_at] = between[tail_at] = False
         pieces[between] = texts[code]
         return "".join(pieces.tolist())
+
+
+def _cycle_columns(
+    bars: list[int], generators: list[tuple[Simplex, ...]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The cycle columns of hand-built ``bars``: the closed walks of each
+    one's generator, or no walks (``None``) if a generator holds a simplex
+    that is not an edge."""
+    if any(len(s) != 2 for g in generators for s in g):
+        return np.zeros(0, dtype=np.int64), np.zeros(1, dtype=np.int64), None
+    walks = [
+        (k, walk)
+        for k, g in zip(bars, generators)
+        if g
+        for walk in _closed_walks(np.array(g, dtype=np.int64))
+    ]
+    return (
+        np.array([k for k, _ in walks], dtype=np.int64),
+        np.cumsum([0] + [len(w) for _, w in walks], dtype=np.int64),
+        np.array([v for _, w in walks for v in w], dtype=np.int64),
+    )
+
+
+def _closed_walks(ends: np.ndarray) -> list[list[int]]:
+    """Split an edge set into closed walks (one per component when every degree is even)
+    by Hierholzer's algorithm over a CSR table.  Edge k joins the nodes ``ends[k]``, any
+    two ints, and counts once however often it repeats.  Walks start at each node in
+    ascending order and leave a node by its smallest unused neighbour.  Returns the walks
+    as lists of nodes."""
+    nodes, node = _unique(ends)
+    n = len(nodes)
+    node = np.sort(node, axis=1)
+    edges, _ = _unique(node[:, 0] * n + node[:, 1])  # lower node * n + upper node
+    # each edge in both directions, in (node, neighbour) order
+    half = np.sort(np.concatenate([edges, edges % n * n + edges // n]))
+    src, dst = half // n, half % n
+    edge = np.searchsorted(edges, np.minimum(src, dst) * n + np.maximum(src, dst)).tolist()
+    ptr = np.searchsorted(src, np.arange(n + 1)).tolist()
+    target, nxt, end = dst.tolist(), ptr[:-1], ptr[1:]
+    used = [False] * len(edges)
+    walks = []
+    for start in range(n):
+        stack, walk = [start], []
+        while stack:
+            v = stack[-1]
+            i = nxt[v]
+            while i < end[v] and used[edge[i]]:
+                i += 1
+            if i < end[v]:
+                used[edge[i]] = True
+                stack.append(target[i])
+                i += 1
+            else:
+                walk.append(stack.pop())
+            nxt[v] = i
+        if len(walk) > 1:  # else every edge at ``start`` was walked already
+            walks.append(nodes[walk].tolist())
+    return walks
 
 
 def _distinct(

@@ -13,23 +13,29 @@ Apparent pairs come first (Bauer 2021, *Ripser*): a column whose lowest
 face has it as its oldest coface keeps its boundary and pairs at once,
 since no earlier column can hold that face.  They are found with numpy, as
 are the edges a triangle kills at their own value (zero-length births,
-never reduced).  The other columns of a dimension take one of two paths
-that make the same additions: a column loop, each column one Python int
-(an addition is an xor and a shift), or, when the columns to reduce
-outnumber the face rows (Vietoris-Rips triangles), a sweep over numpy
-``uint64`` bit rows, last row first, where the columns whose lowest row a
-row is add its owner at once.  Each returns its chains as keys (column,
-lexicographic row of a chain simplex): the loop sums them from a log of
-its additions, the sweep folds each pivot it found into the rows above it
-and reads them off its bit rows.  One sort makes them one CSR array
-(``ReducedMatrix.chain_ptr``, ``.chain_at``), the one record of the
-reduction, each chain in lexicographic order, so ``persistence_pairs``
-gathers every bar's dimension, birth, death and generator into a columnar
-``Barcode`` (module ``barcode``) with no sort and no per-bar object.
-The per-column views (``BoundaryMatrix.columns``, ``ReducedMatrix.matrix``,
-``.chains`` and ``.pairs``) are built on first read; the reduced matrix is
-computed as R = DV, the boundary of each chain (Cohen-Steiner, Edelsbrunner
-and Morozov 2006, *Vines and Vineyards*).
+never reduced).  The other triangle columns take one of two paths that
+make the same additions: a column loop, each column one Python int (an
+addition is an xor and a shift), or, when the columns to reduce outnumber
+the edge rows (Vietoris-Rips triangles), a sweep over numpy ``uint64`` bit
+rows, last row first, where the columns whose lowest row a row is add its
+owner at once.  Each returns its chains as keys (column, lexicographic row
+of a chain simplex).
+
+No edge column is reduced.  H0 comes from a union-find over the edges in
+filtration order with the elder rule (Edelsbrunner, Letscher and
+Zomorodian 2002), and the negative edges form a forest.  The chain of a
+positive edge is the edge plus the forest path between its ends, a simple
+cycle; it is built in numpy, as keys like the triangles' and as an ordered
+list of vertex ids, the cycle ``feature_map.svg`` draws.  One sort makes
+the keys one CSR array (``ReducedMatrix.chain_ptr``, ``.chain_at``), each
+chain in lexicographic order, so ``persistence_pairs`` gathers every bar's
+dimension, birth, death, generator and cycle into a columnar ``Barcode``
+(module ``barcode``) with no sort and no per-bar object.  The per-column
+views (``BoundaryMatrix.columns``, ``ReducedMatrix.matrix``, ``.chains``
+and ``.pairs``) are built on first read, from a reduction of every
+triangle and edge column; the reduced matrix is computed as R = DV, the
+boundary of each chain (Cohen-Steiner, Edelsbrunner and Morozov 2006,
+*Vines and Vineyards*).
 
 The alpha and level-set complexes lie in a triangulation of the plane
 (``FilteredComplex.embedded``), so they have no H2: every triangle dies and
@@ -57,7 +63,7 @@ from .barcode import (  # noqa: F401 -- the barcode's names stay importable from
     _gather,
     classify_long_persistence,
 )
-from .complexes import FilteredComplex, Simplex, faces
+from .complexes import FilteredComplex, Simplex, _ranges, faces
 
 _EMPTY: frozenset[int] = frozenset()
 _READ_BLOCK = 1 << 20  # words of the row sweep's bit rows read out at a time
@@ -106,15 +112,17 @@ class ReducedMatrix:
 
     ``owner[i]`` is the column whose reduced lowest row is i, or -1.  An
     ``apparent`` column keeps its boundary as its reduced column, and its
-    chain is itself.  The chain of each column the reduction reduced is
-    ``chain_at[chain_ptr[j]:chain_ptr[j + 1]]``, positions in lexicographic
-    order of their simplices; the other columns (apparent ones, vertices,
-    zero-length edge births, and the triangles of an embedded complex,
-    paired on the dual graph) have an empty row there.  ``matrix`` holds the
-    reduced columns, each the F2 boundary of its chain (R = DV), and
-    ``chains`` and ``pairs`` the per-column sets of the rest; all three are
-    built on first read, and for an embedded complex the first read of
-    ``matrix`` or ``chains`` reduces its triangle columns.
+    chain is itself.  The chain of each reduced triangle column and of each
+    positive edge not cleared is ``chain_at[chain_ptr[j]:chain_ptr[j + 1]]``,
+    positions in lexicographic order of their simplices; the other columns
+    (apparent ones, vertices, negative edges, zero-length edge births, and
+    the triangles of an embedded complex, paired on the dual graph) have an
+    empty row there.  The cycle of the positive edge at ``cycle_of[c]`` is
+    ``cycle_at[cycle_ptr[c]:cycle_ptr[c + 1]]``, vertex ids, closed.
+    ``matrix`` holds the reduced columns, each the F2 boundary of its chain
+    (R = DV), and ``chains`` and ``pairs`` the per-column sets of the rest;
+    all three are built on first read, and the first read of ``matrix`` or
+    ``chains`` reduces every triangle and edge column.
     """
 
     boundary: BoundaryMatrix
@@ -122,6 +130,9 @@ class ReducedMatrix:
     apparent: np.ndarray
     chain_ptr: np.ndarray
     chain_at: np.ndarray
+    cycle_of: np.ndarray
+    cycle_ptr: np.ndarray
+    cycle_at: np.ndarray
 
     @cached_property
     def pairs(self) -> dict[int, int]:
@@ -131,11 +142,9 @@ class ReducedMatrix:
 
     @cached_property
     def _chains(self) -> tuple[np.ndarray, np.ndarray]:
-        """``chain_ptr`` and ``chain_at``; for an embedded complex, those of
-        a reduction that reduces its triangles too."""
-        if not self.boundary.complex.embedded:
-            return self.chain_ptr, self.chain_at
-        full = _reduce(self.boundary, dual=False)
+        """``chain_ptr`` and ``chain_at`` of a reduction that reduces every
+        triangle and edge column."""
+        full = _reduce(self.boundary, full=True)
         return full.chain_ptr, full.chain_at
 
     @cached_property
@@ -206,28 +215,30 @@ def _odd(keys: np.ndarray) -> np.ndarray:
 
 
 def reduce_matrix(bm: BoundaryMatrix) -> ReducedMatrix:
-    """Reduce the triangle columns, then the edge columns, each left to right.
+    """Pair the triangles, then pair the edges by a union-find.
 
     A pivot is one dimension below its column, so a column only ever adds
-    columns of its own dimension, and every reduced column and chain is the
-    one the plain left-to-right order gives.  Apparent columns are paired
-    first.  An edge whose row a triangle owns at the edge's own value is a
-    zero-length birth: its column reduces to zero and no artifact shows its
-    generator, so it is skipped (clearing).  An embedded complex's triangles
-    pair on the dual graph instead (:func:`_pair_dual`), with no chain.
-
-    The other columns of each dimension go through the column loop
-    (:func:`_reduce_columns`) or, when they outnumber the face rows, the
-    row sweep (:func:`_reduce_rows`), as :func:`_reduction_path` picks.
-    Both make the same additions and return the same chains as keys
+    columns of its own dimension, and every chain is the one the plain
+    left-to-right order gives.  Apparent columns are paired first.  An
+    embedded complex's triangles pair on the dual graph (:func:`_pair_dual`),
+    with no chain.  The other complexes' triangle columns go through the
+    column loop (:func:`_reduce_columns`) or, when they outnumber the edge
+    rows, the row sweep (:func:`_reduce_rows`), as :func:`_reduction_path`
+    picks.  Both make the same additions and return the same chains as keys
     ``j * n + row``, position j and ``FilteredComplex.order`` row, so one
-    sort lists each chain in lexicographic order.  The reduced columns are
-    the chains' boundaries (``ReducedMatrix.matrix``).
+    sort lists each chain in lexicographic order.
+
+    No edge column is reduced: :func:`_pair_edges` pairs them and builds
+    the chains and cycles of the positive edges a build shows.  An edge a
+    triangle kills at the edge's own value is a zero-length birth, and no
+    artifact shows its generator (clearing).
     """
-    return _reduce(bm, dual=bm.complex.embedded)
+    return _reduce(bm, full=False)
 
 
-def _reduce(bm: BoundaryMatrix, dual: bool) -> ReducedMatrix:
+def _reduce(bm: BoundaryMatrix, full: bool) -> ReducedMatrix:
+    """:func:`reduce_matrix`, or with ``full`` the reduction of every
+    triangle and edge column the views read."""
     fc = bm.complex
     n = len(bm)
     values = fc.values
@@ -240,20 +251,24 @@ def _reduce(bm: BoundaryMatrix, dual: bool) -> ReducedMatrix:
         hit = oldest[low] == at
         owner[low[hit]] = at[hit]
         apparent[at[hit]] = True
+    dual = fc.embedded and not full
     if dual:  # ``oldest`` is now each edge's oldest triangle
         _pair_dual(*bm.face_positions[1], oldest, owner, apparent)
     rank, by_rank = _filtration_ranks(fc)
     keys = []
+    cycles = [np.zeros(k, dtype=np.int64) for k in (0, 1, 0)]  # none for the views
     for d in (1,) if dual else (2, 1):
         at, face_at = bm.face_positions[d - 1]
         column_at, face_by = by_rank[d], by_rank[d - 1]
         face_rank = np.empty_like(face_at)
         face_rank[rank[at]] = np.sort(rank[face_at], axis=1)
-        todo = ~apparent[column_at]
-        if d == 1:  # clear zero-length births
-            killer = owner[column_at]
-            todo &= (killer < 0) | (values[np.maximum(killer, 0)] != values[column_at])
-        todo = np.flatnonzero(todo)
+        killer = owner[column_at]
+        cleared = (killer >= 0) & (values[np.maximum(killer, 0)] == values[column_at])
+        if d == 1 and not full:
+            *cycles, edge_keys = _pair_edges(fc, face_rank, cleared, owner, apparent, by_rank)
+            keys.append(edge_keys)
+            continue
+        todo = np.flatnonzero(~apparent[column_at] & ~cleared)
         own = owner[face_by]  # the column owning each face rank, as a column rank
         own[own >= 0] = rank[own[own >= 0]]
         path = _reduction_path(len(todo), len(face_by))
@@ -263,7 +278,150 @@ def _reduce(bm: BoundaryMatrix, dual: bool) -> ReducedMatrix:
     keys.sort()
     chain_ptr, chain_row = _csr(keys, n, n)
     at_row = np.concatenate([fc.rows(d)[1] for d in range(3)])  # the position of each row
-    return ReducedMatrix(bm, owner, apparent, chain_ptr, at_row[chain_row])
+    return ReducedMatrix(bm, owner, apparent, chain_ptr, at_row[chain_row], *cycles)
+
+
+def _pair_edges(
+    fc: FilteredComplex,
+    ends: np.ndarray,
+    cleared: np.ndarray,
+    owner: np.ndarray,
+    apparent: np.ndarray,
+    by_rank: list[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Pair the edges by a union-find, and build the positive edges' cycles.
+
+    ``ends[k]`` holds the vertex ranks of the edge of rank k, older first;
+    ``cleared[k]`` marks a zero-length birth.  Sets the ``owner`` of each
+    vertex an edge kills.  The union-find runs in filtration order with the
+    elder rule: an edge joining two components kills the one whose oldest
+    vertex, its root, is younger (Edelsbrunner, Letscher and Zomorodian
+    2002).  An apparent edge is the oldest coface of its younger vertex, so
+    no edge before it meets that vertex, and it is linked up front.  An edge
+    a triangle kills is positive and is skipped.
+
+    The negative edges form a forest, rooted per vertex by ``parent`` and
+    ``up_edge``, the edge to it: an apparent edge hangs its younger vertex
+    under its older one, and a joining edge re-roots the dying tree at its
+    end there and hangs it under the other end.  Returns
+    :func:`_forest_cycles` of the positive edges not cleared.
+    """
+    vertex_at, edge_at = by_rank[0], by_rank[1]
+    old, young = ends.T
+    linked = apparent[edge_at]
+    root = np.arange(len(vertex_at))
+    root[young[linked]] = old[linked]
+    root = root.tolist()
+    joined = []  # (edge rank, dying root, the edge's end in its tree, the other end)
+    loop = np.flatnonzero(~linked & (owner[edge_at] < 0))
+    for k, u, v in zip(loop.tolist(), old[loop].tolist(), young[loop].tolist()):
+        a, b = u, v
+        while (p := root[a]) != a:  # path halving
+            root[a] = a = root[p]
+        while (p := root[b]) != b:
+            root[b] = b = root[p]
+        if a < b:
+            root[b] = a
+            joined.append((k, b, v, u))
+        elif b < a:
+            root[a] = b
+            joined.append((k, a, u, v))
+    negative = linked.copy()
+    parent = np.full(len(vertex_at), -1, dtype=np.int64)
+    parent[young[linked]] = old[linked]
+    up_edge = np.full(len(vertex_at), -1, dtype=np.int64)
+    up_edge[young[linked]] = np.flatnonzero(linked)
+    if joined:
+        k, dying, _, _ = np.array(joined).T
+        owner[vertex_at[dying]] = edge_at[k]
+        negative[k] = True
+        parent, up_edge = parent.tolist(), up_edge.tolist()
+        for e, _, x, y in joined:
+            while x >= 0:  # reverse the path from x to its root, hanging x under y
+                parent[x], up_edge[x], x, y, e = y, e, parent[x], x, up_edge[x]
+        parent, up_edge = np.array(parent), np.array(up_edge)
+    return _forest_cycles(fc, np.flatnonzero(~negative & ~cleared), ends, parent, up_edge, by_rank)
+
+
+def _forest_cycles(
+    fc: FilteredComplex,
+    shown: np.ndarray,
+    ends: np.ndarray,
+    parent: np.ndarray,
+    up_edge: np.ndarray,
+    by_rank: list[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The cycles and chains of the positive edges of ranks ``shown``.
+
+    The chain the reduction gives a positive edge (u, v) is the edge plus
+    the u-v path in the forest of negative edges: it adds only negative
+    columns, whose chains hold only negative edges, and a chain in a forest
+    with boundary {u, v} is that path.  So each generator is a simple cycle.
+    It is listed from its smallest vertex id, first to that vertex's larger
+    neighbour and around back to it: the closed walk the feature map draws.
+
+    All cycles are made at once in numpy.  ``up[j]`` holds each vertex's
+    2**j-th ancestor (a root's is itself), found by pointer jumping with the
+    depths.  Binary lifting finds each edge's lowest common ancestor w, and
+    the cycle is first listed u, ..., w, ..., v: the path from u up to w and
+    the one from v up to below w, written backwards from the cycle's end.
+    Each path is filled by doubling: entries t to 2t - 1 are the 2**j-th
+    ancestors of entries 0 to t - 1, for t = 2**j.  The chain's edges are
+    the edge and the ``up_edge`` of every listed vertex but w.
+
+    Returns the positions of the edges ``shown``, their cycles as a CSR
+    array of vertex ids (``ptr``, ``at``), and their chains as keys
+    ``j * n + row``, as the column paths give them.
+    """
+    edge_at = by_rank[1]
+    u, v = ends[shown].T
+    if not len(shown):
+        return edge_at[shown], np.zeros(1, dtype=np.int64), u, u
+    roots = parent < 0
+    up = [np.where(roots, np.arange(len(parent)), parent)]
+    depth = (~roots).astype(np.int64)  # the steps from each vertex to ``up[-1]`` of it
+    while not roots[up[-1]].all():
+        depth += depth[up[-1]]
+        up.append(up[-1][up[-1]])
+    a, b = np.where(depth[u] >= depth[v], u, v), np.where(depth[u] >= depth[v], v, u)
+    rise = depth[a] - depth[b]
+    for j, hop in enumerate(up):  # lift the deeper end to the other's depth
+        lift = rise >> j & 1 == 1
+        a[lift] = hop[a[lift]]
+    for hop in reversed(up):
+        apart = hop[a] != hop[b]
+        a[apart], b[apart] = hop[a[apart]], hop[b[apart]]
+    w = np.where(a == b, a, up[0][a])
+    left, right = depth[u] - depth[w] + 1, depth[v] - depth[w]
+    sizes = left + right
+    start = np.cumsum(sizes) - sizes
+    first, base, way = np.r_[u, v], np.r_[start, start + sizes - 1], np.repeat([1, -1], len(u))
+    length = np.r_[left, right]
+    raw = np.empty(start[-1] + sizes[-1], dtype=np.int64)
+    raw[base[length > 0]] = first[length > 0]
+    for j, hop in enumerate(up):
+        h = 1 << j
+        more = np.flatnonzero(length > h)
+        count = np.minimum(length[more] - h, h)
+        path = np.repeat(more, count)
+        at = base[path] + way[path] * (h + _ranges(np.zeros_like(count), count))
+        raw[at] = hop[raw[at - way[path] * h]]
+    below = np.ones(len(raw), dtype=bool)
+    below[start + left - 1] = False  # w
+    chain_edge = np.r_[shown, up_edge[raw[below]]]
+    owner_edge = np.r_[shown, np.repeat(shown, sizes - 1)]
+    keys = edge_at[owner_edge] * len(fc) + fc.order[edge_at[chain_edge]]
+    # Rotate each cycle to its smallest id, and turn it toward the larger neighbour.
+    cycle = fc.rows(0)[0][fc.order[by_rank[0][raw]], 0]
+    low = np.flatnonzero(cycle == np.repeat(np.minimum.reduceat(cycle, start), sizes)) - start
+    turn = np.where(cycle[start + (low + 1) % sizes] > cycle[start + (low - 1) % sizes], 1, -1)
+    ptr = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes + 1, out=ptr[1:])
+    step = _ranges(np.zeros_like(sizes), sizes + 1)
+    walk = np.repeat(start, sizes + 1) + (
+        np.repeat(low, sizes + 1) + np.repeat(turn, sizes + 1) * step
+    ) % np.repeat(sizes, sizes + 1)
+    return edge_at[shown], ptr, cycle[walk], keys
 
 
 def _pair_dual(
@@ -506,6 +664,9 @@ def persistence_pairs(reduced: ReducedMatrix, fc: FilteredComplex) -> Barcode:
         ptr,
         generator,
         simplices,
+        np.searchsorted(born, reduced.cycle_of),
+        reduced.cycle_ptr,
+        reduced.cycle_at,
     )
 
 

@@ -5,8 +5,9 @@ Feature maps shade each precinct by its winner's color, darker for a
 stronger majority and white for a strictly equal vote, then overlay the
 dimension-1 generator cycles of the barcode as closed polylines in the
 analyzed candidate's color; long-persistence cycles come out darker and
-thicker.  The cycles come from the barcode's generator columns, walked
-and formatted a block of bars at a time.
+thicker.  The cycles come from the barcode's cycle columns, already in
+drawing order (each H1 generator of a build is a forest cycle, and H0 comes
+from a union-find; see ``homology``), and are formatted a block at a time.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
-from .barcode import Barcode, _gather
+from .barcode import Barcode
 from .complexes import _unique
 from .precincts import SIDES, PrecinctMap, check_candidate
 
@@ -26,7 +27,7 @@ SHORT_BAR_FILL = {0: "#9ecae1", 1: "#fc9272", 2: "#a1d99b"}
 LONG_BAR_FILL = {0: "#08519c", 1: "#99000d", 2: "#006d2c"}
 FULL_SHADE = {"blue": (8, 48, 107), "red": (103, 0, 13)}
 CYCLE_STROKE = {"blue": ("#4292c6", "#08306b"), "red": ("#fb6a4a", "#67000d")}
-_CYCLE_BLOCK = 1024  # generator simplices per block of feature-map walks
+_CYCLE_BLOCK = 1024  # cycle vertices per block of feature-map polylines
 
 
 def _write(svg: str, path: str | Path | None) -> str:
@@ -142,43 +143,6 @@ def margin_colors(sides: np.ndarray, deltas: np.ndarray) -> list[str]:
     return [texts[i] for i in at.tolist()]
 
 
-def _closed_walks(ends: np.ndarray) -> tuple[list[list[int]], np.ndarray]:
-    """Split an edge set into closed walks (one per component when every degree is even)
-    by Hierholzer's algorithm over a CSR table.  Edge k joins the nodes ``ends[k]``, any
-    two ints, and counts once however often it repeats.  Walks start at each node in
-    ascending order and leave a node by its smallest unused neighbour.  Returns the walks,
-    as lists of indices into the distinct nodes, and the distinct nodes, ascending."""
-    nodes, node = _unique(ends)
-    n = len(nodes)
-    node = np.sort(node, axis=1)
-    edges, _ = _unique(node[:, 0] * n + node[:, 1])  # lower node * n + upper node
-    # each edge in both directions, in (node, neighbour) order
-    half = np.sort(np.concatenate([edges, edges % n * n + edges // n]))
-    src, dst = half // n, half % n
-    edge = np.searchsorted(edges, np.minimum(src, dst) * n + np.maximum(src, dst)).tolist()
-    ptr = np.searchsorted(src, np.arange(n + 1)).tolist()
-    target, nxt, end = dst.tolist(), ptr[:-1], ptr[1:]
-    used = [False] * len(edges)
-    walks = []
-    for start in range(n):
-        stack, walk = [start], []
-        while stack:
-            v = stack[-1]
-            i = nxt[v]
-            while i < end[v] and used[edge[i]]:
-                i += 1
-            if i < end[v]:
-                used[edge[i]] = True
-                stack.append(target[i])
-                i += 1
-            else:
-                walk.append(stack.pop())
-            nxt[v] = i
-        if len(walk) > 1:  # else every edge at ``start`` was walked already
-            walks.append(walk)
-    return walks, nodes
-
-
 def _cycle_polylines(
     barcode: Barcode,
     at: np.ndarray,
@@ -186,27 +150,21 @@ def _cycle_polylines(
     to_svg,
     strokes: Sequence[str],
 ) -> list[str]:
-    """The closed polylines of the generators of bars ``at``, bar by bar; a
+    """The polylines of cycles ``at`` (consecutive), in turn; a cycle of a
     long-persistence bar takes the second of ``strokes``."""
-    rows, sizes = _gather(barcode.generator_ptr, barcode.generator_at, at)
-    first = len(barcode.simplices[0])
-    if ((rows < first) | (rows >= first + len(barcode.simplices[1]))).any():
-        raise InputError("generator is not an edge cycle")
-    ends = barcode.simplices[1][rows - first]
-    vertex, rank = _unique(ends)
-    bar = np.repeat(np.arange(len(at)), sizes)[:, None]
-    # A node is a bar and one of its vertices, so each walk stays in its bar.
-    walks, nodes = _closed_walks(bar * len(vertex) + rank)
+    ptr = barcode.cycle_ptr[at[0] : at[-1] + 2]
+    vertex, code = _unique(barcode.cycle_at[ptr[0] : ptr[-1]])
     missing = vertex[(vertex < 0) | (vertex >= len(coords))]
     if len(missing):
         raise InputError(f"generator vertex {missing[0]} has no coordinate")
     px, py = to_svg(*coords[vertex].T)
     texts = np.array(["%.2f,%.2f" % xy for xy in zip(px.tolist(), py.tolist())], dtype=object)
-    node_text = texts[nodes % len(vertex)].tolist()
-    long = barcode.long_persistence[at][nodes[[walk[0] for walk in walks]] // len(vertex)]
+    points = texts[code].tolist()
+    ends = (ptr - ptr[0]).tolist()
+    long = barcode.long_persistence[barcode.cycle_bar[at]]
     return [
-        f'<polyline points="{" ".join(map(node_text.__getitem__, walk))}" ' + strokes[flag]
-        for walk, flag in zip(walks, long.tolist())
+        f'<polyline points="{" ".join(points[a:b])}" ' + strokes[flag]
+        for a, b, flag in zip(ends[:-1], ends[1:], long.tolist())
     ]
 
 
@@ -235,12 +193,15 @@ def render_feature_map(
 
     stroke = 'fill="none" stroke="%s" stroke-width="%.2f" stroke-linejoin="round"/>'
     strokes = [stroke % sw for sw in zip(CYCLE_STROKE[candidate], (1.5, 3.0))]
-    shown = barcode.shown(1)
-    block = barcode.generator_ptr[shown] // _CYCLE_BLOCK  # of each bar's first simplex
+    cycles = np.arange(len(barcode.cycle_bar))
+    block = barcode.cycle_ptr[:-1] // _CYCLE_BLOCK  # of each cycle's first vertex
     with np.errstate(over="ignore", invalid="ignore"):  # as Python floats do
         body = _outline_paths(m, to_svg)
-        for at in np.split(shown, np.flatnonzero(np.diff(block)) + 1):
-            body += _cycle_polylines(barcode, at, vertex_coords, to_svg, strokes)
+        if barcode.cycle_at is None:
+            raise InputError("generator is not an edge cycle")
+        for at in np.split(cycles, np.flatnonzero(np.diff(block)) + 1):
+            if len(at):
+                body += _cycle_polylines(barcode, at, vertex_coords, to_svg, strokes)
     svg = "\n".join(
         [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.2f}" '

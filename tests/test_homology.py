@@ -36,6 +36,7 @@ from geoph.rips import build_vr_complex
 from geoph.synth import FIXTURES, make_fixture
 
 from helpers import (
+    _closed_walks_reference,
     all_faces_closure,
     barcode_json_reference,
     bars_alive_at,
@@ -267,7 +268,7 @@ class TestDualPairing:
             fc = run_pipeline(RunConfig(method=method, candidate="red"), m).complex
         triangles = [path for path, width in calls if width == 3]
         edges = [path for path, width in calls if width == 2]
-        assert fc.counts()[2] > 0 and edges == ["_reduce_columns"]
+        assert fc.counts()[2] > 0 and edges == []
         expected = {"vr": ["_reduce_rows"], "adjacency": ["_reduce_columns"]}
         assert triangles == expected.get(method, [])
         assert fc.embedded == (method in ("alpha", "levelset"))
@@ -278,6 +279,62 @@ class TestDualPairing:
         assert not FilteredComplex(fc.entries).embedded
         assert not close_under_faces(fc.entries).embedded
         assert not FilteredComplex.from_text(fc.to_text()).embedded
+
+
+def assert_edges_match_the_full_reduction(fc):
+    """The union-find's pairing is the full reduction's; each shown H1 bar
+    has one cycle, and its generator is that reduction's chain, the cycle
+    listing it as the closed walk of its edges."""
+    bm = build_boundary_matrix(fc)
+    red = reduce_matrix(bm)
+    pairs, _, chains = dense_reduce_reference(bm.columns)
+    owner = np.full(len(fc), -1)
+    owner[list(pairs)] = list(pairs.values())
+    assert np.array_equal(red.owner, owner)
+    bc = persistence_pairs(red, fc)
+    assert np.array_equal(bc.cycle_bar, bc.shown(1))
+    bars = bc.pairs
+    for i, k in enumerate(bc.cycle_bar.tolist()):
+        generator = bars[k].generator
+        assert generator == tuple(sorted(fc.entries[j][0] for j in chains[bars[k].birth_position]))
+        cycle = bc.cycle_at[bc.cycle_ptr[i] : bc.cycle_ptr[i + 1]].tolist()
+        assert [cycle] == _closed_walks_reference(generator)
+
+
+class TestEdgeUnionFind:
+    """The edges pair by a union-find, and each shown H1 generator is a
+    forest cycle: the same pairing and chains as the full reduction."""
+
+    @given(tied_complexes())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_full_reduction_on_tied_complexes(self, fc):
+        assert_edges_match_the_full_reduction(fc)
+
+    @given(planar_complexes())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_full_reduction_on_embedded_complexes(self, fc):
+        assert_edges_match_the_full_reduction(embedded_copy(fc))
+
+    def test_joining_edge_re_roots_a_linked_tree(self):
+        # (0, 1), (2, 3) and (3, 4) are apparent: 1 hangs under 0, 3 under 2
+        # and 4 under 3.  (1, 4) is not (4 met (3, 4) first); it joins the
+        # two trees and kills 2, so the tree of 2 is re-rooted at 4 and hung
+        # under 1.  The cycles of (0, 2) and (2, 4) then run through it.
+        fc = close_under_faces(
+            [((i,), 0.0) for i in range(6)]
+            + [((0, 1), 1.0), ((2, 3), 1.0), ((3, 4), 1.0), ((1, 4), 2.0)]
+            + [((0, 2), 3.0), ((2, 4), 3.0)]
+        )
+        red = reduce_matrix(build_boundary_matrix(fc))
+        joining = position_of(fc, (1, 4))
+        assert not red.apparent[joining]
+        assert red.owner[position_of(fc, (2,))] == joining
+        bc = persistence_pairs(red, fc)
+        cycles = [
+            bc.cycle_at[a:b].tolist() for a, b in zip(bc.cycle_ptr[:-1], bc.cycle_ptr[1:])
+        ]
+        assert cycles == [[0, 2, 3, 4, 1, 0], [2, 4, 3, 2]]
+        assert_edges_match_the_full_reduction(fc)
 
 
 class TestReduction:
