@@ -12,9 +12,9 @@ zero or on overflow, on one table of integer coordinates made once per
 triangulation.  A triangle's vertex order for that test is fixed when it is
 made, by an exact orientation on the same table.  Under an exact test the
 cavity is edge-connected and holds the triangle containing the point, so the
-walk finds the same cavity as a scan of every triangle.  Only after the last
-insertion is the map from each edge to its triangles built; the flips and
-the verification work on that map, not on the links.
+walk finds the same cavity as a scan of every triangle.  These rows are the
+one triangulation kept to the output: the flips rewrite them in place, and
+every later step lists their edges with ``_edges``.
 
 The points are inserted along a Hilbert curve over their bounding square
 (the spatial sort of Amenta, Choi and Rote's BRIO), so each lands next to
@@ -23,8 +23,9 @@ triangles instead of the fan along the hull that row-major input gives.
 A Delaunay triangulation depends on the order only in how it splits
 cocircular groups, which the flip pass below makes canonical; vertices
 keep their input indices, so the output does not depend on the order,
-except in a cocircular group that holds an enclosing vertex, which the
-flip pass leaves as inserted (ROADMAP item 7).
+except in a cocircular group that holds an enclosing vertex: the flip
+pass never flips an edge with an enclosing vertex as an end or an apex,
+so such a group keeps the split the insertion order gave it.
 
 Cocircular point groups admit several Delaunay triangulations; a post-pass
 flips interior edges between exactly cocircular quadrilaterals, always the
@@ -42,12 +43,12 @@ edge's closed diametral disk on one side lies strictly inside the
 circumcircle of that side's triangle unless that triangle's apex is itself
 in the disk.
 
-The output is checked edge by edge on that edge map, the enclosing
+The output is checked edge by edge on the vertex rows alone, the enclosing
 triangle included: its three sides are the only edges with one triangle,
 every other edge has two with apexes strictly on opposite sides (an exact
 orientation test), V - E + T = 1 with every point a vertex, and no apex
 lies strictly inside the circumcircle of the triangle across its edge
-(the insertion's in-circle test).  The first three make the map a
+(the insertion's in-circle test).  The first three make the rows a
 triangulation of the enclosing triangle; the last makes every edge
 locally Delaunay, and by the Delaunay lemma (de Berg et al.,
 *Computational Geometry*, ch. 9) the triangulation is then Delaunay, so no
@@ -91,38 +92,28 @@ class Triangulation:
     extra_edges: tuple[tuple[int, int], ...] = field(default=())
 
     def edges(self) -> set[tuple[int, int]]:
-        out: set[tuple[int, int]] = set(self.extra_edges)
-        for a, b, c in self.triangles:
-            out.update(((a, b), (a, c), (b, c)))
-        return out
+        ends, _, _ = _edges(np.array(self.triangles, dtype=np.int64).reshape(-1, 3))
+        return set(self.extra_edges).union(map(tuple, ends.tolist()))
 
 
-def _sides(t: Tri) -> tuple[tuple[Edge, int], ...]:
-    """The edges of a sorted triangle, each with its opposite vertex."""
-    a, b, c = t
-    return (((a, b), c), ((a, c), b), ((b, c), a))
+def _edges(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edges of the triangles ``tri``, a (T, 3) vertex array, from one
+    sort of their sides.
 
-
-def _link(owners: dict[Edge, list[Tri]], t: Tri) -> None:
-    for e, _ in _sides(t):
-        owners.setdefault(e, []).append(t)
-
-
-def _unlink(owners: dict[Edge, list[Tri]], t: Tri) -> None:
-    for e, _ in _sides(t):
-        ts = owners[e]
-        ts.remove(t)
-        if not ts:
-            del owners[e]
-
-
-def _triangles(owners: dict[Edge, list[Tri]]) -> set[Tri]:
-    return {t for ts in owners.values() for t in ts}
-
-
-def _apexes(e: Edge, ts: list[Tri]) -> list[int]:
-    """The vertex of each triangle in ``ts`` that is not an end of ``e``."""
-    return [next(v for v in t if v not in e) for t in ts]
+    Side ``s`` is the edge of triangle ``s // 3`` opposite its apex
+    ``tri.ravel()[s]``.  Returns the edges' (E, 2) sorted ends in
+    lexicographic order, the number of sides on each edge, and each edge's
+    first two sides as an (E, 2) array, -1 where it has one.
+    """
+    u, v = np.roll(tri, -1, axis=1).ravel(), np.roll(tri, -2, axis=1).ravel()
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    code = lo * (int(tri.max(initial=0)) + 1) + hi
+    order = np.argsort(code, kind="stable")
+    start = np.flatnonzero(np.diff(code[order], prepend=-1))
+    count = np.diff(start, append=len(order))
+    first = order[start]
+    second = np.where(count > 1, order[np.minimum(start + 1, len(order) - 1)], -1)
+    return np.stack([lo[first], hi[first]], axis=1), count, np.stack([first, second], axis=1)
 
 
 def _in_circle_order(exact: list[tuple[int, int]], t: Tri) -> Tri:
@@ -164,7 +155,7 @@ def delaunay_triangulation(pc: PointCloud) -> Triangulation:
     orientation tests would overflow (the enclosing triangle's doubled area
     is not a finite normal float) or underflow (nor is the squared span of
     the points).  The output is verified before the enclosing triangle's
-    vertices are dropped: the edge map must be a triangulation of the
+    vertices are dropped: the triangles must be a triangulation of the
     enclosing triangle with every point a vertex and every edge locally
     Delaunay, so every triangle's circumcircle is empty of all other points.
     """
@@ -263,14 +254,11 @@ def delaunay_triangulation(pc: PointCloud) -> Triangulation:
             nb[t][0], nb[s][1] = s, t
         last = slots[-1]
 
-    del nb, ic  # freed before the edge map is built, so the two do not coexist
-    owners: dict[Edge, list[Tri]] = {}
-    for t in tv:
-        _link(owners, tuple(sorted(t)))  # type: ignore[arg-type]
-    del tv
-    _canonical_cocircular_flips(verts, exact, owners, n)
-    _verify_delaunay(verts, exact, owners, n)
-    real = tuple(sorted(t for t in _triangles(owners) if t[2] < n))
+    _canonical_cocircular_flips(verts, exact, tv, nb, n)
+    rows = np.sort(np.array(tv, dtype=np.int64), axis=1)
+    _verify_delaunay(verts, exact, rows, n)
+    rows = rows[rows[:, 2] < n]
+    real = tuple(map(tuple, rows[np.lexsort(rows.T[::-1])].tolist()))
     if not real:
         a, b = exact[0], exact[1]
         if any(orient2d(a, b, c) for c in exact[2:n]):
@@ -283,64 +271,75 @@ def delaunay_triangulation(pc: PointCloud) -> Triangulation:
 
 
 def _canonical_cocircular_flips(
-    verts: list[Point], exact: list[tuple[int, int]], owners: dict[Edge, list[Tri]], n: int
+    verts: list[Point], exact: list[tuple[int, int]], tv: list[Tri], nb: list[list[int]], n: int
 ) -> None:
     """Flip exactly-cocircular interior edges to the lex-smallest diagonal.
 
-    Edits the edge map in place.  Only quadrilaterals of the ``n`` points
-    count: an edge with an enclosing vertex (index >= n) as an end or an
-    apex is never flipped.  Each step flips the interior edge, among all
-    whose quadrilateral is exactly cocircular and whose other diagonal is
-    lex-smaller, with the smallest other diagonal.  A heap keyed
-    ``(diagonal, edge)`` holds the candidates; an entry is stale once its
-    edge is gone or has other apexes.  A flip changes the apexes of the
-    quadrilateral's four outer edges only, so those are the edges tested
-    again.  Each flip strictly lowers the sorted diagonal pair, so this
-    terminates; among cocircular configurations every flip preserves
-    Delaunayness.  Cocircularity is the insertion's ``in_circle_at`` on the
-    integer coordinates ``exact``, so it is exact.
+    Edits the insertion's rows ``tv`` and ``nb`` in place.  Only
+    quadrilaterals of the ``n`` points count: an edge with an enclosing
+    vertex (index >= n) as an end or an apex is never flipped.  Each step
+    flips the interior edge, among all whose quadrilateral is exactly
+    cocircular and whose other diagonal is lex-smaller, with the smallest
+    other diagonal.  A heap keyed ``(diagonal, edge, triangle)`` holds the
+    candidates; an entry is stale once its triangle no longer holds its
+    edge with those apexes.  A flip rewrites the quadrilateral's two rows
+    and changes the apexes of its four outer edges only, so those are the
+    edges tested again.  Each flip strictly lowers the sorted diagonal
+    pair, so this terminates; among cocircular configurations every flip
+    preserves Delaunayness.  Cocircularity is the insertion's
+    ``in_circle_at`` on the integer coordinates ``exact``, so it is exact.
     """
 
-    def apexes(e: Edge) -> Edge | None:
-        ts = owners.get(e)
-        if ts is None or len(ts) != 2:
+    def apexes(e: Edge, t: int) -> Edge | None:
+        """The sorted apexes of edge e in row t and the row across it, or
+        None when row t does not hold e."""
+        row = tv[t]
+        if e[0] not in row or e[1] not in row:
             return None
-        c, d = _apexes(e, ts)
-        return (min(c, d), max(c, d))
+        i = 3 - row.index(e[0]) - row.index(e[1])
+        u = nb[t][i]
+        return tuple(sorted((row[i], tv[u][nb[u].index(t)])))  # type: ignore[return-value]
 
-    def candidate(e: Edge) -> Edge | None:
-        alt = apexes(e)
-        if alt is None or alt >= e or max(e[1], alt[1]) >= n:
-            return None
-        a, b = e
-        c, d = alt
+    def flippable(e: Edge, alt: Edge) -> bool:
         # whether d is on the circle does not depend on the orientation of a, b, c
-        if in_circle_at(verts, exact, a, b, c, d) != 0:
-            return None
-        return alt
+        return alt < e and max(e[1], alt[1]) < n and in_circle_at(verts, exact, *e, *alt) == 0
 
-    heap = [(alt, e) for e in owners if (alt := candidate(e)) is not None]
+    tri = np.array(tv, dtype=np.int64)
+    ends, count, sides = _edges(tri)
+    two = count == 2
+    alts = np.sort(tri.ravel()[sides[two]], axis=1).tolist()
+    quads = zip(map(tuple, alts), map(tuple, ends[two].tolist()), (sides[two, 0] // 3).tolist())
+    heap = [(alt, e, t) for alt, e, t in quads if flippable(e, alt)]
     heapq.heapify(heap)
     while heap:
-        alt, e = heapq.heappop(heap)
-        if apexes(e) != alt:
+        alt, e, t = heapq.heappop(heap)
+        if apexes(e, t) != alt:
             continue
-        (a, b), (c, d) = e, alt
-        for t in list(owners[e]):
-            _unlink(owners, t)
-        _link(owners, tuple(sorted((a, c, d))))  # type: ignore[arg-type]
-        _link(owners, tuple(sorted((b, c, d))))  # type: ignore[arg-type]
-        for u, v in ((a, c), (a, d), (b, c), (b, d)):
-            outer = (min(u, v), max(u, v))
-            nxt = candidate(outer)
-            if nxt is not None:
-                heapq.heappush(heap, (nxt, outer))
+        # t = (c, p, q) and the row u = (d, q, p) across p-q become
+        # (c, p, d) and (d, q, c); the rows across q-c and p-d change sides.
+        i = 3 - tv[t].index(e[0]) - tv[t].index(e[1])
+        c, p, q = tv[t][i:] + tv[t][:i]
+        u = nb[t][i]
+        j = nb[u].index(t)
+        d = tv[u][j]
+        qc, cp = nb[t][(i + 1) % 3], nb[t][(i + 2) % 3]
+        pd, dq = nb[u][(j + 1) % 3], nb[u][(j + 2) % 3]
+        tv[t], nb[t] = (c, p, d), [pd, u, cp]
+        tv[u], nb[u] = (d, q, c), [qc, t, dq]
+        nb[pd][nb[pd].index(u)] = t
+        nb[qc][nb[qc].index(t)] = u
+        for x, y, row in ((c, p, t), (p, d, t), (d, q, u), (q, c, u)):
+            outer = (x, y) if x < y else (y, x)
+            nxt = apexes(outer, row)
+            if nxt is not None and flippable(outer, nxt):
+                heapq.heappush(heap, (nxt, outer, row))
 
 
 def _verify_delaunay(
-    verts: list[Point], exact: list[tuple[int, int]], owners: dict[Edge, list[Tri]], n: int
+    verts: list[Point], exact: list[tuple[int, int]], tri: np.ndarray, n: int
 ) -> None:
-    """Raise unless the edge map is a Delaunay triangulation of all ``verts``.
+    """Raise unless the triangles ``tri``, a (T, 3) vertex array, are a
+    Delaunay triangulation of all ``verts``.
 
     The checks are the module docstring's, with the enclosing triangle on
     vertices n, n+1, n+2.  The orientations are exact, on the vertices'
@@ -349,30 +348,21 @@ def _verify_delaunay(
     thin for a float orientation to see passes.  The in-circle test is the
     insertion's ``in_circle_at`` on the same ``exact``.
     """
-    hull = {(n, n + 1), (n, n + 2), (n + 1, n + 2)}
-    for e, ts in owners.items():
-        if len(ts) == 1 and e in hull:
-            continue
-        if len(ts) != 2:
-            raise NumericalError(f"triangulation failed verification at edge {e}")
-        a, b = e
-        c, d = _apexes(e, ts)
+    ends, count, sides = _edges(tri)
+    # only the enclosing triangle's sides (both ends >= n) have one triangle
+    bad = (count > 2) | ((count == 1) & (ends[:, 0] < n))
+    if bad.any():
+        e = tuple(ends[bad.argmax()].tolist())
+        raise NumericalError(f"triangulation failed verification at edge {e}")
+    two = count == 2
+    for (a, b), (c, d) in zip(ends[two].tolist(), tri.ravel()[sides[two]].tolist()):
         side_c = orient2d(exact[a], exact[b], exact[c])
         side_d = orient2d(exact[a], exact[b], exact[d])
         u, w = (b, c) if side_c > 0 else (c, b)  # a, u, w counterclockwise
         if side_c * side_d >= 0 or in_circle_at(verts, exact, a, u, w, d) > 0:
-            raise NumericalError(f"triangulation failed verification at edge {e}")
-    if (n + 3) - len(owners) + len(_triangles(owners)) != 1:
+            raise NumericalError(f"triangulation failed verification at edge {(a, b)}")
+    if (n + 3) - len(ends) + len(tri) != 1:
         raise NumericalError("triangulation failed verification: V - E + T != 1")
-
-
-def _dist_sq(a: Point, b: Point) -> float:
-    """Squared distance from a to b, or inf when it overflows."""
-    (ux, uy), (vx, vy) = a, b
-    try:
-        return (ux - vx) ** 2 + (uy - vy) ** 2
-    except OverflowError:
-        return math.inf
 
 
 def alpha_filtration(tri: Triangulation, pc: PointCloud) -> FilteredComplex:
@@ -386,36 +376,44 @@ def alpha_filtration(tri: Triangulation, pc: PointCloud) -> FilteredComplex:
         raise ValueError("triangulation does not belong to this point cloud")
 
     radii: list[float] = []
-    incident: dict[Edge, list[tuple[float, int]]] = {}  # (radius, apex) per side
     for t in tri.triangles:
         try:
             _, r = circumcircle(points[t[0]], points[t[1]], points[t[2]])
         except (ValueError, OverflowError):  # a sliver whose circle leaves the float range
             raise NumericalError(f"no float circumradius for thin triangle {t}") from None
         radii.append(r)
-        for e, apex in _sides(t):
-            incident.setdefault(e, []).append((r, apex))
 
-    edges = sorted([*incident, *tri.extra_edges])
-    r2s = [_dist_sq(points[u], points[v]) / 4.0 for u, v in edges]
-    if not all(map(math.isfinite, [*radii, *r2s])):
-        raise NumericalError("alpha radius is not finite; coordinates are too large")
-    edge_values = []
-    for (u, v), r2 in zip(edges, r2s):
-        sides = incident.get((u, v), ())
-        (ux, uy), (vx, vy) = points[u], points[v]
-        mid = ((ux + vx) / 2.0, (uy + vy) / 2.0)
+    rows = np.array(tri.triangles, dtype=np.int64).reshape(-1, 3)
+    ends, _, sides = _edges(rows)
+    if tri.extra_edges:  # two points: one edge, no triangle
+        ends, sides = np.array(tri.extra_edges), np.full((1, 2), -1)
+    xy, r = pc.as_array(), np.array(radii)
+
+    def dist_sq(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        # the C library's pow, as Python's ** calls it: x * x and np.power
+        # round a few squares differently in the last bit
+        return np.float_power(p[:, 0] - q[:, 0], 2) + np.float_power(p[:, 1] - q[:, 1], 2)
+
+    with np.errstate(all="ignore"):  # an overflow gives inf, which is rejected
+        u, v = xy[ends[:, 0]], xy[ends[:, 1]]
+        r2 = dist_sq(u, v) / 4.0
+        if not (np.isfinite(r).all() and np.isfinite(r2).all()):
+            raise NumericalError("alpha radius is not finite; coordinates are too large")
+        mid = (u + v) / 2.0
         bound = r2 + 1e-12 * r2  # closed disk, 1e-12 relative slack
-        gabriel = all(_dist_sq(points[w], mid) > bound for _, w in sides)
-        # A Gabriel edge enters at its half length, which can exceed the
-        # circumradius of a near-right triangle on it by an ulp; the edge
-        # then enters with that triangle, so that no face enters after a
-        # coface.
-        edge_values.append(
-            min((math.sqrt(r2) if gabriel else math.inf, *(r for r, _ in sides)))
-        )
+        gabriel = np.ones(len(ends), dtype=bool)
+        lowest = np.full(len(ends), np.inf)
+        for s in sides.T:  # each edge's first side, then its second
+            on = s >= 0
+            apex = xy[rows.ravel()[s[on]]]
+            gabriel[on] &= dist_sq(apex, mid[on]) > bound[on]
+            lowest[on] = np.minimum(lowest[on], r[s[on] // 3])
+    # A Gabriel edge enters at its half length, which can exceed the
+    # circumradius of a near-right triangle on it by an ulp; the edge then
+    # enters with that triangle, so that no face enters after a coface.
+    edge_values = np.minimum(np.where(gabriel, np.sqrt(r2), np.inf), lowest)
     return FilteredComplex._from_arrays(
-        [np.arange(len(points)), edges, tri.triangles],
+        [np.arange(len(points)), ends, rows],
         [np.zeros(len(points)), edge_values, radii],
         embedded=True,
     )

@@ -156,6 +156,21 @@ def reference_clouds():
     yield cloud(*[(float(i), 2.0 * i) for i in range(5)])  # collinear
 
 
+def corrupt_rows(monkeypatch, remove, add):
+    """Make the flip pass end by taking the triangles ``remove`` out of the
+    insertion's vertex rows and appending ``add``; the verification reads
+    those rows alone."""
+    flips = alpha._canonical_cocircular_flips
+
+    def corrupted(verts, exact, tv, nb, n):
+        flips(verts, exact, tv, nb, n)
+        for t in remove:
+            tv.remove(next(row for row in tv if tuple(sorted(row)) == t))
+        tv.extend(add)
+
+    monkeypatch.setattr(alpha, "_canonical_cocircular_flips", corrupted)
+
+
 def triangles_or_error(fn, pc):
     try:
         return fn(pc).triangles
@@ -181,24 +196,17 @@ class TestDelaunayAgainstReferences:
             assert delaunay_triangulation(pc).triangles == expected
 
     def test_verification_rejects_a_non_delaunay_diagonal(self, monkeypatch):
-        # The flip pass is made to put the other diagonal of a kite, whose
-        # circumcircles are not empty, into the edge map; the edge-by-edge
+        # The other diagonal of a kite, whose circumcircles are not empty, is
+        # put into the triangle rows after the flip pass; the edge-by-edge
         # check must catch it.
         pc = cloud((0.0, 0.0), (4.0, -1.0), (4.0, 1.0), (5.0, 0.0))
         assert delaunay_triangulation(pc).triangles == ((0, 1, 2), (1, 2, 3))
-
-        def wrong_diagonal(verts, exact, owners, n):
-            for t in ((0, 1, 2), (1, 2, 3)):
-                alpha._unlink(owners, t)
-            for t in ((0, 1, 3), (0, 2, 3)):
-                alpha._link(owners, t)
-
-        monkeypatch.setattr(alpha, "_canonical_cocircular_flips", wrong_diagonal)
-        with pytest.raises(NumericalError, match="verification"):
+        corrupt_rows(monkeypatch, ((0, 1, 2), (1, 2, 3)), ((0, 1, 3), (0, 2, 3)))
+        with pytest.raises(NumericalError, match="failed verification"):
             delaunay_triangulation(pc)
 
     @pytest.mark.parametrize(
-        "unlink, link",
+        "remove, add",
         [
             ((), ((0, 1, 2),)),  # overlaps (0, 1, 4) and (1, 2, 4)
             ((), ((0, 1, 4),)),  # a second copy
@@ -209,21 +217,12 @@ class TestDelaunayAgainstReferences:
         ],
         ids=["overlapping", "duplicated", "hole", "star-removed"],
     )
-    def test_verification_rejects_a_broken_edge_map(self, monkeypatch, unlink, link):
+    def test_verification_rejects_broken_triangle_rows(self, monkeypatch, remove, add):
         pc = cloud((0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0), (1.0, 1.0))
         assert delaunay_triangulation(pc).triangles == (
             (0, 1, 4), (0, 3, 4), (1, 2, 4), (2, 3, 4)
         )
-        flips = alpha._canonical_cocircular_flips
-
-        def broken(verts, exact, owners, n):
-            flips(verts, exact, owners, n)
-            for t in unlink:
-                alpha._unlink(owners, t)
-            for t in link:
-                alpha._link(owners, t)
-
-        monkeypatch.setattr(alpha, "_canonical_cocircular_flips", broken)
+        corrupt_rows(monkeypatch, remove, add)
         with pytest.raises(NumericalError, match="failed verification"):
             delaunay_triangulation(pc)
 
@@ -500,6 +499,15 @@ class TestAlphaFiltration:
         fc = build_alpha_complex(cloud((0, 0), (2, 0)))
         assert value_of(fc, (0, 1)) == pytest.approx(1.0)
 
+    def test_half_lengths_follow_the_scalar_formula(self):
+        # Python's ** calls the C library's pow, which can round a square
+        # differently from x * x; on these two-point clouds, where it does,
+        # the two give half lengths an ulp apart.
+        ends = [(4.271831013626938, 3.6624066515918083), (8.961232172391053, 6.399492260174327)]
+        for dx, dy in ends:
+            fc = build_alpha_complex(cloud((0.0, 0.0), (dx, dy)))
+            assert value_of(fc, (0, 1)) == math.sqrt((dx**2 + dy**2) / 4.0)
+
     def test_single_point(self):
         assert list(build_alpha_complex(cloud((7, 7)))) == [((0,), 0.0)]
 
@@ -548,6 +556,25 @@ class TestAlphaFiltration:
             except DegenerateTriangulationError:
                 continue
             assert dict(alpha_filtration(tri, pc)) == alpha_values_reference(tri)
+
+    @pytest.mark.parametrize("scale", [1e-46, 1e-200, 1e100, 1e150])
+    def test_values_match_scalar_reference_at_extreme_scales(self, scale):
+        # The filtration's squares and distances are numpy columns, which
+        # overflow and underflow with a warning where Python's scalars raise
+        # OverflowError or say nothing.  At 1e-200 and 1e150 every cloud is
+        # out of range for the triangulation, which must reject it quietly.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for pc in reference_clouds():
+                scaled = cloud(*[(x * scale, y * scale) for x, y in pc.points])
+                try:
+                    tri = delaunay_triangulation(scaled)
+                except DegenerateTriangulationError:
+                    continue
+                except NumericalError as exc:
+                    assert "out of range" in str(exc)
+                    continue
+                assert dict(alpha_filtration(tri, scaled)) == alpha_values_reference(tri)
 
     def test_matches_closure_of_raw_values(self):
         # Each near-right triangle's longest side is Gabriel, and its half

@@ -297,14 +297,18 @@ class TestBuild:
             props["votes_blue"], props["votes_red"] = (10, 90) if i in red_cells else (90, 10)
         src = tmp_path / "huge.geojson"
         write_fixture(obj, src)
-        code = main(
-            ["build", "--method", method, "--candidate", "red",
-             "--input", str(src), "--out", str(tmp_path / "o")]
-        )
+        # numpy overflows to inf with a RuntimeWarning where Python's ** raises
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(
+                ["build", "--method", method, "--candidate", "red",
+                 "--input", str(src), "--out", str(tmp_path / "o")]
+            )
         err = capsys.readouterr().err
         assert code == 3
         assert "numerical error:" in err
         assert "Traceback" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("scale", [1e300, 1e200, 1e-70, 1e-200, 1e-320])
     def test_alpha_on_extreme_coordinates_names_the_cause(self, tmp_path, capsys, scale):
