@@ -9,8 +9,9 @@ through neighbours.  The insertion, the flips and the verification below
 decide every in-circle test with one exact predicate,
 ``geometry.in_circle_at``: a float determinant with an exact fallback, near
 zero or on overflow, on one table of integer coordinates made once per
-triangulation.  A triangle's vertex order for that test is fixed when it is
-made, by an exact orientation on the same table.  Under an exact test the
+triangulation.  The test takes a triangle's counterclockwise row as it is:
+the float filter decides only a sign it is sure of, so every rotation of
+the row gets the same answer.  Under an exact test the
 cavity is edge-connected and holds the triangle containing the point, so the
 walk finds the same cavity as a scan of every triangle.  These rows are the
 one triangulation kept to the output: the flips rewrite them in place, and
@@ -116,14 +117,6 @@ def _edges(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.stack([lo[first], hi[first]], axis=1), count, np.stack([first, second], axis=1)
 
 
-def _in_circle_order(exact: list[tuple[int, int]], t: Tri) -> Tri:
-    """The vertices of ``t`` in the in-circle test's order: sorted, then the
-    last two swapped if the sorted order is clockwise, by the exact
-    orientation on the integer coordinates ``exact``."""
-    a, b, c = sorted(t)
-    return (a, c, b) if orient2d(exact[a], exact[b], exact[c]) < 0 else (a, b, c)
-
-
 def _finite_normal(x: float) -> bool:
     return math.isfinite(x) and abs(x) >= sys.float_info.min
 
@@ -187,12 +180,10 @@ def delaunay_triangulation(pc: PointCloud) -> Triangulation:
         )
     verts = list(points) + enclosing
     exact = integer_coordinates(verts)
-    # Triangle t has counterclockwise vertices tv[t], nb[t][i] is the
-    # triangle across the edge opposite tv[t][i] (-1 for none), and ic[t]
-    # is its vertices in _in_circle_order.
+    # Triangle t has counterclockwise vertices tv[t], and nb[t][i] is the
+    # triangle across the edge opposite tv[t][i] (-1 for none).
     tv: list[Tri] = [(n, n + 1, n + 2)]
     nb = [[-1, -1, -1]]
-    ic = [_in_circle_order(exact, tv[0])]
     last = 0
 
     for p in _hilbert_order(points, (min(xs), min(ys)), span):
@@ -204,7 +195,7 @@ def delaunay_triangulation(pc: PointCloud) -> Triangulation:
         stack, seen, outside = [last], {last}, set()
         while stack:
             t = stack.pop()
-            if in_circle_at(verts, exact, *ic[t], p) > 0:
+            if in_circle_at(verts, exact, *tv[t], p) > 0:
                 break
             outside.add(t)
             toward = []
@@ -227,7 +218,7 @@ def delaunay_triangulation(pc: PointCloud) -> Triangulation:
                 if u in inside:
                     continue
                 if u >= 0 and u not in outside:
-                    if in_circle_at(verts, exact, *ic[u], p) > 0:
+                    if in_circle_at(verts, exact, *tv[u], p) > 0:
                         inside.add(u)
                         bad.append(u)
                         continue
@@ -241,11 +232,10 @@ def delaunay_triangulation(pc: PointCloud) -> Triangulation:
         extra = len(rim) - len(bad)  # two, as the cavity is a disk
         slots = bad + list(range(len(tv), len(tv) + extra))
         tv += [(-1, -1, -1)] * extra
-        ic += [(-1, -1, -1)] * extra
         nb += [[-1, -1, -1] for _ in range(extra)]
         starts = {}
         for t, (v, w, u, back) in zip(slots, rim):
-            tv[t], nb[t][2], ic[t] = (v, w, p), u, _in_circle_order(exact, (v, w, p))
+            tv[t], nb[t][2] = (v, w, p), u
             if u >= 0:
                 nb[u][back] = t
             starts[v] = t
@@ -415,7 +405,6 @@ def alpha_filtration(tri: Triangulation, pc: PointCloud) -> FilteredComplex:
     return FilteredComplex._from_arrays(
         [np.arange(len(points)), ends, rows],
         [np.zeros(len(points)), edge_values, radii],
-        embedded=True,
     )
 
 

@@ -14,7 +14,8 @@ packed vertex ranks.  The ``(simplex, value)`` tuples of ``entries`` are
 built only when read; ``text_blocks`` formats straight from the arrays.  The
 constructor validates its entries; the builders
 in this package emit valid complexes by construction and hand their arrays
-to ``FilteredComplex._from_arrays``, which does not.
+to ``FilteredComplex._from_arrays``, which does not.  A complex keeps no
+mark of how it was made, so every copy of it reduces alike.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ class FilteredComplex:
     build from a partial simplex list.
     """
 
-    __slots__ = ("_rows", "_positions", "_values", "_order", "_dimensions", "_entries", "_embedded")
+    __slots__ = ("_rows", "_positions", "_values", "_order", "_dimensions", "_entries")
 
     def __init__(self, entries: Iterable[Entry]):
         rows: list[list[Simplex]] = [[] for _ in range(MAX_DIM + 1)]
@@ -109,19 +110,17 @@ class FilteredComplex:
 
     @classmethod
     def _from_arrays(
-        cls, rows: Sequence[np.ndarray], values: Sequence[np.ndarray], embedded: bool = False
+        cls, rows: Sequence[np.ndarray], values: Sequence[np.ndarray]
     ) -> FilteredComplex:
         """A complex from valid arrays, unchecked: for builders only.
 
         ``rows[d]`` holds the d-simplices, one strictly increasing row of
         vertex ids each, in any order and without repeats; ``values[d]``
         their finite values.  The simplices must be closed under faces and
-        monotone.  ``embedded`` marks a subcomplex of a triangulation of the
-        plane (see :attr:`embedded`).
+        monotone.
         """
         fc = cls.__new__(cls)
         fc._set(rows, values)
-        fc._embedded = embedded
         return fc
 
     def _set(self, rows: Sequence, values: Sequence) -> None:
@@ -145,7 +144,6 @@ class FilteredComplex:
         for a in (self._values, self._order, self._dimensions):
             a.flags.writeable = False
         self._entries: tuple[Entry, ...] | None = None
-        self._embedded = False
 
     def _simplex(self, d: int, k: int) -> Simplex:
         return tuple(self._rows[d][k].tolist())
@@ -192,14 +190,6 @@ class FilteredComplex:
                 zip(map(listed.__getitem__, self._order.tolist()), self._values.tolist())
             )
         return self._entries
-
-    @property
-    def embedded(self) -> bool:
-        """Whether the complex is a subcomplex of a triangulation of the
-        plane (alpha, level set): every edge has at most two triangles and
-        there is no H2, so the reduction pairs its triangles on the dual
-        graph.  Only those builders set it; equality ignores it."""
-        return self._embedded
 
     @property
     def values(self) -> np.ndarray:

@@ -37,11 +37,15 @@ triangle and edge column; the reduced matrix is computed as R = DV, the
 boundary of each chain (Cohen-Steiner, Edelsbrunner and Morozov 2006,
 *Vines and Vineyards*).
 
-The alpha and level-set complexes lie in a triangulation of the plane
-(``FilteredComplex.embedded``), so they have no H2: every triangle dies and
-none needs a chain.  Their triangles are paired by a union-find on the dual
-graph (Alexander duality; Edelsbrunner and Harer 2010, *Computational
-Topology*; Garin et al. 2020, *Duality in persistent homology of images*).
+Triangles pair on the dual graph whenever the complex allows it.  A matrix
+and its anti-transpose pair alike (de Silva, Morozov and Vejdemo-Johansson
+2011, *Dualities in persistent (co)homology*); when no edge has more than
+two triangles, the anti-transpose of the triangles' boundary is a graph,
+and a union-find pairs them.  If every triangle dies, none needs a chain.
+Every subcomplex of a triangulation of the plane (alpha, level set) has
+no H2 (Alexander duality; Garin et al. 2020, *Duality in persistent
+homology of images*).  A complex with an edge in three triangles or an H2
+class goes through a column path instead.
 
 ``betti_oracle`` is a deliberately separate brute-force computation
 (Gaussian elimination on the raw boundary maps) used to cross-check the
@@ -116,8 +120,8 @@ class ReducedMatrix:
     positive edge not cleared is ``chain_at[chain_ptr[j]:chain_ptr[j + 1]]``,
     positions in lexicographic order of their simplices; the other columns
     (apparent ones, vertices, negative edges, zero-length edge births, and
-    the triangles of an embedded complex, paired on the dual graph) have an
-    empty row there.  The cycle of the positive edge at ``cycle_of[c]`` is
+    triangles paired on the dual graph) have an empty row there.  The cycle
+    of the positive edge at ``cycle_of[c]`` is
     ``cycle_at[cycle_ptr[c]:cycle_ptr[c + 1]]``, vertex ids, closed.
     ``matrix`` holds the reduced columns, each the F2 boundary of its chain
     (R = DV), and ``chains`` and ``pairs`` the per-column sets of the rest;
@@ -219,9 +223,10 @@ def reduce_matrix(bm: BoundaryMatrix) -> ReducedMatrix:
 
     A pivot is one dimension below its column, so a column only ever adds
     columns of its own dimension, and every chain is the one the plain
-    left-to-right order gives.  Apparent columns are paired first.  An
-    embedded complex's triangles pair on the dual graph (:func:`_pair_dual`),
-    with no chain.  The other complexes' triangle columns go through the
+    left-to-right order gives.  Apparent columns are paired first.  Then
+    the triangles pair on the dual graph (:func:`_pair_dual`), with no
+    chain, unless an edge has more than two triangles or a triangle is left
+    unpaired (an H2 class).  Otherwise the triangle columns go through the
     column loop (:func:`_reduce_columns`) or, when they outnumber the edge
     rows, the row sweep (:func:`_reduce_rows`), as :func:`_reduction_path`
     picks.  Both make the same additions and return the same chains as keys
@@ -251,9 +256,8 @@ def _reduce(bm: BoundaryMatrix, full: bool) -> ReducedMatrix:
         hit = oldest[low] == at
         owner[low[hit]] = at[hit]
         apparent[at[hit]] = True
-    dual = fc.embedded and not full
-    if dual:  # ``oldest`` is now each edge's oldest triangle
-        _pair_dual(*bm.face_positions[1], oldest, owner, apparent)
+    # ``oldest`` is now each edge's oldest triangle
+    dual = not full and _pair_dual(*bm.face_positions[1], oldest, owner, apparent)
     rank, by_rank = _filtration_ranks(fc)
     keys = []
     cycles = [np.zeros(k, dtype=np.int64) for k in (0, 1, 0)]  # none for the views
@@ -311,10 +315,36 @@ def _pair_edges(
     linked = apparent[edge_at]
     root = np.arange(len(vertex_at))
     root[young[linked]] = old[linked]
-    root = root.tolist()
-    joined = []  # (edge rank, dying root, the edge's end in its tree, the other end)
     loop = np.flatnonzero(~linked & (owner[edge_at] < 0))
-    for k, u, v in zip(loop.tolist(), old[loop].tolist(), young[loop].tolist()):
+    joined = _union_find(root.tolist(), loop, old[loop], young[loop])
+    negative = linked.copy()
+    parent = np.full(len(vertex_at), -1, dtype=np.int64)
+    parent[young[linked]] = old[linked]
+    up_edge = np.full(len(vertex_at), -1, dtype=np.int64)
+    up_edge[young[linked]] = np.flatnonzero(linked)
+    if len(joined):
+        k, dying, near, far = joined.T
+        owner[vertex_at[dying]] = edge_at[k]
+        negative[k] = True
+        parent, up_edge = parent.tolist(), up_edge.tolist()
+        for e, x, y in zip(k.tolist(), near.tolist(), far.tolist()):
+            while x >= 0:  # reverse the path from x to its root, hanging x under y
+                parent[x], up_edge[x], x, y, e = y, e, parent[x], x, up_edge[x]
+        parent, up_edge = np.array(parent), np.array(up_edge)
+    return _forest_cycles(fc, np.flatnonzero(~negative & ~cleared), ends, parent, up_edge, by_rank)
+
+
+def _union_find(
+    root: list[int], links: np.ndarray, first: np.ndarray, second: np.ndarray
+) -> np.ndarray:
+    """Join nodes ``first[k]`` and ``second[k]`` for each link k in turn,
+    with the elder rule: the component whose root, its smallest node, is
+    larger dies.  ``root`` holds each node's parent and is path-halved in
+    place.  Returns a row (link, dying root, the link's node in its tree,
+    the other node) for each link that joins two components.
+    """
+    joined = []
+    for k, u, v in zip(links.tolist(), first.tolist(), second.tolist()):
         a, b = u, v
         while (p := root[a]) != a:  # path halving
             root[a] = a = root[p]
@@ -322,25 +352,11 @@ def _pair_edges(
             root[b] = b = root[p]
         if a < b:
             root[b] = a
-            joined.append((k, b, v, u))
+            joined += k, b, v, u
         elif b < a:
             root[a] = b
-            joined.append((k, a, u, v))
-    negative = linked.copy()
-    parent = np.full(len(vertex_at), -1, dtype=np.int64)
-    parent[young[linked]] = old[linked]
-    up_edge = np.full(len(vertex_at), -1, dtype=np.int64)
-    up_edge[young[linked]] = np.flatnonzero(linked)
-    if joined:
-        k, dying, _, _ = np.array(joined).T
-        owner[vertex_at[dying]] = edge_at[k]
-        negative[k] = True
-        parent, up_edge = parent.tolist(), up_edge.tolist()
-        for e, _, x, y in joined:
-            while x >= 0:  # reverse the path from x to its root, hanging x under y
-                parent[x], up_edge[x], x, y, e = y, e, parent[x], x, up_edge[x]
-        parent, up_edge = np.array(parent), np.array(up_edge)
-    return _forest_cycles(fc, np.flatnonzero(~negative & ~cleared), ends, parent, up_edge, by_rank)
+            joined += k, a, u, v
+    return np.array(joined, dtype=np.int64).reshape(-1, 4)
 
 
 def _forest_cycles(
@@ -426,49 +442,44 @@ def _forest_cycles(
 
 def _pair_dual(
     at: np.ndarray, face_at: np.ndarray, oldest: np.ndarray, owner: np.ndarray, apparent: np.ndarray
-) -> None:
-    """Set the ``owner`` of each edge an embedded complex's triangle kills.
+) -> bool:
+    """Pair the triangles on the dual graph, if every edge has at most two
+    triangles and every triangle dies.
 
-    The nodes are the triangles and an outside node n; each edge links its
-    two triangles, or its one and n.  A matrix and its anti-transpose pair
-    alike, so the triangles pair as H0 of this graph with the edges walked
-    in decreasing position: an edge joining two components kills the one
-    whose largest node is smaller, and pairs with that node.  n is largest,
-    so it never dies, and merging the regions outside the complex into it
-    changes no death.  Roots are their components' largest nodes.  An
-    apparent triangle is linked up front under the far side of its youngest
-    edge; an apparent edge kills a vertex, so it closes a dual cycle and is
-    skipped.  An edge of three triangles, or a triangle left unpaired (H2),
-    raises ``ValueError``.
+    ``face_at`` holds the edges of the triangles at ``at``, and ``oldest``
+    each edge's oldest triangle.  The nodes are the triangles and an outside
+    node n; each edge links its two triangles, or its one and n.  A matrix
+    and its anti-transpose pair alike, so the triangles pair as H0 of this
+    graph with the edges walked in decreasing position: an edge joining two
+    components kills the one whose largest node is smaller, and pairs with
+    that node.  n is largest, so it never dies, and merging the regions
+    outside the complex into it changes no death.  Numbered down from n
+    (node n - x for position x), this is :func:`_union_find`'s elder rule.
+    An apparent triangle is linked up front under the far side of its
+    youngest edge; an apparent edge kills a vertex, so it closes a dual
+    cycle and is skipped.  Sets the ``owner`` of each edge a triangle kills
+    and returns True; returns False, with ``owner`` untouched, if an edge
+    has three triangles or more, or a triangle kills no edge (H2).
     """
     n = len(owner)
     edge_at = face_at.ravel()
     triangle_at = np.repeat(at, 3)
     count = np.bincount(edge_at, minlength=n)
     if (count > 2).any():
-        raise ValueError(f"embedded complex has an edge in {count.max()} triangles")
+        return False
     young = triangle_at != oldest[edge_at]
     other = np.full(n, n, dtype=np.int64)  # each edge's younger coface, n for one coface
     other[edge_at[young]] = triangle_at[young]
-    parent = np.arange(n + 1)
+    root = np.arange(n + 1)
     low = face_at[apparent[at]].max(axis=1)  # the apparent triangles' youngest edges
-    parent[at[apparent[at]]] = other[low]
-    parent = parent.tolist()
+    root[n - at[apparent[at]]] = n - other[low]
+    root = root.tolist()
     edges = np.flatnonzero((count > 0) & ~apparent & (owner < 0))[::-1]
-    killed, dying = [], []
-    for e, a, b in zip(edges.tolist(), oldest[edges].tolist(), other[edges].tolist()):
-        while (p := parent[a]) != a:  # path halving
-            parent[a] = a = parent[p]
-        while (p := parent[b]) != b:
-            parent[b] = b = parent[p]
-        if a != b:
-            a, b = min(a, b), max(a, b)
-            parent[a] = b
-            killed.append(e)
-            dying.append(a)
-    owner[killed] = dying
-    if len(killed) + len(low) < len(at):
-        raise ValueError("embedded complex has a triangle that kills no edge")
+    joined = _union_find(root, edges, n - oldest[edges], n - other[edges])
+    if len(joined) + len(low) < len(at):
+        return False
+    owner[joined[:, 0]] = n - joined[:, 1]
+    return True
 
 
 def _reduction_path(columns: int, rows: int) -> Callable[..., np.ndarray]:

@@ -304,7 +304,7 @@ def complex_from_schedule(schedule: GridVertexSchedule) -> FilteredComplex:
         rows[len(corners) - 1].append(np.stack([ids[win][entered] for win in windows], axis=1))
         values[len(corners) - 1].append(value[entered])
     return FilteredComplex._from_arrays(
-        [np.concatenate(r) for r in rows], [np.concatenate(v) for v in values], embedded=True
+        [np.concatenate(r) for r in rows], [np.concatenate(v) for v in values]
     )
 
 

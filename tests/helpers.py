@@ -12,23 +12,30 @@ every edge for each flip, with a ``Fraction`` in-circle test.  The
 ``barcode.svg`` and ``feature_map.svg`` references draw one
 ``PersistencePair`` at a time.  All three read ``Barcode.rendered()``,
 never the barcode's columns.  The
-boundary-matrix reference looks every face up in a dict of simplices.
+boundary-matrix reference looks every face up in a dict of simplices.  The
+diagram reference, ``persistent_bars_reference``, counts the bars from
+persistent Betti numbers on Python-int bit columns and shares no code with
+``geoph.homology``.
 The loader reference reads a FeatureCollection feature by feature and each
 ring point by point through ``normalize_ring``, into plain columns; the
 centroid reference runs the shoelace sums one segment at a time.  A few
 small helpers that only tests use live here too: ``by_id``,
-``point_in_rings`` and ``feature_collection``, which is how tests build a
-map from polygons and votes.
+``point_in_rings``, ``feature_collection``, which is how tests build a
+map from polygons and votes, and ``recorded_paths``, which lists the path
+each reduction took.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import random
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
+import pytest
 
 
 def by_id(m, pid):
@@ -559,6 +566,78 @@ def bars_alive_at(barcode, t):
     return alive[0], alive[1], alive[2]
 
 
+def _ranks_by_level(columns, levels, mask=-1):
+    """The F2 rank of the columns of level <= t, each masked to ``mask``'s
+    bits, for every level t: one elimination on Python-int bit columns,
+    each column added at its level."""
+    pivots, ranks = {}, []
+    for t in range(levels):
+        for v in columns[t]:
+            v &= mask
+            while v:
+                p = pivots.get(v.bit_length() - 1)
+                if p is None:
+                    pivots[v.bit_length() - 1] = v
+                    break
+                v ^= p
+        ranks.append(len(pivots))
+    return ranks
+
+
+def persistent_bars_reference(entries):
+    """The bars of nonzero length as a ``Counter`` of (dimension, birth,
+    death), death ``None`` for a bar that never dies, from persistent Betti
+    numbers and nothing of the reduction.
+
+    With K_s the simplices of the s-th distinct value or below,
+    beta_p^{s,t} = dim Z_p(K_s) - dim (Z_p(K_s) & B_p(K_t)) for s <= t.  The
+    second term is rank d_{p+1}(K_t) minus the rank of those columns cut to
+    the p-simplices outside K_s.  The bars [v_i, v_j) number
+    beta^{i,j-1} - beta^{i,j} - beta^{i-1,j-1} + beta^{i-1,j}, and the bars
+    born at v_i that never die beta^{i,last} - beta^{i-1,last}, with
+    beta^{-1,t} = 0 (the Fundamental Lemma of Persistent Homology:
+    Edelsbrunner and Harer, *Computational Topology*, 2010, VII.1).  For
+    each s, one rank sweep over t gives every beta^{s,t}.
+    """
+    values = sorted({v for _, v in entries})
+    m = len(values)
+    level_of = {v: i for i, v in enumerate(values)}
+    levels = [{tuple(s): level_of[v] for s, v in entries if len(s) == d + 1} for d in range(3)]
+    bit = [{s: 1 << k for k, s in enumerate(sorted(by_dim))} for by_dim in levels]
+    count = [[0] * m for _ in range(3)]  # count[p][t]: p-simplices of level <= t
+    columns = [[[] for _ in range(m)] for _ in range(4)]  # columns[p][t]: their boundaries
+    for p, by_dim in enumerate(levels):
+        for s, t in by_dim.items():
+            count[p][t] += 1
+            if p:
+                columns[p][t].append(sum(bit[p - 1][f] for f in combinations(s, p)))
+        for t in range(1, m):
+            count[p][t] += count[p][t - 1]
+    rank = [_ranks_by_level(columns[p], m) for p in range(4)]  # rank[p][t]: of d_p(K_t)
+    beta = [[[0] * m for _ in range(m)] for _ in range(3)]  # beta[p][s][t], s <= t
+    for p in range(3):
+        for s in range(m):
+            outside = sum(bit[p][f] for f, t in levels[p].items() if t > s)
+            cut = _ranks_by_level(columns[p + 1], m, outside)
+            for t in range(s, m):
+                beta[p][s][t] = count[p][s] - rank[p][s] - rank[p + 1][t] + cut[t]
+
+    def b(p, s, t):
+        return beta[p][s][t] if s >= 0 else 0
+
+    bars = Counter()
+    for p in range(3):
+        for i in range(m):
+            for j in range(i + 1, m):
+                k = b(p, i, j - 1) - b(p, i, j) - b(p, i - 1, j - 1) + b(p, i - 1, j)
+                if k:
+                    bars[p, values[i], values[j]] += k
+            k = b(p, i, m - 1) - b(p, i - 1, m - 1)
+            if k:
+                bars[p, values[i], None] += k
+    return bars
+
+
 def boundary_matrix_reference(fc):
     """Boundary columns of a filtered complex by looking each face up in a
     dict from simplex to filtration position."""
@@ -617,6 +696,35 @@ def skipped_columns(fc, pairs):
         for low, k in pairs.items()
         if len(entries[low][0]) == 2 and entries[k][1] == entries[low][1]
     }
+
+
+@contextlib.contextmanager
+def recorded_paths():
+    """The path of every reduction made inside the block, one
+    ``(dimension, path)`` per call in call order: ``"dual"`` when the
+    triangles pair on the dual graph, ``"rows"`` for the row sweep and
+    ``"columns"`` for the column loop.  A dual pairing that declines records
+    nothing; the edges' union-find is not a path and records nothing."""
+    from geoph import homology
+
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+
+        def dual(*args, pair=homology._pair_dual):
+            paired = pair(*args)
+            if paired:
+                calls.append((2, "dual"))
+            return paired
+
+        mp.setattr(homology, "_pair_dual", dual)
+        for name in ("rows", "columns"):
+
+            def reduce(face_rank, *args, path=getattr(homology, f"_reduce_{name}"), name=name):
+                calls.append((face_rank.shape[1] - 1, name))
+                return path(face_rank, *args)
+
+            mp.setattr(homology, f"_reduce_{name}", reduce)
+        yield calls
 
 
 def persistence_pairs_reference(reduced, fc):

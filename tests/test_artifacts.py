@@ -13,13 +13,15 @@ recorded here; a rewrite of any layer that changes a single byte of a
 barcode, complex, raster or drawing fails this gate.  To see which file
 moved, compare the failing build's directory against the table.
 
-Each build also records which reduction path each dimension took: the
-three dense Vietoris-Rips builds (dissent, grid and the 6 x 6 grid, red)
-reduce their triangles by the row sweep, alpha and level-set triangles take
-neither path (their complexes are embedded, so they pair on the dual graph),
-and every other dimension goes through the column loop, so the table guards
-all three.  The warnings the
-builds are known to raise are matched; any other warning fails the build.
+Each build also records the path its triangles took (``recorded_paths``).
+They pair on the dual graph unless an edge has more than two triangles or a
+triangle is born (an H2 bar): the three dense Vietoris-Rips builds (dissent,
+grid and the 6 x 6 grid, red) reduce theirs by the row sweep, and grid
+adjacency (red), whose queen graph has edges in four triangles, by the
+column loop.  Every other build, empty and triangle-free ones included,
+pairs on the dual graph, so the table guards all three paths.  The warnings
+the builds are known to raise are matched; any other warning fails the
+build.
 """
 
 import contextlib
@@ -28,9 +30,10 @@ import io
 
 import pytest
 
-from geoph import homology
 from geoph.cli import main
 from geoph.pipeline import METHODS
+
+from helpers import recorded_paths
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -351,32 +354,24 @@ OPTION_WARNINGS = {
     ("grid1", "--stride 1"): "mask is entirely true",
 }
 # The flag complexes on 8, 25 and 36 points reduce their triangles by the
-# row sweep (more triangles to reduce than edges); alpha and level-set
-# triangles pair on the dual graph and reduce nothing (an empty complex is
-# not a builder's, so it is not embedded); every other build's triangles
-# go through the column loop.  No build reduces an edge column: the edges
-# pair by a union-find.
-ROW_SWEPT = {(f, "vr", "red") for f in ("dissent", "grid", "grid6")}
-EMBEDDED = ("alpha", "levelset")
+# row sweep (more triangles to reduce than edges), and grid adjacency by the
+# column loop; every other build's triangles pair on the dual graph.  No
+# build reduces an edge column: the edges pair by a union-find.
+PATHS = {
+    **{(f, "vr", "red"): "rows" for f in ("dissent", "grid", "grid6")},
+    ("grid", "adjacency", "red"): "columns",
+}
 
 
-def build_digests(maps, tmp_path, monkeypatch, fixture, argv, warning):
+def build_digests(maps, tmp_path, fixture, argv, warning):
     """The sha256 of every artifact but ``run.json`` of one build, and the
-    reduction path each dimension took."""
-    paths = []
-    choose = homology._reduction_path
-
-    def record(columns, rows):
-        path = choose(columns, rows)
-        paths.append(path.__name__)
-        return path
-
-    monkeypatch.setattr(homology, "_reduction_path", record)
+    path of each reduction it made."""
     out = tmp_path / "out"
     with (
         pytest.warns(UserWarning, match=warning) if warning else contextlib.nullcontext(),
         contextlib.redirect_stdout(io.StringIO()),
         contextlib.redirect_stderr(io.StringIO()),
+        recorded_paths() as paths,
     ):
         code = main(["build", *argv, "--input", str(maps[fixture]), "--out", str(out)])
     assert code == 0
@@ -389,24 +384,18 @@ def build_digests(maps, tmp_path, monkeypatch, fixture, argv, warning):
 
 
 @pytest.mark.parametrize("fixture, method, candidate", sorted(DIGESTS))
-def test_artifacts_are_byte_identical(maps, tmp_path, monkeypatch, fixture, method, candidate):
+def test_artifacts_are_byte_identical(maps, tmp_path, fixture, method, candidate):
     argv = ["--method", method, "--candidate", candidate]
     warning = WARNINGS.get((fixture, method, candidate))
-    got, paths = build_digests(maps, tmp_path, monkeypatch, fixture, argv, warning)
+    got, paths = build_digests(maps, tmp_path, fixture, argv, warning)
     assert got == DIGESTS[fixture, method, candidate]
-    if method in EMBEDDED and warning != EMPTY:
-        triangles = []
-    elif (fixture, method, candidate) in ROW_SWEPT:
-        triangles = ["_reduce_rows"]
-    else:
-        triangles = ["_reduce_columns"]
-    assert paths == triangles
+    assert paths == [(2, PATHS.get((fixture, method, candidate), "dual"))]
 
 
 @pytest.mark.parametrize("fixture, options", sorted(OPTION_DIGESTS))
-def test_levelset_options_are_byte_identical(maps, tmp_path, monkeypatch, fixture, options):
+def test_levelset_options_are_byte_identical(maps, tmp_path, fixture, options):
     argv = ["--method", "levelset", "--candidate", "red", *options.split()]
     warning = OPTION_WARNINGS.get((fixture, options))
-    got, paths = build_digests(maps, tmp_path, monkeypatch, fixture, argv, warning)
+    got, paths = build_digests(maps, tmp_path, fixture, argv, warning)
     assert got == OPTION_DIGESTS[fixture, options]
-    assert paths == []
+    assert paths == [(2, "dual")]

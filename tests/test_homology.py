@@ -1,7 +1,7 @@
-import contextlib
 import json
 import random
 import warnings
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 
@@ -20,7 +20,6 @@ from geoph.complexes import (
 from geoph.geometry import PointCloud
 from geoph.homology import (
     Barcode,
-    BoundaryMatrix,
     PersistencePair,
     _filtration_ranks,
     barcode_of,
@@ -47,8 +46,10 @@ from helpers import (
     distinct_values,
     long_persistence_reference,
     persistence_pairs_reference,
+    persistent_bars_reference,
     position_of,
     random_filtered_entries,
+    recorded_paths,
     skipped_columns,
 )
 
@@ -96,16 +97,26 @@ class TestBoundaryMatrix:
         assert fc.entries == validated.entries
 
 
+def declined(*args):
+    """A dual pairing that never runs, so the triangles take a column path."""
+    return False
+
+
 @pytest.fixture(params=["columns", "rows"])
 def reduction_path(request, monkeypatch):
     """Reduce every dimension by the column loop, or every one by the row sweep."""
     path = getattr(homology, f"_reduce_{request.param}")
+    monkeypatch.setattr(homology, "_pair_dual", declined)
     monkeypatch.setattr(homology, "_reduction_path", lambda columns, rows: path)
 
 
 def reduced_by(path, bm):
+    """The reduction of ``bm`` with its triangles forced onto ``path``, or
+    onto the path ``_reduction_path`` picks when ``path`` is None."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(homology, "_reduction_path", lambda columns, rows: path)
+        mp.setattr(homology, "_pair_dual", declined)
+        if path is not None:
+            mp.setattr(homology, "_reduction_path", lambda columns, rows: path)
         return reduce_matrix(bm)
 
 
@@ -179,28 +190,6 @@ def assert_pairs_match_reference(fc):
     assert classify_long_persistence(expected).pairs == flagged.pairs
 
 
-def embedded_copy(fc):
-    """The same complex, marked as embedded in the plane."""
-    rows, positions = zip(*(fc.rows(d) for d in range(3)))
-    return FilteredComplex._from_arrays(rows, [fc.values[at] for at in positions], embedded=True)
-
-
-@contextlib.contextmanager
-def recorded_paths():
-    """The (path, faces per column) of every call of the column loop and the
-    row sweep made inside the block."""
-    calls = []
-    with pytest.MonkeyPatch.context() as mp:
-        for name in ("_reduce_columns", "_reduce_rows"):
-
-            def record(face_rank, *args, path=getattr(homology, name)):
-                calls.append((path.__name__, face_rank.shape[1]))
-                return path(face_rank, *args)
-
-            mp.setattr(homology, name, record)
-        yield calls
-
-
 @st.composite
 def planar_complexes(draw):
     """Face-closed subcomplexes of the Delaunay triangulation (scipy's, with
@@ -221,64 +210,131 @@ def planar_complexes(draw):
     return close_under_faces(entries or [((0,), 0)])
 
 
+# Closed surfaces, every edge in two triangles: the 7-vertex torus and the
+# 6-vertex projective plane; and the 5-vertex Moebius band, whose rim edges
+# have one triangle.  Over F2 each closed one has an H2 class.
+SURFACES = (
+    [tuple(sorted((i, (i + a) % 7, (i + 3) % 7))) for i in range(7) for a in (1, 2)],
+    [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5)]
+    + [(1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5)],
+    [tuple(sorted((i, (i + 1) % 5, (i + 2) % 5))) for i in range(5)],
+)
+
+
+@st.composite
+def surface_complexes(draw):
+    """Face-closed subcomplexes of one of ``SURFACES`` with up to 4 distinct
+    values: many ties, and half of them the whole surface."""
+    triangles = draw(st.sampled_from(SURFACES))
+    simplices = sorted({f for t in triangles for d in (1, 2, 3) for f in combinations(t, d)})
+    value = st.integers(0, 3) if draw(st.booleans()) else st.none() | st.integers(0, 3)
+    values = draw(st.lists(value, min_size=len(simplices), max_size=len(simplices)))
+    entries = [(s, v) for s, v in zip(simplices, values) if v is not None]
+    return close_under_faces(entries or [((0,), 0)])
+
+
+def assert_dual_matches_the_column_paths(fc):
+    """The triangles pair on the dual graph exactly when no edge has more
+    than two triangles and no H2 bar is born; then the pairing, the
+    barcode and the views equal those of a reduction forced onto the
+    column paths.  Returns whether they paired on the dual graph."""
+    bm = build_boundary_matrix(fc)
+    with recorded_paths() as calls:
+        red = reduce_matrix(bm)
+    column = reduced_by(None, bm)
+    expected = persistence_pairs(column, fc)
+    cofaces = Counter(e for t in fc.simplices() if len(t) == 3 for e in combinations(t, 2))
+    dual = max(cofaces.values(), default=0) <= 2 and not len(expected.shown(2))
+    assert len(calls) == 1 and (calls[0] == (2, "dual")) == dual
+    assert np.array_equal(red.owner, column.owner)
+    assert np.array_equal(red.apparent, column.apparent)
+    bars = persistence_pairs(red, fc)
+    assert bars.pairs == expected.pairs
+    assert bars.to_json() == expected.to_json()
+    assert red.pairs == column.pairs
+    assert red.chains == column.chains
+    assert red.matrix.columns == column.matrix.columns
+    return dual
+
+
+def assert_bars_match_persistent_betti(fc):
+    """Every bar of nonzero length, as the persistent Betti numbers count it."""
+    got = Counter((p.dimension, p.birth, p.death) for p in barcode_of(fc).rendered())
+    assert got == persistent_bars_reference(fc.entries)
+
+
 class TestDualPairing:
-    """The triangles of an embedded complex pair on the dual graph, with the
-    same pairing, barcode and chains as the column reduction."""
+    """The triangles pair on the dual graph whenever no edge has more than
+    two triangles and every triangle dies, with the same pairing, barcode
+    and views as the column paths; otherwise a column path runs."""
 
     @given(planar_complexes())
     @settings(max_examples=300, deadline=None)
-    def test_matches_the_column_reduction_on_planar_complexes(self, fc):
-        marked = embedded_copy(fc)
-        assert marked.embedded and not fc.embedded and marked == fc
-        bm = build_boundary_matrix(fc)
-        plain = reduce_matrix(bm)
+    def test_matches_the_column_paths_on_planar_complexes(self, fc):
+        assert assert_dual_matches_the_column_paths(fc)
+
+    @given(surface_complexes())
+    @settings(max_examples=300, deadline=None)
+    def test_runs_on_surfaces_exactly_when_there_is_no_h2(self, fc):
+        assert_dual_matches_the_column_paths(fc)
+        assert_bars_match_persistent_betti(fc)
+
+    @given(tied_complexes())
+    @settings(max_examples=200, deadline=None)
+    def test_runs_on_tied_complexes_exactly_when_the_rule_allows(self, fc):
+        assert_dual_matches_the_column_paths(fc)
+
+    @pytest.mark.parametrize("surface", range(len(SURFACES)))
+    def test_a_whole_surface_pairs_on_the_dual_graph_only_without_h2(self, surface):
+        # The torus and the projective plane have H2 until a triangle goes;
+        # the Moebius band never has.
+        whole = SURFACES[surface]
+        for triangles in (whole, whole[1:]):
+            fc = close_under_faces([(t, float(k)) for k, t in enumerate(triangles)])
+            h2 = surface < 2 and triangles is whole
+            assert assert_dual_matches_the_column_paths(fc) == (not h2)
+            assert_bars_match_persistent_betti(fc)
+
+    def test_an_edge_in_three_triangles_takes_the_column_loop(self):
+        fc = close_under_faces([((0, 1, k), 1.0) for k in (2, 3, 4)])
         with recorded_paths() as calls:
-            dual = reduce_matrix(BoundaryMatrix(marked, bm.face_positions))
-            bars = persistence_pairs(dual, marked)
-        assert all(width == 2 for _, width in calls)
-        assert np.array_equal(dual.owner, plain.owner)
-        assert np.array_equal(dual.apparent, plain.apparent)
-        expected = persistence_pairs(plain, fc)
-        assert bars.pairs == expected.pairs
-        assert bars.rendered() == expected.rendered()
-        assert bars.to_json() == expected.to_json()
-        # Read after the build, the chains and reduced columns are today's.
-        assert dual.pairs == plain.pairs
-        assert dual.chains == plain.chains
-        assert dual.matrix.columns == plain.matrix.columns
-
-    def test_rejects_an_edge_in_three_triangles(self):
-        fc = embedded_copy(close_under_faces([((0, 1, k), 1.0) for k in (2, 3, 4)]))
-        with pytest.raises(ValueError, match="edge in 3 triangles"):
             reduce_matrix(build_boundary_matrix(fc))
+        assert calls == [(2, "columns")]
+        assert_matches_dense_reference(fc)
 
-    def test_rejects_a_closed_surface(self):
+    def test_a_closed_surface_takes_the_column_loop(self):
         # The hollow tetrahedron: every edge has two triangles, and one
-        # triangle is born (H2), so it is left unpaired.
+        # triangle is born (H2), so it needs its chain: all four triangles.
         fc = close_under_faces([(t, float(k)) for k, t in enumerate(combinations(range(4), 3))])
-        assert barcode_of(fc).rendered(2)
-        with pytest.raises(ValueError, match="triangle that kills no edge"):
-            reduce_matrix(build_boundary_matrix(embedded_copy(fc)))
+        with recorded_paths() as calls:
+            (bar,) = barcode_of(fc).rendered(2)
+        assert calls == [(2, "columns")]
+        assert bar.generator == tuple(combinations(range(4), 3))
+        assert_matches_dense_reference(fc)
 
     @pytest.mark.parametrize("method", METHODS)
-    def test_only_alpha_and_level_set_builds_skip_the_triangle_reduction(self, method):
+    def test_builds_pair_on_the_dual_graph_unless_an_edge_has_three_triangles(self, method):
+        # On the dissent map only the flag complex has an edge in three
+        # triangles; no build has H2.
         m = parse_feature_collection(make_fixture("dissent"))
         with recorded_paths() as calls, warnings.catch_warnings():
             warnings.simplefilter("ignore")
             fc = run_pipeline(RunConfig(method=method, candidate="red"), m).complex
-        triangles = [path for path, width in calls if width == 3]
-        edges = [path for path, width in calls if width == 2]
-        assert fc.counts()[2] > 0 and edges == []
-        expected = {"vr": ["_reduce_rows"], "adjacency": ["_reduce_columns"]}
-        assert triangles == expected.get(method, [])
-        assert fc.embedded == (method in ("alpha", "levelset"))
+        assert fc.counts()[2] > 0
+        assert calls == [(2, "rows" if method == "vr" else "dual")]
 
-    def test_other_constructors_leave_the_mark_off(self):
+    def test_every_copy_of_an_alpha_complex_pairs_on_the_dual_graph(self):
         fc = fixture_complex("dissent", "alpha")
-        assert fc.embedded
-        assert not FilteredComplex(fc.entries).embedded
-        assert not close_under_faces(fc.entries).embedded
-        assert not FilteredComplex.from_text(fc.to_text()).embedded
+        copies = (
+            fc,
+            FilteredComplex(fc.entries),
+            close_under_faces(fc.entries),
+            FilteredComplex.from_text(fc.to_text()),
+        )
+        for copy in copies:
+            with recorded_paths() as calls:
+                reduce_matrix(build_boundary_matrix(copy))
+            assert calls == [(2, "dual")]
 
 
 def assert_edges_match_the_full_reduction(fc):
@@ -312,8 +368,8 @@ class TestEdgeUnionFind:
 
     @given(planar_complexes())
     @settings(max_examples=200, deadline=None)
-    def test_matches_the_full_reduction_on_embedded_complexes(self, fc):
-        assert_edges_match_the_full_reduction(embedded_copy(fc))
+    def test_matches_the_full_reduction_on_planar_complexes(self, fc):
+        assert_edges_match_the_full_reduction(fc)
 
     def test_joining_edge_re_roots_a_linked_tree(self):
         # (0, 1), (2, 3) and (3, 4) are apparent: 1 hangs under 0, 3 under 2
@@ -617,6 +673,16 @@ class TestOracle:
             bc = barcode_of(fc)
             for t in distinct_values(fc):
                 assert bars_alive_at(bc, t) == betti_oracle(complex_at(fc, t))
+
+    @given(tied_complexes())
+    @settings(max_examples=200, deadline=None)
+    def test_bars_match_persistent_betti_numbers_on_tied_complexes(self, fc):
+        assert_bars_match_persistent_betti(fc)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_bars_match_persistent_betti_numbers_on_fixtures(self, fixture, method):
+        assert_bars_match_persistent_betti(fixture_complex(fixture, method))
 
     def test_euler_equals_alternating_betti_sum(self):
         rng = random.Random(6)
