@@ -14,12 +14,12 @@ face has it as its oldest coface keeps its boundary and pairs at once,
 since no earlier column can hold that face.  They are found with numpy, as
 are the edges a triangle kills at their own value (zero-length births,
 never reduced).  The other triangle columns take one of two paths that
-make the same additions: a column loop, each column one Python int (an
-addition is an xor and a shift), or, when the columns to reduce outnumber
-the edge rows (Vietoris-Rips triangles), a sweep over numpy ``uint64`` bit
-rows, last row first, where the columns whose lowest row a row is add its
-owner at once.  Each returns its chains as keys (column, lexicographic row
-of a chain simplex).
+make the same additions: a column loop, each column and its chain a set
+(an addition is two symmetric differences), or, when the columns to
+reduce outnumber the edge rows (Vietoris-Rips triangles), a sweep over
+numpy ``uint64`` bit rows, last row first, where the columns whose
+lowest row a row is add its owner at once.  Each returns its chains as
+keys (column, lexicographic row of a chain simplex).
 
 No edge column is reduced.  H0 comes from a union-find over the edges in
 filtration order with the elder rule (Edelsbrunner, Letscher and
@@ -54,6 +54,7 @@ reduction; it shares no code with it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable
@@ -64,7 +65,6 @@ from .barcode import (  # noqa: F401 -- the barcode's names stay importable from
     LONG_PERSISTENCE_THRESHOLD,
     Barcode,
     PersistencePair,
-    _gather,
     classify_long_persistence,
 )
 from .complexes import FilteredComplex, Simplex, _ranges, faces
@@ -497,61 +497,37 @@ def _reduce_columns(
     the column owning face rank r or -1; it is updated in place.  Returns
     the todo columns' chains as keys ``head[j] + lex[k]`` for k in the chain
     of j, each key once: ``head[k]`` is column k's position times n and
-    ``lex[k]`` its lexicographic row.  A working column is one int whose
-    bit b is the face b ranks below its lowest row, and so is each pivot's
-    stored column (an apparent one's is built the first time a later column
-    adds it), so an addition is one xor that clears bit 0, and a shift past
-    the trailing zeros moves the low.  The loop logs the columns each column
-    adds; a chain is the column plus the chain of each column it added.  An
-    apparent column's chain is itself, and a pivot the loop reduced is
-    expanded into its own log, one round per level of nesting, with pending
-    pivots that meet twice in one chain cancelled before they are expanded.
+    ``lex[k]`` its lexicographic row.  A working column is the set of its
+    face ranks, its low the largest, and its chain the set of columns added
+    into it, itself included (Zomorodian and Carlsson 2005).  Adding pivot
+    k is a symmetric difference with k's column and one with k's chain.  A
+    pivot reduced here keeps both sets; an apparent one is its own boundary
+    row, read when it is added, and its own chain.  Only the rows of the
+    todo columns and of the apparent columns they add are read.
     """
-    offsets = face_rank[:, -1:] - face_rank[:, :-1]
-    cols = [1] * len(todo)
-    for off in offsets[todo].T.tolist():
-        cols = [col | 1 << b for col, b in zip(cols, off)]
-    offsets = offsets.T.tolist()
     owner = own.tolist()
-    r: list[int | None] = [None] * len(face_rank)
-    log: list[int] = []
-    ptr = [0]
-    for j, low, col in zip(todo.tolist(), face_rank[todo, -1].tolist(), cols):
-        while True:
-            k = owner[low]
-            if k < 0:
-                owner[low] = j
-                break
-            rk = r[k]
-            if rk is None:  # an apparent column, added for the first time
-                rk = 1
-                for off in offsets:
-                    rk |= 1 << off[k]
-                r[k] = rk
-            log.append(k)
-            col ^= rk
+    stored: list[tuple[set[int], set[int]] | None] = [None] * len(face_rank)
+    chains = []
+    for j, row in zip(todo.tolist(), face_rank[todo].tolist()):
+        col, chain, low = set(row), {j}, row[-1]
+        while (k := owner[low]) >= 0:
+            if stored[k] is None:  # an apparent column
+                col.symmetric_difference_update(face_rank[k].tolist())
+                chain ^= {k}
+            else:
+                col ^= stored[k][0]
+                chain ^= stored[k][1]
             if not col:
                 break
-            shift = (col & -col).bit_length() - 1
-            col >>= shift
-            low -= shift
-        r[j] = col
-        ptr.append(len(log))
+            low = max(col)
+        else:  # the column keeps its low
+            owner[low] = j
+            stored[j] = col, chain
+        chains.append(chain)
     own[:] = owner
-    ptr, log = np.array(ptr, dtype=np.int64), np.array(log, dtype=np.int64)
-    apparent = np.ones(len(face_rank), dtype=bool)  # the added columns not reduced here
-    apparent[todo] = False
-    m = len(face_rank)
-    j, k = np.repeat(todo, np.diff(ptr)), log
-    keys = [head[todo] + lex[todo]]
-    while len(k):
-        kept = apparent[k]
-        keys.append(head[j[kept]] + lex[k[kept]])
-        j, k = np.divmod(_odd(j[~kept] * m + k[~kept]), m)
-        keys.append(head[j] + lex[k])
-        k, sizes = _gather(ptr, log, np.searchsorted(todo, k))
-        j = np.repeat(j, sizes)
-    return _odd(np.concatenate(keys))
+    sizes = [len(chain) for chain in chains]
+    k = np.fromiter(itertools.chain.from_iterable(chains), np.int64)
+    return head[np.repeat(todo, sizes)] + lex[k]
 
 
 def _reduce_rows(

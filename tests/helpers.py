@@ -14,8 +14,10 @@ every edge for each flip, with a ``Fraction`` in-circle test.  The
 never the barcode's columns.  The
 boundary-matrix reference looks every face up in a dict of simplices.  The
 diagram reference, ``persistent_bars_reference``, counts the bars from
-persistent Betti numbers on Python-int bit columns and shares no code with
-``geoph.homology``.
+persistent Betti numbers on Python-int bit columns, and the generator
+reference, ``generator_basis_failures``, checks by ranks on such bit sets
+that the generators alive at each value form a homology basis; neither
+shares code with ``geoph.homology``.
 The loader reference reads a FeatureCollection feature by feature and each
 ring point by point through ``normalize_ring``, into plain columns; the
 centroid reference runs the shoelace sums one segment at a time.  A few
@@ -32,7 +34,9 @@ import json
 import math
 import random
 from collections import Counter
+from functools import reduce
 from itertools import combinations
+from operator import xor
 
 import numpy as np
 import pytest
@@ -636,6 +640,64 @@ def persistent_bars_reference(entries):
             if k:
                 bars[p, values[i], None] += k
     return bars
+
+
+def generator_basis_failures(entries, bars):
+    """Where the generators of ``bars`` fail to be homology bases, as a
+    list of messages (empty when they pass), from rank arithmetic alone.
+
+    ``bars`` holds ``(dimension, birth, death, generator)``, death ``None``
+    for a bar that never dies and the generator a sequence of simplices.
+    At every value t, with K_t the simplices of value <= t, the generators
+    of the p-bars alive at t (birth <= t < death) must lie in K_t, have zero
+    boundary, be independent modulo B_p(K_t), and number
+    beta_p(K_t) = #p-simplices - rank d_p - rank d_{p+1}: a basis of
+    H_p(K_t).  Chains are Python-int bit sets over each dimension's
+    simplices, and B_p(K_t) grows by one elimination as t sweeps up.
+    """
+    value = {tuple(s): v for s, v in entries}
+    bit = [
+        {s: 1 << k for k, s in enumerate(sorted(s for s in value if len(s) == p + 1))}
+        for p in range(3)
+    ]
+
+    def boundary(s):
+        return sum(bit[len(s) - 2][f] for f in combinations(s, len(s) - 1)) if len(s) > 1 else 0
+
+    def independent(pivots, v):
+        """Reduce v by ``pivots`` (lead bit -> vector); add it if nonzero."""
+        while v:
+            lead = v.bit_length() - 1
+            if lead not in pivots:
+                pivots[lead] = v
+                return True
+            v ^= pivots[lead]
+        return False
+
+    by_value = sorted(value.items(), key=lambda item: item[1])
+    image = [{}, {}, {}, {}]  # image[p]: pivots of B_{p-1}(K_t), the p-simplices' boundaries
+    count = [0, 0, 0]  # p-simplices in K_t
+    failures, i = [], 0
+    for t in sorted(set(value.values())):
+        while i < len(by_value) and by_value[i][1] <= t:
+            s = by_value[i][0]
+            count[len(s) - 1] += 1
+            independent(image[len(s) - 1], boundary(s))
+            i += 1
+        for p in range(3):
+            basis = dict(image[p + 1])
+            alive = [g for d, b, dies, g in bars if d == p and b <= t and (dies is None or dies > t)]
+            betti = count[p] - len(image[p]) - len(basis)
+            if len(alive) != betti:
+                failures.append(f"t={t}: {len(alive)} {p}-bars alive, beta_{p} = {betti}")
+            for g in alive:
+                if any(value.get(s, t + 1) > t for s in g):
+                    failures.append(f"t={t}: generator {g} is not in K_t")
+                elif reduce(xor, map(boundary, g), 0):
+                    failures.append(f"t={t}: generator {g} has a boundary")
+                elif not independent(basis, reduce(xor, (bit[p][s] for s in g), 0)):
+                    failures.append(f"t={t}: generator {g} depends on B_{p} and the others")
+    return failures
 
 
 def boundary_matrix_reference(fc):

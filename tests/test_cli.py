@@ -21,7 +21,7 @@ from geoph.homology import PersistencePair
 from geoph.precincts import centroids, parse_feature_collection
 from geoph.synth import dissent_fixture, grid_fixture, write_fixture
 
-from helpers import jittered_lattice_map
+from helpers import feature_collection, jittered_lattice_map
 
 
 def mapped(obj, f):
@@ -209,6 +209,19 @@ class TestBuild:
         assert "error:" in err and "feature 1" in err
         assert "bad ring coordinates (int too large to convert to float)" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("gtype", ["Polygon", "MultiPolygon"])
+    def test_feature_with_no_rings_exits_two(self, tmp_path, capsys, gtype):
+        bad = tmp_path / "e.geojson"
+        bad.write_text(json.dumps(feature_collection([[]], [(1, 2)], ids=["e"], gtype=gtype)))
+        out = tmp_path / "o"
+        code = main(
+            ["build", "--method", "adjacency", "--candidate", "red",
+             "--input", str(bad), "--out", str(out)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {bad}: feature 0 (e): geometry has no rings\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("method", ["vr", "alpha", "adjacency", "levelset"])
@@ -627,6 +640,22 @@ class TestBench:
         inputs = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
         assert inputs == ["g"] * 8
         assert "8 runs ->" in capsys.readouterr().out
+
+    def test_a_cell_whose_build_raises_is_dropped(self, tmp_path, capsys):
+        (tmp_path / "maps").mkdir()
+        squares = [[[(x, 0.0), (x + 1.0, 0.0), (x + 1.0, 1.0), (x, 1.0)]] for x in (0.0, 2.0, 4.0)]
+        collinear = feature_collection(squares, [(0, 10)] * 3)  # three red centroids in a line
+        (tmp_path / "maps" / "line.geojson").write_text(json.dumps(collinear))
+        out = tmp_path / "bench.csv"
+        with pytest.warns(UserWarning) as caught:
+            code = main(["bench", "--input-dir", str(tmp_path / "maps"), "--out", str(out)])
+        assert code == 0
+        warned = [str(w.message) for w in caught]
+        assert warned == ["line.geojson alpha/red: all points are collinear"]
+        cells = [tuple(row.split(",")[:3]) for row in out.read_text().splitlines()[1:]]
+        expected = [("line", c, m) for m in pipeline.METHODS for c in ("blue", "red")]
+        assert sorted(cells) == sorted(set(expected) - {("line", "red", "alpha")})
+        assert "7 runs ->" in capsys.readouterr().out
 
     def test_each_map_is_loaded_once(self, tmp_path, monkeypatch):
         (tmp_path / "maps").mkdir()

@@ -7,10 +7,11 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from geoph import homology
+from geoph.alpha import build_alpha_complex
 from geoph.complexes import (
     FilteredComplex,
     close_under_faces,
@@ -44,6 +45,7 @@ from helpers import (
     complex_at,
     dense_reduce_reference,
     distinct_values,
+    generator_basis_failures,
     long_persistence_reference,
     persistence_pairs_reference,
     persistent_bars_reference,
@@ -156,8 +158,7 @@ def fixture_complex(fixture, method):
 
 def widest_loop_column(fc, red):
     """The most face ranks any reduced column spans, lowest row to highest,
-    among the columns the reduction loop reduced or added: the width of the
-    loop's widest int."""
+    among the columns the reduction loop reduced or added."""
     rank, _ = _filtration_ranks(fc)
     touched = {k for j, chain in enumerate(red.chains) if not red.apparent[j] for k in chain}
     columns = [red.matrix.columns[k] for k in touched]
@@ -692,6 +693,55 @@ class TestOracle:
                 cx = complex_at(fc, t)
                 b0, b1, b2 = betti_oracle(cx)
                 assert euler_characteristic(cx) == b0 - b1 + b2
+
+
+def assert_bars_and_generators_check_out(fc):
+    """The bars match the persistent Betti numbers, and at each value the
+    shown generators of the bars alive there form a homology basis of the
+    sublevel complex: both by ranks alone."""
+    bars = barcode_of(fc).rendered()
+    assert Counter((p.dimension, p.birth, p.death) for p in bars) == persistent_bars_reference(
+        fc.entries
+    )
+    generators = [(p.dimension, p.birth, p.death, p.generator) for p in bars]
+    assert generator_basis_failures(fc.entries, generators) == []
+
+
+class TestGeneratorBases:
+    """The bars and generators pass checks that share no code with the
+    reduction, on both column paths and on small builds."""
+
+    @pytest.mark.usefixtures("reduction_path")
+    @given(tied_complexes())
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_on_tied_complexes_on_each_column_path(self, fc):
+        assert_bars_and_generators_check_out(fc)
+
+    @pytest.mark.usefixtures("reduction_path")
+    @pytest.mark.parametrize("fixture", ["grid", "dissent"])
+    def test_on_adjacency_fixtures_on_each_column_path(self, fixture):
+        assert_bars_and_generators_check_out(fixture_complex(fixture, "adjacency"))
+
+    def test_on_adjacency_fixtures_as_built(self):
+        with recorded_paths() as calls:
+            for fixture in ("grid", "dissent"):
+                assert_bars_and_generators_check_out(fixture_complex(fixture, "adjacency"))
+        assert (2, "columns") in calls
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_on_25_point_alpha_clouds(self, seed):
+        rng = random.Random(seed)
+        points = tuple((rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(25))
+        assert_bars_and_generators_check_out(build_alpha_complex(PointCloud(points=points)))
+
+    def test_on_a_9_point_vr_cloud(self):
+        rng = random.Random(9)
+        points = tuple((rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(9))
+        assert_bars_and_generators_check_out(build_vr_complex(PointCloud(points=points)))
 
 
 def synthetic_barcode(persistences):
