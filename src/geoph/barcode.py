@@ -25,7 +25,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .complexes import Simplex, _float_reprs, _ranges, _unique
+from .complexes import Simplex, _float_texts, _ranges, _unique
 
 LONG_PERSISTENCE_THRESHOLD = 0.75
 _JSON_BLOCK = 2048  # rendered bars per block of `json_blocks` text
@@ -224,20 +224,47 @@ class Barcode:
         sort_keys=True)`` plus a newline, over one record per rendered bar,
         written directly: CPython's json runs a pure-Python encoder whenever
         ``indent`` is set, which is slow and holds much memory on large
-        generators.  Within a block, each distinct generator simplex is
-        formatted once, and the block is one join over a flat list: per bar,
-        its head, its simplices and its tail.
+        generators.  A record's head (birth, death, dimension and whether
+        its generator is empty) is formatted once per distinct head of the
+        document; within a block, each distinct generator simplex is
+        formatted once, and the block is one join over a flat list: per
+        bar, its head, its simplices and its tail.
         """
         at = self.shown()
         if not len(at):
             yield "[]\n"
             return
+        immortal, sizes = self.immortal[at], self.generator_ptr[at + 1] - self.generator_ptr[at]
+        births, ib = _unique(self.birth[at].view(np.int64))
+        deaths, jd = _unique(self.death[at].view(np.int64))
+        dims, kd = _unique(self.dimension[at])
+        key = ((ib * len(deaths) + jd) * len(dims) + kd) * 4 + immortal * 2 + (sizes > 0)
+        keys, key = _unique(key)
+        first = np.zeros(len(keys), dtype=np.int64)  # a bar of each head
+        first[key] = np.arange(len(key))
+        birth = _float_texts(float.__repr__, births)[ib[first]]
+        death = _float_texts(float.__repr__, deaths)[jd[first]]
+        head = '  {\n    "birth": %s,\n    "death": %s,\n    "dimension": %d,\n    "generator": %s'
+        heads = np.array(
+            [
+                head % (b, d, dim, "[\n" if size else "[]")
+                for b, d, dim, size in zip(
+                    birth.tolist(),
+                    np.where(immortal[first], "null", death).tolist(),
+                    dims[kd[first]].tolist(),
+                    sizes[first].tolist(),
+                )
+            ],
+            dtype=object,
+        )
         yield "[\n"
         for i in range(0, len(at), _JSON_BLOCK):
-            yield self._json_block(at[i : i + _JSON_BLOCK], i + _JSON_BLOCK >= len(at))
+            block = slice(i, i + _JSON_BLOCK)
+            yield self._json_block(at[block], heads[key[block]], i + _JSON_BLOCK >= len(at))
 
-    def _json_block(self, at: np.ndarray, last: bool) -> str:
-        """The records of bars ``at``; the list closes after them if ``last``."""
+    def _json_block(self, at: np.ndarray, heads: np.ndarray, last: bool) -> str:
+        """The records of bars ``at``, whose heads are ``heads``; the list
+        closes after them if ``last``."""
         rows, sizes = _gather(self.generator_ptr, self.generator_at, at)
         tables, code = _distinct(self.simplices, rows)
         texts = []
@@ -250,16 +277,6 @@ class Barcode:
         later[starts[sizes > 0]] = False
         code[later] += len(texts)
         texts = np.array(texts + [",\n" + t for t in texts], dtype=object)
-        heads = [
-            '  {\n    "birth": %s,\n    "death": %s,\n    "dimension": %d,\n    "generator": %s'
-            % (birth, death, d, "[\n" if size else "[]")
-            for birth, death, d, size in zip(
-                _float_reprs(self.birth[at]).tolist(),
-                np.where(self.immortal[at], "null", _float_reprs(self.death[at])).tolist(),
-                self.dimension[at].tolist(),
-                sizes.tolist(),
-            )
-        ]
         tails = np.array(  # at 4 * (generator not empty) + 2 * (list closes) + flag
             [
                 '%s,\n    "long_persistence": %s\n  }%s' % (close, flag, more)

@@ -21,7 +21,7 @@ mark of how it was made, so every copy of it reduces alike.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -282,8 +282,13 @@ def _float_reprs(column: np.ndarray) -> np.ndarray:
     object array; each distinct value (bit pattern, so ``-0.0`` is not
     ``0.0``) is formatted once."""
     bits, at = _unique(column.view(np.int64))
-    texts = list(map(float.__repr__, bits.view(np.float64).tolist()))
-    return np.array(texts, dtype=object)[at]
+    return _float_texts(float.__repr__, bits)[at]
+
+
+def _float_texts(fmt: Callable[[float], str], bits: np.ndarray) -> np.ndarray:
+    """``fmt`` of the float64 of each int64 bit pattern in ``bits``, as an
+    object array."""
+    return np.array(list(map(fmt, bits.view(np.float64).tolist())), dtype=object)
 
 
 def close_under_faces(entries: Iterable[Entry]) -> FilteredComplex:

@@ -183,7 +183,7 @@ def write_outputs(result: RunResult, m: PrecinctMap, out_dir: str | Path) -> lis
 
     def emit(name: str, blocks: Iterable[str]) -> None:
         p = out / name
-        with p.open("w") as f:
+        with p.open("w", encoding="utf-8") as f:
             f.writelines(blocks)
         written.append(p)
 
@@ -300,7 +300,8 @@ def benchmark_report(rows: list[BenchmarkRow], path: str | Path) -> tuple[Path, 
             f"{r.input_name},{r.candidate},{r.method},{r.precincts},{r.winners},"
             f"{r.simplices},{r.build_seconds:.4f},{r.ph_seconds:.4f}"
         )
-    path.write_text("\n".join(lines) + "\n")
+    # A file name that is not UTF-8 keeps its bytes (as ``os.fsdecode`` escaped them).
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
 
     by_cell = {(r.input_name, r.method, r.candidate): r for r in rows}
     inputs = sorted({r.input_name for r in rows})
@@ -331,5 +332,5 @@ def benchmark_report(rows: list[BenchmarkRow], path: str | Path) -> tuple[Path, 
         "Seconds (build/homology)",
         lambda r: f"{r.build_seconds:.2f}/{r.ph_seconds:.2f}",
     )
-    txt_path.write_text("\n".join(text))
+    txt_path.write_text("\n".join(text), encoding="utf-8", errors="surrogateescape")
     return path, txt_path

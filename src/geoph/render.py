@@ -7,7 +7,8 @@ dimension-1 generator cycles of the barcode as closed polylines in the
 analyzed candidate's color; long-persistence cycles come out darker and
 thicker.  The cycles come from the barcode's cycle columns, already in
 drawing order (each H1 generator of a build is a forest cycle, and H0 comes
-from a union-find; see ``homology``), and are formatted a block at a time.
+from a union-find; see ``homology``).  Each distinct cycle vertex is
+formatted once, and the polylines are joined a block at a time.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import InputError
 from .barcode import Barcode
-from .complexes import _unique
+from .complexes import _float_texts, _unique
 from .precincts import SIDES, PrecinctMap, check_candidate
 
 SHORT_BAR_FILL = {0: "#9ecae1", 1: "#fc9272", 2: "#a1d99b"}
@@ -28,11 +29,12 @@ LONG_BAR_FILL = {0: "#08519c", 1: "#99000d", 2: "#006d2c"}
 FULL_SHADE = {"blue": (8, 48, 107), "red": (103, 0, 13)}
 CYCLE_STROKE = {"blue": ("#4292c6", "#08306b"), "red": ("#fb6a4a", "#67000d")}
 _CYCLE_BLOCK = 1024  # cycle vertices per block of feature-map polylines
+_SVG_BLOCK = 2048  # bars per block of barcode.svg text
 
 
 def _write(svg: str, path: str | Path | None) -> str:
     if path is not None:
-        Path(path).write_text(svg)
+        Path(path).write_text(svg, encoding="utf-8")
     return svg
 
 
@@ -42,8 +44,11 @@ def render_barcode_svg(barcode: Barcode, path: str | Path | None = None) -> str:
     Zero-length bars are omitted.  Bars that never die run to the plot
     horizon (the barcode's, or the largest value drawn if that is larger)
     and get an arrowhead.  Long-persistence bars use a darker fill.
-    Positions are computed on the barcode's columns, and each bar is one
-    ``%`` template.
+    Positions are computed on the barcode's columns.  A bar's text is its
+    y between the texts of its key (its x0, width and fill, and whether it
+    never dies), built once per distinct key from each distinct x0 and
+    width formatted once; the bars are joined ``_SVG_BLOCK`` at a time, and
+    the blocks once into the document.
     """
     shown = barcode.shown()
     # The plot spans every value it draws; a build has none past its horizon.
@@ -72,40 +77,63 @@ def render_barcode_svg(barcode: Barcode, path: str | Path | None = None) -> str:
     group = np.repeat(np.arange(len(dims)), sizes)
     y = top + (bar_h + bar_gap) * np.arange(len(at)) + group_gap * group
     x0 = x(barcode.birth[at])
-    width = x(np.where(barcode.immortal[at], hi, barcode.death[at])) - x0
-    fills = [
-        (LONG_BAR_FILL if long else SHORT_BAR_FILL)[d]
-        for long, d in zip(barcode.long_persistence[at].tolist(), barcode.dimension[at].tolist())
-    ]
-    rect = f'<rect x="%.2f" y="%.2f" width="%.2f" height="{bar_h:.2f}" fill="%s"/>'
+    immortal = barcode.immortal[at]
+    width = x(np.where(immortal, hi, barcode.death[at])) - x0
+    fill = 2 * group + barcode.long_persistence[at]  # each bar's index in ``fills``
+    fills = [(SHORT_BAR_FILL, LONG_BAR_FILL)[flag][d] for d in dims for flag in (0, 1)]
+    xs, ix = _unique(x0.view(np.int64))
+    ws, iw = _unique(width.view(np.int64))
+    keys, key = _unique(((ix * len(ws) + iw) * len(fills) + fill) * 2 + immortal)
+    first = np.zeros(len(keys), dtype=np.int64)  # a bar of each key
+    first[key] = np.arange(len(key))
     xe = x(hi)
-    arrow = (
-        f'{rect}\n<polygon points="{xe:.2f},%.2f {xe + 9:.2f},%.2f {xe:.2f},%.2f" fill="%s"/>'
-    )
-    bars = [
-        arrow % (xb, yb, w, fill, ym - 5, ym, ym + 5, fill)
-        if immortal
-        else rect % (xb, yb, w, fill)
-        for xb, yb, w, fill, immortal, ym in zip(
-            x0.tolist(),
-            y.tolist(),
-            width.tolist(),
-            fills,
-            barcode.immortal[at].tolist(),
-            (y + bar_h / 2.0).tolist(),
-        )
+    # Each distinct x0 and width is formatted once, and joined into its keys'
+    # head and middle texts.
+    heads = _float_texts('\n<rect x="%.2f" y="'.__mod__, xs)[ix[first]]
+    widths = _float_texts('.00" width="%.2f" '.__mod__, ws)[iw[first]]
+    suffixes = [  # at 2 * fill + immortal
+        f'height="{bar_h:.2f}" fill="{f}"/>' + tip
+        for f in fills
+        for tip in ("", f'\n<polygon points="{xe:.2f},')
     ]
+    middles = widths + np.array(suffixes, dtype=object)[2 * fill[first] + immortal[first]]
+    tails = np.array(['.50" fill="%s"/>' % f for f in fills], dtype=object)
+    # y is 16 + 10 i + 16 g, an exact integer float, so "%.2f" % y is its int
+    # and ".00".  The arrowhead's ym - 5, ym and ym + 5 (ym = y + 3.5) are
+    # y - 1.5, y + 3.5 and y + 8.5: the ints y - 2, y + 3 and y + 8, then ".50".
+    ys = y.astype(np.int64)
+
+    def bars(a: int, b: int) -> str:
+        """The text of bars a to b, one join."""
+        k, never, yb = key[a:b], immortal[a:b], ys[a:b]
+        count = 3 + 6 * never
+        start = np.cumsum(count) - count
+        pieces = np.empty(int(count.sum()), dtype=object)
+        pieces[start] = heads[k]
+        pieces[start + 1] = list(map(str, yb.tolist()))
+        pieces[start + 2] = middles[k]
+        start, yb = start[never], yb[never]
+        pieces[start + 3] = list(map(str, (yb - 2).tolist()))
+        pieces[start + 4] = f".50 {xe + 9:.2f},"
+        pieces[start + 5] = list(map(str, (yb + 3).tolist()))
+        pieces[start + 6] = f".50 {xe:.2f},"
+        pieces[start + 7] = list(map(str, (yb + 8).tolist()))
+        pieces[start + 8] = tails[fill[a:b][never]]
+        return "".join(pieces.tolist())
+
     body: list[str] = []
     ends = np.cumsum(sizes, dtype=np.int64).tolist()
     for d, a, b in zip(dims, [0] + ends[:-1], ends):
         body.append(
-            f'<text x="{left - 12:.2f}" y="{y[a] + 10:.2f}" text-anchor="end" '
+            f'\n<text x="{left - 12:.2f}" y="{y[a] + 10:.2f}" text-anchor="end" '
             f'font-size="12" font-family="sans-serif">H{d}</text>'
         )
-        body += bars[a:b]
+        body += [bars(i, min(i + _SVG_BLOCK, b)) for i in range(a, b, _SVG_BLOCK)]
     height = max(top + (bar_h + bar_gap) * len(at) + group_gap * (len(dims) - 1), top) + bottom
     axis_y = height - bottom + 8.0
-    axis = [
+    head = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="660" '
+        f'height="{height:.2f}" viewBox="0 0 660 {height:.2f}">',
         f'<line x1="{left:.2f}" y1="{axis_y:.2f}" x2="{left + plot_w:.2f}" '
         f'y2="{axis_y:.2f}" stroke="#333" stroke-width="1"/>',
         f'<line x1="{left:.2f}" y1="{top - 4:.2f}" x2="{left:.2f}" '
@@ -115,16 +143,7 @@ def render_barcode_svg(barcode: Barcode, path: str | Path | None = None) -> str:
         f'<text x="{left + plot_w:.2f}" y="{axis_y + 14:.2f}" '
         f'text-anchor="middle" font-size="11" font-family="sans-serif">{hi:g}</text>',
     ]
-    svg = "\n".join(
-        [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="660" '
-            f'height="{height:.2f}" viewBox="0 0 660 {height:.2f}">',
-            *axis,
-            *body,
-            "</svg>\n",
-        ]
-    )
-    return _write(svg, path)
+    return _write("".join(["\n".join(head), *body, "\n</svg>\n"]), path)
 
 
 def margin_color(winner: str | None, delta: float) -> str:
@@ -144,28 +163,33 @@ def margin_colors(sides: np.ndarray, deltas: np.ndarray) -> list[str]:
 
 
 def _cycle_polylines(
-    barcode: Barcode,
-    at: np.ndarray,
-    coords: np.ndarray,
-    to_svg,
-    strokes: Sequence[str],
+    barcode: Barcode, coords: np.ndarray, to_svg, strokes: Sequence[str]
 ) -> list[str]:
-    """The polylines of cycles ``at`` (consecutive), in turn; a cycle of a
-    long-persistence bar takes the second of ``strokes``."""
-    ptr = barcode.cycle_ptr[at[0] : at[-1] + 2]
-    vertex, code = _unique(barcode.cycle_at[ptr[0] : ptr[-1]])
+    """The polylines of the barcode's cycles, in turn; a cycle of a
+    long-persistence bar takes the second of ``strokes``.  Each distinct
+    cycle vertex is formatted once, and the cycles are joined a block of
+    ``_CYCLE_BLOCK`` vertices at a time."""
+    if barcode.cycle_at is None:
+        raise InputError("generator is not an edge cycle")
+    vertex, code = _unique(barcode.cycle_at)
     missing = vertex[(vertex < 0) | (vertex >= len(coords))]
     if len(missing):
         raise InputError(f"generator vertex {missing[0]} has no coordinate")
     px, py = to_svg(*coords[vertex].T)
     texts = np.array(["%.2f,%.2f" % xy for xy in zip(px.tolist(), py.tolist())], dtype=object)
-    points = texts[code].tolist()
-    ends = (ptr - ptr[0]).tolist()
-    long = barcode.long_persistence[barcode.cycle_bar[at]]
-    return [
-        f'<polyline points="{" ".join(points[a:b])}" ' + strokes[flag]
-        for a, b, flag in zip(ends[:-1], ends[1:], long.tolist())
-    ]
+    long = barcode.long_persistence[barcode.cycle_bar].tolist()
+    block = barcode.cycle_ptr[:-1] // _CYCLE_BLOCK  # of each cycle's first vertex
+    lines = []
+    for at in np.split(np.arange(len(block)), np.flatnonzero(np.diff(block)) + 1):
+        if len(at):
+            ptr = barcode.cycle_ptr[at[0] : at[-1] + 2]
+            points = texts[code[ptr[0] : ptr[-1]]].tolist()
+            ends = (ptr - ptr[0]).tolist()
+            lines += [
+                f'<polyline points="{" ".join(points[a:b])}" ' + strokes[long[c]]
+                for c, a, b in zip(at.tolist(), ends[:-1], ends[1:])
+            ]
+    return lines
 
 
 def render_feature_map(
@@ -193,15 +217,8 @@ def render_feature_map(
 
     stroke = 'fill="none" stroke="%s" stroke-width="%.2f" stroke-linejoin="round"/>'
     strokes = [stroke % sw for sw in zip(CYCLE_STROKE[candidate], (1.5, 3.0))]
-    cycles = np.arange(len(barcode.cycle_bar))
-    block = barcode.cycle_ptr[:-1] // _CYCLE_BLOCK  # of each cycle's first vertex
     with np.errstate(over="ignore", invalid="ignore"):  # as Python floats do
-        body = _outline_paths(m, to_svg)
-        if barcode.cycle_at is None:
-            raise InputError("generator is not an edge cycle")
-        for at in np.split(cycles, np.flatnonzero(np.diff(block)) + 1):
-            if len(at):
-                body += _cycle_polylines(barcode, at, vertex_coords, to_svg, strokes)
+        body = _outline_paths(m, to_svg) + _cycle_polylines(barcode, vertex_coords, to_svg, strokes)
     svg = "\n".join(
         [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.2f}" '

@@ -641,6 +641,17 @@ class TestBench:
         assert inputs == ["g"] * 8
         assert "8 runs ->" in capsys.readouterr().out
 
+    def test_file_name_that_is_not_utf8_keeps_its_bytes(self, tmp_path, capsys):
+        (tmp_path / "maps").mkdir()
+        write_fixture(grid_fixture(2), tmp_path / "maps" / os.fsdecode(b"\xffmap.geojson"))
+        out = tmp_path / "bench.csv"
+        code = main(["bench", "--input-dir", str(tmp_path / "maps"), "--out", str(out)])
+        assert code == 0
+        inputs = [row.split(b",")[0] for row in out.read_bytes().splitlines()[1:]]
+        assert inputs == [b"\xffmap"] * 8  # one row per method and candidate
+        assert b"\xffmap" in out.with_suffix(".txt").read_bytes()
+        assert "8 runs ->" in capsys.readouterr().out
+
     def test_a_cell_whose_build_raises_is_dropped(self, tmp_path, capsys):
         (tmp_path / "maps").mkdir()
         squares = [[[(x, 0.0), (x + 1.0, 0.0), (x + 1.0, 1.0), (x, 1.0)]] for x in (0.0, 2.0, 4.0)]

@@ -22,7 +22,6 @@ from geoph.geometry import PointCloud
 from geoph.homology import (
     Barcode,
     PersistencePair,
-    _filtration_ranks,
     barcode_of,
     betti_oracle,
     build_boundary_matrix,
@@ -104,12 +103,22 @@ def declined(*args):
     return False
 
 
+# The path a reduction picks when no test forces one.
+CHOSEN_PATH = homology._reduction_path
+
+
 @pytest.fixture(params=["columns", "rows"])
 def reduction_path(request, monkeypatch):
-    """Reduce every dimension by the column loop, or every one by the row sweep."""
-    path = getattr(homology, f"_reduce_{request.param}")
+    """Reduce every dimension by the column loop, or every one by the row
+    sweep; the path's name.  The path is looked up at each reduction, so
+    ``recorded_paths`` sees it."""
     monkeypatch.setattr(homology, "_pair_dual", declined)
-    monkeypatch.setattr(homology, "_reduction_path", lambda columns, rows: path)
+    monkeypatch.setattr(
+        homology,
+        "_reduction_path",
+        lambda columns, rows: getattr(homology, f"_reduce_{request.param}"),
+    )
+    return request.param
 
 
 def reduced_by(path, bm):
@@ -154,15 +163,6 @@ def fixture_complex(fixture, method):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return run_pipeline(RunConfig(method=method, candidate="red"), m).complex
-
-
-def widest_loop_column(fc, red):
-    """The most face ranks any reduced column spans, lowest row to highest,
-    among the columns the reduction loop reduced or added."""
-    rank, _ = _filtration_ranks(fc)
-    touched = {k for j, chain in enumerate(red.chains) if not red.apparent[j] for k in chain}
-    columns = [red.matrix.columns[k] for k in touched]
-    return max((rank[max(c)] - rank[min(c)] + 1 for c in columns if c), default=0)
 
 
 def assert_chains_empty_exactly_where_skipped(fc):
@@ -511,11 +511,11 @@ class TestReduction:
         assert_matches_dense_reference(fc)
         assert_pairs_match_reference(fc)
 
-    @pytest.mark.usefixtures("reduction_path")
-    def test_matches_dense_reference_on_dense_flag_complexes(self):
+    def test_matches_dense_reference_on_dense_flag_complexes(self, reduction_path):
         # Vietoris-Rips on 12-30 distinct points of a 7 x 7 lattice: many
         # tied distances, long columns, and pivots that are not apparent.
-        wide = nonapparent_added = nested = 0
+        # Built, their triangles take the row sweep; here, the forced path.
+        nonapparent_added = nested = 0
         for seed in range(8):
             rng = random.Random(seed)
             lattice = [(float(x), float(y)) for x in range(7) for y in range(7)]
@@ -523,25 +523,29 @@ class TestReduction:
             fc = build_vr_complex(PointCloud(points=tuple(pts)))
             assert_matches_dense_reference(fc)
             bm = build_boundary_matrix(fc)
-            red = reduce_matrix(bm)
+            with recorded_paths() as calls:
+                red = reduce_matrix(bm)
+            with recorded_paths() as built, pytest.MonkeyPatch.context() as mp:
+                mp.setattr(homology, "_reduction_path", CHOSEN_PATH)
+                reduce_matrix(bm)
+            assert calls == [(2, reduction_path)] and built == [(2, "rows")]
             additions = []
             pairs, _, _ = dense_reduce_reference(bm.columns, additions)
             skipped = skipped_columns(fc, pairs)
             added = {(j, k) for j, k in additions if j not in skipped and not red.apparent[k]}
             adders = {j for j, _ in added}
-            wide += widest_loop_column(fc, red) > 64
             nonapparent_added += bool(added)
             nested += any(k in adders for _, k in added)
-        assert wide and nonapparent_added and nested
+        assert nonapparent_added and nested
 
-    @pytest.mark.usefixtures("reduction_path")
-    def test_matches_dense_reference_on_wide_level_set_columns(self):
+    def test_matches_dense_reference_on_wide_level_set_columns(self, reduction_path):
         m = parse_feature_collection(make_fixture("blobs"))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             fc = run_pipeline(RunConfig(method="levelset", candidate="red"), m).complex
-        red = reduce_matrix(build_boundary_matrix(fc))
-        assert widest_loop_column(fc, red) > 64
+        with recorded_paths() as calls:
+            reduce_matrix(build_boundary_matrix(fc))
+        assert calls == [(2, reduction_path)]
         assert_matches_dense_reference(fc)
 
     def test_pairing_is_partial_matching(self):
@@ -737,6 +741,11 @@ class TestGeneratorBases:
         rng = random.Random(seed)
         points = tuple((rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(25))
         assert_bars_and_generators_check_out(build_alpha_complex(PointCloud(points=points)))
+
+    @given(planar_complexes())
+    @settings(max_examples=200, deadline=None)
+    def test_on_planar_complexes_as_built(self, fc):
+        assert_bars_and_generators_check_out(fc)
 
     def test_on_a_9_point_vr_cloud(self):
         rng = random.Random(9)

@@ -25,11 +25,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from geoph import render
 from geoph.complexes import close_under_faces
 from geoph.homology import Barcode, PersistencePair, barcode_of, classify_long_persistence
+from geoph.pipeline import RunConfig, run_pipeline
 from geoph.precincts import parse_feature_collection
 from geoph.render import render_barcode_svg, render_feature_map
-from geoph.synth import annulus_fixture, dissent_fixture
+from geoph.synth import annulus_fixture, dissent_fixture, grid_fixture
 
 from helpers import (
     barcode_json_reference,
@@ -179,6 +181,20 @@ def test_block_list_closes_once():
     assert "".join(blocks) == barcode_json_reference(bc)
 
 
+def test_vr_barcode_svg_in_blocks():
+    # The 6 x 6 grid's red precincts: thousands of immortal H2 bars on few births.
+    bc = run_pipeline(
+        RunConfig(method="vr", candidate="red"), parse_feature_collection(grid_fixture(6))
+    ).barcode
+    shown = bc.shown()
+    assert (bc.immortal[shown] & (bc.dimension[shown] == 2)).sum() > 5000
+    assert len(set(bc.birth[shown].tolist())) < 50
+    svg = barcode_svg_reference(bc)
+    for size in (1, 2, 7, render._SVG_BLOCK):
+        with patch("geoph.render._SVG_BLOCK", size):
+            assert render_barcode_svg(bc) == svg
+
+
 def test_plot_span_that_overflows_a_float():
     bc = Barcode([PersistencePair(0, -1e308, 1e308, ((0,),), 0)], 1e308)
     svg = render_barcode_svg(bc)
@@ -312,3 +328,23 @@ def test_feature_maps(pairs, m, points, candidate):
     for size in (1, 2, 3):  # blocks of a few generator edges
         with patch("geoph.render._CYCLE_BLOCK", size):
             assert render_feature_map(m, bc, candidate, coords) == svg
+
+
+def test_feature_map_cycles_share_vertices_across_blocks():
+    # A fan of 399 triangles about vertex 0, each sharing an edge with the
+    # next: every cycle holds vertex 0, and 1,596 cycle vertices fill two
+    # blocks at the default size.
+    fan = [
+        PersistencePair(1, i, None if i % 5 else i + 2.5, ((0, i), (i, i + 1), (0, i + 1)), i)
+        for i in range(1, 400)
+    ]
+    bc = classify_long_persistence(Barcode(fan, 500.0))
+    angles = np.linspace(0.0, 6.0, 401)
+    coords = np.column_stack([np.cos(angles), np.sin(angles)]) * 100.0
+    m = FEATURE_MAPS[0]
+    svg = render_feature_map(m, bc, "red", coords)
+    assert svg == feature_map_svg_reference(m, bc, "red", dict(enumerate(coords.tolist())))
+    for size in (4, 7, 64, render._CYCLE_BLOCK):
+        assert len(set((bc.cycle_ptr[:-1] // size).tolist())) > 1
+        with patch("geoph.render._CYCLE_BLOCK", size):
+            assert render_feature_map(m, bc, "red", coords) == svg
